@@ -24,12 +24,7 @@ from .probability import (
     marginalize,
     require_variables,
 )
-from .regions import (
-    OptimizerConfig,
-    _entropy_term_objective,
-    _multistart_ascent,
-    _rows_for_start,
-)
+from .ascent import EntropyObjective, OptimizerConfig, multistart_ascent, rows_for_start
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
@@ -183,24 +178,14 @@ def search_less_noisy_violation(
         )
     a_alph = joint_abe.alphabet("A")
     n_symbols = cfg.u_cardinality or (a_alph.size + 1)
-    # I(U;weaker) - I(U;stronger) = H(weaker) - H(stronger)
-    #                               + H(stronger,U) - H(weaker,U).
-    const = entropy_of(joint_abe, weaker) - entropy_of(joint_abe, stronger)
-    objective = _entropy_term_objective(
-        joint_abe.mass,
-        (joint_abe.axis("A"),),
-        terms=[
-            ((joint_abe.axis(stronger),), +1.0),
-            ((joint_abe.axis(weaker),), -1.0),
-        ],
-        const=const,
-    )
+    objective = less_noisy_objective(joint_abe, stronger, weaker)
     injected = []
     if n_symbols >= a_alph.size:
         identity = Channel.copy_of(("A", a_alph), "U")
-        injected.append(_rows_for_start(identity, joint_abe, ("A",), n_symbols))
+        injected.append(rows_for_start(identity, joint_abe, ("A",), n_symbols))
     injected.append(np.full((a_alph.size, n_symbols), 1.0 / n_symbols))
-    f, w = _multistart_ascent(objective, a_alph.size, n_symbols, cfg, injected)
+    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+    f, w = ascent.values, ascent.tables
     best = int(np.argmax(f))
     gap = float(f[best])
     total_starts = cfg.starts + len(injected)
@@ -211,6 +196,23 @@ def search_less_noisy_violation(
     u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
     witness = Channel((("A", a_alph),), ("U", u_alphabet), w[best])
     return OrderingVerdict(kind="less_noisy_falsified", witness=witness, gap=gap)
+
+
+def less_noisy_objective(
+    joint_abe: JointPMF, stronger: str, weaker: str
+) -> EntropyObjective:
+    """I(U;weaker) - I(U;stronger) as an entropy-term objective over p(u|a)."""
+    # I(U;weaker) - I(U;stronger) = H(weaker) - H(stronger)
+    #                               + H(stronger,U) - H(weaker,U).
+    return EntropyObjective.from_terms(
+        joint_abe.mass,
+        (joint_abe.axis("A"),),
+        terms=[
+            ((joint_abe.axis(stronger),), +1.0),
+            ((joint_abe.axis(weaker),), -1.0),
+        ],
+        const=entropy_of(joint_abe, weaker) - entropy_of(joint_abe, stronger),
+    )
 
 
 def _phase1_simplex(

@@ -8,24 +8,24 @@ each start draws every row from a symmetric Dirichlet(1), then sweeps row by
 row doing golden-section line search along random in-simplex directions until
 a full sweep improves the objective by less than ``tol``.
 
-Two deterministic warm starts are always injected on top of the random ones:
-the uniform (input-ignoring) channel, whose objective is the plain
-Slepian-Wolf baseline I(A;B) - I(A;E), and any caller-supplied channels.
-Reported values are therefore certified lower bounds on the true maximum,
-never below the baseline; ``starts_agreeing`` is the convergence diagnostic.
-
-All randomness derives from (seed, start index), so runs are reproducible
-bit for bit and starts could execute concurrently without changing results.
+Deterministic warm starts are injected on top of the random ones: any
+caller-supplied channels; with S_E closed and S_B open, U = copy of E, whose
+objective I(A;B|E) is the exact maximum for that setting; and last the
+uniform (input-ignoring) channel, whose objective is the plain Slepian-Wolf
+baseline I(A;B) - I(A;E). Reported values are therefore certified lower
+bounds on the true maximum, never below the baseline; ``starts_agreeing``,
+``sweeps`` and ``hit_max_iters`` are the convergence diagnostics. The ascent
+itself lives in the ``ascent`` module, shared with the orderings search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .ascent import EntropyObjective, OptimizerConfig, multistart_ascent, rows_for_start
 from .probability import (
     Alphabet,
     Channel,
@@ -39,10 +39,6 @@ from .probability import (
 
 # Objective magnitudes below numerical resolution are reported as exactly 0.
 _SNAP_TOL = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 28
-_DIRECTIONS_PER_ROW = 2
 
 
 @dataclass(frozen=True)
@@ -110,27 +106,6 @@ class RatePoint:
                 object.__setattr__(self, label, 0.0)
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    starts: int = 64
-    max_iters: int = 500
-    tol: float = 1e-9
-    seed: int = 0
-    u_cardinality: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.starts < 1:
-            raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.u_cardinality is not None and self.u_cardinality < 1:
-            raise ValueError("u_cardinality must be >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class OptResult:
     """Outcome of one auxiliary-channel maximization.
@@ -139,13 +114,17 @@ class OptResult:
     everything, so equivocation 0 is trivially achievable and negative
     objectives are clamped. ``objective_trace`` holds each start's final
     value (random starts first, then injected ones); ``starts_agreeing``
-    counts starts within ``tol`` of the best.
+    counts starts within ``tol`` of the best. ``sweeps`` holds the sweeps
+    each start ran before it froze, in trace order; ``hit_max_iters`` is true
+    when some start was still improving after ``max_iters`` sweeps.
     """
 
     delta_star: float
     best_u: Channel
     objective_trace: tuple[float, ...]
     starts_agreeing: int
+    sweeps: tuple[int, ...]
+    hit_max_iters: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,16 +194,23 @@ def maximize_equivocation(
     """Maximize I(A;B|U) - I(A;E|U) over channels p(u | conditioning set).
 
     ``extra_starts`` channels (conditioning set must match the switches) are
-    ascended alongside the random starts; the uniform channel is always
-    injected last. Results are deterministic for a fixed ``cfg.seed``.
+    ascended alongside the random starts. With S_E closed and S_B open, U =
+    copy of E follows them: its objective I(A;B|E) is the maximum for that
+    setting. The uniform channel is always injected last. Results are
+    deterministic for a fixed ``cfg.seed``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
+    cond_vars = switches.conditioning_vars()
+    starts = list(extra_starts)
+    alph_e = joint_abe.alphabet("E")
+    fits = cfg.u_cardinality is None or cfg.u_cardinality >= alph_e.size
+    # Under "both" this start is not the optimum, and ascending it costs
+    # hundreds of sweeps, so only "se" gets it.
+    if switches.name == "se" and fits:
+        copy_e = Channel.copy_of(("E", alph_e), "U")
+        starts.append(copy_e.lift(tuple((v, joint_abe.alphabet(v)) for v in cond_vars)))
     return _maximize_secrecy(
-        joint_abe,
-        x_var="B",
-        cond_vars=switches.conditioning_vars(),
-        cfg=cfg,
-        extra_starts=extra_starts,
+        joint_abe, x_var="B", cond_vars=cond_vars, cfg=cfg, extra_starts=starts
     )
 
 
@@ -257,168 +243,28 @@ def coded_inner_bound_sample(
 
 
 def default_u_cardinality(joint: JointPMF, cond_vars: Sequence[str]) -> int:
-    """|A|+1 when conditioning on A alone, else (product of sizes) + 1."""
-    sizes = [joint.alphabet(v).size for v in cond_vars]
-    if tuple(cond_vars) == ("A",):
-        return joint.alphabet("A").size + 1
-    return int(np.prod(sizes)) + 1
+    """(Product of the conditioning alphabet sizes) + 1."""
+    return int(np.prod([joint.alphabet(v).size for v in cond_vars])) + 1
 
 
-# ---------------------------------------------------------------------------
-# internal optimizer machinery (shared with the orderings module)
-# ---------------------------------------------------------------------------
-
-
-def _entropy_bits_batch(m: np.ndarray) -> np.ndarray:
-    """Shannon entropy in bits of each leading-axis slice of ``m``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = m * np.log2(m)
-    t = np.where(m > 0.0, t, 0.0)
-    return -t.reshape(m.shape[0], -1).sum(axis=1)
-
-
-def _entropy_term_objective(
-    mass: np.ndarray,
-    cond_axes: tuple[int, ...],
-    terms: Sequence[tuple[tuple[int, ...], float]],
-    const: float = 0.0,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched objective sum_i sign_i * H(marginal_i of mass x W) + const.
-
-    ``W`` stacks row-major channel tables of shape (starts, rows, symbols);
-    each term keeps the listed mass axes plus the attached output axis.
-    """
-    shape = mass.shape
-    sizes = tuple(shape[i] for i in cond_axes)
-    grids = np.indices(shape)
-    cond_idx = np.ravel_multi_index(tuple(grids[i] for i in cond_axes), sizes)
-    ndim = mass.ndim
-    plans = []
-    for keep, sign in terms:
-        drop = tuple(1 + i for i in range(ndim) if i not in keep)
-        plans.append((drop, float(sign)))
-    base = mass[None, ..., None]
-
-    def objective(w: np.ndarray) -> np.ndarray:
-        q = base * w[:, cond_idx, :]
-        value = np.full(w.shape[0], const)
-        for drop, sign in plans:
-            value = value + sign * _entropy_bits_batch(q.sum(axis=drop))
-        return value
-
-    return objective
-
-
-def _golden_max(
-    eval_t: Callable[[np.ndarray], np.ndarray], n_batch: int, iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched golden-section maximization over t in [0, 1]."""
-    a = np.zeros(n_batch)
-    b = np.ones(n_batch)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = eval_t(x1)
-    f2 = eval_t(x2)
-    for _ in range(iters):
-        left = f1 >= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        old_x1, old_f1 = x1, f1
-        old_x2, old_f2 = x2, f2
-        x1 = np.where(left, b - _INVPHI * (b - a), old_x2)
-        x2 = np.where(left, old_x1, a + _INVPHI * (b - a))
-        f_new = eval_t(np.where(left, x1, x2))
-        f1 = np.where(left, f_new, old_f2)
-        f2 = np.where(left, old_f1, f_new)
-    t = np.where(f1 >= f2, x1, x2)
-    return t, np.maximum(f1, f2)
-
-
-def _multistart_ascent(
-    objective: Callable[[np.ndarray], np.ndarray],
-    n_rows: int,
-    n_symbols: int,
-    cfg: OptimizerConfig,
-    extra_rows: Sequence[np.ndarray] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize ``objective`` over stacks of per-row simplex distributions.
-
-    Start ``s`` draws from default_rng((seed, s)); random starts come first,
-    then ``extra_rows``. Each sweep visits every row, first trying each
-    one-hot vertex exactly (the interesting optima often sit at deterministic
-    channels, and exact vertex moves both reach them and let the sweep
-    improvement drop to zero so termination fires), then golden-section line
-    searches toward random simplex points for interior refinement. A start
-    freezes once a full sweep improves it by less than ``cfg.tol``.
-    Returns (final per-start values, final tables).
-    """
-    n_starts = cfg.starts + len(extra_rows)
-    rngs = [np.random.default_rng((cfg.seed, s)) for s in range(n_starts)]
-    w = np.empty((n_starts, n_rows, n_symbols))
-    ones = np.ones(n_symbols)
-    for s in range(cfg.starts):
-        w[s] = rngs[s].dirichlet(ones, size=n_rows)
-    for i, rows in enumerate(extra_rows):
-        w[cfg.starts + i] = rows
-    f = objective(w)
-    active = np.ones(n_starts, dtype=bool)
-    t_one = np.ones(n_starts)
-    for _ in range(cfg.max_iters):
-        f_sweep = f.copy()
-        for r in range(n_rows):
-            for u in range(n_symbols):
-                cand = w.copy()
-                cand[:, r, :] = 0.0
-                cand[:, r, u] = 1.0
-                f_cand = objective(cand)
-                take = active & (f_cand > f)
-                if take.any():
-                    w[take, r, :] = 0.0
-                    w[take, r, u] = 1.0
-                    f = np.where(take, f_cand, f)
-            for _ in range(_DIRECTIONS_PER_ROW):
-                z = np.stack([rng.dirichlet(ones) for rng in rngs])
-                base = w[:, r, :].copy()
-                delta = z - base
-
-                def eval_t(t: np.ndarray) -> np.ndarray:
-                    cand = w.copy()
-                    cand[:, r, :] = base + t[:, None] * delta
-                    return objective(cand)
-
-                t_best, f_best = _golden_max(eval_t, n_starts, _GOLDEN_ITERS)
-                f_vertex = eval_t(t_one)
-                t_best = np.where(f_vertex > f_best, 1.0, t_best)
-                f_best = np.maximum(f_vertex, f_best)
-                take = active & (f_best > f)
-                if take.any():
-                    moved = base[take] + t_best[take, None] * delta[take]
-                    w[take, r, :] = np.maximum(moved, 0.0)
-                    f = np.where(take, f_best, f)
-        active &= (f - f_sweep) >= cfg.tol
-        if not active.any():
-            break
-    return f, w
-
-
-def _rows_for_start(
-    channel: Channel, joint: JointPMF, cond_vars: tuple[str, ...], n_symbols: int
-) -> np.ndarray:
-    """Reorder and zero-pad a channel into an optimizer start table."""
-    if set(channel.from_names) != set(cond_vars):
-        raise DistributionError(
-            f"extra start conditions on {channel.from_names}, expected {cond_vars}"
-        )
-    aligned = channel.lift(tuple((v, joint.alphabet(v)) for v in cond_vars))
-    k = aligned.rows.shape[-1]
-    if k > n_symbols:
-        raise DistributionError(
-            f"extra start has {k} output symbols, exceeding the cardinality bound {n_symbols}"
-        )
-    rows = aligned.rows.reshape(-1, k)
-    if k < n_symbols:
-        rows = np.hstack([rows, np.zeros((rows.shape[0], n_symbols - k))])
-    return rows
+def secrecy_entropy_objective(
+    joint: JointPMF, x_var: str, cond_vars: tuple[str, ...]
+) -> EntropyObjective:
+    """I(A;X|U) - I(A;E|U) as an entropy-term objective over p(u | cond_vars)."""
+    a_ax = joint.axis("A")
+    x_ax = joint.axis(x_var)
+    e_ax = joint.axis("E")
+    # I(A;X|U) - I(A;E|U) = H(A|E,U) - H(A|X,U), written as joint entropies.
+    return EntropyObjective.from_terms(
+        joint.mass,
+        tuple(joint.axis(v) for v in cond_vars),
+        terms=[
+            ((a_ax, e_ax), +1.0),
+            ((e_ax,), -1.0),
+            ((a_ax, x_ax), -1.0),
+            ((x_ax,), +1.0),
+        ],
+    )
 
 
 def _maximize_secrecy(
@@ -429,28 +275,14 @@ def _maximize_secrecy(
     extra_starts: Sequence[Channel] = (),
 ) -> OptResult:
     """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars)."""
-    a_ax = joint.axis("A")
-    x_ax = joint.axis(x_var)
-    e_ax = joint.axis("E")
-    cond_axes = tuple(joint.axis(v) for v in cond_vars)
     n_symbols = cfg.u_cardinality or default_u_cardinality(joint, cond_vars)
     sizes = tuple(joint.alphabet(v).size for v in cond_vars)
-    n_rows = int(np.prod(sizes))
-    # I(A;X|U) - I(A;E|U) = H(A|E,U) - H(A|X,U), written as joint entropies.
-    objective = _entropy_term_objective(
-        joint.mass,
-        cond_axes,
-        terms=[
-            ((a_ax, e_ax), +1.0),
-            ((e_ax,), -1.0),
-            ((a_ax, x_ax), -1.0),
-            ((x_ax,), +1.0),
-        ],
-    )
+    objective = secrecy_entropy_objective(joint, x_var, cond_vars)
     cond_specs = tuple((v, joint.alphabet(v)) for v in cond_vars)
-    injected = [_rows_for_start(ch, joint, cond_vars, n_symbols) for ch in extra_starts]
-    injected.append(np.full((n_rows, n_symbols), 1.0 / n_symbols))
-    f, w = _multistart_ascent(objective, n_rows, n_symbols, cfg, injected)
+    injected = [rows_for_start(ch, joint, cond_vars, n_symbols) for ch in extra_starts]
+    injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
+    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+    f, w = ascent.values, ascent.tables
     best = int(np.argmax(f))
     best_value = float(f[best])
     delta_star = best_value if best_value >= _SNAP_TOL else 0.0
@@ -463,4 +295,6 @@ def _maximize_secrecy(
         best_u=best_u,
         objective_trace=trace,
         starts_agreeing=agreeing,
+        sweeps=tuple(int(k) for k in ascent.sweeps),
+        hit_max_iters=ascent.hit_max_iters,
     )

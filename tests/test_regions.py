@@ -233,6 +233,27 @@ class TestMaximize:
             )
             assert res_both.delta_star >= res_closed.delta_star - FAST.tol
 
+    def test_se_reaches_closed_form_on_random_joints(self):
+        rng = np.random.default_rng(2008)
+        cfg = OptimizerConfig(starts=2, max_iters=60, tol=1e-7, seed=0)
+        for _ in range(6):
+            joint = dirichlet_joint(rng, (2, 3, 3))
+            result = maximize_equivocation(joint, SE, cfg)
+            assert result.delta_star == pytest.approx(
+                closed_form_delta(joint, "se_closed"), abs=1e-6
+            )
+
+    def test_convergence_diagnostics(self):
+        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        result = maximize_equivocation(joint, SB, FAST)
+        assert len(result.sweeps) == len(result.objective_trace)
+        assert all(1 <= k <= FAST.max_iters for k in result.sweeps)
+        assert max(result.sweeps) < FAST.max_iters
+        assert not result.hit_max_iters
+        capped = maximize_equivocation(joint, SB, OptimizerConfig(starts=3, max_iters=1, seed=3))
+        assert capped.sweeps == (1,) * 4
+        assert capped.hit_max_iters
+
     def test_extra_start_with_wrong_conditioning_rejected(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))
         channel = Channel.copy_of(("A", joint.alphabet("A")), "U")

@@ -11,9 +11,15 @@ Two schemes are simulated with exact per-realization posteriors:
   auxiliary sequence), and the eavesdropper conditions her exact posterior
   on the filled positions and values.
 
-Blocklengths stay desk-scale because both Bob's decoding and Eve's posterior
-enumerate sequences exhaustively; that is the point, since exact posteriors
-make the equivocation estimate unbiased with a reportable standard error.
+Blocklengths stay desk-scale because Bob's decoding and Eve's posterior
+enumerate every member of the announced bin; that is the point, since exact
+posteriors make the equivocation estimate unbiased with a reportable standard
+error. A binning run holds O(|A|^n) integers of index (the bin table, one
+member ordering and the bin offsets) plus factor indices for the two halves
+of a sequence's digits, never a table of every sequence's symbols. In the
+gap scheme Eve's posterior is uniform over 2^k blocks, k the number of
+positions she misses that the transmission does not fill, so it is counted
+exactly rather than enumerated.
 Trial t draws from default_rng((seed, 1, t)), the bin table from
 default_rng((seed, 0)); reports are reproducible bit for bit and the
 per-trial records are aggregated in trial order.
@@ -32,8 +38,9 @@ from .probability import JointPMF, require_variables
 
 # Exhaustive posterior enumeration must fit: |A|^n sequences.
 _MAX_SEQUENCES = 2**20
-# The gap-transmission posterior sums over erasure-pattern subsets; past this
-# blocklength the candidate sets grow out of desk scale.
+# The gap scheme's posterior is counted in O(n), so this is not a cost limit:
+# it is the range the scheme is specified for, over which the tests check the
+# count against enumerating every candidate block.
 _MAX_GAP_SCHEME_N = 12
 
 # Posterior ties are compared with this relative slack; for erasure-style
@@ -68,19 +75,29 @@ class BinningCode:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Monte Carlo summary: error rate and per-symbol equivocation."""
+    """Monte Carlo summary: error rate and per-symbol equivocation.
+
+    ``ties`` counts trials whose decoding failed on a posterior tie and
+    ``wrong_decodes`` those where another sequence strictly won; together they
+    are the trials behind ``p_e_hat``. The gap scheme decodes exactly and
+    reports 0 for both.
+    """
 
     trials: int
     p_e_hat: float
     equiv_hat: float
     equiv_stderr: float
     seed: int
+    ties: int = 0
+    wrong_decodes: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_e_hat <= 1.0:
             raise ValueError("p_e_hat must be in [0, 1]")
         if self.equiv_hat < 0.0:
             raise ValueError("equiv_hat must be nonnegative")
+        if min(self.ties, self.wrong_decodes) < 0 or self.ties + self.wrong_decodes > self.trials:
+            raise ValueError("ties and wrong_decodes must be counts of trials")
 
 
 def exact_posterior_entropy(weights) -> float:
@@ -117,29 +134,25 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
     return BinningCode(n=n, rate=rate, n_bins=n_bins, bin_of=table, seed=seed)
 
 
-def _sequence_table(n_seq: int, n: int, alphabet_size: int) -> np.ndarray:
-    """(n_seq, n) symbol-index table; position 0 is the most significant."""
-    table = np.empty((n_seq, n), dtype=np.uint8)
-    idx = np.arange(n_seq)
-    for pos in range(n - 1, -1, -1):
-        table[:, pos] = idx % alphabet_size
-        idx //= alphabet_size
-    return table
-
-
 class _SwContext(NamedTuple):
-    joint: JointPMF
     n: int
     code: BinningCode
     flat: np.ndarray
     cell_shape: tuple[int, int, int]
     radix: np.ndarray
-    seq_table: np.ndarray
-    p_a_given_b: np.ndarray
-    p_a_given_e: np.ndarray
+    # Bin j holds members_order[bin_offsets[j] : bin_offsets[j + 1]], in
+    # ascending sequence index because the argsort is stable.
     members_order: np.ndarray
-    members_start: np.ndarray
-    members_end: np.ndarray
+    bin_offsets: np.ndarray
+    # cell_factors[c, w, a] is P(a | b) for w = 0 and P(a | e) for w = 1 at
+    # joint cell c = (., b, e), so a trial's drawn cells give an (n, 2, |A|)
+    # factor block. A sequence index is high * low_size + low; head_index
+    # and tail_index pick from the flattened block the factors of every
+    # high part (first ceil(n/2) positions) and every low part (the rest).
+    cell_factors: np.ndarray
+    low_size: int
+    head_index: np.ndarray
+    tail_index: np.ndarray
 
 
 class _SwTrial(NamedTuple):
@@ -154,6 +167,18 @@ class _SwTrial(NamedTuple):
     e: np.ndarray
 
 
+def _factor_index(n_digits: int, first: int, alphabet_size: int) -> np.ndarray:
+    """(n_digits, 2, |A|^n_digits) flat indices into an (n, 2, |A|) factor block.
+
+    Entry [j, w, s] addresses position first + j, observer w and symbol
+    digits[j, s], the j-th most significant base-|A| digit of s.
+    """
+    place = alphabet_size ** np.arange(n_digits - 1, -1, -1)
+    digits = np.arange(alphabet_size**n_digits) // place[:, None] % alphabet_size
+    pos = first + np.arange(n_digits)
+    return (pos[:, None, None] * 2 + np.arange(2)[:, None]) * alphabet_size + digits[:, None, :]
+
+
 def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwContext:
     require_variables(joint_abe, ("A", "B", "E"))
     mass = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", "B", "E")), (0, 1, 2))
@@ -166,24 +191,22 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
     with np.errstate(invalid="ignore", divide="ignore"):
         p_a_given_b = np.where(p_ab.sum(axis=0) > 0.0, p_ab / p_ab.sum(axis=0), 1.0 / n_a)
         p_a_given_e = np.where(p_ae.sum(axis=0) > 0.0, p_ae / p_ae.sum(axis=0), 1.0 / n_a)
-    order = np.argsort(code.bin_of, kind="stable")
-    sorted_bins = code.bin_of[order]
-    starts = np.searchsorted(sorted_bins, np.arange(code.n_bins), side="left")
-    ends = np.searchsorted(sorted_bins, np.arange(code.n_bins), side="right")
-    n_seq = n_a**n
+    _, b_of_cell, e_of_cell = np.unravel_index(np.arange(mass.size), mass.shape)
+    offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
+    n_low = n // 2
     return _SwContext(
-        joint=joint_abe,
         n=n,
         code=code,
         flat=mass.reshape(-1),
         cell_shape=(n_a, n_b, n_e),
         radix=(n_a ** np.arange(n - 1, -1, -1)).astype(np.int64),
-        seq_table=_sequence_table(n_seq, n, n_a),
-        p_a_given_b=p_a_given_b,
-        p_a_given_e=p_a_given_e,
-        members_order=order,
-        members_start=starts,
-        members_end=ends,
+        members_order=np.argsort(code.bin_of, kind="stable"),
+        bin_offsets=offsets,
+        cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell]), axis=1),
+        low_size=n_a**n_low,
+        head_index=_factor_index(n - n_low, 0, n_a),
+        tail_index=_factor_index(n_low, n - n_low, n_a),
     )
 
 
@@ -193,11 +216,19 @@ def _sw_trial(ctx: _SwContext, rng: np.random.Generator) -> _SwTrial:
     seq_index = int(a_idx @ ctx.radix)
     bin_index = int(ctx.code.bin_of[seq_index])
     members = ctx.members_order[
-        ctx.members_start[bin_index] : ctx.members_end[bin_index]
+        ctx.bin_offsets[bin_index] : ctx.bin_offsets[bin_index + 1]
     ]
-    members = np.sort(members)
-    symbols = ctx.seq_table[members]
-    bob = ctx.p_a_given_b[symbols, b_idx[None, :]].prod(axis=1)
+    # Bob's and Eve's likelihoods of every member, each the product of its n
+    # factors taken left to right: the high digits' partial products are
+    # formed once per trial, then each member multiplies in its low digits'
+    # factors one position at a time.
+    factors = ctx.cell_factors.take(cells, axis=0).reshape(-1)
+    head = factors.take(ctx.head_index).prod(axis=0)
+    tail = factors.take(ctx.tail_index)
+    high, low = np.divmod(members, ctx.low_size)
+    bob, eve = np.concatenate(
+        (head.take(high, axis=1)[None], tail.take(low, axis=2))
+    ).prod(axis=0)
     true_pos = int(np.searchsorted(members, seq_index))
     if bob[true_pos] <= 0.0:
         raise ArithmeticError("sampled sequence has zero posterior at Bob")
@@ -206,7 +237,6 @@ def _sw_trial(ctx: _SwContext, rng: np.random.Generator) -> _SwTrial:
     decoded_index = int(members[winners[0]])
     tie = winners.size > 1
     error = tie or decoded_index != seq_index
-    eve = ctx.p_a_given_e[symbols, e_idx[None, :]].prod(axis=1)
     if eve[true_pos] <= 0.0:
         raise ArithmeticError("sampled sequence has zero posterior at Eve")
     equiv = exact_posterior_entropy(eve) / ctx.n
@@ -223,6 +253,13 @@ def _sw_trial(ctx: _SwContext, rng: np.random.Generator) -> _SwTrial:
     )
 
 
+def _check_run(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+
+
 def run_sw_binning(
     joint_abe: JointPMF, n: int, rate: float, trials: int, seed: int
 ) -> SimReport:
@@ -232,23 +269,29 @@ def run_sw_binning(
     source block, decode at Bob by exact maximum posterior within the bin
     (any tie counts as an error), and score the eavesdropper's equivocation
     as the entropy of her exact posterior over the bin, per symbol.
+    Raises ValueError for a rate outside [0, log2 |A|], a blocklength past
+    the enumeration limit, fewer than one trial or a negative seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     ctx = _sw_context(joint_abe, n, rate, seed)
     errors = np.zeros(trials, dtype=bool)
+    ties = np.zeros(trials, dtype=bool)
     equivs = np.zeros(trials)
     for t in range(trials):
         record = _sw_trial(ctx, np.random.default_rng((seed, 1, t)))
         errors[t] = record.error
+        ties[t] = record.tie
         equivs[t] = record.equiv
     stderr = float(equivs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    n_ties = int(ties.sum())
     return SimReport(
         trials=trials,
         p_e_hat=float(errors.mean()),
         equiv_hat=float(equivs.mean()),
         equiv_stderr=stderr,
         seed=seed,
+        ties=n_ties,
+        wrong_decodes=int(errors.sum()) - n_ties,
     )
 
 
@@ -266,15 +309,10 @@ def _gap_trial(params: ErasureParams, n: int, rng: np.random.Generator) -> _GapT
     eve_erased = rng.random(n) < params.p_e
     # The gap-filling sequence is "the source bit where Bob is erased, a
     # constant elsewhere", so the transmission pins down both the filled
-    # positions and their values for everyone listening.
-    free = np.flatnonzero(eve_erased)
-    n_candidates = 1 << free.size
-    candidates = np.tile(a, (n_candidates, 1))
-    if free.size:
-        combos = (np.arange(n_candidates)[:, None] >> np.arange(free.size)[None, :]) & 1
-        candidates[:, free] = combos
-    match = (candidates[:, bob_erased] == a[bob_erased]).all(axis=1)
-    equiv = exact_posterior_entropy(match.astype(float)) / n
+    # positions and their values for everyone listening. Eve's posterior is
+    # uniform over the 2^k blocks free at her k erased, unfilled positions,
+    # with entropy exactly k bits.
+    equiv = int((eve_erased & ~bob_erased).sum()) / n
     return _GapTrial(
         equiv=equiv,
         message_length=int(bob_erased.sum()),
@@ -300,8 +338,7 @@ def run_erasure_encoder_scheme(
     """
     if not 1 <= n <= _MAX_GAP_SCHEME_N:
         raise ValueError(f"blocklength must lie in [1, {_MAX_GAP_SCHEME_N}], got {n}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, seed)
     equivs = np.zeros(trials)
     for t in range(trials):
         equivs[t] = _gap_trial(params, n, np.random.default_rng((seed, 1, t))).equiv

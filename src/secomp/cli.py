@@ -174,10 +174,17 @@ def _cmd_measures(args) -> int:
     return 0
 
 
+def _optimizer_config(args) -> OptimizerConfig:
+    try:
+        return OptimizerConfig(starts=args.starts, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def _cmd_region_uncoded(args) -> int:
     joint = load_distribution(args.input)
     switches = SwitchConfig.from_name(args.switches)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
+    cfg = _optimizer_config(args)
     result = maximize_equivocation(joint, switches, cfg)
     out = {
         "r_a_min": entropy_of(joint, "A", "B"),
@@ -207,7 +214,7 @@ def _sample_v_channels(alph_c: Alphabet, count: int, seed: int) -> list[Channel]
 
 def _cmd_region_coded(args) -> int:
     joint = load_distribution(args.input)
-    cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
+    cfg = _optimizer_config(args)
     channels = _sample_v_channels(joint.alphabet("C"), args.v_grid, args.seed)
     sys.stdout.write("r_a,r_c,delta_star\n")
     for channel in channels:
@@ -226,12 +233,12 @@ def _cmd_order(args) -> int:
         verdict = check_stochastic_degradation(joint, "b_degraded_wrt_e")
     elif args.check == "less-noisy-eb":
         verdict = search_less_noisy_violation(
-            joint, OptimizerConfig(starts=args.starts, seed=args.seed),
+            joint, _optimizer_config(args),
             direction="b_less_noisy_than_e",
         )
     else:  # less-noisy-be
         verdict = search_less_noisy_violation(
-            joint, OptimizerConfig(starts=args.starts, seed=args.seed),
+            joint, _optimizer_config(args),
             direction="e_less_noisy_than_b",
         )
     out = {
@@ -259,18 +266,24 @@ def _report_to_dict(report) -> dict:
     }
 
 
-def _cmd_simulate_binning(args) -> int:
-    joint = load_distribution(args.input)
-    report = run_sw_binning(joint, args.n, args.rate, args.trials, args.seed)
+def _emit_report(run, *run_args) -> int:
+    """Print the simulator's report; its ValueError for an out-of-range flag is exit 1."""
+    try:
+        report = run(*run_args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _emit_json(_report_to_dict(report), sys.stdout)
     return 0
+
+
+def _cmd_simulate_binning(args) -> int:
+    joint = load_distribution(args.input)
+    return _emit_report(run_sw_binning, joint, args.n, args.rate, args.trials, args.seed)
 
 
 def _cmd_simulate_erasure_scheme(args) -> int:
     params = _erasure_params(args)
-    report = run_erasure_encoder_scheme(params, args.n, args.trials, args.seed)
-    _emit_json(_report_to_dict(report), sys.stdout)
-    return 0
+    return _emit_report(run_erasure_encoder_scheme, params, args.n, args.trials, args.seed)
 
 
 def _erasure_params(args) -> ErasureParams:

@@ -233,3 +233,36 @@ class TestExitCodes:
     def test_missing_file_is_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "measures", "-i", "/nonexistent/d.json")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "binning", "--n", "0"),
+            ("simulate", "binning", "--n", "25"),
+            ("simulate", "binning", "--rate", "2"),
+            ("simulate", "binning", "--rate", "nan"),
+            ("simulate", "binning", "--trials", "0"),
+            ("simulate", "binning", "--seed", "-1"),
+            ("simulate", "erasure-scheme", "--n", "13"),
+            ("simulate", "erasure-scheme", "--seed", "-3"),
+            ("region", "uncoded", "--starts", "0"),
+            ("region", "uncoded", "--seed", "-1"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_out_of_range_flag_is_exit_one(self, capsys, tmp_path, argv):
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        *command, flag, value = argv
+        defaults = {
+            ("simulate", "binning"): {"-i": str(path), "--n": "8", "--rate": "0.5",
+                                      "--trials": "5", "--seed": "0"},
+            ("simulate", "erasure-scheme"): {"--pb": "0.25", "--pe": "0.5", "--n": "8",
+                                             "--trials": "5", "--seed": "0"},
+            ("region", "uncoded"): {"-i": str(path), "--starts": "2", "--seed": "0"},
+        }[tuple(command)]
+        defaults[flag] = value
+        full = [*command, *(item for pair in defaults.items() for item in pair)]
+        code, out, err = run_cli(capsys, *full)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err

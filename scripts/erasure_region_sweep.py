@@ -25,7 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     none = SwitchConfig()
-    sb = SwitchConfig("closed", "open")
+    sb = SwitchConfig.from_name("sb")
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
     rows = []
     for k in range(args.steps):

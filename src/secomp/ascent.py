@@ -1,4 +1,4 @@
-"""Multi-start coordinate ascent over stacks of per-row simplex distributions.
+"""Auxiliary-channel search (``maximize_channel``) by multi-start coordinate ascent.
 
 Every objective the package maximizes over an auxiliary channel W (rows are
 the conditioning cells, columns the output symbols) is a signed sum of
@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .probability import Channel, DistributionError, JointPMF
+from .probability import Alphabet, Channel, DistributionError, VarSpec
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 28
@@ -283,21 +283,38 @@ def _sweep(
     return f
 
 
-def rows_for_start(
-    channel: Channel, joint: JointPMF, cond_vars: tuple[str, ...], n_symbols: int
-) -> np.ndarray:
-    """Reorder and zero-pad a channel into an optimizer start table."""
-    if set(channel.from_names) != set(cond_vars):
-        raise DistributionError(
-            f"extra start conditions on {channel.from_names}, expected {cond_vars}"
-        )
-    aligned = channel.lift(tuple((v, joint.alphabet(v)) for v in cond_vars))
-    k = aligned.rows.shape[-1]
-    if k > n_symbols:
-        raise DistributionError(
-            f"extra start has {k} output symbols, exceeding the cardinality bound {n_symbols}"
-        )
-    rows = aligned.rows.reshape(-1, k)
-    if k < n_symbols:
-        rows = np.hstack([rows, np.zeros((rows.shape[0], n_symbols - k))])
-    return rows
+def u_cardinality(cfg: OptimizerConfig, cond_vars: Sequence[VarSpec]) -> int:
+    """|U|: ``cfg.u_cardinality``, else (product of the conditioning alphabet sizes) + 1."""
+    return cfg.u_cardinality or math.prod(alph.size for _, alph in cond_vars) + 1
+
+
+def maximize_channel(
+    objective: EntropyObjective,
+    cond_vars: tuple[VarSpec, ...],
+    cfg: OptimizerConfig,
+    starts: Sequence[Channel] = (),
+) -> tuple[AscentResult, Channel]:
+    """Maximize ``objective`` over channels p(U | cond_vars).
+
+    The ascent runs the random starts, then ``starts`` (each must condition
+    on exactly ``cond_vars``), then the uniform channel. Returns the ascent
+    and the best table as a channel onto U = {u0, ..., u|U|-1}, the first
+    start with the highest value winning ties.
+    """
+    names = tuple(name for name, _ in cond_vars)
+    n_symbols = u_cardinality(cfg, cond_vars)
+    injected = []
+    for channel in starts:
+        if set(channel.from_names) != set(names):
+            raise DistributionError(f"extra start conditions on {channel.from_names}, not {names}")
+        rows = channel.lift(cond_vars).rows
+        k = rows.shape[-1]
+        if k > n_symbols:
+            raise DistributionError(f"extra start has {k} output symbols, |U| is {n_symbols}")
+        injected.append(np.pad(rows.reshape(-1, k), ((0, 0), (0, n_symbols - k))))
+    injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
+    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+    best = ascent.tables[int(np.argmax(ascent.values))]
+    u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
+    shape = tuple(alph.size for _, alph in cond_vars) + (n_symbols,)
+    return ascent, Channel(cond_vars, ("U", u_alphabet), best.reshape(shape))

@@ -112,7 +112,8 @@ def exact_posterior_entropy(weights) -> float:
         raise ValueError("all weights are zero")
     p = w / total
     p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    # "+ 0.0" turns the -0.0 of a point mass into 0.0 and changes no other value.
+    return float(-(p * np.log2(p)).sum()) + 0.0
 
 
 def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> BinningCode:

@@ -174,11 +174,16 @@ def _cmd_measures(args) -> int:
     return 0
 
 
-def _optimizer_config(args) -> OptimizerConfig:
+def _from_flags(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError for an out-of-range flag is exit 1."""
     try:
-        return OptimizerConfig(starts=args.starts, seed=args.seed)
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+
+
+def _optimizer_config(args) -> OptimizerConfig:
+    return _from_flags(OptimizerConfig, starts=args.starts, seed=args.seed)
 
 
 def _cmd_region_uncoded(args) -> int:
@@ -215,31 +220,35 @@ def _sample_v_channels(alph_c: Alphabet, count: int, seed: int) -> list[Channel]
 def _cmd_region_coded(args) -> int:
     joint = load_distribution(args.input)
     cfg = _optimizer_config(args)
+    if args.v_grid < 1:
+        raise CliError(f"--v-grid must be >= 1, got {args.v_grid}")
     channels = _sample_v_channels(joint.alphabet("C"), args.v_grid, args.seed)
     sys.stdout.write("r_a,r_c,delta_star\n")
     for channel in channels:
         result = coded_inner_bound_sample(joint, channel, cfg)
         sys.stdout.write(
-            f"{result.corner.r_a:.12g},{result.corner.r_c:.12g},{result.delta_star:.12g}\n"
+            f"{result.corner.r_a:.12g},{result.corner.r_c:.12g},{result.corner.delta:.12g}\n"
         )
     return 0
 
 
+# ``order --check`` value -> the direction argument of its library call.
+_ORDER_DIRECTIONS = {
+    "degraded-eb": "e_degraded_wrt_b",
+    "degraded-be": "b_degraded_wrt_e",
+    "less-noisy-eb": "b_less_noisy_than_e",
+    "less-noisy-be": "e_less_noisy_than_b",
+}
+
+
 def _cmd_order(args) -> int:
     joint = load_distribution(args.input)
-    if args.check == "degraded-eb":
-        verdict = check_stochastic_degradation(joint, "e_degraded_wrt_b")
-    elif args.check == "degraded-be":
-        verdict = check_stochastic_degradation(joint, "b_degraded_wrt_e")
-    elif args.check == "less-noisy-eb":
+    direction = _ORDER_DIRECTIONS[args.check]
+    if args.check.startswith("degraded"):
+        verdict = check_stochastic_degradation(joint, direction)
+    else:
         verdict = search_less_noisy_violation(
-            joint, _optimizer_config(args),
-            direction="b_less_noisy_than_e",
-        )
-    else:  # less-noisy-be
-        verdict = search_less_noisy_violation(
-            joint, _optimizer_config(args),
-            direction="e_less_noisy_than_b",
+            joint, _optimizer_config(args), direction=direction
         )
     out = {
         "check": args.check,
@@ -267,12 +276,7 @@ def _report_to_dict(report) -> dict:
 
 
 def _emit_report(run, *run_args) -> int:
-    """Print the simulator's report; its ValueError for an out-of-range flag is exit 1."""
-    try:
-        report = run(*run_args)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _emit_json(_report_to_dict(report), sys.stdout)
+    _emit_json(_report_to_dict(_from_flags(run, *run_args)), sys.stdout)
     return 0
 
 
@@ -282,21 +286,13 @@ def _cmd_simulate_binning(args) -> int:
 
 
 def _cmd_simulate_erasure_scheme(args) -> int:
-    params = _erasure_params(args)
+    params = _from_flags(ErasureParams, p_b=args.pb, p_e=args.pe)
     return _emit_report(run_erasure_encoder_scheme, params, args.n, args.trials, args.seed)
 
 
-def _erasure_params(args) -> ErasureParams:
-    try:
-        return ErasureParams(p_b=args.pb, p_e=args.pe)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def _cmd_preset_erasure(args) -> int:
-    params = _erasure_params(args)
-    joint = make_erasure_joint(params)
-    data = distribution_to_dict(joint)
+    params = _from_flags(ErasureParams, p_b=args.pb, p_e=args.pe)
+    data = distribution_to_dict(make_erasure_joint(params))
     if args.output:
         with open(args.output, "w") as stream:
             _emit_json(data, stream)
@@ -305,59 +301,58 @@ def _cmd_preset_erasure(args) -> int:
     return 0
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, shared by the subcommands that take it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="secomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    input_flag = _flag("-i", "--input", required=True)
+    seed_flag = _flag("--seed", type=int, default=0)
+    starts_flag = _flag("--starts", type=int, default=OptimizerConfig().starts)
+    optimizer_flags = [input_flag, starts_flag, seed_flag]
 
-    p = sub.add_parser("measures", help="entropy and mutual-information table")
-    p.add_argument("-i", "--input", required=True)
+    p = sub.add_parser("measures", parents=[input_flag],
+                       help="entropy and mutual-information table")
     p.set_defaults(func=_cmd_measures)
 
     region = sub.add_parser("region", help="rate-equivocation region values")
     region_sub = region.add_subparsers(dest="region_kind", required=True, parser_class=_Parser)
 
-    p = region_sub.add_parser("uncoded", help="side information seen directly by Bob")
-    p.add_argument("-i", "--input", required=True)
+    p = region_sub.add_parser("uncoded", parents=optimizer_flags,
+                              help="side information seen directly by Bob")
     p.add_argument("--switches", choices=["none", "sb", "se", "both"], default="none")
-    p.add_argument("--starts", type=int, default=OptimizerConfig().starts)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_region_uncoded)
 
-    p = region_sub.add_parser("coded", help="helper-quantized side information sweep")
-    p.add_argument("-i", "--input", required=True)
+    p = region_sub.add_parser("coded", parents=optimizer_flags,
+                              help="helper-quantized side information sweep")
     p.add_argument("--v-grid", type=int, default=16, help="number of sampled quantizers")
-    p.add_argument("--starts", type=int, default=OptimizerConfig().starts)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_region_coded)
 
-    p = sub.add_parser("order", help="degradation / less-noisy verdicts")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument(
-        "--check",
-        required=True,
-        choices=["degraded-eb", "degraded-be", "less-noisy-eb", "less-noisy-be"],
-    )
-    p.add_argument("--starts", type=int, default=OptimizerConfig().starts)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("order", parents=optimizer_flags, help="degradation / less-noisy verdicts")
+    p.add_argument("--check", required=True, choices=list(_ORDER_DIRECTIONS))
     p.set_defaults(func=_cmd_order)
 
     simulate = sub.add_parser("simulate", help="small-blocklength Monte Carlo")
     sim_sub = simulate.add_subparsers(dest="sim_kind", required=True, parser_class=_Parser)
 
-    p = sim_sub.add_parser("binning", help="random binning with uncoded side information")
-    p.add_argument("-i", "--input", required=True)
+    p = sim_sub.add_parser("binning", parents=[input_flag, seed_flag],
+                           help="random binning with uncoded side information")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate_binning)
 
-    p = sim_sub.add_parser("erasure-scheme", help="transmit-the-gaps encoder scheme")
+    p = sim_sub.add_parser("erasure-scheme", parents=[seed_flag],
+                           help="transmit-the-gaps encoder scheme")
     p.add_argument("--pb", type=float, required=True)
     p.add_argument("--pe", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_simulate_erasure_scheme)
 
     preset = sub.add_parser("preset", help="write a built-in distribution file")

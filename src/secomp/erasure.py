@@ -67,7 +67,7 @@ def optimal_u_for_switches(params: ErasureParams, switches: SwitchConfig) -> Cha
     condition (vacuously) on E as well.
     """
     del params  # the optimal channel does not depend on the erasure rates
-    if switches.s_b != "closed":
+    if not switches.s_b:
         raise ValueError(
             "no explicit optimal channel for switches "
             f"{switches.name!r}; use the region optimizer"
@@ -81,7 +81,7 @@ def optimal_u_for_switches(params: ErasureParams, switches: SwitchConfig) -> Cha
     channel = Channel.deterministic(
         (("A", ALPHABET_A), ("B", ALPHABET_B)), ("U", u_alphabet), assign
     )
-    if switches.s_e == "closed":
+    if switches.s_e:
         channel = channel.lift(
             (("A", ALPHABET_A), ("B", ALPHABET_B), ("E", ALPHABET_E))
         )

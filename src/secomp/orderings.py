@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .probability import (
-    Alphabet,
     Channel,
     JointPMF,
     entropy_of,
     marginalize,
     require_variables,
 )
-from .ascent import EntropyObjective, OptimizerConfig, multistart_ascent, rows_for_start
+from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
@@ -105,37 +104,26 @@ def check_stochastic_degradation(
     strong, weak = _direction_roles(direction)
     _, p_strong = _conditionals_given_a(joint_abe, strong)
     _, p_weak = _conditionals_given_a(joint_abe, weak)
-    n_a = p_strong.shape[0]
     n_s = p_strong.shape[1]
     n_w = p_weak.shape[1]
     strong_marginal = marginalize(joint_abe, strong).mass
     support = np.flatnonzero(strong_marginal > 0.0)
     physically = is_physically_degraded(joint_abe, direction)
 
-    # Variables q[s, w] for supported s, flattened s-major.
+    # Variables q[s, w] for supported s, flattened s-major: one row per (a, w)
+    # for the composition, then one per supported s for the row sums.
     n_sup = support.size
-    n_vars = n_sup * n_w
-    rows_eq: list[np.ndarray] = []
-    rhs: list[float] = []
-    for a in range(n_a):
-        for w in range(n_w):
-            row = np.zeros(n_vars)
-            for k, s in enumerate(support):
-                row[k * n_w + w] = p_strong[a, s]
-            rows_eq.append(row)
-            rhs.append(p_weak[a, w])
-    for k in range(n_sup):
-        row = np.zeros(n_vars)
-        row[k * n_w : (k + 1) * n_w] = 1.0
-        rows_eq.append(row)
-        rhs.append(1.0)
-    solution = _phase1_simplex(np.array(rows_eq), np.array(rhs), tol=_LP_FEASIBILITY_TOL)
+    a_eq = np.vstack([
+        np.kron(p_strong[:, support], np.eye(n_w)),
+        np.kron(np.eye(n_sup), np.ones(n_w)),
+    ])
+    b_eq = np.concatenate([p_weak.ravel(), np.ones(n_sup)])
+    solution = _phase1_simplex(a_eq, b_eq, tol=_LP_FEASIBILITY_TOL)
     if solution is None:
         return OrderingVerdict(kind="not_degraded", physically_degraded=physically)
 
     rows = np.full((n_s, n_w), 1.0 / n_w)
-    for k, s in enumerate(support):
-        rows[s] = solution[k * n_w : (k + 1) * n_w]
+    rows[support] = solution.reshape(n_sup, n_w)
     rows = np.maximum(rows, 0.0)
     rows /= rows.sum(axis=1, keepdims=True)
     residual = np.abs(p_strong @ rows - p_weak).max()
@@ -176,25 +164,15 @@ def search_less_noisy_violation(
             f"unknown direction {direction!r}; expected 'b_less_noisy_than_e' "
             "or 'e_less_noisy_than_b'"
         )
-    a_alph = joint_abe.alphabet("A")
-    n_symbols = cfg.u_cardinality or (a_alph.size + 1)
+    a_spec = ("A", joint_abe.alphabet("A"))
     objective = less_noisy_objective(joint_abe, stronger, weaker)
-    injected = []
-    if n_symbols >= a_alph.size:
-        identity = Channel.copy_of(("A", a_alph), "U")
-        injected.append(rows_for_start(identity, joint_abe, ("A",), n_symbols))
-    injected.append(np.full((a_alph.size, n_symbols), 1.0 / n_symbols))
-    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
-    f, w = ascent.values, ascent.tables
-    best = int(np.argmax(f))
-    gap = float(f[best])
-    total_starts = cfg.starts + len(injected)
+    starts = []
+    if u_cardinality(cfg, (a_spec,)) >= a_spec[1].size:
+        starts.append(Channel.copy_of(a_spec, "U"))
+    ascent, witness = maximize_channel(objective, (a_spec,), cfg, starts)
+    gap = float(ascent.values.max())
     if gap <= WITNESS_TOL:
-        return OrderingVerdict(
-            kind="less_noisy_not_falsified", budget_used=total_starts
-        )
-    u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
-    witness = Channel((("A", a_alph),), ("U", u_alphabet), w[best])
+        return OrderingVerdict(kind="less_noisy_not_falsified", budget_used=len(ascent.values))
     return OrderingVerdict(kind="less_noisy_falsified", witness=witness, gap=gap)
 
 
@@ -238,13 +216,11 @@ def _phase1_simplex(
     tableau[m, -1] = -b_eq.sum()
     basis = np.arange(n, n + m)
     for _ in range(50_000):
-        entering = -1
-        for j in range(n + m):
-            if tableau[m, j] < -1e-11:
-                entering = j
-                break
-        if entering < 0:
+        # Bland's rule: the lowest-index column with a negative reduced cost.
+        negative = np.flatnonzero(tableau[m, : n + m] < -1e-11)
+        if negative.size == 0:
             break
+        entering = negative[0]
         column = tableau[:m, entering]
         candidates = np.flatnonzero(column > 1e-11)
         if candidates.size == 0:
@@ -262,7 +238,6 @@ def _phase1_simplex(
     if -tableau[m, -1] > tol:
         return None
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i, -1]
+    real = basis < n
+    x[basis[real]] = tableau[:m, -1][real]
     return np.maximum(x, 0.0)

@@ -14,8 +14,9 @@ objective I(A;B|E) is the exact maximum for that setting; and last the
 uniform (input-ignoring) channel, whose objective is the plain Slepian-Wolf
 baseline I(A;B) - I(A;E). Reported values are therefore certified lower
 bounds on the true maximum, never below the baseline; ``starts_agreeing``,
-``sweeps`` and ``hit_max_iters`` are the convergence diagnostics. The ascent
-itself lives in the ``ascent`` module, shared with the orderings search.
+``sweeps`` and ``hit_max_iters`` are the convergence diagnostics. The
+channel search itself, ``ascent.maximize_channel``, is shared with the
+orderings search.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .ascent import EntropyObjective, OptimizerConfig, multistart_ascent, rows_for_start
+from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
 from .probability import (
-    Alphabet,
     Channel,
     DistributionError,
     JointPMF,
+    VarSpec,
     build_joint,
     entropy_of,
     mutual_information_of,
@@ -41,51 +42,40 @@ from .probability import (
 _SNAP_TOL = 1e-12
 
 
+# Switch setting name -> (S_B closed, S_E closed).
+_SWITCHES = {
+    "none": (False, False),
+    "sb": (True, False),
+    "se": (False, True),
+    "both": (True, True),
+}
+
+
 @dataclass(frozen=True)
 class SwitchConfig:
     """Which side-information sequences the encoder observes.
 
-    Closing a switch adds the corresponding variable to the conditioning set
-    of the auxiliary channel: none -> {A}, S_B -> {A,B}, S_E -> {A,E},
+    ``s_b`` (``s_e``) is true when switch S_B (S_E) is closed. Closing a
+    switch adds the corresponding variable to the conditioning set of the
+    auxiliary channel: none -> {A}, S_B -> {A,B}, S_E -> {A,E},
     both -> {A,B,E}.
     """
 
-    s_b: str = "open"
-    s_e: str = "open"
-
-    def __post_init__(self) -> None:
-        for label, value in (("s_b", self.s_b), ("s_e", self.s_e)):
-            if value not in ("open", "closed"):
-                raise ValueError(f"{label} must be 'open' or 'closed', got {value!r}")
+    s_b: bool = False
+    s_e: bool = False
 
     @classmethod
     def from_name(cls, name: str) -> "SwitchConfig":
-        table = {
-            "none": ("open", "open"),
-            "sb": ("closed", "open"),
-            "se": ("open", "closed"),
-            "both": ("closed", "closed"),
-        }
-        if name not in table:
+        if name not in _SWITCHES:
             raise ValueError(f"unknown switch configuration {name!r}")
-        return cls(*table[name])
+        return cls(*_SWITCHES[name])
 
     @property
     def name(self) -> str:
-        return {
-            ("open", "open"): "none",
-            ("closed", "open"): "sb",
-            ("open", "closed"): "se",
-            ("closed", "closed"): "both",
-        }[(self.s_b, self.s_e)]
+        return next(k for k, v in _SWITCHES.items() if v == (self.s_b, self.s_e))
 
     def conditioning_vars(self) -> tuple[str, ...]:
-        cond: tuple[str, ...] = ("A",)
-        if self.s_b == "closed":
-            cond += ("B",)
-        if self.s_e == "closed":
-            cond += ("E",)
-        return cond
+        return ("A",) + ("B",) * self.s_b + ("E",) * self.s_e
 
 
 @dataclass(frozen=True)
@@ -132,13 +122,12 @@ class CodedBoundResult:
     """Corner of the helper-quantized achievable region for one V channel.
 
     The certified achievable set is every (R_A', R_C', delta') with
-    R_A' >= corner.r_a, R_C' >= corner.r_c, delta' <= delta_star and
+    R_A' >= corner.r_a, R_C' >= corner.r_c, delta' <= corner.delta and
     R_A' + delta' >= H(A|E). ``sum_ok`` records whether the corner itself
     already sits on or above that last floor.
     """
 
     corner: RatePoint
-    delta_star: float
     sum_ok: bool
     opt: OptResult
 
@@ -200,18 +189,14 @@ def maximize_equivocation(
     deterministic for a fixed ``cfg.seed``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
-    cond_vars = switches.conditioning_vars()
+    cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
     starts = list(extra_starts)
     alph_e = joint_abe.alphabet("E")
-    fits = cfg.u_cardinality is None or cfg.u_cardinality >= alph_e.size
     # Under "both" this start is not the optimum, and ascending it costs
     # hundreds of sweeps, so only "se" gets it.
-    if switches.name == "se" and fits:
-        copy_e = Channel.copy_of(("E", alph_e), "U")
-        starts.append(copy_e.lift(tuple((v, joint_abe.alphabet(v)) for v in cond_vars)))
-    return _maximize_secrecy(
-        joint_abe, x_var="B", cond_vars=cond_vars, cfg=cfg, extra_starts=starts
-    )
+    if switches.name == "se" and u_cardinality(cfg, cond_vars) >= alph_e.size:
+        starts.append(Channel.copy_of(("E", alph_e), "U").lift(cond_vars))
+    return _maximize_secrecy(joint_abe, "B", cond_vars, cfg, starts)
 
 
 def coded_inner_bound_sample(
@@ -221,8 +206,8 @@ def coded_inner_bound_sample(
 ) -> CodedBoundResult:
     """Achievable corner for one helper quantizer V with V - C - (A,E).
 
-    Returns the corner (R_A = H(A|V), R_C = I(C;V)) together with
-    delta_star = max(0, max_U I(A;V|U) - I(A;E|U)) over p(u|a). The same
+    Returns the corner (R_A = H(A|V), R_C = I(C;V), delta =
+    max(0, max_U I(A;V|U) - I(A;E|U)) over p(u|a)). The same
     (U, V) pair feeds all conditions, so the region certified by this corner
     is their intersection over that pair.
     """
@@ -235,16 +220,11 @@ def coded_inner_bound_sample(
     joint_v = build_joint(joint_ace, v_channel)
     r_a = entropy_of(joint_v, "A", (v_name,))
     r_c = mutual_information_of(joint_v, "C", v_name)
-    opt = _maximize_secrecy(joint_v, x_var=v_name, cond_vars=("A",), cfg=cfg)
+    opt = _maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg)
     h_a_e = entropy_of(joint_ace, "A", ("E",))
     sum_ok = bool(r_a + opt.delta_star >= h_a_e - 1e-9)
     corner = RatePoint(r_a=r_a, r_c=r_c, delta=opt.delta_star)
-    return CodedBoundResult(corner=corner, delta_star=opt.delta_star, sum_ok=sum_ok, opt=opt)
-
-
-def default_u_cardinality(joint: JointPMF, cond_vars: Sequence[str]) -> int:
-    """(Product of the conditioning alphabet sizes) + 1."""
-    return int(np.prod([joint.alphabet(v).size for v in cond_vars])) + 1
+    return CodedBoundResult(corner=corner, sum_ok=sum_ok, opt=opt)
 
 
 def secrecy_entropy_objective(
@@ -270,31 +250,21 @@ def secrecy_entropy_objective(
 def _maximize_secrecy(
     joint: JointPMF,
     x_var: str,
-    cond_vars: tuple[str, ...],
+    cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
     extra_starts: Sequence[Channel] = (),
 ) -> OptResult:
     """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars)."""
-    n_symbols = cfg.u_cardinality or default_u_cardinality(joint, cond_vars)
-    sizes = tuple(joint.alphabet(v).size for v in cond_vars)
-    objective = secrecy_entropy_objective(joint, x_var, cond_vars)
-    cond_specs = tuple((v, joint.alphabet(v)) for v in cond_vars)
-    injected = [rows_for_start(ch, joint, cond_vars, n_symbols) for ch in extra_starts]
-    injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
-    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
-    f, w = ascent.values, ascent.tables
-    best = int(np.argmax(f))
-    best_value = float(f[best])
-    delta_star = best_value if best_value >= _SNAP_TOL else 0.0
-    u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
-    best_u = Channel(cond_specs, ("U", u_alphabet), w[best].reshape(*sizes, n_symbols))
-    trace = tuple(float(v) for v in f)
-    agreeing = int(np.sum(f >= best_value - cfg.tol))
+    names = tuple(v for v, _ in cond_vars)
+    objective = secrecy_entropy_objective(joint, x_var, names)
+    ascent, best_u = maximize_channel(objective, cond_vars, cfg, extra_starts)
+    f = ascent.values
+    best_value = float(f.max())
     return OptResult(
-        delta_star=delta_star,
+        delta_star=best_value if best_value >= _SNAP_TOL else 0.0,
         best_u=best_u,
-        objective_trace=trace,
-        starts_agreeing=agreeing,
-        sweeps=tuple(int(k) for k in ascent.sweeps),
+        objective_trace=tuple(f.tolist()),
+        starts_agreeing=int(np.sum(f >= best_value - cfg.tol)),
+        sweeps=tuple(ascent.sweeps.tolist()),
         hit_max_iters=ascent.hit_max_iters,
     )

@@ -35,8 +35,8 @@ from secomp.regions import (
 from conftest import dirichlet_joint, random_channel
 
 NONE = SwitchConfig()
-SB = SwitchConfig("closed", "open")
-SE = SwitchConfig("open", "closed")
+SB = SwitchConfig.from_name("sb")
+SE = SwitchConfig.from_name("se")
 DEFAULTS = OptimizerConfig()
 
 
@@ -292,13 +292,13 @@ def test_criterion_10_coded_corner_recovery():
     degenerate = coded_inner_bound_sample(joint, constant, DEFAULTS)
     ok = (
         abs(corner.corner.r_a - 0.1) <= 1e-9
-        and abs(corner.delta_star - 0.2) <= 1e-3
+        and abs(corner.corner.delta - 0.2) <= 1e-3
         and corner.sum_ok
-        and degenerate.delta_star == 0.0
+        and degenerate.corner.delta == 0.0
     )
     report(
         10,
         ok,
-        f"identity corner r_a={corner.corner.r_a:.10f} delta={corner.delta_star:.6f} "
-        f"sum_ok={corner.sum_ok}; constant quantizer delta={degenerate.delta_star}",
+        f"identity corner r_a={corner.corner.r_a:.10f} delta={corner.corner.delta:.6f} "
+        f"sum_ok={corner.sum_ok}; constant quantizer delta={degenerate.corner.delta}",
     )

@@ -139,6 +139,11 @@ class TestPosteriorEntropy:
     def test_three_to_one_split(self):
         assert exact_posterior_entropy([3.0, 1.0]) == pytest.approx(0.8113, abs=1e-4)
 
+    def test_point_mass_is_positive_zero(self):
+        for weights in ([1.0], [0.0, 2.0], [0.0, 0.0, 5.0]):
+            value = exact_posterior_entropy(weights)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
             exact_posterior_entropy([])

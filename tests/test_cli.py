@@ -266,3 +266,13 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("v_grid", ["0", "-1"])
+    def test_nonpositive_v_grid_is_exit_one(self, capsys, tmp_path, v_grid):
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        data = json.loads(path.read_text().replace('"B"', '"C"'))
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "region", "coded", "-i", str(path), "--v-grid", v_grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "v-grid" in err

@@ -5,9 +5,9 @@ from secomp.erasure import ErasureParams, make_erasure_joint, erasure_delta, opt
 from secomp.probability import entropy_of, mutual_information_of
 from secomp.regions import SwitchConfig, closed_form_delta, secrecy_objective
 
-SB = SwitchConfig("closed", "open")
-SE = SwitchConfig("open", "closed")
-BOTH = SwitchConfig("closed", "closed")
+SB = SwitchConfig.from_name("sb")
+SE = SwitchConfig.from_name("se")
+BOTH = SwitchConfig.from_name("both")
 NONE = SwitchConfig()
 
 

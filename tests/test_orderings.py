@@ -19,6 +19,8 @@ from secomp.probability import (
 )
 from secomp.regions import OptimizerConfig, SwitchConfig, maximize_equivocation
 
+from conftest import dirichlet_joint
+
 FAST = OptimizerConfig(starts=8, max_iters=60, tol=1e-7, seed=5)
 
 
@@ -80,6 +82,67 @@ class TestPhase1Simplex:
         x = _phase1_simplex(a_eq, b_eq)
         assert x is not None
         np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-10)
+
+
+def degradation_lp(joint, strong, weak):
+    """The degradation LP built entry by entry, variables q[s, w] s-major.
+
+    One row per (a, w): sum_s p(s|a) q[s, w] = p(w|a); then one row per
+    supported s: sum_w q[s, w] = 1.
+    """
+    p_as = marginalize(joint, ("A", strong)).mass
+    p_aw = marginalize(joint, ("A", weak)).mass
+    p_a = p_as.sum(axis=1)
+    keep = p_a > 0
+    p_s = p_as[keep] / p_a[keep, None]
+    p_w = p_aw[keep] / p_a[keep, None]
+    support = np.flatnonzero(p_as.sum(axis=0) > 0)
+    n_w = p_w.shape[1]
+    rows, rhs = [], []
+    for a in range(p_s.shape[0]):
+        for w in range(n_w):
+            row = np.zeros(support.size * n_w)
+            for k, s in enumerate(support):
+                row[k * n_w + w] = p_s[a, s]
+            rows.append(row)
+            rhs.append(p_w[a, w])
+    for k in range(support.size):
+        row = np.zeros(support.size * n_w)
+        row[k * n_w : (k + 1) * n_w] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
+    return np.array(rows), np.array(rhs)
+
+
+class TestPhase1AgainstLinprog:
+    """scipy's HiGHS solver as a second solver for the degradation LPs."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_feasibility_verdict(self, seed):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = np.random.default_rng((2008, 9, seed))
+        sizes = [(2, 3, 3), (2, 4, 3), (3, 3, 4), (3, 4, 4)][seed % 4]
+        chain = markov_chain_joint(rng, *sizes)
+        for joint in (chain, dirichlet_joint(rng, sizes)):
+            for direction, strong, weak in (
+                ("e_degraded_wrt_b", "B", "E"),
+                ("b_degraded_wrt_e", "E", "B"),
+            ):
+                a_eq, b_eq = degradation_lp(joint, strong, weak)
+                x = _phase1_simplex(a_eq, b_eq)
+                ref = linprog(
+                    np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                    method="highs",
+                )
+                assert ref.status in (0, 2)  # solved or infeasible
+                feasible = ref.status == 0
+                assert (x is not None) == feasible
+                verdict = check_stochastic_degradation(joint, direction)
+                assert (verdict.kind == "degraded") == feasible
+                if joint is chain and direction == "e_degraded_wrt_b":
+                    assert feasible
+                if feasible:
+                    assert np.abs(a_eq @ x - b_eq).max() <= 1e-10
 
 
 class TestDegradation:

@@ -25,9 +25,9 @@ from secomp.regions import (
 from conftest import dirichlet_joint, random_channel
 
 NONE = SwitchConfig()
-SB = SwitchConfig("closed", "open")
-SE = SwitchConfig("open", "closed")
-BOTH = SwitchConfig("closed", "closed")
+SB = SwitchConfig.from_name("sb")
+SE = SwitchConfig.from_name("se")
+BOTH = SwitchConfig.from_name("both")
 
 # Small budget for unit tests; acceptance runs the defaults.
 FAST = OptimizerConfig(starts=6, max_iters=60, tol=1e-7, seed=3)
@@ -45,8 +45,6 @@ class TestSwitchConfig:
         assert BOTH.conditioning_vars() == ("A", "B", "E")
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SwitchConfig("shut", "open")
         with pytest.raises(ValueError):
             SwitchConfig.from_name("all")
 
@@ -260,6 +258,13 @@ class TestMaximize:
         with pytest.raises(DistributionError):
             maximize_equivocation(joint, SB, FAST, extra_starts=[channel])
 
+    def test_extra_start_wider_than_u_cardinality_rejected(self):
+        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        channel = optimal_u_for_switches(ErasureParams(0.25, 0.5), SB)  # |U| = 3
+        narrow = OptimizerConfig(starts=2, max_iters=5, u_cardinality=2)
+        with pytest.raises(DistributionError):
+            maximize_equivocation(joint, SB, narrow, extra_starts=[channel])
+
 
 class TestCodedBound:
     def make_ace(self, pb, pe):
@@ -271,7 +276,7 @@ class TestCodedBound:
         result = coded_inner_bound_sample(joint, v, FAST)
         assert result.corner.r_a == pytest.approx(0.1, abs=1e-9)
         assert result.corner.r_c == pytest.approx(entropy_of(joint, "C"), abs=1e-9)
-        assert result.delta_star == pytest.approx(0.2, abs=1e-3)
+        assert result.corner.delta == pytest.approx(0.2, abs=1e-3)
         assert result.sum_ok
 
     def test_constant_quantizer_gives_nothing(self):
@@ -280,7 +285,7 @@ class TestCodedBound:
             (("C", joint.alphabet("C")),), ("V", Alphabet("V", ("v0",)))
         )
         result = coded_inner_bound_sample(joint, v, FAST)
-        assert result.delta_star == 0.0
+        assert result.corner.delta == 0.0
         assert result.corner.r_c == 0.0
         assert result.corner.r_a == pytest.approx(1.0, abs=1e-12)
 
@@ -292,7 +297,7 @@ class TestCodedBound:
             lambda s: "e" if s[0] == "e" else "s",
         )
         result = coded_inner_bound_sample(joint, v, FAST)
-        assert result.delta_star <= 0.2 + 1e-6
+        assert result.corner.delta <= 0.2 + 1e-6
         # The merged quantizer output is independent of the source, so no
         # auxiliary channel can manufacture a positive value; a coarse random
         # sweep through the exact evaluator confirms the ceiling is zero.
@@ -307,7 +312,7 @@ class TestCodedBound:
             )
             grid_best = max(grid_best, value)
         assert grid_best <= 1e-9
-        assert result.delta_star == 0.0
+        assert result.corner.delta == 0.0
 
     def test_rejects_quantizer_not_fed_by_helper(self):
         joint = self.make_ace(0.1, 0.3)
@@ -320,4 +325,4 @@ class TestCodedBound:
         v = Channel.copy_of(("C", joint.alphabet("C")), "V")
         result = coded_inner_bound_sample(joint, v, FAST)
         h_a_e = entropy_of(joint, "A", "E")
-        assert result.sum_ok == (result.corner.r_a + result.delta_star >= h_a_e - 1e-9)
+        assert result.sum_ok == (result.corner.r_a + result.corner.delta >= h_a_e - 1e-9)

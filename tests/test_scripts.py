@@ -1,0 +1,39 @@
+"""Smoke runs of the experiment scripts at tiny sizes."""
+
+import csv
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, *argv):
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert exc.value.code == 0
+
+
+def test_erasure_region_sweep(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    run_script(monkeypatch, "erasure_region_sweep.py", "--steps", "2", "--starts", "2",
+               "-o", str(out))
+    rows = list(csv.DictReader(out.open()))
+    assert [float(row["p_b"]) for row in rows] == [0.0, 1.0]
+    for row in rows:  # equivocation never exceeds H(A|E) = p_e = 0.5
+        assert 0.0 <= float(row["optimizer_none"]) <= 0.5 + 1e-9
+        assert 0.0 <= float(row["optimizer_sb"]) <= 0.5 + 1e-9
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_binning_rate_sweep(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    run_script(monkeypatch, "binning_rate_sweep.py", "--n", "4", "--trials", "5",
+               "--rates", "0.5", "1.0", "-o", str(out))
+    rows = list(csv.DictReader(out.open()))
+    assert [float(row["rate"]) for row in rows] == [0.5, 1.0]
+    assert all(0.0 <= float(row["p_e_hat"]) <= 1.0 for row in rows)
+    assert f"wrote {out}" in capsys.readouterr().out

@@ -26,6 +26,14 @@ depend on which earlier vertex was kept. The batched step takes ``argmax``
 vertex, ties included; only the rounding of the candidate values, which the
 two ways sum in different orders, can set them apart.
 
+Fixed per-call costs are paid once where the numbers allow it. The golden
+section scores its two opening points and its closing point t = 1 in one
+batched evaluation, and each step forms one new point; each start draws a
+whole sweep's directions in one call from its own generator, the same
+stream in the same order; the rows without mass are found once per ascent.
+None of this changes a floating-point operation, so results are the same
+bit for bit as scoring each point and drawing each direction on its own.
+
 All randomness derives from (seed, start index), so runs are reproducible
 bit for bit and starts could execute concurrently without changing results.
 """
@@ -117,13 +125,18 @@ class EntropyObjective:
     def marginals(self, w: np.ndarray) -> np.ndarray:
         return self.proj.T @ w
 
+    def _signed_plogp(self, m: np.ndarray) -> np.ndarray:
+        """sum_k sign_k m_ku log2 m_ku for each output column u."""
+        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
+        return self.sign @ (m * log_m)
+
     def column_values(self, m: np.ndarray) -> np.ndarray:
         """-sum_k sign_k m_ku log2 m_ku for each output column u."""
-        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
-        return -(self.sign @ (m * log_m))
+        return -self._signed_plogp(m)
 
     def value(self, m: np.ndarray) -> np.ndarray:
-        return self.const + self.column_values(m).sum(axis=-1)
+        # Negation is exact, so this equals const + column_values(m).sum(-1).
+        return self.const - np.add.reduce(self._signed_plogp(m), axis=-1)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return self.value(self.marginals(w))
@@ -162,26 +175,32 @@ class AscentResult:
 def _golden_max(
     eval_t: Callable[[np.ndarray], np.ndarray], n_batch: int, iters: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched golden-section maximization over t in [0, 1]."""
+    """Batched golden-section maximization over t in [0, 1], end point t = 1 included.
+
+    ``eval_t`` maps an array of t values of shape (..., n_batch) to their
+    values. The two opening points and t = 1 are scored in one call; t = 1
+    replaces the section's best point only when it is strictly better.
+    """
     a = np.zeros(n_batch)
     b = np.ones(n_batch)
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1 = eval_t(x1)
-    f2 = eval_t(x2)
+    f1, f2, f_one = eval_t(np.stack([x1, x2, b]))
     for _ in range(iters):
+        # When x1 scores at least as well the bracket shrinks to [a, x2],
+        # else to [x1, b]; the new point sits between the kept inner point
+        # (base) and the kept end (far). Negation is exact, so
+        # x2 + c * (a - x2) is the same number as x2 - c * (x2 - a).
         left = f1 >= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        old_x1, old_f1 = x1, f1
-        old_x2, old_f2 = x2, f2
-        x1 = np.where(left, b - _INVPHI * (b - a), old_x2)
-        x2 = np.where(left, old_x1, a + _INVPHI * (b - a))
-        f_new = eval_t(np.where(left, x1, x2))
-        f1 = np.where(left, f_new, old_f2)
-        f2 = np.where(left, old_f1, f_new)
+        base, far = np.where(left, (x2, a), (x1, b))
+        x_new = base + _INVPHI * (far - base)
+        f_new = eval_t(x_new)
+        a, b, x1, x2, f1, f2 = np.where(
+            left, (a, x2, x_new, x1, f_new, f1), (x1, b, x2, x_new, f2, f_new)
+        )
     t = np.where(f1 >= f2, x1, x2)
-    return t, np.maximum(f1, f2)
+    f = np.maximum(f1, f2)
+    return np.where(f_one > f, 1.0, t), np.maximum(f_one, f)
 
 
 def multistart_ascent(
@@ -213,12 +232,13 @@ def multistart_ascent(
     for i, rows in enumerate(extra_rows):
         w[cfg.starts + i] = rows
     f = objective(w)
+    live_rows = np.flatnonzero(objective.proj.any(axis=1))
     active = np.ones(n_starts, dtype=bool)
     sweeps = np.zeros(n_starts, dtype=int)
     for _ in range(cfg.max_iters):
         idx = np.flatnonzero(active)
         w_run = w[idx]
-        f_run = _sweep(objective, w_run, f[idx], [rngs[s] for s in idx])
+        f_run = _sweep(objective, w_run, f[idx], [rngs[s] for s in idx], live_rows)
         sweeps[idx] += 1
         active[idx] = (f_run - f[idx]) >= cfg.tol
         w[idx] = w_run
@@ -233,26 +253,22 @@ def _sweep(
     w: np.ndarray,
     f: np.ndarray,
     rngs: Sequence[np.random.Generator],
+    live_rows: np.ndarray,
 ) -> np.ndarray:
-    """One pass over the rows of the tables ``w`` (updated in place).
+    """One pass over the rows ``live_rows`` of the tables ``w`` (updated in place).
 
     ``f`` holds the current values; returns the values after the pass.
     """
     n_starts, n_rows, n_symbols = w.shape
-    ones = np.ones(n_symbols)
     every = np.arange(n_starts)
-    t_one = np.ones(n_starts)
-    live = objective.proj.any(axis=1)
+    # directions[r, k] is direction k of row r for every start. Each start
+    # draws them for every row, skipped rows included, from its own generator
+    # in (row, direction) order, so one draw per start keeps every stream.
+    directions = np.stack([
+        rng.dirichlet(np.ones(n_symbols), size=(n_rows, _DIRECTIONS_PER_ROW)) for rng in rngs
+    ], axis=2)
     m = objective.marginals(w)
-    for r in range(n_rows):
-        # Each start draws from its own generator, so drawing a row's
-        # directions up front keeps every stream's order.
-        directions = [
-            np.stack([rng.dirichlet(ones) for rng in rngs])
-            for _ in range(_DIRECTIONS_PER_ROW)
-        ]
-        if not live[r]:
-            continue
+    for r in live_rows:
         f_vertex = objective.vertex_values(m, w, r)
         u = np.argmax(f_vertex, axis=1)
         f_u = f_vertex[every, u]
@@ -262,18 +278,15 @@ def _sweep(
             w[take, r, u[take]] = 1.0
             f = np.where(take, f_u, f)
             m = objective.marginals(w)
-        for z in directions:
+        for z in directions[r]:
             base = w[:, r, :].copy()
             delta = z - base
             dm = objective.row_step(r, delta)
 
             def eval_t(t: np.ndarray) -> np.ndarray:
-                return objective.value(m + t[:, None, None] * dm)
+                return objective.value(m + t[..., None, None] * dm)
 
             t_best, f_best = _golden_max(eval_t, n_starts, _GOLDEN_ITERS)
-            f_vertex = eval_t(t_one)
-            t_best = np.where(f_vertex > f_best, 1.0, t_best)
-            f_best = np.maximum(f_vertex, f_best)
             take = f_best > f
             if take.any():
                 moved = base[take] + t_best[take, None] * delta[take]

@@ -14,6 +14,7 @@ so repeated runs with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .probability import (
     JointPMF,
     entropy_of,
     mutual_information_of,
+    require_variables,
 )
 from .regions import (
     OptimizerConfig,
@@ -131,6 +133,16 @@ def load_distribution(path: str) -> JointPMF:
     return JointPMF(tuple(variables), mass)  # DistributionError -> exit 2
 
 
+def _load_over(path: str, names: tuple[str, ...]) -> JointPMF:
+    """``load_distribution``; a file over other variables than ``names`` is exit 1."""
+    joint = load_distribution(path)
+    try:
+        require_variables(joint, names)
+    except DistributionError as exc:
+        raise CliError(f"{path}: {exc}") from exc
+    return joint
+
+
 def distribution_to_dict(joint: JointPMF) -> dict:
     records = []
     for idx in np.ndindex(*joint.mass.shape):
@@ -187,7 +199,7 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def _cmd_region_uncoded(args) -> int:
-    joint = load_distribution(args.input)
+    joint = _load_over(args.input, ("A", "B", "E"))
     switches = SwitchConfig.from_name(args.switches)
     cfg = _optimizer_config(args)
     result = maximize_equivocation(joint, switches, cfg)
@@ -218,7 +230,7 @@ def _sample_v_channels(alph_c: Alphabet, count: int, seed: int) -> list[Channel]
 
 
 def _cmd_region_coded(args) -> int:
-    joint = load_distribution(args.input)
+    joint = _load_over(args.input, ("A", "C", "E"))
     cfg = _optimizer_config(args)
     if args.v_grid < 1:
         raise CliError(f"--v-grid must be >= 1, got {args.v_grid}")
@@ -242,14 +254,14 @@ _ORDER_DIRECTIONS = {
 
 
 def _cmd_order(args) -> int:
-    joint = load_distribution(args.input)
+    joint = _load_over(args.input, ("A", "B", "E"))
+    # Every check takes --starts and --seed, so every check validates them.
+    cfg = _optimizer_config(args)
     direction = _ORDER_DIRECTIONS[args.check]
     if args.check.startswith("degraded"):
         verdict = check_stochastic_degradation(joint, direction)
     else:
-        verdict = search_less_noisy_violation(
-            joint, _optimizer_config(args), direction=direction
-        )
+        verdict = search_less_noisy_violation(joint, cfg, direction=direction)
     out = {
         "check": args.check,
         "kind": verdict.kind,
@@ -281,7 +293,7 @@ def _emit_report(run, *run_args) -> int:
 
 
 def _cmd_simulate_binning(args) -> int:
-    joint = load_distribution(args.input)
+    joint = _load_over(args.input, ("A", "B", "E"))
     return _emit_report(run_sw_binning, joint, args.n, args.rate, args.trials, args.seed)
 
 
@@ -308,7 +320,9 @@ def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = _Parser(prog="secomp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     input_flag = _flag("-i", "--input", required=True)

@@ -1,6 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
+from secomp.ascent import (
+    _DIRECTIONS_PER_ROW,
+    _GOLDEN_ITERS,
+    _INVPHI,
+    AscentResult,
+    OptimizerConfig,
+    multistart_ascent,
+)
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.orderings import less_noisy_objective
 from secomp.probability import build_joint, mutual_information_of
@@ -150,3 +160,138 @@ class TestIncrementalMoves:
         batched = batched_vertex(objective, w, 0, f)
         np.testing.assert_array_equal(batched, [0, 0, 0])
         np.testing.assert_array_equal(batched, sequential_vertex(objective, w, 0, f))
+
+
+# Reference ascent: the golden-section search, sweep and multi-start loop as
+# they were before their fixed per-call costs were hoisted (one eval per
+# opening point and for t = 1, per-row direction draws, per-sweep live-row
+# test). The library's ascent must reproduce it bit for bit.
+
+
+def _reference_value(objective, m):
+    return objective.const + objective.column_values(m).sum(axis=-1)
+
+
+def _reference_golden_max(eval_t, n_batch, iters):
+    a = np.zeros(n_batch)
+    b = np.ones(n_batch)
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1 = eval_t(x1)
+    f2 = eval_t(x2)
+    for _ in range(iters):
+        left = f1 >= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        old_x1, old_f1 = x1, f1
+        old_x2, old_f2 = x2, f2
+        x1 = np.where(left, b - _INVPHI * (b - a), old_x2)
+        x2 = np.where(left, old_x1, a + _INVPHI * (b - a))
+        f_new = eval_t(np.where(left, x1, x2))
+        f1 = np.where(left, f_new, old_f2)
+        f2 = np.where(left, old_f1, f_new)
+    t = np.where(f1 >= f2, x1, x2)
+    return t, np.maximum(f1, f2)
+
+
+def _reference_sweep(objective, w, f, rngs):
+    n_starts, n_rows, n_symbols = w.shape
+    ones = np.ones(n_symbols)
+    every = np.arange(n_starts)
+    t_one = np.ones(n_starts)
+    live = objective.proj.any(axis=1)
+    m = objective.marginals(w)
+    for r in range(n_rows):
+        directions = [
+            np.stack([rng.dirichlet(ones) for rng in rngs])
+            for _ in range(_DIRECTIONS_PER_ROW)
+        ]
+        if not live[r]:
+            continue
+        f_vertex = objective.vertex_values(m, w, r)
+        u = np.argmax(f_vertex, axis=1)
+        f_u = f_vertex[every, u]
+        take = f_u > f
+        if take.any():
+            w[take, r, :] = 0.0
+            w[take, r, u[take]] = 1.0
+            f = np.where(take, f_u, f)
+            m = objective.marginals(w)
+        for z in directions:
+            base = w[:, r, :].copy()
+            delta = z - base
+            dm = objective.row_step(r, delta)
+
+            def eval_t(t):
+                return _reference_value(objective, m + t[:, None, None] * dm)
+
+            t_best, f_best = _reference_golden_max(eval_t, n_starts, _GOLDEN_ITERS)
+            f_vertex = eval_t(t_one)
+            t_best = np.where(f_vertex > f_best, 1.0, t_best)
+            f_best = np.maximum(f_vertex, f_best)
+            take = f_best > f
+            if take.any():
+                moved = base[take] + t_best[take, None] * delta[take]
+                w[take, r, :] = np.maximum(moved, 0.0)
+                f = np.where(take, f_best, f)
+                m = objective.marginals(w)
+    return f
+
+
+def _reference_multistart_ascent(objective, n_symbols, cfg, extra_rows=()):
+    n_starts = cfg.starts + len(extra_rows)
+    rngs = [np.random.default_rng((cfg.seed, s)) for s in range(n_starts)]
+    w = np.empty((n_starts, objective.n_rows, n_symbols))
+    ones = np.ones(n_symbols)
+    for s in range(cfg.starts):
+        w[s] = rngs[s].dirichlet(ones, size=objective.n_rows)
+    for i, rows in enumerate(extra_rows):
+        w[cfg.starts + i] = rows
+    f = _reference_value(objective, objective.marginals(w))
+    active = np.ones(n_starts, dtype=bool)
+    sweeps = np.zeros(n_starts, dtype=int)
+    for _ in range(cfg.max_iters):
+        idx = np.flatnonzero(active)
+        w_run = w[idx]
+        f_run = _reference_sweep(objective, w_run, f[idx], [rngs[s] for s in idx])
+        sweeps[idx] += 1
+        active[idx] = (f_run - f[idx]) >= cfg.tol
+        w[idx] = w_run
+        f[idx] = f_run
+        if not active.any():
+            break
+    return AscentResult(f, w, sweeps, bool(active.any()))
+
+
+def _ascent_cases():
+    joints = {
+        "dirichlet": dirichlet_joint(np.random.default_rng(139), (2, 2, 3)),
+        "erasure": make_erasure_joint(ErasureParams(0.1, 0.3)),
+    }
+    for joint_name, joint in joints.items():
+        for switches in SWITCHES:
+            cond = switches.conditioning_vars()
+            n_rows = math.prod(joint.alphabet(v).size for v in cond)
+            yield (f"{joint_name}-{switches.name}",
+                   secrecy_entropy_objective(joint, "B", cond), n_rows + 1)
+        yield f"{joint_name}-less-noisy", less_noisy_objective(joint, "B", "E"), 3
+
+
+ASCENT_CASES = list(_ascent_cases())
+
+
+class TestAscentMatchesReference:
+    @pytest.mark.parametrize("case", ASCENT_CASES, ids=lambda case: case[0])
+    @pytest.mark.parametrize("starts", [1, 3, 8])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bit_identical_to_reference(self, case, starts, seed):
+        _, objective, n_symbols = case
+        # A sweep cap keeps the slow cases short and also runs starts that hit it.
+        cfg = OptimizerConfig(starts=starts, seed=seed, max_iters=30)
+        uniform = [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
+        got = multistart_ascent(objective, n_symbols, cfg, uniform)
+        want = _reference_multistart_ascent(objective, n_symbols, cfg, uniform)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.tables, want.tables)
+        assert np.array_equal(got.sweeps, want.sweeps)
+        assert got.hit_max_iters == want.hit_max_iters

@@ -320,6 +320,19 @@ class TestSwBinning:
                        record.decoded_index)
                 assert got == _reference_trial(ref, np.random.default_rng((seed, 1, t)))
 
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_cell_draw_is_generator_choice(self, n):
+        # The erasure joint has cells without mass, which a searchsorted on
+        # a flat run of the cumulative sum must skip exactly as choice does.
+        joint = make_erasure_joint(ErasureParams(0.1, 0.3))
+        ctx = _sw_context(joint, n, 0.5, 0)
+        flat = _reference_context(joint, n, 0.5, 0).flat
+        assert (flat == 0.0).any()
+        for s in range(200):
+            drawn = ctx.cdf.searchsorted(np.random.default_rng((s, 1)).random(n), side="right")
+            chosen = np.random.default_rng((s, 1)).choice(flat.size, n, p=flat)
+            assert np.array_equal(drawn, chosen)
+
     def test_decoding_failures_split_into_ties_and_wrong_decodes(self):
         erasure = make_erasure_joint(ErasureParams(0.1, 0.3))
         dirichlet = dirichlet_joint(np.random.default_rng(9), (2, 3, 3))

@@ -276,3 +276,32 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "v-grid" in err
+
+    @pytest.mark.parametrize("check", ["degraded-eb", "degraded-be"])
+    @pytest.mark.parametrize("flag,value", [("--starts", "0"), ("--seed", "-5")])
+    def test_degradation_checks_validate_optimizer_flags(self, capsys, tmp_path, check, flag, value):
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        code, out, err = run_cli(capsys, "order", "-i", str(path), "--check", check, flag, value)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command,flags,side",
+        [
+            ("region uncoded", ("--starts", "2"), "C"),
+            ("region coded", ("--v-grid", "2", "--starts", "2"), "B"),
+            ("order", ("--check", "degraded-eb"), "C"),
+            ("simulate binning", ("--n", "4", "--rate", "0.5", "--trials", "2"), "C"),
+        ],
+        ids=["region uncoded on ACE", "region coded on ABE", "order on ACE",
+             "simulate binning on ACE"],
+    )
+    def test_file_over_wrong_variables_is_exit_one(self, capsys, tmp_path, command, flags, side):
+        # region coded needs (A, C, E); the other commands need (A, B, E).
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        path.write_text(path.read_text().replace('"B"', f'"{side}"'))
+        code, out, err = run_cli(capsys, *command.split(), "-i", str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "required" in err

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .probability import Alphabet, Channel, DistributionError, VarSpec
+from .probability import Alphabet, Channel, VarSpec
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 28
@@ -59,7 +59,6 @@ class OptimizerConfig:
     max_iters: int = 500
     tol: float = 1e-9
     seed: int = 0
-    u_cardinality: int | None = None
 
     def __post_init__(self) -> None:
         if self.starts < 1:
@@ -70,8 +69,6 @@ class OptimizerConfig:
             raise ValueError("tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.u_cardinality is not None and self.u_cardinality < 1:
-            raise ValueError("u_cardinality must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,9 +293,19 @@ def _sweep(
     return f
 
 
-def u_cardinality(cfg: OptimizerConfig, cond_vars: Sequence[VarSpec]) -> int:
-    """|U|: ``cfg.u_cardinality``, else (product of the conditioning alphabet sizes) + 1."""
-    return cfg.u_cardinality or math.prod(alph.size for _, alph in cond_vars) + 1
+def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
+    """|U| = (product of the conditioning alphabet sizes) + 1."""
+    return math.prod(alph.size for _, alph in cond_vars) + 1
+
+
+def u_channel(cond_vars: tuple[VarSpec, ...], rows: np.ndarray) -> Channel:
+    """Channel onto U = {u0, ..., u|U|-1} from ``rows`` (a row per cell), zero-padded."""
+    n_symbols = u_cardinality(cond_vars)
+    shape = tuple(alph.size for _, alph in cond_vars)
+    table = np.reshape(rows, shape + (-1,))
+    table = np.pad(table, [(0, 0)] * len(shape) + [(0, n_symbols - table.shape[-1])])
+    u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
+    return Channel(cond_vars, ("U", u_alphabet), table)
 
 
 def maximize_channel(
@@ -309,25 +316,14 @@ def maximize_channel(
 ) -> tuple[AscentResult, Channel]:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
-    The ascent runs the random starts, then ``starts`` (each must condition
-    on exactly ``cond_vars``), then the uniform channel. Returns the ascent
-    and the best table as a channel onto U = {u0, ..., u|U|-1}, the first
-    start with the highest value winning ties.
+    The ascent runs the random starts, then ``starts`` (each lifted to
+    ``cond_vars``), then the uniform channel. Returns the ascent and the best
+    table as a ``u_channel``, the first start with the highest value winning
+    ties.
     """
-    names = tuple(name for name, _ in cond_vars)
-    n_symbols = u_cardinality(cfg, cond_vars)
-    injected = []
-    for channel in starts:
-        if set(channel.from_names) != set(names):
-            raise DistributionError(f"extra start conditions on {channel.from_names}, not {names}")
-        rows = channel.lift(cond_vars).rows
-        k = rows.shape[-1]
-        if k > n_symbols:
-            raise DistributionError(f"extra start has {k} output symbols, |U| is {n_symbols}")
-        injected.append(np.pad(rows.reshape(-1, k), ((0, 0), (0, n_symbols - k))))
+    n_symbols = u_cardinality(cond_vars)
+    padded = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in starts)
+    injected = [channel.rows.reshape(-1, n_symbols) for channel in padded]
     injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
     ascent = multistart_ascent(objective, n_symbols, cfg, injected)
-    best = ascent.tables[int(np.argmax(ascent.values))]
-    u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
-    shape = tuple(alph.size for _, alph in cond_vars) + (n_symbols,)
-    return ascent, Channel(cond_vars, ("U", u_alphabet), best.reshape(shape))
+    return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])

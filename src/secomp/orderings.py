@@ -23,7 +23,7 @@ from .probability import (
     marginalize,
     require_variables,
 )
-from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
+from .ascent import EntropyObjective, OptimizerConfig, maximize_channel
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
@@ -166,9 +166,7 @@ def search_less_noisy_violation(
         )
     a_spec = ("A", joint_abe.alphabet("A"))
     objective = less_noisy_objective(joint_abe, stronger, weaker)
-    starts = []
-    if u_cardinality(cfg, (a_spec,)) >= a_spec[1].size:
-        starts.append(Channel.copy_of(a_spec, "U"))
+    starts = [Channel.copy_of(a_spec, "U")]
     ascent, witness = maximize_channel(objective, (a_spec,), cfg, starts)
     gap = float(ascent.values.max())
     if gap <= WITNESS_TOL:

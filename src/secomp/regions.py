@@ -2,31 +2,26 @@
 
 The secrecy objective I(A;B|U) - I(A;E|U) is maximized over conditional
 channels p(u|.) whose conditioning set depends on which side-information
-sequences the encoder sees. The objective is not concave in the channel, so
-the search is a multi-start local ascent over the product of row simplexes:
-each start draws every row from a symmetric Dirichlet(1), then sweeps row by
-row doing golden-section line search along random in-simplex directions until
-a full sweep improves the objective by less than ``tol``.
-
-Deterministic warm starts are injected on top of the random ones: any
-caller-supplied channels; with S_E closed and S_B open, U = copy of E, whose
-objective I(A;B|E) is the exact maximum for that setting; and last the
-uniform (input-ignoring) channel, whose objective is the plain Slepian-Wolf
-baseline I(A;B) - I(A;E). Reported values are therefore certified lower
+sequences the encoder sees. With only S_E closed the maximum is I(A;B|E),
+at U = copy of E, and no search runs (see ``maximize_equivocation``).
+Elsewhere the objective is not concave in the channel, so
+``ascent.maximize_channel``, shared with the orderings search, runs a
+multi-start local ascent over the product of row simplexes: Dirichlet(1)
+starts, vertex steps and golden-section line searches along random
+in-simplex directions, until a full sweep improves by less than ``tol``.
+The uniform channel, whose objective is the plain Slepian-Wolf baseline
+I(A;B) - I(A;E), is ascended too, so searched values are certified lower
 bounds on the true maximum, never below the baseline; ``starts_agreeing``,
-``sweeps`` and ``hit_max_iters`` are the convergence diagnostics. The
-channel search itself, ``ascent.maximize_channel``, is shared with the
-orderings search.
+``sweeps`` and ``hit_max_iters`` are the convergence diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
+from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_channel
 from .probability import (
     Channel,
     DistributionError,
@@ -40,6 +35,10 @@ from .probability import (
 
 # Objective magnitudes below numerical resolution are reported as exactly 0.
 _SNAP_TOL = 1e-12
+
+
+def _snap(value: float) -> float:
+    return value if value >= _SNAP_TOL else 0.0
 
 
 # Switch setting name -> (S_B closed, S_E closed).
@@ -106,7 +105,9 @@ class OptResult:
     value (random starts first, then injected ones); ``starts_agreeing``
     counts starts within ``tol`` of the best. ``sweeps`` holds the sweeps
     each start ran before it froze, in trace order; ``hit_max_iters`` is true
-    when some start was still improving after ``max_iters`` sweeps.
+    when some start was still improving after ``max_iters`` sweeps. The
+    S_E-closed closed form counts as one agreeing start that ran no sweep:
+    trace ``(delta_star,)``, ``sweeps == (0,)``, ``hit_max_iters`` false.
     """
 
     delta_star: float
@@ -178,25 +179,28 @@ def maximize_equivocation(
     joint_abe: JointPMF,
     switches: SwitchConfig,
     cfg: OptimizerConfig = OptimizerConfig(),
-    extra_starts: Sequence[Channel] = (),
 ) -> OptResult:
     """Maximize I(A;B|U) - I(A;E|U) over channels p(u | conditioning set).
 
-    ``extra_starts`` channels (conditioning set must match the switches) are
-    ascended alongside the random starts. With S_E closed and S_B open, U =
-    copy of E follows them: its objective I(A;B|E) is the maximum for that
-    setting. The uniform channel is always injected last. Results are
-    deterministic for a fixed ``cfg.seed``.
+    With only S_E closed this is I(A;B|E), at U = copy of E, found without a
+    search. Every channel p(u|a,e) gives U - (A,E) - B, so
+
+        I(A;B|U) - I(A;E|U) = H(A|E,U) - H(A|B,U)
+                           <= H(A|E,U) - H(A|B,E,U) = I(A;B|E,U)
+                            = I(A;B|E) - I(U;B|E) <= I(A;B|E),
+
+    with equality at U = E. Other settings run ``maximize_channel``, with
+    results deterministic for a fixed ``cfg.seed``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
-    starts = list(extra_starts)
-    alph_e = joint_abe.alphabet("E")
-    # Under "both" this start is not the optimum, and ascending it costs
-    # hundreds of sweeps, so only "se" gets it.
-    if switches.name == "se" and u_cardinality(cfg, cond_vars) >= alph_e.size:
-        starts.append(Channel.copy_of(("E", alph_e), "U").lift(cond_vars))
-    return _maximize_secrecy(joint_abe, "B", cond_vars, cfg, starts)
+    if switches.s_e and not switches.s_b:
+        delta = _snap(closed_form_delta(joint_abe, "se_closed"))
+        copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U").lift(cond_vars)
+        best_u = u_channel(cond_vars, copy_e.rows)
+        return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
+                         starts_agreeing=1, sweeps=(0,), hit_max_iters=False)
+    return _maximize_secrecy(joint_abe, "B", cond_vars, cfg)
 
 
 def coded_inner_bound_sample(
@@ -252,16 +256,15 @@ def _maximize_secrecy(
     x_var: str,
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
-    extra_starts: Sequence[Channel] = (),
 ) -> OptResult:
     """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars)."""
     names = tuple(v for v, _ in cond_vars)
     objective = secrecy_entropy_objective(joint, x_var, names)
-    ascent, best_u = maximize_channel(objective, cond_vars, cfg, extra_starts)
+    ascent, best_u = maximize_channel(objective, cond_vars, cfg)
     f = ascent.values
     best_value = float(f.max())
     return OptResult(
-        delta_star=best_value if best_value >= _SNAP_TOL else 0.0,
+        delta_star=_snap(best_value),
         best_u=best_u,
         objective_trace=tuple(f.tolist()),
         starts_agreeing=int(np.sum(f >= best_value - cfg.tol)),

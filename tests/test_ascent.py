@@ -9,11 +9,13 @@ from secomp.ascent import (
     _INVPHI,
     AscentResult,
     OptimizerConfig,
+    maximize_channel,
     multistart_ascent,
+    u_channel,
 )
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.orderings import less_noisy_objective
-from secomp.probability import build_joint, mutual_information_of
+from secomp.probability import Channel, build_joint, mutual_information_of
 from secomp.regions import SwitchConfig, secrecy_entropy_objective, secrecy_objective
 
 from conftest import dirichlet_joint, random_channel
@@ -295,3 +297,21 @@ class TestAscentMatchesReference:
         assert np.array_equal(got.tables, want.tables)
         assert np.array_equal(got.sweeps, want.sweeps)
         assert got.hit_max_iters == want.hit_max_iters
+
+
+class TestMaximizeChannel:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_never_ends_below_an_injected_start(self, seed):
+        joint = dirichlet_joint(np.random.default_rng(seed), (3, 3, 3))
+        cond = (("A", joint.alphabet("A")),)
+        copy_a = Channel.copy_of(cond[0], "U")
+        cfg = OptimizerConfig(starts=2, max_iters=20, seed=seed)
+        for stronger, weaker in (("B", "E"), ("E", "B")):
+            objective = less_noisy_objective(joint, stronger, weaker)
+            ascent, best = maximize_channel(objective, cond, cfg, [copy_a])
+            start_value = objective(table_of(u_channel(cond, copy_a.rows)))[0]
+            # Random starts come first, then the injected one, then uniform.
+            assert len(ascent.values) == cfg.starts + 2
+            assert ascent.values[cfg.starts] >= start_value - 1e-12
+            assert best.to_var[1].symbols == ("u0", "u1", "u2", "u3")
+            assert objective(table_of(best))[0] == pytest.approx(ascent.values.max(), abs=1e-12)

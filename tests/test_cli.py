@@ -247,20 +247,23 @@ class TestExitCodes:
             ("simulate", "erasure-scheme", "--seed", "-3"),
             ("region", "uncoded", "--starts", "0"),
             ("region", "uncoded", "--seed", "-1"),
+            # The S_E-closed value is a closed form that reads neither flag.
+            ("region", "uncoded", "--switches", "se", "--starts", "0"),
+            ("region", "uncoded", "--switches", "se", "--seed", "-1"),
         ],
         ids=lambda argv: " ".join(argv),
     )
     def test_out_of_range_flag_is_exit_one(self, capsys, tmp_path, argv):
         path = write_preset(capsys, tmp_path, 0.1, 0.3)
-        *command, flag, value = argv
+        command, flags = argv[:2], argv[2:]
         defaults = {
             ("simulate", "binning"): {"-i": str(path), "--n": "8", "--rate": "0.5",
                                       "--trials": "5", "--seed": "0"},
             ("simulate", "erasure-scheme"): {"--pb": "0.25", "--pe": "0.5", "--n": "8",
                                              "--trials": "5", "--seed": "0"},
             ("region", "uncoded"): {"-i": str(path), "--starts": "2", "--seed": "0"},
-        }[tuple(command)]
-        defaults[flag] = value
+        }[command]
+        defaults.update(zip(flags[::2], flags[1::2]))
         full = [*command, *(item for pair in defaults.items() for item in pair)]
         code, out, err = run_cli(capsys, *full)
         assert code == 1

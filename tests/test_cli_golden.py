@@ -5,10 +5,11 @@ command, the exit code and stdout an earlier version of the CLI printed. An
 argument ``@name`` stands for the input file ``name``. The commands are the
 ones whose printed digits do not hinge on near-tie comparisons: information
 measures, presets, degradation LPs, the exact-posterior simulators, and the
-S_E-closed solve on the erasure joint, which ends at U = copy of E. Solves
-whose best start is picked among values equal up to the last bits (``both``,
-or ``none`` with many tied starts) are left out, because a change that only
-moves rounding can reprint them.
+S_E-closed value, I(A;B|E) at U = copy of E, on the erasure and Dirichlet
+joints. Solves whose best channel is picked among values equal up to the
+last bits are left out, because a change that only moves rounding can
+reprint them: ``both``, ``none`` with many tied starts, and ``se`` on the
+degraded joint, where other channels tie with copy of E.
 """
 
 import json

@@ -21,7 +21,8 @@ def test_erasure_region_sweep(monkeypatch, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     run_script(monkeypatch, "erasure_region_sweep.py", "--steps", "2", "--starts", "2",
                "-o", str(out))
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert [float(row["p_b"]) for row in rows] == [0.0, 1.0]
     for row in rows:  # equivocation never exceeds H(A|E) = p_e = 0.5
         assert 0.0 <= float(row["optimizer_none"]) <= 0.5 + 1e-9
@@ -33,7 +34,8 @@ def test_binning_rate_sweep(monkeypatch, tmp_path, capsys):
     out = tmp_path / "rates.csv"
     run_script(monkeypatch, "binning_rate_sweep.py", "--n", "4", "--trials", "5",
                "--rates", "0.5", "1.0", "-o", str(out))
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as f:
+        rows = list(csv.DictReader(f))
     assert [float(row["rate"]) for row in rows] == [0.5, 1.0]
     assert all(0.0 <= float(row["p_e_hat"]) <= 1.0 for row in rows)
     assert f"wrote {out}" in capsys.readouterr().out

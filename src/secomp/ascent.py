@@ -1,4 +1,4 @@
-"""Auxiliary-channel search (``maximize_channel``) by multi-start coordinate ascent.
+"""Auxiliary-channel search (``maximize_channel``): an exact envelope or a multi-start ascent.
 
 Every objective the package maximizes over an auxiliary channel W (rows are
 the conditioning cells, columns the output symbols) is a signed sum of
@@ -36,6 +36,15 @@ bit for bit as scoring each point and drawing each direction on its own.
 
 All randomness derives from (seed, start index), so runs are reproducible
 bit for bit and starts could execute concurrently without changing results.
+
+``maximize_channel`` searches only where it must. When at most two
+conditioning rows carry mass and every row's signed columns balance, the
+objective is a sum over U of p(u) times a function of a one-dimensional
+posterior, and ``two_row_envelope`` finds its maximum as the upper concave
+envelope of that function, with a certified upper bound and no randomness.
+That covers p(u|a) objectives on a binary source: the S_B-open secrecy
+objective, each coded corner and both less-noisy violations. Every other
+objective runs ``multistart_ascent``.
 """
 
 from __future__ import annotations
@@ -46,11 +55,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .envelope import chord_gap, upper_envelope
 from .probability import Alphabet, Channel, VarSpec
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 28
 _DIRECTIONS_PER_ROW = 2
+
+# A row's signed columns balance when |proj @ sign| is below this times its mass.
+_BALANCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -160,13 +173,18 @@ class AscentResult:
 
     ``sweeps[s]`` counts the sweeps start s ran before it froze (or
     ``max_iters``); ``hit_max_iters`` is true when some start still improved
-    by at least ``tol`` in the last allowed sweep.
+    by at least ``tol`` in the last allowed sweep. ``evaluations`` counts the
+    points the objective was scored at. ``upper_bound`` is a certified bound
+    on the objective's maximum over all channels when the envelope solved the
+    problem, else None.
     """
 
     values: np.ndarray
     tables: np.ndarray
     sweeps: np.ndarray
     hit_max_iters: bool
+    evaluations: int = 0
+    upper_bound: float | None = None
 
 
 def _golden_max(
@@ -230,6 +248,10 @@ def multistart_ascent(
         w[cfg.starts + i] = rows
     f = objective(w)
     live_rows = np.flatnonzero(objective.proj.any(axis=1))
+    # Points one start scores per sweep: each live row's vertices, then the
+    # golden section's three opening points and one per step, per direction.
+    per_sweep = live_rows.size * (n_symbols + _DIRECTIONS_PER_ROW * (3 + _GOLDEN_ITERS))
+    evaluations = n_starts
     active = np.ones(n_starts, dtype=bool)
     sweeps = np.zeros(n_starts, dtype=int)
     for _ in range(cfg.max_iters):
@@ -237,12 +259,13 @@ def multistart_ascent(
         w_run = w[idx]
         f_run = _sweep(objective, w_run, f[idx], [rngs[s] for s in idx], live_rows)
         sweeps[idx] += 1
+        evaluations += idx.size * per_sweep
         active[idx] = (f_run - f[idx]) >= cfg.tol
         w[idx] = w_run
         f[idx] = f_run
         if not active.any():
             break
-    return AscentResult(f, w, sweeps, bool(active.any()))
+    return AscentResult(f, w, sweeps, bool(active.any()), evaluations)
 
 
 def _sweep(
@@ -293,6 +316,84 @@ def _sweep(
     return f
 
 
+def two_row_envelope(
+    objective: EntropyObjective, n_symbols: int, extra_rows: Sequence[np.ndarray] = ()
+) -> AscentResult | None:
+    """Exact maximum when at most two rows carry mass and every row's signed columns balance.
+
+    Returns None for any other objective. Write rho_r for row r's share of
+    the mass (its projection row's sum), lam_u = sum_r rho_r W[r, u] and
+    q_u = rho_0 W[0, u] / lam_u over the two rows 0 and 1 with mass. Every
+    marginal column is then lam_u * mu(q_u), mu(q) = q P[0] / rho_0 +
+    (1 - q) P[1] / rho_1, and because the signed columns of each row cancel
+    (``proj @ sign == 0``), the lam_u log lam_u terms drop out:
+
+        value(W) = const + sum_u lam_u phi(q_u),  phi(q) = -sum_k sign_k mu_k log2 mu_k,
+
+    with sum_u lam_u = 1 and sum_u lam_u q_u = rho_0. The maximum is the upper
+    concave envelope of phi at rho_0 (Nair, "Upper concave envelopes and
+    auxiliary random variables", 2013), reached with two support points, so
+    |U| = 2 outputs suffice. Only the -x log2 x terms with sign +1 can rise
+    above a chord; columns that one row carries alone are folded into one net
+    -q log2 q (or -(1-q) log2 (1-q)) term first, so parts that cancel exactly
+    add nothing to eps.
+
+    The witness W[r, u] = lam_u q_u(r) / rho_r, with q_u(0) = q_u and
+    q_u(1) = 1 - q_u, is scored by ``objective`` with ``extra_rows``; the
+    values are [witness, extra...], ``sweeps`` is zero and ``upper_bound`` is
+    const plus the envelope's certified bound at rho_0 (or the best value
+    scored, where rounding puts that a hair higher). Where the support is
+    rho_0 alone, and where fewer than two rows carry mass (every channel then
+    has the same value, the bound), U independent of A is optimal and the
+    witness is the uniform channel. Rows without mass are uniform.
+    """
+    proj, sign = objective.proj, objective.sign
+    live = np.flatnonzero(proj.any(axis=1))
+    mass = proj[live].sum(axis=1)
+    if live.size > 2 or np.any(np.abs(proj[live] @ sign) > _BALANCE_TOL * mass):
+        return None
+    rho = mass / mass.sum()
+    if live.size == 2 and not 0.0 < rho[0] < 1.0:
+        return None  # one row's share of the mass is below rounding
+    witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
+    points = 0
+    if live.size == 2:
+        a, b = proj[live] / rho[:, None]
+        # Terms that can rise above a chord: -mu_k log2 mu_k with sign +1 over
+        # the columns both rows carry, then the net -q log2 q of the columns
+        # row 0 carries alone and the net -(1-q) log2 (1-q) of row 1's.
+        both = (a > 0.0) & (b > 0.0)
+        weight = np.concatenate([sign[both], [sign[b == 0.0] @ a[b == 0.0],
+                                              sign[a == 0.0] @ b[a == 0.0]]])
+        concave = weight > 0.0
+        ends_a = np.concatenate([a[both], [1.0, 0.0]])[concave, None]
+        ends_b = np.concatenate([b[both], [0.0, 1.0]])[concave, None]
+        weight = weight[concave]
+
+        def phi(q: np.ndarray) -> np.ndarray:
+            return objective.column_values(a[:, None] * q + b[:, None] * (1.0 - q))
+
+        def cell_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+            m_lo, m_hi = ends_a * lo + ends_b * (1.0 - lo), ends_a * hi + ends_b * (1.0 - hi)
+            return weight @ chord_gap(np.minimum(m_lo, m_hi), np.maximum(m_lo, m_hi))
+
+        q, lam, top, points = upper_envelope(phi, cell_gaps, float(rho[0]))
+        if q is not None:
+            # u0 takes the support richer in row 0, so supports {0, 1} give
+            # the copy of the conditioning symbol itself.
+            rows = np.zeros((2, n_symbols))
+            rows[:, :2] = (lam * np.stack([q / rho[0], (1.0 - q) / rho[1]]))[:, ::-1]
+            witness[live] = rows / rows.sum(axis=1, keepdims=True)
+    tables = np.stack([witness, *extra_rows])
+    values = objective(tables)
+    n_tables = len(values)
+    upper = float(values.max())
+    if live.size == 2:
+        upper = max(upper, objective.const + top)
+    return AscentResult(values, tables, np.zeros(n_tables, dtype=int), False,
+                        points + n_tables, upper)
+
+
 def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
     """|U| = (product of the conditioning alphabet sizes) + 1."""
     return math.prod(alph.size for _, alph in cond_vars) + 1
@@ -316,14 +417,19 @@ def maximize_channel(
 ) -> tuple[AscentResult, Channel]:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
-    The ascent runs the random starts, then ``starts`` (each lifted to
-    ``cond_vars``), then the uniform channel. Returns the ascent and the best
-    table as a ``u_channel``, the first start with the highest value winning
-    ties.
+    When at most two conditioning cells carry mass and the objective's signed
+    columns balance, ``two_row_envelope`` solves the problem exactly and
+    ``cfg`` is not used; it scores its witness, then ``starts`` (each lifted
+    to ``cond_vars``), then the uniform channel. Otherwise the multi-start
+    ascent runs the random starts, then ``starts``, then the uniform channel.
+    Returns the result and the best table as a ``u_channel``, the first table
+    with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
     padded = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in starts)
     injected = [channel.rows.reshape(-1, n_symbols) for channel in padded]
     injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
-    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+    ascent = two_row_envelope(objective, n_symbols, injected)
+    if ascent is None:
+        ascent = multistart_ascent(objective, n_symbols, cfg, injected)
     return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])

@@ -327,7 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     input_flag = _flag("-i", "--input", required=True)
     seed_flag = _flag("--seed", type=int, default=0)
-    starts_flag = _flag("--starts", type=int, default=OptimizerConfig().starts)
+    starts_flag = _flag(
+        "--starts", type=int, default=OptimizerConfig().starts,
+        help="random starts of the multi-start search (default %(default)s); validated but "
+             "unused where the value is exact: --switches se, and a binary A with S_B open "
+             "(--switches none, region coded, less-noisy checks)",
+    )
     optimizer_flags = [input_flag, starts_flag, seed_flag]
 
     p = sub.add_parser("measures", parents=[input_flag],

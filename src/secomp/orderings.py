@@ -4,10 +4,16 @@ Stochastic degradation is decided exactly (up to numerical tolerance) by a
 linear-programming feasibility problem: does some channel carry the stronger
 observation onto the weaker one while matching both conditionals given the
 source? The less-noisy ordering quantifies over every auxiliary channel from
-the source and cannot be exhausted numerically, so it is only falsified: the
-searcher maximizes the violation I(U; weaker-hypothesis side) - I(U; stronger)
-and reports a witness when the maximum is meaningfully positive. Absence of a
-witness is evidence, not proof, and the verdict names say so.
+the source. The checker maximizes the violation I(U; weaker-hypothesis side)
+- I(U; stronger) and reports a witness when the maximum is meaningfully
+positive. With U - A - (B, E) the violation is sum_u p(u) f(p_{A|u}) - f(p_A)
+for f(q) = I_q(A; weaker) - I_q(A; stronger), so its maximum is the upper
+concave envelope of f at p_A minus f(p_A). For a binary source
+``ascent.maximize_channel`` computes that envelope exactly, and the verdict
+carries a certified ``upper_bound`` on the violation: a non-falsification
+with ``upper_bound <= WITNESS_TOL`` is a proof at the given prior. Larger
+sources run the multi-start search, where the absence of a witness is
+evidence, not proof, and the verdict names say so.
 """
 
 from __future__ import annotations
@@ -43,7 +49,10 @@ class OrderingVerdict:
     ``physically_degraded`` flag for whether the given joint itself forms the
     Markov chain (degradation as checked here only constrains the pairwise
     marginals). Falsifications carry the ``witness`` channel and its ``gap``;
-    non-falsifications record the search ``budget_used`` in starts.
+    non-falsifications record the search ``budget_used`` in channels scored
+    (starts, or the envelope's witness and injected channels). Less-noisy
+    verdicts carry the envelope's certified ``upper_bound`` on the violation
+    when the source is binary, else None.
     """
 
     kind: str
@@ -52,6 +61,7 @@ class OrderingVerdict:
     gap: float | None = None
     budget_used: int | None = None
     physically_degraded: bool | None = None
+    upper_bound: float | None = None
 
 
 def _conditionals_given_a(joint: JointPMF, var: str) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +159,11 @@ def search_less_noisy_violation(
     """Try to falsify the less-noisy ordering by maximizing its violation.
 
     For the default direction the hypothesis is that B is less noisy than E,
-    i.e. I(U;E) <= I(U;B) for every p(u|a); the searcher maximizes
-    I(U;E) - I(U;B) over channels with the usual cardinality bound, seeding
-    the multi-start ascent with the identity copy of A (the canonical witness
-    family) and the uniform channel alongside the random starts.
+    i.e. I(U;E) <= I(U;B) for every p(u|a); the checker maximizes
+    I(U;E) - I(U;B) over channels with the usual cardinality bound through
+    ``maximize_channel``, scoring the identity copy of A (the canonical
+    witness family) and the uniform channel besides its own channels. For a
+    binary source that is the exact envelope and ``cfg`` is not used.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     if direction == "b_less_noisy_than_e":
@@ -170,8 +181,10 @@ def search_less_noisy_violation(
     ascent, witness = maximize_channel(objective, (a_spec,), cfg, starts)
     gap = float(ascent.values.max())
     if gap <= WITNESS_TOL:
-        return OrderingVerdict(kind="less_noisy_not_falsified", budget_used=len(ascent.values))
-    return OrderingVerdict(kind="less_noisy_falsified", witness=witness, gap=gap)
+        return OrderingVerdict(kind="less_noisy_not_falsified", budget_used=len(ascent.values),
+                               upper_bound=ascent.upper_bound)
+    return OrderingVerdict(kind="less_noisy_falsified", witness=witness, gap=gap,
+                           upper_bound=ascent.upper_bound)
 
 
 def less_noisy_objective(

@@ -4,15 +4,20 @@ The secrecy objective I(A;B|U) - I(A;E|U) is maximized over conditional
 channels p(u|.) whose conditioning set depends on which side-information
 sequences the encoder sees. With only S_E closed the maximum is I(A;B|E),
 at U = copy of E, and no search runs (see ``maximize_equivocation``).
-Elsewhere the objective is not concave in the channel, so
-``ascent.maximize_channel``, shared with the orderings search, runs a
-multi-start local ascent over the product of row simplexes: Dirichlet(1)
-starts, vertex steps and golden-section line searches along random
-in-simplex directions, until a full sweep improves by less than ``tol``.
-The uniform channel, whose objective is the plain Slepian-Wolf baseline
-I(A;B) - I(A;E), is ascended too, so searched values are certified lower
-bounds on the true maximum, never below the baseline; ``starts_agreeing``,
-``sweeps`` and ``hit_max_iters`` are the convergence diagnostics.
+Elsewhere ``ascent.maximize_channel``, shared with the orderings checks,
+solves the problem. With S_B open and a binary source (the ``none``
+setting and every coded corner) the objective is sum_u p(u) f(p_{A|u}),
+and its maximum is the upper concave envelope of f at p_A, computed
+exactly with a certified eps. With S_B closed, or a larger source, the
+objective is not concave in the channel, and a multi-start local ascent
+runs over the product of row simplexes: Dirichlet(1) starts, vertex steps
+and golden-section line searches along random in-simplex directions, until
+a full sweep improves by less than ``tol``. Either way the uniform channel,
+whose objective is the plain Slepian-Wolf baseline I(A;B) - I(A;E), is
+scored too, so values are achievable lower bounds on the true maximum,
+never below the baseline. ``upper_bound`` bounds the maximum from above;
+``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and ``evaluations`` are
+the diagnostics.
 """
 
 from __future__ import annotations
@@ -105,9 +110,17 @@ class OptResult:
     value (random starts first, then injected ones); ``starts_agreeing``
     counts starts within ``tol`` of the best. ``sweeps`` holds the sweeps
     each start ran before it froze, in trace order; ``hit_max_iters`` is true
-    when some start was still improving after ``max_iters`` sweeps. The
-    S_E-closed closed form counts as one agreeing start that ran no sweep:
-    trace ``(delta_star,)``, ``sweeps == (0,)``, ``hit_max_iters`` false.
+    when some start was still improving after ``max_iters`` sweeps.
+    ``evaluations`` counts the points the objective was scored at.
+    ``upper_bound`` is a certified upper bound on the true maximum of
+    ``delta_star``: the envelope's value plus its eps where the two-row
+    envelope solved the problem, else I(A;X|E) for channels p(u|a) (X = B,
+    or V for a coded corner) and H(A|E) for the settings with S_B closed.
+    The S_E-closed closed form counts as one agreeing start that ran no
+    sweep and scored nothing: trace ``(delta_star,)``, ``sweeps == (0,)``,
+    ``hit_max_iters`` false, ``evaluations == 0``, ``upper_bound ==
+    delta_star``. The envelope reports its trace as the witness, any injected
+    starts and the uniform channel, none of which ran a sweep.
     """
 
     delta_star: float
@@ -116,6 +129,8 @@ class OptResult:
     starts_agreeing: int
     sweeps: tuple[int, ...]
     hit_max_iters: bool
+    evaluations: int
+    upper_bound: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,8 +204,9 @@ def maximize_equivocation(
                            <= H(A|E,U) - H(A|B,E,U) = I(A;B|E,U)
                             = I(A;B|E) - I(U;B|E) <= I(A;B|E),
 
-    with equality at U = E. Other settings run ``maximize_channel``, with
-    results deterministic for a fixed ``cfg.seed``.
+    with equality at U = E. Other settings run ``maximize_channel``: exact
+    and independent of ``cfg`` for S_B open on a binary source, else a
+    search deterministic for a fixed ``cfg.seed``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
@@ -199,7 +215,8 @@ def maximize_equivocation(
         copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U").lift(cond_vars)
         best_u = u_channel(cond_vars, copy_e.rows)
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
-                         starts_agreeing=1, sweeps=(0,), hit_max_iters=False)
+                         starts_agreeing=1, sweeps=(0,), hit_max_iters=False,
+                         evaluations=0, upper_bound=delta)
     return _maximize_secrecy(joint_abe, "B", cond_vars, cfg)
 
 
@@ -257,12 +274,21 @@ def _maximize_secrecy(
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
 ) -> OptResult:
-    """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars)."""
+    """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars).
+
+    Without the envelope's bound, channels p(u|a) give U - A - (X, E), so
+    the objective H(A|E,U) - H(A|X,U) is at most I(A;X|E,U) <= I(A;X|E);
+    channels that also see B are bounded by H(A|E,U) <= H(A|E).
+    """
     names = tuple(v for v, _ in cond_vars)
     objective = secrecy_entropy_objective(joint, x_var, names)
     ascent, best_u = maximize_channel(objective, cond_vars, cfg)
     f = ascent.values
     best_value = float(f.max())
+    upper = ascent.upper_bound
+    if upper is None:
+        upper = (mutual_information_of(joint, "A", x_var, ("E",)) if names == ("A",)
+                 else entropy_of(joint, "A", ("E",)))
     return OptResult(
         delta_star=_snap(best_value),
         best_u=best_u,
@@ -270,4 +296,6 @@ def _maximize_secrecy(
         starts_agreeing=int(np.sum(f >= best_value - cfg.tol)),
         sweeps=tuple(ascent.sweeps.tolist()),
         hit_max_iters=ascent.hit_max_iters,
+        evaluations=ascent.evaluations,
+        upper_bound=max(upper, 0.0),
     )

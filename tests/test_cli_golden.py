@@ -1,15 +1,19 @@
 """Golden stdout for CLI commands whose output is fixed by exact arithmetic.
 
-``data/cli_golden.json`` holds three input distributions and, for each
+``data/cli_golden.json`` holds four input distributions and, for each
 command, the exit code and stdout an earlier version of the CLI printed. An
 argument ``@name`` stands for the input file ``name``. The commands are the
 ones whose printed digits do not hinge on near-tie comparisons: information
-measures, presets, degradation LPs, the exact-posterior simulators, and the
+measures, presets, degradation LPs, the exact-posterior simulators, the
 S_E-closed value, I(A;B|E) at U = copy of E, on the erasure and Dirichlet
-joints. Solves whose best channel is picked among values equal up to the
-last bits are left out, because a change that only moves rounding can
-reprint them: ``both``, ``none`` with many tied starts, and ``se`` on the
-degraded joint, where other channels tie with copy of E.
+joints, and the binary-source commands the concave envelope solves without
+a seed: ``none``, the less-noisy checks and a coded sweep. Their entries
+were recorded from the envelope solver; their printed channels are the
+uniform channel or the copy of A, which the witness reproduces exactly.
+Solves whose best channel is picked among values equal up to the last bits
+are left out, because a change that only moves rounding can reprint them:
+``both``, and ``se`` on the degraded joint, where other channels tie with
+copy of E.
 """
 
 import json

@@ -1,0 +1,372 @@
+"""The two-row envelope path of ``maximize_channel`` against a brute-force hull.
+
+For a binary source every U - A - (X, E) objective is const + sum_u p(u)
+f(p_{A|u}), so its maximum is the upper concave envelope of f at p_A. The
+oracle here computes f on a fine grid of priors straight from p(x|a) and
+p(e|a), takes the grid's hull at p_A by minimizing max_q f(q) - s (q - p_A)
+over the slope s, and bounds the grid error by the chord gaps of the
+concave entropy term. The oracle uses no secomp envelope code; the tests
+only coarsen ``secomp.envelope``'s grid to check the bound on a poor witness.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from secomp.ascent import (
+    EntropyObjective,
+    OptimizerConfig,
+    two_row_envelope,
+    maximize_channel,
+    multistart_ascent,
+)
+from secomp import envelope
+from secomp.cli import distribution_to_dict, main
+from secomp.erasure import ErasureParams, make_erasure_joint
+from secomp.orderings import (
+    WITNESS_TOL,
+    less_noisy_objective,
+    search_less_noisy_violation,
+)
+from secomp.probability import (
+    Alphabet,
+    Channel,
+    JointPMF,
+    build_joint,
+    entropy_of,
+    mutual_information_of,
+)
+from secomp.regions import (
+    SwitchConfig,
+    coded_inner_bound_sample,
+    maximize_equivocation,
+    secrecy_entropy_objective,
+    secrecy_objective,
+)
+
+from conftest import dirichlet_joint, random_channel
+
+CFG = OptimizerConfig(starts=4, max_iters=40, tol=1e-9, seed=0)
+GRID = np.linspace(0.0, 1.0, 8193)
+
+
+def _neg_xlogx(x):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x > 0.0, -x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+
+def _conditional(mass_ax):
+    """p(x | a) from a 2 x |X| array of joint masses."""
+    return mass_ax / mass_ax.sum(axis=1, keepdims=True)
+
+
+def _f(q, cx, ce):
+    """I_q(A;X) - I_q(A;E) for the prior (q, 1 - q) and fixed p(x|a), p(e|a)."""
+
+    def mi(c):
+        out = _neg_xlogx(np.outer(q, c[0]) + np.outer(1.0 - q, c[1])).sum(axis=1)
+        return out - q * _neg_xlogx(c[0]).sum() - (1.0 - q) * _neg_xlogx(c[1]).sum()
+
+    return mi(cx) - mi(ce)
+
+
+def _chord_gap(lo, hi):
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    width = hi - lo
+    f_lo, f_hi = _neg_xlogx(lo), _neg_xlogx(hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(width > 0.0, (f_hi - f_lo) / width, 0.0)
+    x = np.clip(np.exp2(-slope) / np.e, lo, hi)
+    return np.where(width > 0.0, np.maximum(_neg_xlogx(x) - f_lo - slope * (x - lo), 0.0), 0.0)
+
+
+def brute_envelope(mass_ax, mass_ae):
+    """(g, gap): g <= max_U I(A;X|U) - I(A;E|U) <= g + gap over p(u|a), |A| = 2."""
+    cx, ce = _conditional(mass_ax), _conditional(mass_ae)
+    rho = mass_ax.sum(axis=1)[0] / mass_ax.sum()
+    f = _f(GRID, cx, ce)
+
+    def top(s):
+        return np.max(f - s * (GRID - rho))
+
+    lo, hi = -1e3, 1e3
+    for _ in range(200):
+        m1, m2 = lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0
+        if top(m1) <= top(m2):
+            hi = m2
+        else:
+            lo = m1
+    g = top(0.5 * (lo + hi))
+    # Only H(X_q) is concave; its excess over a cell's chord is at most the
+    # sum of the chord gaps of -x log2 x over each p_q(x)'s image of the cell.
+    px = np.outer(GRID, cx[0]) + np.outer(1.0 - GRID, cx[1])
+    gap = _chord_gap(px[:-1], px[1:]).sum(axis=1).max()
+    return g, gap
+
+
+def binary_joints(n, seed):
+    """Dirichlet joints of varied concentration; every fourth has zero cells."""
+    rng = np.random.default_rng(seed)
+    variables = dirichlet_joint(rng, (2, 3, 3)).variables
+    joints = []
+    for k in range(n):
+        mass = rng.dirichlet(np.full(18, (0.2, 1.0, 4.0)[k % 3])).reshape(2, 3, 3)
+        if k % 4 == 3:
+            mass[rng.random((2, 3, 3)) < 0.3] = 0.0
+            mass /= mass.sum()
+        joints.append(JointPMF(variables, mass))
+    return joints
+
+
+JOINTS = binary_joints(24, 2026)
+
+
+def _less_noisy(joint, stronger, weaker):
+    """maximize_channel's result on the violation I(U;weaker) - I(U;stronger)."""
+    a_spec = ("A", joint.alphabet("A"))
+    objective = less_noisy_objective(joint, stronger, weaker)
+    return maximize_channel(objective, (a_spec,), CFG, [Channel.copy_of(a_spec, "U")])
+
+
+def _pair(joint, first, second):
+    """Masses over (A, first) and (A, second) as 2 x |.| arrays."""
+    summed_out = {"B": 2, "E": 1}
+    return joint.mass.sum(axis=summed_out[first]), joint.mass.sum(axis=summed_out[second])
+
+
+class TestAgainstBruteForce:
+    @pytest.mark.parametrize("k", range(len(JOINTS)))
+    def test_none(self, k):
+        joint = JOINTS[k]
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        value = max(result.objective_trace)
+        g, gap = brute_envelope(*_pair(joint, "B", "E"))
+        assert value >= g - 1e-10
+        assert g <= result.upper_bound + 1e-15
+        assert value <= g + gap + 1e-12
+        assert secrecy_objective(joint, result.best_u, SwitchConfig()) == pytest.approx(
+            value, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("k", range(len(JOINTS)))
+    @pytest.mark.parametrize("stronger,weaker", [("B", "E"), ("E", "B")])
+    def test_less_noisy(self, k, stronger, weaker):
+        joint = JOINTS[k]
+        ascent, witness = _less_noisy(joint, stronger, weaker)
+        value = float(ascent.values.max())
+        mass_s, mass_w = _pair(joint, stronger, weaker)
+        g, gap = brute_envelope(mass_s, mass_w)
+        # I(U;weaker) - I(U;stronger) = I(A;stronger|U) - I(A;weaker|U)
+        # - (I(A;stronger) - I(A;weaker)): the envelope minus its value at p_A.
+        g -= _f(np.array([mass_s.sum(axis=1)[0]]), _conditional(mass_s), _conditional(mass_w))[0]
+        assert value >= g - 1e-10
+        assert g <= ascent.upper_bound + 1e-15
+        assert value <= g + gap + 1e-12
+        extended = build_joint(joint, witness)
+        regained = mutual_information_of(extended, "U", weaker) - mutual_information_of(
+            extended, "U", stronger
+        )
+        assert regained == pytest.approx(value, abs=1e-12)
+        direction = "b_less_noisy_than_e" if stronger == "B" else "e_less_noisy_than_b"
+        verdict = search_less_noisy_violation(joint, CFG, direction=direction)
+        assert verdict.upper_bound == ascent.upper_bound
+        assert (verdict.kind == "less_noisy_falsified") == (value > WITNESS_TOL)
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_coded_corner(self, k):
+        rng = np.random.default_rng(77 + k)
+        joint = dirichlet_joint(rng, (2, 3, 3), names=("A", "C", "E"))
+        v = random_channel(rng, joint, ("C",), "V", 3)
+        opt = coded_inner_bound_sample(joint, v, CFG).opt
+        value = max(opt.objective_trace)
+        joint_v = build_joint(joint, v)
+        mass_av = joint_v.mass.sum(axis=(1, 2))
+        mass_ae = joint_v.mass.sum(axis=(1, 3))
+        g, _ = brute_envelope(mass_av, mass_ae)
+        assert value >= g - 1e-10
+        assert g <= opt.upper_bound + 1e-15
+        with_u = build_joint(joint_v, opt.best_u)
+        regained = mutual_information_of(with_u, "A", "V", ("U",)) - mutual_information_of(
+            with_u, "A", "E", ("U",)
+        )
+        assert regained == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("k", range(0, len(JOINTS), 3))
+    def test_ascent_never_beats_the_bound(self, k):
+        joint = JOINTS[k]
+        objective = secrecy_entropy_objective(joint, "B", ("A",))
+        bound = maximize_equivocation(joint, SwitchConfig(), CFG).upper_bound
+        uniform = [np.full((2, 3), 1.0 / 3.0)]
+        ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
+        assert ascent.values.max() <= bound + 1e-12
+        for stronger, weaker in (("B", "E"), ("E", "B")):
+            objective = less_noisy_objective(joint, stronger, weaker)
+            ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
+            bound = _less_noisy(joint, stronger, weaker)[0].upper_bound
+            assert ascent.values.max() <= bound + 1e-12
+
+
+def _coarsen(monkeypatch):
+    """A coarse grid, one wide polish window and no refinement."""
+    monkeypatch.setattr(envelope, "_GRID", 8)
+    monkeypatch.setattr(envelope, "_POLISH_ROUNDS", 1)
+    monkeypatch.setattr(envelope, "_POLISH_POINTS", 9)
+    monkeypatch.setattr(envelope, "_MAX_POINTS", 0)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("k", range(len(JOINTS)))
+    def test_bound_covers_a_coarse_witness(self, k, monkeypatch):
+        # The coarse search leaves the witness short of the optimum; the
+        # bound must still cover it.
+        _coarsen(monkeypatch)
+        joint = JOINTS[k]
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        g, _ = brute_envelope(*_pair(joint, "B", "E"))
+        assert g <= result.upper_bound + 1e-15
+
+    @pytest.mark.parametrize("p_a", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("p_b,x", [(0.6, 0.05), (0.3, 0.2)])
+    def test_bound_keeps_the_folded_columns(self, p_a, p_b, x, monkeypatch):
+        # Bob sees A or an erasure, so his columns sit in one row each and
+        # fold into a net -q log2 q; Eve sees A through a noisy channel.
+        _coarsen(monkeypatch)
+        b_given_a = np.array([[1.0 - p_b, 0.0, p_b], [0.0, 1.0 - p_b, p_b]])
+        e_given_a = np.array([[0.9 - x, x, 0.1], [x, 0.8 - x, 0.2]])
+        p_ab = np.array([p_a, 1.0 - p_a])[:, None] * b_given_a
+        mass = p_ab[:, :, None] * e_given_a[:, None, :]
+        joint = JointPMF(JOINTS[0].variables, mass)
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        g, _ = brute_envelope(mass.sum(axis=2), mass.sum(axis=1))
+        assert g <= result.upper_bound + 1e-15
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("p_b", [0.0, 0.05, 0.2, 0.45, 0.7, 0.95])
+    @pytest.mark.parametrize("p_e", [0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
+    def test_erasure_none_is_the_baseline_gap(self, p_b, p_e):
+        # f(q) = (p_e - p_b) h(q): concave for p_e > p_b (the constant channel
+        # is optimal), convex otherwise (U = A gives 0).
+        joint = make_erasure_joint(ErasureParams(p_b, p_e))
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        assert result.delta_star == pytest.approx(max(p_e - p_b, 0.0), abs=1e-12)
+        assert result.upper_bound <= max(p_e - p_b, 0.0) + 1e-9
+        # The witness is exactly the canonical channel, not a rounding-noise
+        # neighbour of it: uniform where U independent of A is optimal, and
+        # the copy of A where the supports are 0 and 1.
+        if p_e > p_b:
+            np.testing.assert_array_equal(result.best_u.rows, 1.0 / 3.0)
+        elif p_e < p_b:
+            np.testing.assert_array_equal(result.best_u.rows, np.eye(3)[:2])
+
+    def test_chains_certify_less_noisy(self):
+        rng = np.random.default_rng(31)
+        for sizes in ((2, 3, 3), (2, 4, 3), (2, 3, 4)):
+            for _ in range(4):
+                n_a, n_b, n_e = sizes
+                p_a = rng.dirichlet(np.ones(n_a))
+                b_given_a = rng.dirichlet(np.ones(n_b), size=n_a)
+                e_given_b = rng.dirichlet(np.ones(n_e), size=n_b)
+                base = dirichlet_joint(rng, sizes)
+                mass = p_a[:, None, None] * b_given_a[:, :, None] * e_given_b[None, :, :]
+                verdict = search_less_noisy_violation(JointPMF(base.variables, mass), CFG)
+                assert verdict.kind == "less_noisy_not_falsified"
+                assert verdict.upper_bound <= WITNESS_TOL
+
+    def test_one_source_symbol_with_mass(self):
+        # A row without mass leaves one row: every channel has the same value.
+        joint = dirichlet_joint(np.random.default_rng(5), (2, 3, 3))
+        mass = joint.mass.copy()
+        mass[1] = 0.0
+        joint = JointPMF(joint.variables, mass / mass.sum())
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        assert result.delta_star == 0.0
+        assert result.upper_bound == 0.0
+        assert result.sweeps == (0, 0)
+
+
+class TestDispatch:
+    def test_other_settings_keep_the_ascent(self):
+        cfg = OptimizerConfig(starts=4, max_iters=5)
+        joint = dirichlet_joint(np.random.default_rng(3), (2, 3, 3))
+        for name in ("sb", "both"):
+            result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
+            assert len(result.objective_trace) == cfg.starts + 1
+            assert result.upper_bound == pytest.approx(entropy_of(joint, "A", ("E",)), abs=1e-12)
+        ternary = dirichlet_joint(np.random.default_rng(4), (3, 3, 3))
+        result = maximize_equivocation(ternary, SwitchConfig(), cfg)
+        assert len(result.objective_trace) == cfg.starts + 1
+        assert result.upper_bound == pytest.approx(
+            mutual_information_of(ternary, "A", "B", ("E",)), abs=1e-12
+        )
+        assert search_less_noisy_violation(ternary, cfg).upper_bound is None
+
+    def test_unbalanced_objective_keeps_the_ascent(self):
+        # H(U) over two rows: the lam log lam terms do not cancel, so the
+        # objective is no envelope of a function of the posterior.
+        objective = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
+        assert two_row_envelope(objective, 3) is None
+        a_spec = ("A", Alphabet("A", ("0", "1")))
+        ascent, _ = maximize_channel(objective, (a_spec,), CFG)
+        assert len(ascent.values) == CFG.starts + 1
+        assert ascent.values.max() == pytest.approx(np.log2(3.0), abs=1e-12)
+
+    def test_envelope_ignores_seed_and_starts(self):
+        joint = JOINTS[0]
+        first = maximize_equivocation(joint, SwitchConfig(), CFG)
+        other = maximize_equivocation(joint, SwitchConfig(), OptimizerConfig(starts=64, seed=5))
+        assert first.objective_trace == other.objective_trace
+        np.testing.assert_array_equal(first.best_u.rows, other.best_u.rows)
+        assert first.evaluations == other.evaluations > len(first.objective_trace)
+
+
+class TestEvaluationCount:
+    def test_ascent_counts_every_point_scored(self, monkeypatch):
+        # Counting wraps the two scoring methods; the arithmetic is untouched.
+        scored = [0]
+        value, vertex_values = EntropyObjective.value, EntropyObjective.vertex_values
+
+        def counted_value(self, m):
+            scored[0] += m.size // (m.shape[-1] * m.shape[-2])
+            return value(self, m)
+
+        def counted_vertex_values(self, m, w, r):
+            scored[0] += w.shape[0] * w.shape[2]
+            return vertex_values(self, m, w, r)
+
+        monkeypatch.setattr(EntropyObjective, "value", counted_value)
+        monkeypatch.setattr(EntropyObjective, "vertex_values", counted_vertex_values)
+        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        for name in ("sb", "both"):
+            scored[0] = 0
+            cfg = OptimizerConfig(starts=3, max_iters=4, seed=1)
+            result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
+            assert result.evaluations == scored[0]
+
+
+BINARY_COMMANDS = [
+    ["region", "uncoded", "-i", "@abe", "--switches", "none"],
+    ["order", "-i", "@abe", "--check", "less-noisy-eb"],
+    ["order", "-i", "@abe", "--check", "less-noisy-be"],
+    ["region", "coded", "-i", "@ace", "--v-grid", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BINARY_COMMANDS, ids=lambda argv: " ".join(argv[:4]))
+def test_binary_source_output_is_seed_free(argv, tmp_path, capsys):
+    # --v-grid 2 keeps the coded sweep to the identity and constant
+    # quantizers; later ones are drawn from --seed.
+    rng = np.random.default_rng(12)
+    files = {}
+    for name, names in (("abe", "ABE"), ("ace", "ACE")):
+        joint = dirichlet_joint(rng, (2, 3, 3), names=tuple(names))
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(distribution_to_dict(joint)))
+        files[f"@{name}"] = str(path)
+    argv = [files.get(a, a) for a in argv]
+    outputs = set()
+    for extra in (["--seed", "0"], ["--seed", "5"], ["--starts", "1"], ["--starts", "64"]):
+        assert main(argv + extra) == 0
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1

@@ -212,7 +212,9 @@ class TestLessNoisy:
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
         verdict = search_less_noisy_violation(joint, FAST)
         assert verdict.kind == "less_noisy_not_falsified"
-        assert verdict.budget_used == FAST.starts + 2
+        # A binary source takes the envelope path: its witness, the copy of A
+        # and the uniform channel are the channels scored.
+        assert verdict.budget_used == 3
 
     def test_trivial_violation_found_with_unit_gap(self):
         alph_a = Alphabet("A", ("0", "1"))

@@ -194,10 +194,15 @@ class TestMaximize:
 
     def test_trace_covers_all_starts(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))
-        result = maximize_equivocation(joint, NONE, FAST)
+        result = maximize_equivocation(joint, SB, FAST)
         assert len(result.objective_trace) == FAST.starts + 1  # plus uniform start
         assert result.delta_star >= max(0.0, max(result.objective_trace)) - 1e-15
         assert 1 <= result.starts_agreeing <= len(result.objective_trace)
+        # With a binary source and S_B open the envelope solves the problem:
+        # the trace is its witness and the uniform channel.
+        result = maximize_equivocation(joint, NONE, FAST)
+        assert len(result.objective_trace) == 2
+        assert result.sweeps == (0, 0)
 
     def test_lifted_channel_keeps_objective_and_seeds_larger_search(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))

@@ -65,21 +65,26 @@ _DIRECTIONS_PER_ROW = 2
 # A row's signed columns balance when |proj @ sign| is below this times its mass.
 _BALANCE_TOL = 1e-12
 
+# Sweeps a start may run; a start freezes once a sweep gains less than TOL,
+# and starts within TOL of the best value count as agreeing.
+MAX_ITERS = 500
+TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Random ``starts`` of the multi-start ascent, drawn from ``seed``.
+
+    The envelope path uses neither; the sweep cap and tolerance are the
+    module constants ``MAX_ITERS`` and ``TOL``.
+    """
+
     starts: int = 64
-    max_iters: int = 500
-    tol: float = 1e-9
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -172,8 +177,8 @@ class AscentResult:
     """Final per-start values and tables, and how each start ended.
 
     ``sweeps[s]`` counts the sweeps start s ran before it froze (or
-    ``max_iters``); ``hit_max_iters`` is true when some start still improved
-    by at least ``tol`` in the last allowed sweep. ``evaluations`` counts the
+    ``MAX_ITERS``); ``hit_max_iters`` is true when some start still improved
+    by at least ``TOL`` in the last allowed sweep. ``evaluations`` counts the
     points the objective was scored at. ``upper_bound`` is a certified bound
     on the objective's maximum over all channels when the envelope solved the
     problem, else None.
@@ -234,7 +239,7 @@ def multistart_ascent(
     searches toward random simplex points for interior refinement. Rows of
     conditioning cells without mass are skipped: no move of theirs changes
     the objective, so they keep their start values. A start freezes once a
-    full sweep improves it by less than ``cfg.tol``; later sweeps run on the
+    full sweep improves it by less than ``TOL``; later sweeps run on the
     starts still active only, which changes nothing for any start because
     each start only reads its own table and generator.
     """
@@ -254,13 +259,13 @@ def multistart_ascent(
     evaluations = n_starts
     active = np.ones(n_starts, dtype=bool)
     sweeps = np.zeros(n_starts, dtype=int)
-    for _ in range(cfg.max_iters):
+    for _ in range(MAX_ITERS):
         idx = np.flatnonzero(active)
         w_run = w[idx]
         f_run = _sweep(objective, w_run, f[idx], [rngs[s] for s in idx], live_rows)
         sweeps[idx] += 1
         evaluations += idx.size * per_sweep
-        active[idx] = (f_run - f[idx]) >= cfg.tol
+        active[idx] = (f_run - f[idx]) >= TOL
         w[idx] = w_run
         f[idx] = f_run
         if not active.any():

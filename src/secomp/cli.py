@@ -121,6 +121,8 @@ def load_distribution(path: str) -> JointPMF:
             p = float(rec["p"])
         except (TypeError, ValueError):
             raise CliError(f"pmf record {rec!r} has a non-numeric 'p'") from None
+        if not np.isfinite(p):
+            raise CliError(f"pmf record {rec!r} has a non-finite 'p'")
         idx = []
         for name, alph in variables:
             if name not in rec:

@@ -6,14 +6,17 @@ observation onto the weaker one while matching both conditionals given the
 source? The less-noisy ordering quantifies over every auxiliary channel from
 the source. The checker maximizes the violation I(U; weaker-hypothesis side)
 - I(U; stronger) and reports a witness when the maximum is meaningfully
-positive. With U - A - (B, E) the violation is sum_u p(u) f(p_{A|u}) - f(p_A)
-for f(q) = I_q(A; weaker) - I_q(A; stronger), so its maximum is the upper
-concave envelope of f at p_A minus f(p_A). For a binary source
-``ascent.maximize_channel`` computes that envelope exactly, and the verdict
-carries a certified ``upper_bound`` on the violation: a non-falsification
-with ``upper_bound <= WITNESS_TOL`` is a proof at the given prior. Larger
-sources run the multi-start search, where the absence of a witness is
-evidence, not proof, and the verdict names say so.
+positive. With U - A - (B, E), I(A;X) = I(U;X) + I(A;X|U), so the violation
+is the secrecy objective I(A;stronger|U) - I(A;weaker|U) minus its value at
+a constant U, I(A;stronger) - I(A;weaker) (van Dijk, IEEE T-IT 1997). The
+check is therefore ``regions.maximize_secrecy`` with Y = weaker, the solver
+behind the ``none`` setting and the coded corners. For a binary source that
+maximum is an exact envelope; larger sources run the multi-start search,
+where the bound is I(A;weaker|stronger) instead. Either way the verdict
+carries a certified ``upper_bound`` on the violation, and a
+non-falsification with ``upper_bound <= WITNESS_TOL`` is a proof at the
+given prior; otherwise it is evidence, not proof, and the verdict names say
+so.
 """
 
 from __future__ import annotations
@@ -22,14 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .probability import (
-    Channel,
-    JointPMF,
-    entropy_of,
-    marginalize,
-    require_variables,
-)
-from .ascent import EntropyObjective, OptimizerConfig, maximize_channel
+from .ascent import OptimizerConfig
+from .probability import Channel, JointPMF, entropy_of, marginalize, require_variables
+from .regions import maximize_secrecy
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
@@ -37,6 +35,18 @@ COMPOSITION_TOL = 1e-8
 WITNESS_TOL = 1e-6
 
 _LP_FEASIBILITY_TOL = 1e-9
+
+# Each check's direction -> its (stronger, weaker) observation.
+_DEGRADATION_ROLES = {"e_degraded_wrt_b": ("B", "E"), "b_degraded_wrt_e": ("E", "B")}
+_LESS_NOISY_ROLES = {"b_less_noisy_than_e": ("B", "E"), "e_less_noisy_than_b": ("E", "B")}
+
+
+def _roles(table: dict[str, tuple[str, str]], direction: str) -> tuple[str, str]:
+    if direction not in table:
+        raise ValueError(
+            f"unknown direction {direction!r}; expected {' or '.join(map(repr, table))}"
+        )
+    return table[direction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,8 +61,8 @@ class OrderingVerdict:
     marginals). Falsifications carry the ``witness`` channel and its ``gap``;
     non-falsifications record the search ``budget_used`` in channels scored
     (starts, or the envelope's witness and injected channels). Less-noisy
-    verdicts carry the envelope's certified ``upper_bound`` on the violation
-    when the source is binary, else None.
+    verdicts carry a certified ``upper_bound`` on the violation, at least
+    ``gap``: the envelope's for a binary source, else I(A;weaker|stronger).
     """
 
     kind: str
@@ -78,7 +88,7 @@ def is_physically_degraded(
 ) -> bool:
     """Whether the joint itself forms the Markov chain A - stronger - weaker."""
     require_variables(joint_abe, ("A", "B", "E"))
-    mid, last = _direction_roles(direction)
+    mid, last = _roles(_DEGRADATION_ROLES, direction)
     order = ("A", mid, last)
     arr = np.moveaxis(joint_abe.mass, joint_abe.axes(order), (0, 1, 2))
     p_mid = arr.sum(axis=(0, 2))
@@ -88,16 +98,6 @@ def is_physically_degraded(
     lhs = arr * p_mid[None, :, None]
     rhs = p_a_mid[:, :, None] * p_mid_last[None, :, :]
     return bool(np.abs(lhs - rhs).max() <= 1e-10)
-
-
-def _direction_roles(direction: str) -> tuple[str, str]:
-    if direction == "e_degraded_wrt_b":
-        return "B", "E"
-    if direction == "b_degraded_wrt_e":
-        return "E", "B"
-    raise ValueError(
-        f"unknown direction {direction!r}; expected 'e_degraded_wrt_b' or 'b_degraded_wrt_e'"
-    )
 
 
 def check_stochastic_degradation(
@@ -111,7 +111,7 @@ def check_stochastic_degradation(
     re-verified against the composition equation outside the solver.
     """
     require_variables(joint_abe, ("A", "B", "E"))
-    strong, weak = _direction_roles(direction)
+    strong, weak = _roles(_DEGRADATION_ROLES, direction)
     _, p_strong = _conditionals_given_a(joint_abe, strong)
     _, p_weak = _conditionals_given_a(joint_abe, weak)
     n_s = p_strong.shape[1]
@@ -159,49 +159,27 @@ def search_less_noisy_violation(
     """Try to falsify the less-noisy ordering by maximizing its violation.
 
     For the default direction the hypothesis is that B is less noisy than E,
-    i.e. I(U;E) <= I(U;B) for every p(u|a); the checker maximizes
-    I(U;E) - I(U;B) over channels with the usual cardinality bound through
-    ``maximize_channel``, scoring the identity copy of A (the canonical
-    witness family) and the uniform channel besides its own channels. For a
-    binary source that is the exact envelope and ``cfg`` is not used.
+    i.e. I(U;E) <= I(U;B) for every p(u|a). The checker maximizes
+    I(A;B|U) - I(A;E|U) through ``maximize_secrecy``, scoring the identity
+    copy of A (the canonical witness family) and the uniform channel besides
+    its own channels; the violation I(U;E) - I(U;B) is that maximum minus
+    its value at a constant U, I(A;B) - I(A;E). For a binary source that is
+    the exact envelope and ``cfg`` is not used.
     """
     require_variables(joint_abe, ("A", "B", "E"))
-    if direction == "b_less_noisy_than_e":
-        stronger, weaker = "B", "E"
-    elif direction == "e_less_noisy_than_b":
-        stronger, weaker = "E", "B"
-    else:
-        raise ValueError(
-            f"unknown direction {direction!r}; expected 'b_less_noisy_than_e' "
-            "or 'e_less_noisy_than_b'"
-        )
+    stronger, weaker = _roles(_LESS_NOISY_ROLES, direction)
     a_spec = ("A", joint_abe.alphabet("A"))
-    objective = less_noisy_objective(joint_abe, stronger, weaker)
-    starts = [Channel.copy_of(a_spec, "U")]
-    ascent, witness = maximize_channel(objective, (a_spec,), cfg, starts)
-    gap = float(ascent.values.max())
+    opt = maximize_secrecy(joint_abe, stronger, (a_spec,), cfg, weaker,
+                           [Channel.copy_of(a_spec, "U")])
+    # The objective's value at a constant U, I(A;stronger) - I(A;weaker).
+    baseline = entropy_of(joint_abe, "A", weaker) - entropy_of(joint_abe, "A", stronger)
+    gap = max(opt.objective_trace) - baseline
+    upper = max(opt.upper_bound - baseline, gap)
     if gap <= WITNESS_TOL:
-        return OrderingVerdict(kind="less_noisy_not_falsified", budget_used=len(ascent.values),
-                               upper_bound=ascent.upper_bound)
-    return OrderingVerdict(kind="less_noisy_falsified", witness=witness, gap=gap,
-                           upper_bound=ascent.upper_bound)
-
-
-def less_noisy_objective(
-    joint_abe: JointPMF, stronger: str, weaker: str
-) -> EntropyObjective:
-    """I(U;weaker) - I(U;stronger) as an entropy-term objective over p(u|a)."""
-    # I(U;weaker) - I(U;stronger) = H(weaker) - H(stronger)
-    #                               + H(stronger,U) - H(weaker,U).
-    return EntropyObjective.from_terms(
-        joint_abe.mass,
-        (joint_abe.axis("A"),),
-        terms=[
-            ((joint_abe.axis(stronger),), +1.0),
-            ((joint_abe.axis(weaker),), -1.0),
-        ],
-        const=entropy_of(joint_abe, weaker) - entropy_of(joint_abe, stronger),
-    )
+        return OrderingVerdict(kind="less_noisy_not_falsified",
+                               budget_used=len(opt.objective_trace), upper_bound=upper)
+    return OrderingVerdict(kind="less_noisy_falsified", witness=opt.best_u, gap=gap,
+                           upper_bound=upper)
 
 
 def _phase1_simplex(

@@ -85,10 +85,11 @@ class JointPMF:
             raise DistributionError(
                 f"mass shape {arr.shape} does not match alphabet sizes {shape}"
             )
-        if (arr < 0.0).any():
-            raise DistributionError("negative probability mass")
+        # Written so that NaN fails both checks.
+        if not (arr >= 0.0).all():
+            raise DistributionError("negative or NaN probability mass")
         total = float(arr.sum())
-        if abs(total - 1.0) > INGEST_TOL:
+        if not abs(total - 1.0) <= INGEST_TOL:
             raise DistributionError(
                 f"mass sums to {total!r}, expected 1 within {INGEST_TOL}"
             )
@@ -138,10 +139,10 @@ class Channel:
             raise DistributionError(
                 f"channel rows shape {arr.shape} does not match {shape}"
             )
-        if (arr < 0.0).any():
-            raise DistributionError("negative channel entry")
+        if not (arr >= 0.0).all():
+            raise DistributionError("negative or NaN channel entry")
         sums = arr.sum(axis=-1)
-        if np.abs(sums - 1.0).max() > INGEST_TOL:
+        if not (np.abs(sums - 1.0) <= INGEST_TOL).all():
             raise DistributionError("channel rows are not stochastic")
         arr = arr / sums[..., None]
         arr.flags.writeable = False

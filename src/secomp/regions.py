@@ -4,29 +4,31 @@ The secrecy objective I(A;B|U) - I(A;E|U) is maximized over conditional
 channels p(u|.) whose conditioning set depends on which side-information
 sequences the encoder sees. With only S_E closed the maximum is I(A;B|E),
 at U = copy of E, and no search runs (see ``maximize_equivocation``).
-Elsewhere ``ascent.maximize_channel``, shared with the orderings checks,
-solves the problem. With S_B open and a binary source (the ``none``
-setting and every coded corner) the objective is sum_u p(u) f(p_{A|u}),
-and its maximum is the upper concave envelope of f at p_A, computed
-exactly with a certified eps. With S_B closed, or a larger source, the
-objective is not concave in the channel, and a multi-start local ascent
-runs over the product of row simplexes: Dirichlet(1) starts, vertex steps
-and golden-section line searches along random in-simplex directions, until
-a full sweep improves by less than ``tol``. Either way the uniform channel,
-whose objective is the plain Slepian-Wolf baseline I(A;B) - I(A;E), is
-scored too, so values are achievable lower bounds on the true maximum,
-never below the baseline. ``upper_bound`` bounds the maximum from above;
-``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and ``evaluations`` are
-the diagnostics.
+Elsewhere ``maximize_secrecy`` solves max I(A;X|U) - I(A;Y|U): X = B for
+the uncoded settings, X = V for a coded corner, and X, Y the stronger and
+weaker observation for the orderings' less-noisy checks. With channels
+p(u|a) on a binary source the objective is sum_u p(u) f(p_{A|u}), and its
+maximum is the upper concave envelope of f at p_A, computed exactly with a
+certified eps. With S_B closed, or a larger source, the objective is not
+concave in the channel, and a multi-start local ascent runs over the
+product of row simplexes: Dirichlet(1) starts, vertex steps and
+golden-section line searches along random in-simplex directions, until a
+full sweep improves by less than ``ascent.TOL``. Either way the uniform
+channel, whose objective is the plain Slepian-Wolf baseline I(A;X) -
+I(A;Y), is scored last, so values are achievable lower bounds on the true
+maximum, never below the baseline. ``upper_bound`` bounds the maximum from
+above; ``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and
+``evaluations`` are the diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_channel
+from .ascent import TOL, EntropyObjective, OptimizerConfig, maximize_channel, u_channel
 from .probability import (
     Channel,
     DistributionError,
@@ -108,14 +110,14 @@ class OptResult:
     everything, so equivocation 0 is trivially achievable and negative
     objectives are clamped. ``objective_trace`` holds each start's final
     value (random starts first, then injected ones); ``starts_agreeing``
-    counts starts within ``tol`` of the best. ``sweeps`` holds the sweeps
-    each start ran before it froze, in trace order; ``hit_max_iters`` is true
-    when some start was still improving after ``max_iters`` sweeps.
-    ``evaluations`` counts the points the objective was scored at.
+    counts starts within ``ascent.TOL`` of the best. ``sweeps`` holds the
+    sweeps each start ran before it froze, in trace order; ``hit_max_iters``
+    is true when some start was still improving after ``ascent.MAX_ITERS``
+    sweeps. ``evaluations`` counts the points the objective was scored at.
     ``upper_bound`` is a certified upper bound on the true maximum of
     ``delta_star``: the envelope's value plus its eps where the two-row
-    envelope solved the problem, else I(A;X|E) for channels p(u|a) (X = B,
-    or V for a coded corner) and H(A|E) for the settings with S_B closed.
+    envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
+    H(A|Y) for channels that also see B; never below the best value or 0.
     The S_E-closed closed form counts as one agreeing start that ran no
     sweep and scored nothing: trace ``(delta_star,)``, ``sweeps == (0,)``,
     ``hit_max_iters`` false, ``evaluations == 0``, ``upper_bound ==
@@ -217,7 +219,7 @@ def maximize_equivocation(
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
                          starts_agreeing=1, sweeps=(0,), hit_max_iters=False,
                          evaluations=0, upper_bound=delta)
-    return _maximize_secrecy(joint_abe, "B", cond_vars, cfg)
+    return maximize_secrecy(joint_abe, "B", cond_vars, cfg)
 
 
 def coded_inner_bound_sample(
@@ -241,7 +243,7 @@ def coded_inner_bound_sample(
     joint_v = build_joint(joint_ace, v_channel)
     r_a = entropy_of(joint_v, "A", (v_name,))
     r_c = mutual_information_of(joint_v, "C", v_name)
-    opt = _maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg)
+    opt = maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg)
     h_a_e = entropy_of(joint_ace, "A", ("E",))
     sum_ok = bool(r_a + opt.delta_star >= h_a_e - 1e-9)
     corner = RatePoint(r_a=r_a, r_c=r_c, delta=opt.delta_star)
@@ -249,53 +251,59 @@ def coded_inner_bound_sample(
 
 
 def secrecy_entropy_objective(
-    joint: JointPMF, x_var: str, cond_vars: tuple[str, ...]
+    joint: JointPMF, x_var: str, cond_vars: tuple[str, ...], y_var: str = "E"
 ) -> EntropyObjective:
-    """I(A;X|U) - I(A;E|U) as an entropy-term objective over p(u | cond_vars)."""
+    """I(A;X|U) - I(A;Y|U) as an entropy-term objective over p(u | cond_vars)."""
     a_ax = joint.axis("A")
     x_ax = joint.axis(x_var)
-    e_ax = joint.axis("E")
-    # I(A;X|U) - I(A;E|U) = H(A|E,U) - H(A|X,U), written as joint entropies.
+    y_ax = joint.axis(y_var)
+    # I(A;X|U) - I(A;Y|U) = H(A|Y,U) - H(A|X,U), written as joint entropies.
     return EntropyObjective.from_terms(
         joint.mass,
         tuple(joint.axis(v) for v in cond_vars),
         terms=[
-            ((a_ax, e_ax), +1.0),
-            ((e_ax,), -1.0),
+            ((a_ax, y_ax), +1.0),
+            ((y_ax,), -1.0),
             ((a_ax, x_ax), -1.0),
             ((x_ax,), +1.0),
         ],
     )
 
 
-def _maximize_secrecy(
+def maximize_secrecy(
     joint: JointPMF,
     x_var: str,
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
+    y_var: str = "E",
+    starts: Sequence[Channel] = (),
 ) -> OptResult:
-    """Shared core: maximize I(A;X|U) - I(A;E|U) over p(u | cond_vars).
+    """Maximize I(A;X|U) - I(A;Y|U) over p(u | cond_vars), scoring ``starts`` too.
 
-    Without the envelope's bound, channels p(u|a) give U - A - (X, E), so
-    the objective H(A|E,U) - H(A|X,U) is at most I(A;X|E,U) <= I(A;X|E);
-    channels that also see B are bounded by H(A|E,U) <= H(A|E).
+    The one core behind the ``none``, ``sb`` and ``both`` solves, the coded
+    corners and both less-noisy checks. Without the envelope's bound,
+    channels p(u|a) give U - A - (X, Y), so the objective H(A|Y,U) -
+    H(A|X,U) is at most I(A;X|Y,U) <= I(A;X|Y); channels that also see
+    other variables are bounded by H(A|Y,U) <= H(A|Y). The reported bound is
+    never below the best value found, which rounding can put a hair above
+    an analytic bound that is tight.
     """
     names = tuple(v for v, _ in cond_vars)
-    objective = secrecy_entropy_objective(joint, x_var, names)
-    ascent, best_u = maximize_channel(objective, cond_vars, cfg)
+    objective = secrecy_entropy_objective(joint, x_var, names, y_var)
+    ascent, best_u = maximize_channel(objective, cond_vars, cfg, starts)
     f = ascent.values
     best_value = float(f.max())
     upper = ascent.upper_bound
     if upper is None:
-        upper = (mutual_information_of(joint, "A", x_var, ("E",)) if names == ("A",)
-                 else entropy_of(joint, "A", ("E",)))
+        upper = (mutual_information_of(joint, "A", x_var, (y_var,)) if names == ("A",)
+                 else entropy_of(joint, "A", (y_var,)))
     return OptResult(
         delta_star=_snap(best_value),
         best_u=best_u,
         objective_trace=tuple(f.tolist()),
-        starts_agreeing=int(np.sum(f >= best_value - cfg.tol)),
+        starts_agreeing=int(np.sum(f >= best_value - TOL)),
         sweeps=tuple(ascent.sweeps.tolist()),
         hit_max_iters=ascent.hit_max_iters,
         evaluations=ascent.evaluations,
-        upper_bound=max(upper, 0.0),
+        upper_bound=max(upper, best_value, 0.0),
     )

@@ -224,6 +224,24 @@ class TestExitCodes:
         assert code == 2
         assert "invariant" in err
 
+    @pytest.mark.parametrize("bad", ["NaN", '"nan"', '"inf"'])
+    @pytest.mark.parametrize("command,flags", [
+        ("measures", ()),
+        ("region uncoded", ("--starts", "2")),
+        ("simulate binning", ("--n", "4", "--rate", "0.5", "--trials", "2")),
+        ("order", ("--check", "degraded-eb")),
+    ], ids=["measures", "region uncoded", "simulate binning", "order degraded-eb"])
+    def test_non_finite_mass_is_exit_one(self, capsys, tmp_path, command, flags, bad):
+        # Python's json module reads the bare NaN literal; the strings reach float().
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        data = json.loads(path.read_text())
+        data["pmf"][0]["p"] = "BAD"
+        path.write_text(json.dumps(data).replace('"BAD"', bad))
+        code, out, err = run_cli(capsys, *command.split(), "-i", str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "non-finite" in err
+
     def test_bad_flag_is_exit_one(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.1, 0.3)
         with pytest.raises(SystemExit) as exc:

@@ -24,11 +24,7 @@ from secomp.ascent import (
 from secomp import envelope
 from secomp.cli import distribution_to_dict, main
 from secomp.erasure import ErasureParams, make_erasure_joint
-from secomp.orderings import (
-    WITNESS_TOL,
-    less_noisy_objective,
-    search_less_noisy_violation,
-)
+from secomp.orderings import WITNESS_TOL, search_less_noisy_violation
 from secomp.probability import (
     Alphabet,
     Channel,
@@ -47,7 +43,7 @@ from secomp.regions import (
 
 from conftest import dirichlet_joint, random_channel
 
-CFG = OptimizerConfig(starts=4, max_iters=40, tol=1e-9, seed=0)
+CFG = OptimizerConfig(starts=4, seed=0)
 GRID = np.linspace(0.0, 1.0, 8193)
 
 
@@ -123,10 +119,16 @@ JOINTS = binary_joints(24, 2026)
 
 
 def _less_noisy(joint, stronger, weaker):
-    """maximize_channel's result on the violation I(U;weaker) - I(U;stronger)."""
+    """(best value, certified bound, witness) of the violation I(U;weaker) - I(U;stronger).
+
+    With U - A - (B, E) the violation is the secrecy objective with X =
+    stronger, Y = weaker, minus its value at the uniform channel, scored last.
+    """
     a_spec = ("A", joint.alphabet("A"))
-    objective = less_noisy_objective(joint, stronger, weaker)
-    return maximize_channel(objective, (a_spec,), CFG, [Channel.copy_of(a_spec, "U")])
+    objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
+    result, witness = maximize_channel(objective, (a_spec,), CFG, [Channel.copy_of(a_spec, "U")])
+    baseline = result.values[-1]
+    return float(result.values.max()) - baseline, result.upper_bound - baseline, witness
 
 
 def _pair(joint, first, second):
@@ -153,15 +155,14 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("stronger,weaker", [("B", "E"), ("E", "B")])
     def test_less_noisy(self, k, stronger, weaker):
         joint = JOINTS[k]
-        ascent, witness = _less_noisy(joint, stronger, weaker)
-        value = float(ascent.values.max())
+        value, upper, witness = _less_noisy(joint, stronger, weaker)
         mass_s, mass_w = _pair(joint, stronger, weaker)
         g, gap = brute_envelope(mass_s, mass_w)
         # I(U;weaker) - I(U;stronger) = I(A;stronger|U) - I(A;weaker|U)
         # - (I(A;stronger) - I(A;weaker)): the envelope minus its value at p_A.
         g -= _f(np.array([mass_s.sum(axis=1)[0]]), _conditional(mass_s), _conditional(mass_w))[0]
         assert value >= g - 1e-10
-        assert g <= ascent.upper_bound + 1e-15
+        assert g <= upper + 1e-15
         assert value <= g + gap + 1e-12
         extended = build_joint(joint, witness)
         regained = mutual_information_of(extended, "U", weaker) - mutual_information_of(
@@ -170,7 +171,7 @@ class TestAgainstBruteForce:
         assert regained == pytest.approx(value, abs=1e-12)
         direction = "b_less_noisy_than_e" if stronger == "B" else "e_less_noisy_than_b"
         verdict = search_less_noisy_violation(joint, CFG, direction=direction)
-        assert verdict.upper_bound == ascent.upper_bound
+        assert verdict.upper_bound == pytest.approx(upper, abs=1e-15)
         assert (verdict.kind == "less_noisy_falsified") == (value > WITNESS_TOL)
 
     @pytest.mark.parametrize("k", range(8))
@@ -201,10 +202,10 @@ class TestAgainstBruteForce:
         ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
         assert ascent.values.max() <= bound + 1e-12
         for stronger, weaker in (("B", "E"), ("E", "B")):
-            objective = less_noisy_objective(joint, stronger, weaker)
+            objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
             ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
-            bound = _less_noisy(joint, stronger, weaker)[0].upper_bound
-            assert ascent.values.max() <= bound + 1e-12
+            bound = _less_noisy(joint, stronger, weaker)[1]
+            assert ascent.values.max() - ascent.values[-1] <= bound + 1e-12
 
 
 def _coarsen(monkeypatch):
@@ -287,8 +288,9 @@ class TestClosedForms:
 
 
 class TestDispatch:
-    def test_other_settings_keep_the_ascent(self):
-        cfg = OptimizerConfig(starts=4, max_iters=5)
+    def test_other_settings_keep_the_ascent(self, monkeypatch):
+        monkeypatch.setattr("secomp.ascent.MAX_ITERS", 5)
+        cfg = OptimizerConfig(starts=4)
         joint = dirichlet_joint(np.random.default_rng(3), (2, 3, 3))
         for name in ("sb", "both"):
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
@@ -300,7 +302,12 @@ class TestDispatch:
         assert result.upper_bound == pytest.approx(
             mutual_information_of(ternary, "A", "B", ("E",)), abs=1e-12
         )
-        assert search_less_noisy_violation(ternary, cfg).upper_bound is None
+        verdict = search_less_noisy_violation(ternary, cfg)
+        assert verdict.upper_bound == pytest.approx(
+            mutual_information_of(ternary, "A", "E", ("B",)), abs=1e-12
+        )
+        assert verdict.kind == "less_noisy_falsified"
+        assert verdict.upper_bound >= verdict.gap
 
     def test_unbalanced_objective_keeps_the_ascent(self):
         # H(U) over two rows: the lam log lam terms do not cancel, so the
@@ -337,10 +344,11 @@ class TestEvaluationCount:
 
         monkeypatch.setattr(EntropyObjective, "value", counted_value)
         monkeypatch.setattr(EntropyObjective, "vertex_values", counted_vertex_values)
+        monkeypatch.setattr("secomp.ascent.MAX_ITERS", 4)
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))
         for name in ("sb", "both"):
             scored[0] = 0
-            cfg = OptimizerConfig(starts=3, max_iters=4, seed=1)
+            cfg = OptimizerConfig(starts=3, seed=1)
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
             assert result.evaluations == scored[0]
 

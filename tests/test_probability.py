@@ -50,6 +50,11 @@ class TestJointPMF:
         with pytest.raises(DistributionError):
             JointPMF((("X", Alphabet("X", ("0", "1"))),), np.array([0.6, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(DistributionError):
+            JointPMF((("X", Alphabet("X", ("0", "1"))),), np.array([bad, 0.5]))
+
     def test_renormalizes_within_tolerance(self):
         joint = JointPMF(
             (("X", Alphabet("X", ("0", "1"))),), np.array([0.5, 0.5 + 5e-10])
@@ -273,6 +278,12 @@ class TestInvariants:
 
 
 class TestChannelHelpers:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rows(self, bad):
+        alph = Alphabet("X", ("0", "1"))
+        with pytest.raises(DistributionError):
+            Channel((("X", alph),), ("Y", Alphabet("Y", ("a", "b"))), [[bad, 0.5], [0.5, 0.5]])
+
     def test_lift_keeps_conditional_law(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))
         channel = Channel.copy_of(("A", joint.alphabet("A")), "U")

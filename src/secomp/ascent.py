@@ -43,12 +43,18 @@ objective is a sum over U of p(u) times a function of a one-dimensional
 posterior, and ``two_row_envelope`` finds its maximum as the upper concave
 envelope of that function, with a certified upper bound and no randomness.
 That covers p(u|a) objectives on a binary source: the S_B-open secrecy
-objective, each coded corner and both less-noisy violations. Every other
-objective runs ``multistart_ascent``.
+objective, each coded corner and both less-noisy violations. Elsewhere,
+against the caller's analytic upper bound, a first stage scores channels
+found without a search: with three or four balanced rows the witness of an LP over a
+grid of posteriors (``grid_witness``), then the caller's candidates and
+starts and the uniform channel. When the best is within ``CERTIFY_TOL``
+of the bound it is the maximum and no search runs; otherwise
+``multistart_ascent`` runs as it would alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,6 +62,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelope import chord_gap, upper_envelope
+from .lp import phase2_simplex
 from .probability import Alphabet, Channel, VarSpec
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -64,6 +71,19 @@ _DIRECTIONS_PER_ROW = 2
 
 # A row's signed columns balance when |proj @ sign| is below this times its mass.
 _BALANCE_TOL = 1e-12
+
+# The grid LP covers three or four rows with mass. Its grid holds the points
+# of their posterior simplex with coordinates in multiples of 1 / 16 (969
+# points for four rows); an even count keeps the midpoints, where the
+# erasure family's optimal supports sit. Phase 2 stops once no reduced cost
+# is below minus _GRID_LP_TOL, and weights up to it, the rounding residue of
+# a degenerate basis, are dropped from the support.
+_GRID_LP_ROWS = range(3, 5)
+_GRID_LP_RESOLUTION = 16
+_GRID_LP_TOL = 1e-13
+
+# A channel within this of the analytic upper bound ends the search.
+CERTIFY_TOL = 1e-12
 
 # Sweeps a start may run; a start freezes once a sweep gains less than TOL,
 # and starts within TOL of the best value count as agreeing.
@@ -180,8 +200,9 @@ class AscentResult:
     ``MAX_ITERS``); ``hit_max_iters`` is true when some start still improved
     by at least ``TOL`` in the last allowed sweep. ``evaluations`` counts the
     points the objective was scored at. ``upper_bound`` is a certified bound
-    on the objective's maximum over all channels when the envelope solved the
-    problem, else None.
+    on the objective's maximum over all channels: the envelope's, or the
+    analytic bound ``maximize_channel`` was given; None from
+    ``multistart_ascent`` alone.
     """
 
     values: np.ndarray
@@ -321,6 +342,16 @@ def _sweep(
     return f
 
 
+def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows with mass and their shares of it; None unless each one's signed columns balance."""
+    proj = objective.proj
+    live = np.flatnonzero(proj.any(axis=1))
+    mass = proj[live].sum(axis=1)
+    if np.any(np.abs(proj[live] @ objective.sign) > _BALANCE_TOL * mass):
+        return None
+    return live, mass / mass.sum()
+
+
 def two_row_envelope(
     objective: EntropyObjective, n_symbols: int, extra_rows: Sequence[np.ndarray] = ()
 ) -> AscentResult | None:
@@ -352,12 +383,11 @@ def two_row_envelope(
     has the same value, the bound), U independent of A is optimal and the
     witness is the uniform channel. Rows without mass are uniform.
     """
-    proj, sign = objective.proj, objective.sign
-    live = np.flatnonzero(proj.any(axis=1))
-    mass = proj[live].sum(axis=1)
-    if live.size > 2 or np.any(np.abs(proj[live] @ sign) > _BALANCE_TOL * mass):
+    rows = _balanced_rows(objective)
+    if rows is None or rows[0].size > 2:
         return None
-    rho = mass / mass.sum()
+    live, rho = rows
+    proj, sign = objective.proj, objective.sign
     if live.size == 2 and not 0.0 < rho[0] < 1.0:
         return None  # one row's share of the mass is below rounding
     witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
@@ -399,6 +429,68 @@ def two_row_envelope(
                         points + n_tables, upper)
 
 
+@functools.cache
+def _simplex_grid(k: int) -> np.ndarray:
+    """Points of the (k-1)-simplex in multiples of 1 / _GRID_LP_RESOLUTION, one per row.
+
+    The k vertices come first, vertex r in row r, so they are the LP's
+    starting basis. The array is shared by every call, so it is read-only.
+    """
+    n = _GRID_LP_RESOLUTION
+    counts = np.indices((n + 1,) * (k - 1)).reshape(k - 1, -1).T
+    counts = counts[counts.sum(axis=1) <= n]
+    points = np.column_stack([counts, n - counts.sum(axis=1)]) / n
+    grid = np.vstack([np.eye(k), points[points.max(axis=1) < 1.0]])
+    grid.flags.writeable = False
+    return grid
+
+
+def grid_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarray | None, int]:
+    """A channel from the grid LP envelope and the grid points scored.
+
+    Applies when three or four rows carry mass and every row's signed
+    columns balance; returns (None, 0) otherwise. As in ``two_row_envelope``,
+    value(W) = const + sum_u lam_u phi(q_u), where q_u is the posterior of
+    the live rows given u and sum_u lam_u q_u = rho, their shares of the
+    mass. Each grid point q_i is scored as a one-column table, const +
+    phi(q_i), and phase 2 of the simplex, started from the grid's vertices,
+    solves max sum_i lam_i phi(q_i) subject to sum_i lam_i q_i = rho and
+    lam >= 0: the upper concave envelope of phi at rho over supports on the
+    grid, a lower bound on the maximum that is exact where optimal supports
+    lie on the grid. The witness W[r, u] = lam_u q_u(r) / rho_r takes the
+    support in grid order; rows without mass are uniform.
+    """
+    rows = _balanced_rows(objective)
+    if rows is None or rows[0].size not in _GRID_LP_ROWS:
+        return None, 0
+    live, rho = rows
+    grid = _simplex_grid(live.size)
+    marginals = grid @ (objective.proj[live] / rho[:, None])
+    values = objective.value(marginals[:, :, None])
+    lam = phase2_simplex(grid.T, rho, values, np.arange(live.size), _GRID_LP_TOL)
+    support = np.flatnonzero(lam > _GRID_LP_TOL)
+    table = np.zeros((live.size, n_symbols))
+    table[:, : support.size] = grid[support].T * lam[support]
+    # Points covering a row weigh at most _GRID_LP_RESOLUTION times its share,
+    # so a row with a share below rounding can lose its whole support to the
+    # drop; it is made uniform.
+    table[~table.any(axis=1)] = 1.0
+    witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
+    witness[live] = table / table.sum(axis=1, keepdims=True)
+    return witness, len(grid)
+
+
+def envelope_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarray | None, int]:
+    """The witness found without a search, two-row or grid, and the points scored for it.
+
+    (None, 0) where neither envelope applies.
+    """
+    two_row = two_row_envelope(objective, n_symbols)
+    if two_row is not None:
+        return two_row.tables[0], two_row.evaluations
+    return grid_witness(objective, n_symbols)
+
+
 def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
     """|U| = (product of the conditioning alphabet sizes) + 1."""
     return math.prod(alph.size for _, alph in cond_vars) + 1
@@ -418,23 +510,71 @@ def maximize_channel(
     objective: EntropyObjective,
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
+    bound: Callable[[], float],
     starts: Sequence[Channel] = (),
+    candidates: Sequence[Channel] = (),
 ) -> tuple[AscentResult, Channel]:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
-    When at most two conditioning cells carry mass and the objective's signed
+    ``starts`` and ``candidates`` are lifted to ``cond_vars``; the ascent
+    starts from ``starts``, while ``candidates`` are only scored. When at
+    most two conditioning cells carry mass and the objective's signed
     columns balance, ``two_row_envelope`` solves the problem exactly and
-    ``cfg`` is not used; it scores its witness, then ``starts`` (each lifted
-    to ``cond_vars``), then the uniform channel. Otherwise the multi-start
-    ascent runs the random starts, then ``starts``, then the uniform channel.
-    Returns the result and the best table as a ``u_channel``, the first table
-    with the highest value winning ties.
+    ``cfg`` is not used; it scores its witness, then the candidates, the
+    starts and the uniform channel.
+
+    Otherwise ``bound`` is called for an upper bound on the maximum (so it
+    is computed only here), and a first stage scores the grid witness (three
+    or four balanced rows), the candidates, the starts and the uniform
+    channel, in that order, and returns them with zero sweeps when the best
+    is within ``CERTIFY_TOL`` of the bound; ``upper_bound`` is the bound.
+    Else the multi-start ascent runs the random starts, then ``starts``,
+    then the uniform channel, as if there were no first stage, and the grid
+    witness and candidates follow its values with zero sweeps (the ascent
+    already climbed from the starts and the uniform channel). Returns the
+    result and the best table as a ``u_channel``, the first table with the
+    highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
-    padded = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in starts)
-    injected = [channel.rows.reshape(-1, n_symbols) for channel in padded]
-    injected.append(np.full((objective.n_rows, n_symbols), 1.0 / n_symbols))
-    ascent = two_row_envelope(objective, n_symbols, injected)
+
+    def tables(channels: Sequence[Channel]) -> list[np.ndarray]:
+        padded = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in channels)
+        return [channel.rows.reshape(-1, n_symbols) for channel in padded]
+
+    injected = tables(starts) + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
+    scored = tables(candidates)
+    ascent = two_row_envelope(objective, n_symbols, scored + injected)
     if ascent is None:
-        ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+        ascent = _first_stage_or_ascent(objective, n_symbols, cfg, injected, scored, bound)
     return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])
+
+
+def _first_stage_or_ascent(
+    objective: EntropyObjective,
+    n_symbols: int,
+    cfg: OptimizerConfig,
+    injected: list[np.ndarray],
+    scored: list[np.ndarray],
+    bound: Callable[[], float],
+) -> AscentResult:
+    """``maximize_channel`` past the two-row envelope: certify, else ascend."""
+    witness, points = grid_witness(objective, n_symbols)
+    if witness is not None:
+        scored = [witness] + scored
+    tables = np.stack(scored + injected)
+    values = objective(tables)
+    evaluations = points + len(values)
+    upper = bound()
+    if values.max() >= upper - CERTIFY_TOL:
+        return AscentResult(values, tables, np.zeros(len(values), dtype=int), False,
+                            evaluations, max(upper, float(values.max())))
+    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+    n = len(scored)
+    return AscentResult(
+        np.concatenate([ascent.values, values[:n]]),
+        np.concatenate([ascent.tables, tables[:n]]),
+        np.concatenate([ascent.sweeps, np.zeros(n, dtype=int)]),
+        ascent.hit_max_iters,
+        ascent.evaluations + evaluations,
+        upper,
+    )

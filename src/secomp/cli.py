@@ -17,7 +17,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .probability import (
 )
 from .regions import (
     OptimizerConfig,
+    OptResult,
     SwitchConfig,
     coded_inner_bound_sample,
     maximize_equivocation,
@@ -93,8 +93,12 @@ def channel_to_dict(channel: Channel) -> dict:
 
 def load_distribution(path: str) -> JointPMF:
     """Read the JSON distribution format into a joint PMF."""
+    # open(), not pathlib: a Path interns its parts, which die with it, and
+    # that churn regrows the interned-string table (about 1 MB) after a few
+    # hundred in-process calls.
     try:
-        data = json.loads(Path(path).read_text())
+        with open(path) as stream:
+            data = json.load(stream)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -200,6 +204,18 @@ def _optimizer_config(args) -> OptimizerConfig:
     return _from_flags(OptimizerConfig, starts=args.starts, seed=args.seed)
 
 
+def _diagnostics(opt: OptResult, upper_bound: float) -> dict:
+    """How a solve was obtained: the fields ``--diagnostics`` appends."""
+    return {
+        "upper_bound": upper_bound,
+        "max_sweeps": max(opt.sweeps),
+        "total_sweeps": sum(opt.sweeps),
+        "hit_max_iters": opt.hit_max_iters,
+        "evaluations": opt.evaluations,
+        "certified": opt.certified,
+    }
+
+
 def _cmd_region_uncoded(args) -> int:
     joint = _load_over(args.input, ("A", "B", "E"))
     switches = SwitchConfig.from_name(args.switches)
@@ -211,6 +227,8 @@ def _cmd_region_uncoded(args) -> int:
         "best_u": channel_to_dict(result.best_u),
         "starts_agreeing": result.starts_agreeing,
     }
+    if args.diagnostics:
+        out.update(_diagnostics(result, result.upper_bound))
     _emit_json(out, sys.stdout)
     return 0
 
@@ -261,6 +279,8 @@ def _cmd_order(args) -> int:
     cfg = _optimizer_config(args)
     direction = _ORDER_DIRECTIONS[args.check]
     if args.check.startswith("degraded"):
+        if args.diagnostics:
+            raise CliError("--diagnostics applies to the less-noisy checks only")
         verdict = check_stochastic_degradation(joint, direction)
     else:
         verdict = search_less_noisy_violation(joint, cfg, direction=direction)
@@ -275,6 +295,8 @@ def _cmd_order(args) -> int:
         "budget_used": verdict.budget_used,
         "physically_degraded": verdict.physically_degraded,
     }
+    if args.diagnostics:
+        out.update(_diagnostics(verdict.opt, verdict.upper_bound))
     _emit_json(out, sys.stdout)
     return 0
 
@@ -332,10 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     starts_flag = _flag(
         "--starts", type=int, default=OptimizerConfig().starts,
         help="random starts of the multi-start search (default %(default)s); validated but "
-             "unused where the value is exact: --switches se, and a binary A with S_B open "
-             "(--switches none, region coded, less-noisy checks)",
+             "unused where the value is exact: --switches se, a binary A with S_B open "
+             "(--switches none, region coded, less-noisy checks), and wherever a channel "
+             "scored before the search meets the upper bound (--switches sb and both on the "
+             "erasure preset with --pb <= 0.5)",
     )
     optimizer_flags = [input_flag, starts_flag, seed_flag]
+    diagnostics_flag = _flag(
+        "--diagnostics", action="store_true",
+        help="append upper_bound, max_sweeps, total_sweeps, hit_max_iters, evaluations and "
+             "certified (no search ran) to the output",
+    )
 
     p = sub.add_parser("measures", parents=[input_flag],
                        help="entropy and mutual-information table")
@@ -344,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     region = sub.add_parser("region", help="rate-equivocation region values")
     region_sub = region.add_subparsers(dest="region_kind", required=True, parser_class=_Parser)
 
-    p = region_sub.add_parser("uncoded", parents=optimizer_flags,
+    p = region_sub.add_parser("uncoded", parents=optimizer_flags + [diagnostics_flag],
                               help="side information seen directly by Bob")
     p.add_argument("--switches", choices=["none", "sb", "se", "both"], default="none")
     p.set_defaults(func=_cmd_region_uncoded)
@@ -354,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-grid", type=int, default=16, help="number of sampled quantizers")
     p.set_defaults(func=_cmd_region_coded)
 
-    p = sub.add_parser("order", parents=optimizer_flags, help="degradation / less-noisy verdicts")
+    p = sub.add_parser("order", parents=optimizer_flags + [diagnostics_flag],
+                       help="degradation / less-noisy verdicts (--diagnostics: less-noisy only)")
     p.add_argument("--check", required=True, choices=list(_ORDER_DIRECTIONS))
     p.set_defaults(func=_cmd_order)
 

@@ -1,13 +1,15 @@
 """Binary erasure side information: constructors and closed-form values.
 
 Alice's source is a fair bit; Bob and Eve each see it through independent
-erasure channels with probabilities p_b and p_e. Everything about this family
-has a closed form, which makes it the ground-truth oracle for the region
-optimizer, the ordering checks, and the binning simulators.
+erasure channels with probabilities p_b and p_e. Nearly everything about this
+family has a closed form, which makes it the ground-truth oracle for the
+region optimizer, the ordering checks, and the binning simulators; the one
+value without a proof of optimality is the S_B-closed one for p_b > 1/2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,26 +49,46 @@ def make_erasure_joint(params: ErasureParams) -> JointPMF:
 
 
 def erasure_delta(params: ErasureParams, switches: SwitchConfig) -> float:
-    """Optimal equivocation rate in bits/symbol for this switch setting.
+    """Equivocation rate in bits/symbol for this switch setting.
 
-    Without encoder side information the value is max(p_e - p_b, 0); with
-    either or both sequences at the encoder it is p_e * (1 - p_b).
+    ``none``: max(p_e - p_b, 0), exact. ``se``: I(A;B|E) = p_e (1 - p_b),
+    exact (U = copy of E; see ``regions.maximize_equivocation``).
+
+    ``sb`` and ``both``: p_e for p_b <= 1/2, exact. Every channel gives
+    I(A;B|U) - I(A;E|U) = H(A|E,U) - H(A|B,U) <= H(A|E) = p_e. A binary U
+    attains it: U = A where Bob is erased, and elsewhere U = A with
+    probability keep = (1/2 - p_b) / (1 - p_b), U = 1 - A otherwise. Then
+    P(U = A) = 1/2 whatever Bob saw, so U is independent of (A, E), and A
+    is a function of (B, U). For p_b > 1/2 the value is p_e h(p_b), the
+    same U with keep = 0 (U = A where Bob is erased, 1 - A elsewhere): a
+    lower bound, which the optimizer matches but no converse is known to
+    meet.
     """
     if switches.name == "none":
         return max(params.p_e - params.p_b, 0.0)
-    return params.p_e * (1.0 - params.p_b)
+    if switches.name == "se":
+        return params.p_e * (1.0 - params.p_b)
+    if params.p_b <= 0.5:
+        return params.p_e
+    return params.p_e * _binary_entropy(params.p_b)
+
+
+def _binary_entropy(p: float) -> float:
+    return 0.0 if p in (0.0, 1.0) else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def optimal_u_for_switches(params: ErasureParams, switches: SwitchConfig) -> Channel:
-    """The equivocation-optimal auxiliary channel when the encoder sees B.
+    """The gap filler: the channel of the ``erasure-scheme`` simulator, for S_B closed.
 
     U reveals A exactly where Bob is erased and is a constant symbol
-    elsewhere, so the transmission fills Bob's gaps while telling Eve as
-    little as possible. Only configurations with S_B closed have this
-    explicit form; when S_E is closed too, the same channel is lifted to
-    condition (vacuously) on E as well.
+    elsewhere, so the transmission fills Bob's gaps. Its value is
+    p_e (1 - p_b), below what ``erasure_delta`` reports for every
+    0 < p_b < 1 and p_e > 0: despite the name it is not optimal. Only
+    configurations with S_B closed have this explicit form; when S_E is
+    closed too, the same channel is lifted to condition (vacuously) on E as
+    well.
     """
-    del params  # the optimal channel does not depend on the erasure rates
+    del params  # the gap filler does not depend on the erasure rates
     if not switches.s_b:
         raise ValueError(
             "no explicit optimal channel for switches "

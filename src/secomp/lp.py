@@ -1,0 +1,127 @@
+"""Dense tableau simplex for the package's small linear programs.
+
+``phase1_simplex`` finds a point of {x >= 0 : A x = b} or certifies that
+there is none (the degradation check). ``phase2_simplex`` maximizes c @ x
+over such a set from a feasible basis of unit columns (the grid envelope of
+``ascent``). Both run the same pivot loop, which cannot cycle, on a
+tableau whose last row holds the reduced costs of a minimization and, in
+its last entry, minus the objective. The systems here have a few dozen rows
+at most, so no factorization tricks are needed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Reduced costs below minus _REDUCED_COST_TOL enter the basis in phase 1;
+# column entries above _PIVOT_TOL can pivot; ratios within _RATIO_TIE of the
+# least, and in phase 2 reduced costs within _COST_TIE of the most negative,
+# tie.
+_FEASIBILITY_TOL = 1e-9
+_REDUCED_COST_TOL = 1e-11
+_PIVOT_TOL = 1e-11
+_RATIO_TIE = 1e-12
+_COST_TIE = 1e-12
+_MAX_PIVOTS = 50_000
+
+
+def _pivot_to_optimum(
+    tableau: np.ndarray, basis: np.ndarray, n_cols: int, tol: float, steepest: bool = False
+) -> bool:
+    """Pivot until no column below ``n_cols`` has a reduced cost below -tol.
+
+    ``basis[i]`` is the column basic in row i; both arrays change in place.
+    The entering column is the lowest-index one with a negative reduced cost
+    (Bland's rule). With ``steepest`` it is the most negative one instead
+    (the lowest-index one among near ties), except right after a pivot that
+    did not move (a degenerate step): a cycle consists of such steps only,
+    so Bland's rule runs every step of any would-be cycle and none can form.
+    On the grid LPs of ``ascent`` (3-4 rows, 153 or 969 columns) Bland's
+    rule alone took about 8 times the pivots. Returns False when the
+    entering column has no positive entry (the minimization is unbounded).
+    """
+    m = tableau.shape[0] - 1
+    stalled = False
+    for _ in range(_MAX_PIVOTS):
+        reduced = tableau[m, :n_cols]
+        negative = np.flatnonzero(reduced < -tol)
+        if negative.size == 0:
+            return True
+        if steepest and not stalled:
+            # The first of the columns within _COST_TIE of the most negative,
+            # so that rounding noise does not pick among equal costs.
+            costs = reduced[negative]
+            entering = negative[np.argmax(costs <= costs.min() + _COST_TIE)]
+        else:
+            entering = negative[0]
+        column = tableau[:m, entering]
+        candidates = np.flatnonzero(column > _PIVOT_TOL)
+        if candidates.size == 0:
+            return False
+        ratios = tableau[candidates, -1] / column[candidates]
+        best = ratios.min()
+        ties = candidates[ratios <= best + _RATIO_TIE]
+        leaving = ties[np.argmin(basis[ties])]
+        stalled = best <= _RATIO_TIE
+        pivot_row = tableau[leaving] / tableau[leaving, entering]
+        tableau -= np.outer(tableau[:, entering], pivot_row)
+        tableau[leaving] = pivot_row
+        basis[leaving] = entering
+    raise ArithmeticError("simplex failed to terminate")
+
+
+def phase1_simplex(
+    a_eq: np.ndarray, b_eq: np.ndarray, tol: float = _FEASIBILITY_TOL
+) -> np.ndarray | None:
+    """Find x >= 0 with a_eq @ x = b_eq, or None on certified infeasibility.
+
+    Minimizes the sum of one artificial variable per row, starting from the
+    artificials as the basis; the system is feasible when that sum ends at
+    most ``tol``.
+    """
+    a_eq = np.asarray(a_eq, dtype=float).copy()
+    b_eq = np.asarray(b_eq, dtype=float).copy()
+    m, n = a_eq.shape
+    flip = b_eq < 0.0
+    a_eq[flip] *= -1.0
+    b_eq[flip] *= -1.0
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a_eq
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b_eq
+    # Objective row: reduced costs for minimizing the sum of artificials.
+    tableau[m, :n] = -a_eq.sum(axis=0)
+    tableau[m, -1] = -b_eq.sum()
+    basis = np.arange(n, n + m)
+    if not _pivot_to_optimum(tableau, basis, n + m, _REDUCED_COST_TOL):
+        return None
+    if -tableau[m, -1] > tol:
+        return None
+    x = np.zeros(n)
+    real = basis < n
+    x[basis[real]] = tableau[:m, -1][real]
+    return np.maximum(x, 0.0)
+
+
+def phase2_simplex(
+    a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray, basis: np.ndarray, tol: float
+) -> np.ndarray:
+    """x >= 0 maximizing c @ x subject to a_eq @ x = b_eq, from a feasible basis.
+
+    Column ``basis[i]`` of ``a_eq`` must be the i-th unit vector and b_eq >= 0,
+    so the tableau starts in canonical form with x[basis] = b_eq. The result
+    is within ``tol`` times sum(x) of the optimum; the set must be bounded.
+    """
+    m, n = a_eq.shape
+    basis = np.array(basis)
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[:m, :n] = a_eq
+    tableau[:m, -1] = b_eq
+    # Minimizing -c: reduced costs c_B a_eq - c, minus the objective c_B b_eq.
+    tableau[m, :n] = c[basis] @ a_eq - c
+    tableau[m, -1] = c[basis] @ b_eq
+    if not _pivot_to_optimum(tableau, basis, n, tol, steepest=True):
+        raise ArithmeticError("phase-2 simplex on an unbounded set")
+    x = np.zeros(n)
+    x[basis] = tableau[:m, -1]
+    return np.maximum(x, 0.0)

@@ -11,8 +11,12 @@ is the secrecy objective I(A;stronger|U) - I(A;weaker|U) minus its value at
 a constant U, I(A;stronger) - I(A;weaker) (van Dijk, IEEE T-IT 1997). The
 check is therefore ``regions.maximize_secrecy`` with Y = weaker, the solver
 behind the ``none`` setting and the coded corners. For a binary source that
-maximum is an exact envelope; larger sources run the multi-start search,
-where the bound is I(A;weaker|stronger) instead. Either way the verdict
+maximum is an exact envelope; for larger sources the bound on the violation
+is I(A;weaker|stronger), and the search runs only where no channel scored
+before it (the grid witness for |A| <= 4, the copy of A, the uniform
+channel) comes within ``ascent.CERTIFY_TOL`` of that bound. On an
+A - stronger - weaker chain the bound is 0 and the uniform channel meets it,
+so the proof needs no search at any |A|. Either way the verdict
 carries a certified ``upper_bound`` on the violation, and a
 non-falsification with ``upper_bound <= WITNESS_TOL`` is a proof at the
 given prior; otherwise it is evidence, not proof, and the verdict names say
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ascent import OptimizerConfig
+from .lp import phase1_simplex
 from .probability import Channel, JointPMF, entropy_of, marginalize, require_variables
-from .regions import maximize_secrecy
+from .regions import OptResult, maximize_secrecy
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
@@ -62,7 +67,8 @@ class OrderingVerdict:
     non-falsifications record the search ``budget_used`` in channels scored
     (starts, or the envelope's witness and injected channels). Less-noisy
     verdicts carry a certified ``upper_bound`` on the violation, at least
-    ``gap``: the envelope's for a binary source, else I(A;weaker|stronger).
+    ``gap``: the envelope's for a binary source, else I(A;weaker|stronger);
+    ``opt`` is the secrecy solve behind them, for its diagnostics.
     """
 
     kind: str
@@ -72,6 +78,7 @@ class OrderingVerdict:
     budget_used: int | None = None
     physically_degraded: bool | None = None
     upper_bound: float | None = None
+    opt: OptResult | None = None
 
 
 def _conditionals_given_a(joint: JointPMF, var: str) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +135,7 @@ def check_stochastic_degradation(
         np.kron(np.eye(n_sup), np.ones(n_w)),
     ])
     b_eq = np.concatenate([p_weak.ravel(), np.ones(n_sup)])
-    solution = _phase1_simplex(a_eq, b_eq, tol=_LP_FEASIBILITY_TOL)
+    solution = phase1_simplex(a_eq, b_eq, tol=_LP_FEASIBILITY_TOL)
     if solution is None:
         return OrderingVerdict(kind="not_degraded", physically_degraded=physically)
 
@@ -177,56 +184,7 @@ def search_less_noisy_violation(
     upper = max(opt.upper_bound - baseline, gap)
     if gap <= WITNESS_TOL:
         return OrderingVerdict(kind="less_noisy_not_falsified",
-                               budget_used=len(opt.objective_trace), upper_bound=upper)
+                               budget_used=len(opt.objective_trace), upper_bound=upper, opt=opt)
     return OrderingVerdict(kind="less_noisy_falsified", witness=opt.best_u, gap=gap,
-                           upper_bound=upper)
+                           upper_bound=upper, opt=opt)
 
-
-def _phase1_simplex(
-    a_eq: np.ndarray, b_eq: np.ndarray, tol: float = _LP_FEASIBILITY_TOL
-) -> np.ndarray | None:
-    """Find x >= 0 with a_eq @ x = b_eq, or None on certified infeasibility.
-
-    Textbook phase-1 tableau simplex with Bland's rule; the systems here have
-    a few dozen variables at most, so no factorization tricks are needed.
-    """
-    a_eq = np.asarray(a_eq, dtype=float).copy()
-    b_eq = np.asarray(b_eq, dtype=float).copy()
-    m, n = a_eq.shape
-    flip = b_eq < 0.0
-    a_eq[flip] *= -1.0
-    b_eq[flip] *= -1.0
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_eq
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_eq
-    # Objective row: reduced costs for minimizing the sum of artificials.
-    tableau[m, :n] = -a_eq.sum(axis=0)
-    tableau[m, -1] = -b_eq.sum()
-    basis = np.arange(n, n + m)
-    for _ in range(50_000):
-        # Bland's rule: the lowest-index column with a negative reduced cost.
-        negative = np.flatnonzero(tableau[m, : n + m] < -1e-11)
-        if negative.size == 0:
-            break
-        entering = negative[0]
-        column = tableau[:m, entering]
-        candidates = np.flatnonzero(column > 1e-11)
-        if candidates.size == 0:
-            return None
-        ratios = tableau[candidates, -1] / column[candidates]
-        best = ratios.min()
-        ties = candidates[ratios <= best + 1e-12]
-        leaving = ties[np.argmin(basis[ties])]
-        pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau -= np.outer(tableau[:, entering], pivot_row)
-        tableau[leaving] = pivot_row
-        basis[leaving] = entering
-    else:
-        raise ArithmeticError("phase-1 simplex failed to terminate")
-    if -tableau[m, -1] > tol:
-        return None
-    x = np.zeros(n)
-    real = basis < n
-    x[basis[real]] = tableau[:m, -1][real]
-    return np.maximum(x, 0.0)

@@ -9,26 +9,39 @@ the uncoded settings, X = V for a coded corner, and X, Y the stronger and
 weaker observation for the orderings' less-noisy checks. With channels
 p(u|a) on a binary source the objective is sum_u p(u) f(p_{A|u}), and its
 maximum is the upper concave envelope of f at p_A, computed exactly with a
-certified eps. With S_B closed, or a larger source, the objective is not
-concave in the channel, and a multi-start local ascent runs over the
-product of row simplexes: Dirichlet(1) starts, vertex steps and
-golden-section line searches along random in-simplex directions, until a
-full sweep improves by less than ``ascent.TOL``. Either way the uniform
-channel, whose objective is the plain Slepian-Wolf baseline I(A;X) -
-I(A;Y), is scored last, so values are achievable lower bounds on the true
-maximum, never below the baseline. ``upper_bound`` bounds the maximum from
-above; ``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and
-``evaluations`` are the diagnostics.
+certified eps. With S_B closed, or a larger source, channels found
+without a search are scored first: the grid LP envelope's witness where
+three or four conditioning cells carry mass, and for ``both`` the copy of
+E and ``sb``'s witness, lifted. When the best of them reaches the analytic
+bound (H(A|Y), or I(A;X|Y) for channels p(u|a)) the value is exact and no
+search runs; on the erasure family that is ``sb`` and ``both`` for
+p_b <= 1/2. Otherwise a multi-start local ascent runs over the product of
+row simplexes: Dirichlet(1) starts, vertex steps and golden-section line
+searches along random in-simplex directions, until a full sweep improves
+by less than ``ascent.TOL``. Every path scores the uniform channel, whose
+objective is the plain Slepian-Wolf baseline I(A;X) - I(A;Y), so values
+are achievable lower bounds on the true maximum, never below the
+baseline. ``upper_bound`` bounds the maximum from above; ``certified``,
+``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and ``evaluations`` are
+the diagnostics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .ascent import TOL, EntropyObjective, OptimizerConfig, maximize_channel, u_channel
+from .ascent import (
+    TOL,
+    EntropyObjective,
+    OptimizerConfig,
+    envelope_witness,
+    maximize_channel,
+    u_cardinality,
+    u_channel,
+)
 from .probability import (
     Channel,
     DistributionError,
@@ -108,21 +121,26 @@ class OptResult:
 
     ``delta_star`` is max(0, best objective found); a code may always reveal
     everything, so equivocation 0 is trivially achievable and negative
-    objectives are clamped. ``objective_trace`` holds each start's final
-    value (random starts first, then injected ones); ``starts_agreeing``
-    counts starts within ``ascent.TOL`` of the best. ``sweeps`` holds the
-    sweeps each start ran before it froze, in trace order; ``hit_max_iters``
-    is true when some start was still improving after ``ascent.MAX_ITERS``
-    sweeps. ``evaluations`` counts the points the objective was scored at.
+    objectives are clamped. ``objective_trace`` holds the value of each
+    channel scored: the search's starts (random starts first, then injected
+    ones), then the channels scored without a search; ``starts_agreeing``
+    counts entries within ``ascent.TOL`` of the best. ``sweeps`` holds the
+    sweeps each entry ran before it froze, in trace order, 0 for a channel
+    only scored; ``hit_max_iters`` is true when some start was still
+    improving after ``ascent.MAX_ITERS`` sweeps. ``evaluations`` counts the
+    points the objective was scored at, envelope and grid points included.
     ``upper_bound`` is a certified upper bound on the true maximum of
     ``delta_star``: the envelope's value plus its eps where the two-row
     envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
     H(A|Y) for channels that also see B; never below the best value or 0.
-    The S_E-closed closed form counts as one agreeing start that ran no
-    sweep and scored nothing: trace ``(delta_star,)``, ``sweeps == (0,)``,
-    ``hit_max_iters`` false, ``evaluations == 0``, ``upper_bound ==
-    delta_star``. The envelope reports its trace as the witness, any injected
-    starts and the uniform channel, none of which ran a sweep.
+    ``certified`` is true when no search ran: the two-row envelope, the
+    S_E-closed closed form, or a channel scored first that reached the
+    analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed closed form
+    counts as one agreeing start that ran no sweep and scored nothing:
+    trace ``(delta_star,)``, ``sweeps == (0,)``, ``hit_max_iters`` false,
+    ``evaluations == 0``, ``upper_bound == delta_star``. A certified solve
+    reports its trace as the envelope's or the grid's witness, the
+    candidates, any injected starts and the uniform channel.
     """
 
     delta_star: float
@@ -133,6 +151,11 @@ class OptResult:
     hit_max_iters: bool
     evaluations: int
     upper_bound: float
+
+    @property
+    def certified(self) -> bool:
+        # Every start of a search runs at least one sweep.
+        return max(self.sweeps) == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,20 +229,34 @@ def maximize_equivocation(
                            <= H(A|E,U) - H(A|B,E,U) = I(A;B|E,U)
                             = I(A;B|E) - I(U;B|E) <= I(A;B|E),
 
-    with equality at U = E. Other settings run ``maximize_channel``: exact
-    and independent of ``cfg`` for S_B open on a binary source, else a
-    search deterministic for a fixed ``cfg.seed``.
+    with equality at U = E. Other settings run ``maximize_secrecy``: exact
+    and independent of ``cfg`` for S_B open on a binary source and wherever
+    a channel scored before the search reaches H(A|E), else a search
+    deterministic for a fixed ``cfg.seed``. Every se and every sb channel
+    is a both channel, so with both switches closed the copy of E and the
+    witness sb's envelope finds without a search are scored too: ``both``
+    is at least ``se`` always, and at least ``sb`` wherever that witness
+    certifies ``sb``. No sb search runs inside ``both``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
-    if switches.s_e and not switches.s_b:
+    if not switches.s_e:
+        return maximize_secrecy(joint_abe, "B", cond_vars, cfg)
+    copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U")
+    if not switches.s_b:
         delta = _snap(closed_form_delta(joint_abe, "se_closed"))
-        copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U").lift(cond_vars)
-        best_u = u_channel(cond_vars, copy_e.rows)
+        best_u = u_channel(cond_vars, copy_e.lift(cond_vars).rows)
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
                          starts_agreeing=1, sweeps=(0,), hit_max_iters=False,
                          evaluations=0, upper_bound=delta)
-    return maximize_secrecy(joint_abe, "B", cond_vars, cfg)
+    sb_vars = cond_vars[:2]
+    sb_objective = secrecy_entropy_objective(joint_abe, "B", ("A", "B"))
+    witness, points = envelope_witness(sb_objective, u_cardinality(sb_vars))
+    candidates = [copy_e]
+    if witness is not None:
+        candidates.append(u_channel(sb_vars, witness))
+    opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=candidates)
+    return replace(opt, evaluations=opt.evaluations + points)
 
 
 def coded_inner_bound_sample(
@@ -277,26 +314,31 @@ def maximize_secrecy(
     cfg: OptimizerConfig,
     y_var: str = "E",
     starts: Sequence[Channel] = (),
+    candidates: Sequence[Channel] = (),
 ) -> OptResult:
-    """Maximize I(A;X|U) - I(A;Y|U) over p(u | cond_vars), scoring ``starts`` too.
+    """Maximize I(A;X|U) - I(A;Y|U) over p(u | cond_vars), scoring ``starts`` and ``candidates``.
 
     The one core behind the ``none``, ``sb`` and ``both`` solves, the coded
-    corners and both less-noisy checks. Without the envelope's bound,
-    channels p(u|a) give U - A - (X, Y), so the objective H(A|Y,U) -
-    H(A|X,U) is at most I(A;X|Y,U) <= I(A;X|Y); channels that also see
-    other variables are bounded by H(A|Y,U) <= H(A|Y). The reported bound is
-    never below the best value found, which rounding can put a hair above
-    an analytic bound that is tight.
+    corners and both less-noisy checks. Where the two-row envelope does not
+    apply, ``maximize_channel`` gets an analytic bound and skips the search
+    when a channel scored without one reaches it. Channels p(u|a) give
+    U - A - (X, Y), so the objective H(A|Y,U) - H(A|X,U) is at most
+    I(A;X|Y,U) <= I(A;X|Y); channels that also see other variables are
+    bounded by H(A|Y,U) <= H(A|Y). The reported bound is never below the
+    best value found, which rounding can put a hair above an analytic bound
+    that is tight.
     """
     names = tuple(v for v, _ in cond_vars)
     objective = secrecy_entropy_objective(joint, x_var, names, y_var)
-    ascent, best_u = maximize_channel(objective, cond_vars, cfg, starts)
+
+    def bound() -> float:
+        if names == ("A",):
+            return mutual_information_of(joint, "A", x_var, (y_var,))
+        return entropy_of(joint, "A", (y_var,))
+
+    ascent, best_u = maximize_channel(objective, cond_vars, cfg, bound, starts, candidates)
     f = ascent.values
     best_value = float(f.max())
-    upper = ascent.upper_bound
-    if upper is None:
-        upper = (mutual_information_of(joint, "A", x_var, (y_var,)) if names == ("A",)
-                 else entropy_of(joint, "A", (y_var,)))
     return OptResult(
         delta_star=_snap(best_value),
         best_u=best_u,
@@ -305,5 +347,5 @@ def maximize_secrecy(
         sweeps=tuple(ascent.sweeps.tolist()),
         hit_max_iters=ascent.hit_max_iters,
         evaluations=ascent.evaluations,
-        upper_bound=max(upper, best_value, 0.0),
+        upper_bound=max(ascent.upper_bound, best_value, 0.0),
     )

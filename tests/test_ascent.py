@@ -316,10 +316,16 @@ class TestMaximizeChannel:
         cfg = OptimizerConfig(starts=2, seed=seed)
         for stronger, weaker in (("B", "E"), ("E", "B")):
             objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
-            result, best = maximize_channel(objective, cond, cfg, [copy_a])
+            bound = mutual_information_of(joint, "A", stronger, (weaker,))
+            result, best = maximize_channel(objective, cond, cfg, lambda: bound, [copy_a])
             start_value = objective(table_of(u_channel(cond, copy_a.rows)))[0]
-            # Random starts come first, then the injected one, then uniform.
-            assert len(result.values) == cfg.starts + 2
+            # No channel scored first reaches I(A;X|Y) here, so the ascent runs:
+            # random starts, then the injected one, then uniform, then the
+            # grid witness, scored without a sweep.
+            assert len(result.values) == cfg.starts + 3
+            assert min(result.sweeps[: cfg.starts + 2]) >= 1
+            assert result.sweeps[-1] == 0
             assert result.values[cfg.starts] >= start_value - 1e-12
+            assert result.values.max() <= result.upper_bound == bound
             assert best.to_var[1].symbols == ("u0", "u1", "u2", "u3")
             assert objective(table_of(best))[0] == pytest.approx(result.values.max(), abs=1e-12)

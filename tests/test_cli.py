@@ -172,6 +172,62 @@ class TestOrder:
         assert json.loads(out)["kind"] == "less_noisy_not_falsified"
 
 
+DIAGNOSTICS = ["upper_bound", "max_sweeps", "total_sweeps", "hit_max_iters", "evaluations",
+               "certified"]
+
+
+class TestDiagnostics:
+    def run_both_ways(self, capsys, *argv):
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--diagnostics")
+        assert code == 0
+        plain, extended = json.loads(plain), json.loads(out)
+        assert list(extended) == list(plain) + DIAGNOSTICS
+        assert {k: extended[k] for k in plain} == plain
+        return extended
+
+    def test_certified_solve(self, capsys, tmp_path):
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        for switches in ("sb", "both"):
+            out = self.run_both_ways(capsys, "region", "uncoded", "-i", str(path),
+                                     "--switches", switches, "--starts", "2")
+            assert out["delta_star"] == out["upper_bound"] == 0.3
+            assert (out["max_sweeps"], out["total_sweeps"]) == (0, 0)
+            assert out["certified"] is True and out["hit_max_iters"] is False
+            assert out["evaluations"] > 969  # the grid LP's points and the channels scored
+
+    def test_search(self, capsys, tmp_path):
+        path = write_preset(capsys, tmp_path, 0.7, 0.5)
+        out = self.run_both_ways(capsys, "region", "uncoded", "-i", str(path),
+                                 "--switches", "sb", "--starts", "2")
+        assert out["certified"] is False
+        assert 1 <= out["max_sweeps"] <= out["total_sweeps"]
+        assert out["delta_star"] < out["upper_bound"] == 0.5
+
+    def test_less_noisy_check(self, capsys, tmp_path):
+        path = write_preset(capsys, tmp_path, 0.3, 0.1)
+        out = self.run_both_ways(capsys, "order", "-i", str(path), "--check", "less-noisy-eb")
+        assert out["gap"] <= out["upper_bound"]
+        assert out["certified"] is True
+
+    def test_degradation_check_rejects_it(self, capsys, tmp_path):
+        path = write_preset(capsys, tmp_path, 0.3, 0.1)
+        code, out, err = run_cli(capsys, "order", "-i", str(path), "--check", "degraded-eb",
+                                 "--diagnostics")
+        assert (code, out) == (1, "")
+        assert "--diagnostics" in err
+
+
+class TestRowShareBelowRounding:
+    @pytest.mark.parametrize("switches", ["sb", "both"])
+    def test_tiny_erasure_probability_solves(self, capsys, tmp_path, switches):
+        path = write_preset(capsys, tmp_path, 1e-15, 0.3)
+        code, out, err = run_cli(capsys, "region", "uncoded", "-i", str(path),
+                                 "--switches", switches, "--starts", "2")
+        assert code == 0, err
+        assert json.loads(out)["delta_star"] == pytest.approx(0.3, abs=1e-12)
+
+
 class TestSimulate:
     def test_binning_report_fields(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.5, 0.8)

@@ -10,10 +10,13 @@ joints, and the binary-source commands the concave envelope solves without
 a seed: ``none``, the less-noisy checks and a coded sweep. Their entries
 were recorded from the envelope solver; their printed channels are the
 uniform channel or the copy of A, which the witness reproduces exactly.
-Solves whose best channel is picked among values equal up to the last bits
-are left out, because a change that only moves rounding can reprint them:
-``both``, and ``se`` on the degraded joint, where other channels tie with
-copy of E.
+``sb`` and ``both`` on the erasure joint (p_b = 0.1) are certified by the
+grid LP's witness without a search; each is recorded at two --starts/--seed
+pairs with the same stdout, and its printout survived a 1e-15 relative
+perturbation of every input cell. Solves whose best channel is picked among
+values equal up to the last bits are left out, because a change that only
+moves rounding can reprint them: ``sb`` and ``both`` where the search runs,
+and ``se`` on the degraded joint, where other channels tie with copy of E.
 """
 
 import json

@@ -10,6 +10,7 @@ only coarsen ``secomp.envelope``'s grid to check the bound on a poor witness.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -126,7 +127,10 @@ def _less_noisy(joint, stronger, weaker):
     """
     a_spec = ("A", joint.alphabet("A"))
     objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
-    result, witness = maximize_channel(objective, (a_spec,), CFG, [Channel.copy_of(a_spec, "U")])
+    result, witness = maximize_channel(
+        objective, (a_spec,), CFG, lambda: mutual_information_of(joint, "A", stronger, (weaker,)),
+        [Channel.copy_of(a_spec, "U")],
+    )
     baseline = result.values[-1]
     return float(result.values.max()) - baseline, result.upper_bound - baseline, witness
 
@@ -292,13 +296,21 @@ class TestDispatch:
         monkeypatch.setattr("secomp.ascent.MAX_ITERS", 5)
         cfg = OptimizerConfig(starts=4)
         joint = dirichlet_joint(np.random.default_rng(3), (2, 3, 3))
-        for name in ("sb", "both"):
+        # The random starts and the uniform one run; channels only scored
+        # follow with zero sweeps: for both the copy of E (sb has six cells
+        # with mass, too many for a witness of its own).
+        for name, n_scored in (("sb", 0), ("both", 1)):
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
-            assert len(result.objective_trace) == cfg.starts + 1
+            assert len(result.objective_trace) == cfg.starts + 1 + n_scored
+            assert min(result.sweeps[: cfg.starts + 1]) >= 1
+            assert result.sweeps[cfg.starts + 1:] == (0,) * n_scored
             assert result.upper_bound == pytest.approx(entropy_of(joint, "A", ("E",)), abs=1e-12)
+        # |A| = 3: the grid witness is scored after the ascent.
         ternary = dirichlet_joint(np.random.default_rng(4), (3, 3, 3))
         result = maximize_equivocation(ternary, SwitchConfig(), cfg)
-        assert len(result.objective_trace) == cfg.starts + 1
+        assert len(result.objective_trace) == cfg.starts + 2
+        assert min(result.sweeps[: cfg.starts + 1]) >= 1
+        assert result.sweeps[-1] == 0
         assert result.upper_bound == pytest.approx(
             mutual_information_of(ternary, "A", "B", ("E",)), abs=1e-12
         )
@@ -315,8 +327,10 @@ class TestDispatch:
         objective = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
         assert two_row_envelope(objective, 3) is None
         a_spec = ("A", Alphabet("A", ("0", "1")))
-        ascent, _ = maximize_channel(objective, (a_spec,), CFG)
+        # An unreachable bound: the uniform channel alone would meet log2(3).
+        ascent, _ = maximize_channel(objective, (a_spec,), CFG, lambda: math.inf)
         assert len(ascent.values) == CFG.starts + 1
+        assert min(ascent.sweeps) >= 1
         assert ascent.values.max() == pytest.approx(np.log2(3.0), abs=1e-12)
 
     def test_envelope_ignores_seed_and_starts(self):
@@ -345,7 +359,9 @@ class TestEvaluationCount:
         monkeypatch.setattr(EntropyObjective, "value", counted_value)
         monkeypatch.setattr(EntropyObjective, "vertex_values", counted_vertex_values)
         monkeypatch.setattr("secomp.ascent.MAX_ITERS", 4)
-        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        # Above p_b = 1/2 the search runs for sb and both; their grid
+        # witness (four sb cells carry mass) is scored through ``value`` too.
+        joint = make_erasure_joint(ErasureParams(0.7, 0.5))
         for name in ("sb", "both"):
             scored[0] = 0
             cfg = OptimizerConfig(starts=3, seed=1)

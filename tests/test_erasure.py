@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from secomp.erasure import ErasureParams, make_erasure_joint, erasure_delta, optimal_u_for_switches
-from secomp.probability import entropy_of, mutual_information_of
+from secomp.erasure import (
+    ALPHABET_A,
+    ALPHABET_B,
+    ErasureParams,
+    erasure_delta,
+    make_erasure_joint,
+    optimal_u_for_switches,
+)
+from secomp.probability import Alphabet, Channel, entropy_of, mutual_information_of
 from secomp.regions import SwitchConfig, closed_form_delta, secrecy_objective
 
 SB = SwitchConfig.from_name("sb")
@@ -47,9 +54,9 @@ class TestDeltaFormulas:
         [
             (0.1, 0.3, NONE, 0.2),
             (0.4, 0.2, NONE, 0.0),
-            (0.25, 0.5, SB, 0.375),
+            (0.25, 0.5, SB, 0.5),
             (0.25, 0.5, SE, 0.375),
-            (0.25, 0.5, BOTH, 0.375),
+            (0.25, 0.5, BOTH, 0.5),
         ],
     )
     def test_reported_values(self, pb, pe, switches, expected):
@@ -100,11 +107,13 @@ class TestOptimalChannel:
         assert channel.rows[0, 0, symbols.index("c")] == 1.0  # (a=0, b=0)
 
     def test_objective_matches_reported_delta(self):
+        # The gap filler's own value is p_e (1 - p_b), below erasure_delta's p_e.
         params = ErasureParams(0.25, 0.5)
         joint = make_erasure_joint(params)
         channel = optimal_u_for_switches(params, SB)
         value = secrecy_objective(joint, channel, SB)
-        assert value == pytest.approx(erasure_delta(params, SB), abs=1e-12)
+        assert value == pytest.approx(params.p_e * (1.0 - params.p_b), abs=1e-12)
+        assert value < erasure_delta(params, SB) - 0.1
 
     def test_lifted_variant_for_both_switches(self):
         params = ErasureParams(0.25, 0.5)
@@ -112,9 +121,44 @@ class TestOptimalChannel:
         channel = optimal_u_for_switches(params, BOTH)
         assert set(channel.from_names) == {"A", "B", "E"}
         value = secrecy_objective(joint, channel, BOTH)
-        assert value == pytest.approx(erasure_delta(params, SB), abs=1e-12)
+        assert value == pytest.approx(params.p_e * (1.0 - params.p_b), abs=1e-12)
 
     def test_rejects_configurations_without_bob_at_encoder(self):
         for switches in (NONE, SE):
             with pytest.raises(ValueError):
                 optimal_u_for_switches(ErasureParams(0.25, 0.5), switches)
+
+
+def binary_u(params):
+    """U = A where Bob is erased; elsewhere U = A with probability keep, else 1 - A.
+
+    keep = (1/2 - p_b) / (1 - p_b) for p_b <= 1/2 and 0 above.
+    """
+    keep = max(0.5 - params.p_b, 0.0) / (1.0 - params.p_b) if params.p_b < 1.0 else 0.0
+    specs = (("A", ALPHABET_A), ("B", ALPHABET_B))
+    rows = np.full((2, 3, 2), 0.5)
+    for a in range(2):
+        rows[a, a] = [keep, 1.0 - keep] if a == 0 else [1.0 - keep, keep]
+        rows[a, 2] = np.eye(2)[a]
+    return Channel(specs, ("U", Alphabet("U", ("0", "1"))), rows)
+
+
+class TestBinaryChannelCertificate:
+    """The binary channel of ``erasure_delta``'s docstring attains its S_B-closed value."""
+
+    def test_attains_the_reported_value_on_the_grid(self):
+        grid = np.round(np.arange(0.0, 1.01, 0.1), 10)
+        for pb in grid:
+            for pe in grid:
+                params = ErasureParams(pb, pe)
+                joint = make_erasure_joint(params)
+                value = secrecy_objective(joint, binary_u(params), SB)
+                assert value == pytest.approx(erasure_delta(params, SB), abs=1e-12)
+                assert erasure_delta(params, BOTH) == erasure_delta(params, SB)
+                assert value <= entropy_of(joint, "A", "E") + 1e-12
+
+    def test_reaches_eve_uncertainty_up_to_half(self):
+        for pb in (0.0, 0.1, 0.25, 0.4, 0.5):
+            params = ErasureParams(pb, 0.6)
+            assert erasure_delta(params, SB) == 0.6
+        assert erasure_delta(ErasureParams(0.7, 0.5), SB) == pytest.approx(0.440645449615, abs=1e-12)

@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp import ascent
+from secomp.lp import phase1_simplex
 from secomp.orderings import (
     WITNESS_TOL,
-    _phase1_simplex,
     check_stochastic_degradation,
     is_physically_degraded,
     search_less_noisy_violation,
@@ -63,7 +63,7 @@ class TestPhase1Simplex:
     def test_finds_feasible_point(self):
         a_eq = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
         b_eq = np.array([1.0, 1.5])
-        x = _phase1_simplex(a_eq, b_eq)
+        x = phase1_simplex(a_eq, b_eq)
         assert x is not None
         assert (x >= 0).all()
         np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-10)
@@ -72,17 +72,17 @@ class TestPhase1Simplex:
         # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold.
         a_eq = np.array([[1.0, 1.0], [1.0, 1.0]])
         b_eq = np.array([1.0, 2.0])
-        assert _phase1_simplex(a_eq, b_eq) is None
+        assert phase1_simplex(a_eq, b_eq) is None
 
     def test_nonnegativity_blocks_otherwise_solvable_system(self):
         a_eq = np.array([[1.0, 1.0]])
         b_eq = np.array([-0.5])
-        assert _phase1_simplex(a_eq, b_eq) is None
+        assert phase1_simplex(a_eq, b_eq) is None
 
     def test_handles_redundant_rows(self):
         a_eq = np.array([[1.0, 1.0], [2.0, 2.0]])
         b_eq = np.array([1.0, 2.0])
-        x = _phase1_simplex(a_eq, b_eq)
+        x = phase1_simplex(a_eq, b_eq)
         assert x is not None
         np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-10)
 
@@ -132,7 +132,7 @@ class TestPhase1AgainstLinprog:
                 ("b_degraded_wrt_e", "E", "B"),
             ):
                 a_eq, b_eq = degradation_lp(joint, strong, weak)
-                x = _phase1_simplex(a_eq, b_eq)
+                x = phase1_simplex(a_eq, b_eq)
                 ref = linprog(
                     np.zeros(a_eq.shape[1]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
                     method="highs",
@@ -301,6 +301,20 @@ class TestSharedSolver:
             verdict = search_less_noisy_violation(joint, OptimizerConfig(starts=2, seed=1))
             assert verdict.kind == "less_noisy_not_falsified"
             assert verdict.upper_bound <= 1e-12
+
+    @pytest.mark.parametrize("sizes", [(3, 3, 4), (3, 4, 3)], ids=["3x3x4", "3x4x3"])
+    def test_ternary_chains_are_proved_without_a_search(self, sizes):
+        # On A - B - E the uniform channel meets the bound I(A;B|E) of the
+        # secrecy objective, so the first stage certifies: no start runs.
+        rng = np.random.default_rng(2031)
+        for seed in range(5):
+            joint = markov_chain_joint(rng, *sizes)
+            verdict = search_less_noisy_violation(joint, OptimizerConfig(starts=8, seed=seed))
+            assert verdict.kind == "less_noisy_not_falsified"
+            assert verdict.upper_bound <= WITNESS_TOL
+            assert verdict.opt.certified
+            assert set(verdict.opt.sweeps) == {0}
+            assert not verdict.opt.hit_max_iters
 
     @pytest.mark.parametrize("k", range(24))
     def test_violation_is_the_none_value_above_its_baseline(self, k):

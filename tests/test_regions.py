@@ -20,6 +20,7 @@ from secomp.regions import (
     closed_form_delta,
     coded_inner_bound_sample,
     maximize_equivocation,
+    secrecy_entropy_objective,
     secrecy_objective,
 )
 
@@ -192,7 +193,9 @@ class TestMaximize:
         np.testing.assert_array_equal(first.best_u.rows, second.best_u.rows)
 
     def test_trace_covers_all_starts(self):
-        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        # A Dirichlet 2x3x3 joint: six cells carry mass, so no channel is
+        # scored besides the ascent's starts, which all run.
+        joint = dirichlet_joint(np.random.default_rng(0), (2, 3, 3))
         result = maximize_equivocation(joint, SB, FAST)
         assert len(result.objective_trace) == FAST.starts + 1  # plus uniform start
         assert result.delta_star >= max(0.0, max(result.objective_trace)) - 1e-15
@@ -215,7 +218,7 @@ class TestMaximize:
             )
 
     def test_convergence_diagnostics(self, monkeypatch):
-        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        joint = dirichlet_joint(np.random.default_rng(0), (2, 3, 3))
         result = maximize_equivocation(joint, SB, FAST)
         assert len(result.sweeps) == len(result.objective_trace)
         assert all(1 <= k <= ascent.MAX_ITERS for k in result.sweeps)
@@ -240,6 +243,62 @@ class TestUpperBound:
             result = maximize_equivocation(joint, switches, OptimizerConfig(starts=1, seed=1))
             assert result.delta_star <= result.upper_bound
             assert max(result.objective_trace) <= result.upper_bound
+
+
+class TestSbClosedCertificate:
+    """S_B closed on the erasure family: exact for p_b <= 1/2, both never below se."""
+
+    def test_erasure_grid(self, monkeypatch):
+        # Above p_b = 1/2 the search runs; a short sweep cap keeps it quick,
+        # and every check there holds wherever a search stops.
+        monkeypatch.setattr(ascent, "MAX_ITERS", 2)
+        configs = (OptimizerConfig(starts=1, seed=0), OptimizerConfig(starts=3, seed=7))
+        grid = np.round(np.arange(0.0, 1.01, 0.1), 10)
+        for pb in grid:
+            for pe in grid:
+                joint = make_erasure_joint(ErasureParams(pb, pe))
+                h_a_e = entropy_of(joint, "A", "E")
+                se = maximize_equivocation(joint, SE).delta_star
+                runs = []
+                for cfg in configs if pb <= 0.5 else configs[:1]:
+                    sb = maximize_equivocation(joint, SB, cfg)
+                    both = maximize_equivocation(joint, BOTH, cfg)
+                    runs.append((sb, both))
+                    for result in (sb, both):
+                        assert result.delta_star <= h_a_e + 1e-12
+                    assert both.delta_star >= se - 1e-12
+                    if sb.certified:
+                        assert both.delta_star >= sb.delta_star - 1e-12
+                if pb > 0.5:
+                    continue
+                for result in (r for pair in runs for r in pair):
+                    assert result.delta_star == pytest.approx(pe, abs=1e-12)
+                    assert set(result.sweeps) == {0}
+                for first, other in zip(runs[0], runs[1]):
+                    assert first.objective_trace == other.objective_trace
+                    np.testing.assert_array_equal(first.best_u.rows, other.best_u.rows)
+
+    @pytest.mark.parametrize("switches", [SB, BOTH], ids=lambda s: s.name)
+    def test_search_runs_as_it_would_alone(self, switches, monkeypatch):
+        # Where nothing certifies, the ascent's values come first, bit for
+        # bit those of a plain multi-start ascent, so delta_star is at least
+        # its maximum.
+        monkeypatch.setattr(ascent, "MAX_ITERS", 5)
+        cfg = OptimizerConfig(starts=2, seed=1)
+        joints = [make_erasure_joint(ErasureParams(0.7, 0.5)),
+                  make_erasure_joint(ErasureParams(0.9, 0.6)),
+                  dirichlet_joint(np.random.default_rng(5), (2, 3, 3))]
+        for joint in joints:
+            result = maximize_equivocation(joint, switches, cfg)
+            assert not result.certified
+            cond_vars = tuple((v, joint.alphabet(v)) for v in switches.conditioning_vars())
+            objective = secrecy_entropy_objective(joint, "B", switches.conditioning_vars())
+            n_symbols = ascent.u_cardinality(cond_vars)
+            uniform = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
+            plain = ascent.multistart_ascent(objective, n_symbols, cfg, [uniform])
+            assert result.objective_trace[: len(plain.values)] == tuple(plain.values.tolist())
+            assert result.sweeps[: len(plain.sweeps)] == tuple(plain.sweeps.tolist())
+            assert result.delta_star >= plain.values.max()
 
 
 class TestSeClosedForm:

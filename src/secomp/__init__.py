@@ -15,7 +15,13 @@ from .binning import (
     run_erasure_encoder_scheme,
     run_sw_binning,
 )
-from .erasure import ErasureParams, erasure_delta, make_erasure_joint, optimal_u_for_switches
+from .erasure import (
+    ErasureParams,
+    erasure_delta,
+    gap_filler_u,
+    make_erasure_joint,
+    optimal_u_for_switches,
+)
 from .orderings import (
     OrderingVerdict,
     check_stochastic_degradation,
@@ -68,6 +74,7 @@ __all__ = [
     "entropy_of",
     "erasure_delta",
     "exact_posterior_entropy",
+    "gap_filler_u",
     "is_physically_degraded",
     "make_binning_code",
     "make_erasure_joint",

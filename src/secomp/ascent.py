@@ -37,19 +37,21 @@ bit for bit as scoring each point and drawing each direction on its own.
 All randomness derives from (seed, start index), so runs are reproducible
 bit for bit and starts could execute concurrently without changing results.
 
-``maximize_channel`` searches only where it must. When at most two
+``maximize_channel`` searches only where it must. One stage scores the
+channels found without a search (``envelope_witness``), the caller's
+candidates and starts and the uniform channel. When at most two
 conditioning rows carry mass and every row's signed columns balance, the
 objective is a sum over U of p(u) times a function of a one-dimensional
 posterior, and ``two_row_envelope`` finds its maximum as the upper concave
 envelope of that function, with a certified upper bound and no randomness.
 That covers p(u|a) objectives on a binary source: the S_B-open secrecy
-objective, each coded corner and both less-noisy violations. Elsewhere,
-against the caller's analytic upper bound, a first stage scores channels
-found without a search: with three or four balanced rows the witness of an LP over a
-grid of posteriors (``grid_witness``), then the caller's candidates and
-starts and the uniform channel. When the best is within ``CERTIFY_TOL``
-of the bound it is the maximum and no search runs; otherwise
-``multistart_ascent`` runs as it would alone.
+objective, each coded corner and both less-noisy violations. With three or
+four balanced rows the witness of an LP over a grid of posteriors
+(``grid_witness``) is scored instead, and only the caller's analytic upper
+bound can certify it. When the two-row envelope applies, or the best
+channel scored is within ``CERTIFY_TOL`` of that bound, the best is the
+maximum and no search runs; otherwise ``multistart_ascent`` runs as it
+would alone.
 """
 
 from __future__ import annotations
@@ -353,9 +355,9 @@ def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray]
 
 
 def two_row_envelope(
-    objective: EntropyObjective, n_symbols: int, extra_rows: Sequence[np.ndarray] = ()
-) -> AscentResult | None:
-    """Exact maximum when at most two rows carry mass and every row's signed columns balance.
+    objective: EntropyObjective, n_symbols: int
+) -> tuple[np.ndarray, int, float] | None:
+    """The exact maximizer when at most two rows carry mass and every row's signed columns balance.
 
     Returns None for any other objective. Write rho_r for row r's share of
     the mass (its projection row's sum), lam_u = sum_r rho_r W[r, u] and
@@ -374,59 +376,51 @@ def two_row_envelope(
     -q log2 q (or -(1-q) log2 (1-q)) term first, so parts that cancel exactly
     add nothing to eps.
 
-    The witness W[r, u] = lam_u q_u(r) / rho_r, with q_u(0) = q_u and
-    q_u(1) = 1 - q_u, is scored by ``objective`` with ``extra_rows``; the
-    values are [witness, extra...], ``sweeps`` is zero and ``upper_bound`` is
-    const plus the envelope's certified bound at rho_0 (or the best value
-    scored, where rounding puts that a hair higher). Where the support is
-    rho_0 alone, and where fewer than two rows carry mass (every channel then
-    has the same value, the bound), U independent of A is optimal and the
-    witness is the uniform channel. Rows without mass are uniform.
+    Returns (witness, points scored, bound): the witness W[r, u] = lam_u
+    q_u(r) / rho_r, with q_u(0) = q_u and q_u(1) = 1 - q_u, and const plus
+    the envelope's certified bound at rho_0. Where the support is rho_0
+    alone, U independent of A is optimal and the witness is the uniform
+    channel. Where fewer than two rows carry mass every channel has the
+    same value, so the witness is the uniform channel and its value, one
+    point scored, is the bound. Rows without mass are uniform.
     """
     rows = _balanced_rows(objective)
     if rows is None or rows[0].size > 2:
         return None
     live, rho = rows
     proj, sign = objective.proj, objective.sign
-    if live.size == 2 and not 0.0 < rho[0] < 1.0:
-        return None  # one row's share of the mass is below rounding
     witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
-    points = 0
-    if live.size == 2:
-        a, b = proj[live] / rho[:, None]
-        # Terms that can rise above a chord: -mu_k log2 mu_k with sign +1 over
-        # the columns both rows carry, then the net -q log2 q of the columns
-        # row 0 carries alone and the net -(1-q) log2 (1-q) of row 1's.
-        both = (a > 0.0) & (b > 0.0)
-        weight = np.concatenate([sign[both], [sign[b == 0.0] @ a[b == 0.0],
-                                              sign[a == 0.0] @ b[a == 0.0]]])
-        concave = weight > 0.0
-        ends_a = np.concatenate([a[both], [1.0, 0.0]])[concave, None]
-        ends_b = np.concatenate([b[both], [0.0, 1.0]])[concave, None]
-        weight = weight[concave]
+    if live.size < 2:
+        return witness, 1, float(objective(witness[None])[0])
+    if not 0.0 < rho[0] < 1.0:
+        return None  # one row's share of the mass is below rounding
+    a, b = proj[live] / rho[:, None]
+    # Terms that can rise above a chord: -mu_k log2 mu_k with sign +1 over
+    # the columns both rows carry, then the net -q log2 q of the columns
+    # row 0 carries alone and the net -(1-q) log2 (1-q) of row 1's.
+    both = (a > 0.0) & (b > 0.0)
+    weight = np.concatenate([sign[both], [sign[b == 0.0] @ a[b == 0.0],
+                                          sign[a == 0.0] @ b[a == 0.0]]])
+    concave = weight > 0.0
+    ends_a = np.concatenate([a[both], [1.0, 0.0]])[concave, None]
+    ends_b = np.concatenate([b[both], [0.0, 1.0]])[concave, None]
+    weight = weight[concave]
 
-        def phi(q: np.ndarray) -> np.ndarray:
-            return objective.column_values(a[:, None] * q + b[:, None] * (1.0 - q))
+    def phi(q: np.ndarray) -> np.ndarray:
+        return objective.column_values(a[:, None] * q + b[:, None] * (1.0 - q))
 
-        def cell_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-            m_lo, m_hi = ends_a * lo + ends_b * (1.0 - lo), ends_a * hi + ends_b * (1.0 - hi)
-            return weight @ chord_gap(np.minimum(m_lo, m_hi), np.maximum(m_lo, m_hi))
+    def cell_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        m_lo, m_hi = ends_a * lo + ends_b * (1.0 - lo), ends_a * hi + ends_b * (1.0 - hi)
+        return weight @ chord_gap(np.minimum(m_lo, m_hi), np.maximum(m_lo, m_hi))
 
-        q, lam, top, points = upper_envelope(phi, cell_gaps, float(rho[0]))
-        if q is not None:
-            # u0 takes the support richer in row 0, so supports {0, 1} give
-            # the copy of the conditioning symbol itself.
-            rows = np.zeros((2, n_symbols))
-            rows[:, :2] = (lam * np.stack([q / rho[0], (1.0 - q) / rho[1]]))[:, ::-1]
-            witness[live] = rows / rows.sum(axis=1, keepdims=True)
-    tables = np.stack([witness, *extra_rows])
-    values = objective(tables)
-    n_tables = len(values)
-    upper = float(values.max())
-    if live.size == 2:
-        upper = max(upper, objective.const + top)
-    return AscentResult(values, tables, np.zeros(n_tables, dtype=int), False,
-                        points + n_tables, upper)
+    q, lam, top, points = upper_envelope(phi, cell_gaps, float(rho[0]))
+    if q is not None:
+        # u0 takes the support richer in row 0, so supports {0, 1} give
+        # the copy of the conditioning symbol itself.
+        table = np.zeros((2, n_symbols))
+        table[:, :2] = (lam * np.stack([q / rho[0], (1.0 - q) / rho[1]]))[:, ::-1]
+        witness[live] = table / table.sum(axis=1, keepdims=True)
+    return witness, points, objective.const + top
 
 
 @functools.cache
@@ -480,15 +474,19 @@ def grid_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarra
     return witness, len(grid)
 
 
-def envelope_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarray | None, int]:
-    """The witness found without a search, two-row or grid, and the points scored for it.
+def envelope_witness(
+    objective: EntropyObjective, n_symbols: int
+) -> tuple[np.ndarray | None, int, float | None]:
+    """The channel found without a search, the points scored for it, and its bound.
 
-    (None, 0) where neither envelope applies.
+    The two-row envelope's witness with its certified bound, else the grid
+    witness with None (a lower bound only), else (None, 0, None).
     """
     two_row = two_row_envelope(objective, n_symbols)
     if two_row is not None:
-        return two_row.tables[0], two_row.evaluations
-    return grid_witness(objective, n_symbols)
+        return two_row
+    witness, points = grid_witness(objective, n_symbols)
+    return witness, points, None
 
 
 def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
@@ -517,23 +515,19 @@ def maximize_channel(
     """Maximize ``objective`` over channels p(U | cond_vars).
 
     ``starts`` and ``candidates`` are lifted to ``cond_vars``; the ascent
-    starts from ``starts``, while ``candidates`` are only scored. When at
-    most two conditioning cells carry mass and the objective's signed
-    columns balance, ``two_row_envelope`` solves the problem exactly and
-    ``cfg`` is not used; it scores its witness, then the candidates, the
-    starts and the uniform channel.
-
-    Otherwise ``bound`` is called for an upper bound on the maximum (so it
-    is computed only here), and a first stage scores the grid witness (three
-    or four balanced rows), the candidates, the starts and the uniform
-    channel, in that order, and returns them with zero sweeps when the best
-    is within ``CERTIFY_TOL`` of the bound; ``upper_bound`` is the bound.
-    Else the multi-start ascent runs the random starts, then ``starts``,
-    then the uniform channel, as if there were no first stage, and the grid
-    witness and candidates follow its values with zero sweeps (the ascent
-    already climbed from the starts and the uniform channel). Returns the
-    result and the best table as a ``u_channel``, the first table with the
-    highest value winning ties.
+    starts from ``starts``, while ``candidates`` are only scored. One stage
+    scores the ``envelope_witness`` (if any), the candidates, the starts and
+    the uniform channel, in that order. Where the two-row envelope applies
+    its bound certifies the witness, and ``cfg`` is not used; else
+    ``bound()`` is called (so the bound is computed only here), and it
+    certifies the best channel scored if that is within ``CERTIFY_TOL`` of
+    it. A certified stage is the result, with zero sweeps and
+    ``upper_bound`` at least its best value. Else the multi-start ascent
+    runs the random starts, then ``starts``, then the uniform channel, as
+    if nothing had been scored, and the witness and candidates follow its
+    values with zero sweeps (the ascent already climbed from the starts and
+    the uniform channel). Returns the result and the best table as a
+    ``u_channel``, the first table with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
 
@@ -542,39 +536,26 @@ def maximize_channel(
         return [channel.rows.reshape(-1, n_symbols) for channel in padded]
 
     injected = tables(starts) + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
-    scored = tables(candidates)
-    ascent = two_row_envelope(objective, n_symbols, scored + injected)
-    if ascent is None:
-        ascent = _first_stage_or_ascent(objective, n_symbols, cfg, injected, scored, bound)
-    return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])
-
-
-def _first_stage_or_ascent(
-    objective: EntropyObjective,
-    n_symbols: int,
-    cfg: OptimizerConfig,
-    injected: list[np.ndarray],
-    scored: list[np.ndarray],
-    bound: Callable[[], float],
-) -> AscentResult:
-    """``maximize_channel`` past the two-row envelope: certify, else ascend."""
-    witness, points = grid_witness(objective, n_symbols)
-    if witness is not None:
-        scored = [witness] + scored
-    tables = np.stack(scored + injected)
-    values = objective(tables)
+    witness, points, upper = envelope_witness(objective, n_symbols)
+    scored = ([] if witness is None else [witness]) + tables(candidates)
+    stacked = np.stack(scored + injected)
+    values = objective(stacked)
     evaluations = points + len(values)
-    upper = bound()
-    if values.max() >= upper - CERTIFY_TOL:
-        return AscentResult(values, tables, np.zeros(len(values), dtype=int), False,
-                            evaluations, max(upper, float(values.max())))
-    ascent = multistart_ascent(objective, n_symbols, cfg, injected)
-    n = len(scored)
-    return AscentResult(
-        np.concatenate([ascent.values, values[:n]]),
-        np.concatenate([ascent.tables, tables[:n]]),
-        np.concatenate([ascent.sweeps, np.zeros(n, dtype=int)]),
-        ascent.hit_max_iters,
-        ascent.evaluations + evaluations,
-        upper,
-    )
+    certified = upper is not None
+    if not certified:
+        upper = bound()
+    if certified or values.max() >= upper - CERTIFY_TOL:
+        ascent = AscentResult(values, stacked, np.zeros(len(values), dtype=int), False,
+                              evaluations, max(upper, float(values.max())))
+    else:
+        ascent = multistart_ascent(objective, n_symbols, cfg, injected)
+        n = len(scored)
+        ascent = AscentResult(
+            np.concatenate([ascent.values, values[:n]]),
+            np.concatenate([ascent.tables, stacked[:n]]),
+            np.concatenate([ascent.sweeps, np.zeros(n, dtype=int)]),
+            ascent.hit_max_iters,
+            ascent.evaluations + evaluations,
+            upper,
+        )
+    return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])

@@ -21,6 +21,7 @@ from .regions import SwitchConfig
 ALPHABET_A = Alphabet("A", ("0", "1"))
 ALPHABET_B = Alphabet("B", ("0", "1", "e"))
 ALPHABET_E = Alphabet("E", ("0", "1", "e"))
+_AB = (("A", ALPHABET_A), ("B", ALPHABET_B))
 
 
 @dataclass(frozen=True)
@@ -78,33 +79,39 @@ def _binary_entropy(p: float) -> float:
 
 
 def optimal_u_for_switches(params: ErasureParams, switches: SwitchConfig) -> Channel:
+    """The binary channel that attains ``erasure_delta`` with S_B closed.
+
+    U = A where Bob is erased; elsewhere U = A with probability keep, else
+    1 - A, where keep = (1/2 - p_b) / (1 - p_b) for p_b <= 1/2 and 0 above
+    (see ``erasure_delta`` for why its value is p_e, then p_e h(p_b)).
+    """
+    keep = max(0.5 - params.p_b, 0.0) / (1.0 - params.p_b) if params.p_b < 1.0 else 0.0
+    rows = np.full((2, 3, 2), 0.5)
+    for a in range(2):
+        rows[a, a] = [keep, 1.0 - keep] if a == 0 else [1.0 - keep, keep]
+        rows[a, 2] = np.eye(2)[a]
+    return _for_switches(switches, Channel(_AB, ("U", Alphabet("U", ("0", "1"))), rows))
+
+
+def gap_filler_u(switches: SwitchConfig) -> Channel:
     """The gap filler: the channel of the ``erasure-scheme`` simulator, for S_B closed.
 
     U reveals A exactly where Bob is erased and is a constant symbol
     elsewhere, so the transmission fills Bob's gaps. Its value is
     p_e (1 - p_b), below what ``erasure_delta`` reports for every
-    0 < p_b < 1 and p_e > 0: despite the name it is not optimal. Only
-    configurations with S_B closed have this explicit form; when S_E is
-    closed too, the same channel is lifted to condition (vacuously) on E as
-    well.
+    0 < p_b < 1 and p_e > 0.
     """
-    del params  # the gap filler does not depend on the erasure rates
-    if not switches.s_b:
-        raise ValueError(
-            "no explicit optimal channel for switches "
-            f"{switches.name!r}; use the region optimizer"
-        )
     u_alphabet = Alphabet("U", ("u0", "u1", "c"))
 
     def assign(symbols: tuple[str, ...]) -> str:
         a, b = symbols
         return f"u{a}" if b == "e" else "c"
 
-    channel = Channel.deterministic(
-        (("A", ALPHABET_A), ("B", ALPHABET_B)), ("U", u_alphabet), assign
-    )
-    if switches.s_e:
-        channel = channel.lift(
-            (("A", ALPHABET_A), ("B", ALPHABET_B), ("E", ALPHABET_E))
-        )
-    return channel
+    return _for_switches(switches, Channel.deterministic(_AB, ("U", u_alphabet), assign))
+
+
+def _for_switches(switches: SwitchConfig, channel: Channel) -> Channel:
+    """``channel`` on (A, B), lifted to (A, B, E) when S_E is closed too; S_B must be closed."""
+    if not switches.s_b:
+        raise ValueError(f"no explicit channel for switches {switches.name!r}; use the optimizer")
+    return channel.lift(_AB + (("E", ALPHABET_E),)) if switches.s_e else channel

@@ -12,13 +12,14 @@ maximum is the upper concave envelope of f at p_A, computed exactly with a
 certified eps. With S_B closed, or a larger source, channels found
 without a search are scored first: the grid LP envelope's witness where
 three or four conditioning cells carry mass, and for ``both`` the copy of
-E and ``sb``'s witness, lifted. When the best of them reaches the analytic
-bound (H(A|Y), or I(A;X|Y) for channels p(u|a)) the value is exact and no
-search runs; on the erasure family that is ``sb`` and ``both`` for
-p_b <= 1/2. Otherwise a multi-start local ascent runs over the product of
-row simplexes: Dirichlet(1) starts, vertex steps and golden-section line
-searches along random in-simplex directions, until a full sweep improves
-by less than ``ascent.TOL``. Every path scores the uniform channel, whose
+E and ``sb``'s solution, lifted (``sb``'s search runs where ``sb`` needs
+one). When the best of them reaches the analytic bound (H(A|Y), or
+I(A;X|Y) for channels p(u|a)) the value is exact and no search runs; on
+the erasure family that is ``sb`` and ``both`` for p_b <= 1/2. Otherwise
+a multi-start local ascent runs over the product of row simplexes:
+Dirichlet(1) starts, vertex steps and golden-section line searches along
+random in-simplex directions, until a full sweep improves by less than
+``ascent.TOL``. Every path scores the uniform channel, whose
 objective is the plain Slepian-Wolf baseline I(A;X) - I(A;Y), so values
 are achievable lower bounds on the true maximum, never below the
 baseline. ``upper_bound`` bounds the maximum from above; ``certified``,
@@ -37,9 +38,7 @@ from .ascent import (
     TOL,
     EntropyObjective,
     OptimizerConfig,
-    envelope_witness,
     maximize_channel,
-    u_cardinality,
     u_channel,
 )
 from .probability import (
@@ -140,7 +139,11 @@ class OptResult:
     trace ``(delta_star,)``, ``sweeps == (0,)``, ``hit_max_iters`` false,
     ``evaluations == 0``, ``upper_bound == delta_star``. A certified solve
     reports its trace as the envelope's or the grid's witness, the
-    candidates, any injected starts and the uniform channel.
+    candidates, any injected starts and the uniform channel. For ``both``
+    the candidates are the copy of E and ``sb``'s ``best_u``, and
+    ``evaluations`` includes the points ``sb``'s solve scored, its search
+    too where ``sb`` needed one; the trace, the sweeps and ``certified``
+    describe ``both``'s own stage and search only.
     """
 
     delta_star: float
@@ -233,10 +236,10 @@ def maximize_equivocation(
     and independent of ``cfg`` for S_B open on a binary source and wherever
     a channel scored before the search reaches H(A|E), else a search
     deterministic for a fixed ``cfg.seed``. Every se and every sb channel
-    is a both channel, so with both switches closed the copy of E and the
-    witness sb's envelope finds without a search are scored too: ``both``
-    is at least ``se`` always, and at least ``sb`` wherever that witness
-    certifies ``sb``. No sb search runs inside ``both``.
+    is a both channel, so with both switches closed ``sb`` is solved first,
+    with the same ``cfg`` (its search runs where ``sb`` needs one), and the
+    copy of E and ``sb``'s best channel are scored: ``both`` is at least
+    ``se`` and at least ``sb``, and its ``evaluations`` include ``sb``'s.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
@@ -249,14 +252,9 @@ def maximize_equivocation(
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
                          starts_agreeing=1, sweeps=(0,), hit_max_iters=False,
                          evaluations=0, upper_bound=delta)
-    sb_vars = cond_vars[:2]
-    sb_objective = secrecy_entropy_objective(joint_abe, "B", ("A", "B"))
-    witness, points = envelope_witness(sb_objective, u_cardinality(sb_vars))
-    candidates = [copy_e]
-    if witness is not None:
-        candidates.append(u_channel(sb_vars, witness))
-    opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=candidates)
-    return replace(opt, evaluations=opt.evaluations + points)
+    sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
+    opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
+    return replace(opt, evaluations=opt.evaluations + sb.evaluations)
 
 
 def coded_inner_bound_sample(

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from secomp.binning import run_erasure_encoder_scheme, run_sw_binning
-from secomp.erasure import ErasureParams, make_erasure_joint, optimal_u_for_switches
+from secomp.erasure import ErasureParams, gap_filler_u, make_erasure_joint
 from secomp.orderings import check_stochastic_degradation, search_less_noisy_violation
 from secomp.probability import (
     Alphabet,
@@ -81,7 +81,7 @@ def test_criterion_02_degraded_bob_zero_equivocation():
 def test_criterion_03_encoder_side_information():
     params = ErasureParams(0.25, 0.5)
     joint = make_erasure_joint(params)
-    value_at_gap_filler = secrecy_objective(joint, optimal_u_for_switches(params, SB), SB)
+    value_at_gap_filler = secrecy_objective(joint, gap_filler_u(SB), SB)
     sb_result = maximize_equivocation(joint, SB, DEFAULTS)
     h_a_e = entropy_of(joint, "A", "E")
     se_value = closed_form_delta(joint, "se_closed")

@@ -18,6 +18,7 @@ import pytest
 from secomp.ascent import (
     EntropyObjective,
     OptimizerConfig,
+    envelope_witness,
     two_row_envelope,
     maximize_channel,
     multistart_ascent,
@@ -297,9 +298,9 @@ class TestDispatch:
         cfg = OptimizerConfig(starts=4)
         joint = dirichlet_joint(np.random.default_rng(3), (2, 3, 3))
         # The random starts and the uniform one run; channels only scored
-        # follow with zero sweeps: for both the copy of E (sb has six cells
-        # with mass, too many for a witness of its own).
-        for name, n_scored in (("sb", 0), ("both", 1)):
+        # follow with zero sweeps: for both the copy of E and sb's solution
+        # (sb has six cells with mass, too many for a witness of its own).
+        for name, n_scored in (("sb", 0), ("both", 2)):
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
             assert len(result.objective_trace) == cfg.starts + 1 + n_scored
             assert min(result.sweeps[: cfg.starts + 1]) >= 1
@@ -342,6 +343,47 @@ class TestDispatch:
         assert first.evaluations == other.evaluations > len(first.objective_trace)
 
 
+class TestEnvelopeWitness:
+    """``envelope_witness`` returns (witness, points scored, bound) on each of its paths."""
+
+    @staticmethod
+    def _one_live_row():
+        joint = dirichlet_joint(np.random.default_rng(5), (2, 3, 3))
+        mass = joint.mass.copy()
+        mass[1] = 0.0
+        return JointPMF(joint.variables, mass / mass.sum())
+
+    @pytest.mark.parametrize("which", ["two-rows", "one-row"])
+    def test_two_row_bound_is_the_solve_bound(self, which):
+        joint = JOINTS[0] if which == "two-rows" else self._one_live_row()
+        objective = secrecy_entropy_objective(joint, "B", ("A",))
+        witness, points, bound = envelope_witness(objective, 3)
+        # An unreachable caller bound: the envelope's own must be used.
+        ascent, _ = maximize_channel(
+            objective, (("A", joint.alphabet("A")),), CFG, lambda: math.inf
+        )
+        assert bound == ascent.upper_bound
+        np.testing.assert_array_equal(witness, ascent.tables[0])
+        assert points + len(ascent.values) == ascent.evaluations
+        assert set(ascent.sweeps) == {0}
+
+    @pytest.mark.parametrize("sizes,points", [((3, 3, 3), 153), ((4, 3, 3), 969)])
+    def test_three_or_four_rows_give_the_grid_witness_unbounded(self, sizes, points):
+        joint = dirichlet_joint(np.random.default_rng(9), sizes)
+        objective = secrecy_entropy_objective(joint, "B", ("A",))
+        witness, scored, bound = envelope_witness(objective, sizes[0] + 1)
+        assert witness.shape == (sizes[0], sizes[0] + 1)
+        assert (scored, bound) == (points, None)
+
+    def test_nothing_for_five_rows_or_an_unbalanced_objective(self):
+        joint = dirichlet_joint(np.random.default_rng(9), (5, 2, 2))
+        objective = secrecy_entropy_objective(joint, "B", ("A",))
+        assert envelope_witness(objective, 6) == (None, 0, None)
+        # H(U) over two rows: the lam log lam terms do not cancel.
+        unbalanced = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
+        assert envelope_witness(unbalanced, 3) == (None, 0, None)
+
+
 class TestEvaluationCount:
     def test_ascent_counts_every_point_scored(self, monkeypatch):
         # Counting wraps the two scoring methods; the arithmetic is untouched.
@@ -359,8 +401,9 @@ class TestEvaluationCount:
         monkeypatch.setattr(EntropyObjective, "value", counted_value)
         monkeypatch.setattr(EntropyObjective, "vertex_values", counted_vertex_values)
         monkeypatch.setattr("secomp.ascent.MAX_ITERS", 4)
-        # Above p_b = 1/2 the search runs for sb and both; their grid
-        # witness (four sb cells carry mass) is scored through ``value`` too.
+        # Above p_b = 1/2 the search runs for sb and both; sb's grid witness
+        # (four sb cells carry mass) is scored through ``value`` too, and
+        # both counts the sb solve it runs first.
         joint = make_erasure_joint(ErasureParams(0.7, 0.5))
         for name in ("sb", "both"):
             scored[0] = 0

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from secomp.erasure import (
-    ALPHABET_A,
-    ALPHABET_B,
     ErasureParams,
     erasure_delta,
+    gap_filler_u,
     make_erasure_joint,
     optimal_u_for_switches,
 )
-from secomp.probability import Alphabet, Channel, entropy_of, mutual_information_of
+from secomp.probability import entropy_of, mutual_information_of
 from secomp.regions import SwitchConfig, closed_form_delta, secrecy_objective
 
 SB = SwitchConfig.from_name("sb")
@@ -98,8 +97,10 @@ class TestDeltaFormulas:
 
 
 class TestOptimalChannel:
+    """The explicit S_B-closed channels: the gap filler here, the binary channel below."""
+
     def test_reveals_source_exactly_on_erasures(self):
-        channel = optimal_u_for_switches(ErasureParams(0.25, 0.5), SB)
+        channel = gap_filler_u(SB)
         symbols = channel.to_var[1].symbols
         assert channel.rows[0, 2, symbols.index("u0")] == 1.0  # (a=0, b=e)
         assert channel.rows[1, 2, symbols.index("u1")] == 1.0  # (a=1, b=e)
@@ -110,7 +111,7 @@ class TestOptimalChannel:
         # The gap filler's own value is p_e (1 - p_b), below erasure_delta's p_e.
         params = ErasureParams(0.25, 0.5)
         joint = make_erasure_joint(params)
-        channel = optimal_u_for_switches(params, SB)
+        channel = gap_filler_u(SB)
         value = secrecy_objective(joint, channel, SB)
         assert value == pytest.approx(params.p_e * (1.0 - params.p_b), abs=1e-12)
         assert value < erasure_delta(params, SB) - 0.1
@@ -118,7 +119,7 @@ class TestOptimalChannel:
     def test_lifted_variant_for_both_switches(self):
         params = ErasureParams(0.25, 0.5)
         joint = make_erasure_joint(params)
-        channel = optimal_u_for_switches(params, BOTH)
+        channel = gap_filler_u(BOTH)
         assert set(channel.from_names) == {"A", "B", "E"}
         value = secrecy_objective(joint, channel, BOTH)
         assert value == pytest.approx(params.p_e * (1.0 - params.p_b), abs=1e-12)
@@ -126,21 +127,9 @@ class TestOptimalChannel:
     def test_rejects_configurations_without_bob_at_encoder(self):
         for switches in (NONE, SE):
             with pytest.raises(ValueError):
+                gap_filler_u(switches)
+            with pytest.raises(ValueError):
                 optimal_u_for_switches(ErasureParams(0.25, 0.5), switches)
-
-
-def binary_u(params):
-    """U = A where Bob is erased; elsewhere U = A with probability keep, else 1 - A.
-
-    keep = (1/2 - p_b) / (1 - p_b) for p_b <= 1/2 and 0 above.
-    """
-    keep = max(0.5 - params.p_b, 0.0) / (1.0 - params.p_b) if params.p_b < 1.0 else 0.0
-    specs = (("A", ALPHABET_A), ("B", ALPHABET_B))
-    rows = np.full((2, 3, 2), 0.5)
-    for a in range(2):
-        rows[a, a] = [keep, 1.0 - keep] if a == 0 else [1.0 - keep, keep]
-        rows[a, 2] = np.eye(2)[a]
-    return Channel(specs, ("U", Alphabet("U", ("0", "1"))), rows)
 
 
 class TestBinaryChannelCertificate:
@@ -152,8 +141,10 @@ class TestBinaryChannelCertificate:
             for pe in grid:
                 params = ErasureParams(pb, pe)
                 joint = make_erasure_joint(params)
-                value = secrecy_objective(joint, binary_u(params), SB)
+                value = secrecy_objective(joint, optimal_u_for_switches(params, SB), SB)
                 assert value == pytest.approx(erasure_delta(params, SB), abs=1e-12)
+                lifted = secrecy_objective(joint, optimal_u_for_switches(params, BOTH), BOTH)
+                assert lifted == pytest.approx(erasure_delta(params, BOTH), abs=1e-12)
                 assert erasure_delta(params, BOTH) == erasure_delta(params, SB)
                 assert value <= entropy_of(joint, "A", "E") + 1e-12
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from secomp import ascent
-from secomp.erasure import ErasureParams, make_erasure_joint, optimal_u_for_switches
+from secomp.erasure import ErasureParams, gap_filler_u, make_erasure_joint
 from secomp.probability import (
     Alphabet,
     Channel,
@@ -85,7 +85,7 @@ class TestSecrecyObjective:
     def test_gap_filling_channel_value(self):
         params = ErasureParams(0.25, 0.5)
         joint = make_erasure_joint(params)
-        channel = optimal_u_for_switches(params, SB)
+        channel = gap_filler_u(SB)
         assert secrecy_objective(joint, channel, SB) == pytest.approx(0.375, abs=1e-12)
 
     def test_rejects_conditioning_mismatch(self):
@@ -246,7 +246,7 @@ class TestUpperBound:
 
 
 class TestSbClosedCertificate:
-    """S_B closed on the erasure family: exact for p_b <= 1/2, both never below se."""
+    """S_B closed on the erasure family: exact for p_b <= 1/2, both never below sb or se."""
 
     def test_erasure_grid(self, monkeypatch):
         # Above p_b = 1/2 the search runs; a short sweep cap keeps it quick,
@@ -267,8 +267,7 @@ class TestSbClosedCertificate:
                     for result in (sb, both):
                         assert result.delta_star <= h_a_e + 1e-12
                     assert both.delta_star >= se - 1e-12
-                    if sb.certified:
-                        assert both.delta_star >= sb.delta_star - 1e-12
+                    assert both.delta_star >= sb.delta_star - 1e-12
                 if pb > 0.5:
                     continue
                 for result in (r for pair in runs for r in pair):
@@ -277,6 +276,20 @@ class TestSbClosedCertificate:
                 for first, other in zip(runs[0], runs[1]):
                     assert first.objective_trace == other.objective_trace
                     np.testing.assert_array_equal(first.best_u.rows, other.best_u.rows)
+
+    @pytest.mark.parametrize(
+        "joint",
+        [make_erasure_joint(ErasureParams(0.7, 0.5))]
+        + [dirichlet_joint(np.random.default_rng((2008, k)), (2, 3, 3)) for k in range(3)],
+        ids=["erasure-0.7-0.5", "dirichlet-0", "dirichlet-1", "dirichlet-2"],
+    )
+    def test_both_never_below_searched_sb(self, joint):
+        # Every sb channel is a both channel, and both scores sb's solution.
+        cfg = OptimizerConfig(starts=2)
+        sb = maximize_equivocation(joint, SB, cfg)
+        both = maximize_equivocation(joint, BOTH, cfg)
+        assert not sb.certified
+        assert both.delta_star >= sb.delta_star - 1e-12
 
     @pytest.mark.parametrize("switches", [SB, BOTH], ids=lambda s: s.name)
     def test_search_runs_as_it_would_alone(self, switches, monkeypatch):

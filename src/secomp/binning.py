@@ -20,18 +20,37 @@ of a sequence's digits, never a table of every sequence's symbols. In the
 gap scheme Eve's posterior is uniform over 2^k blocks, k the number of
 positions she misses that the transmission does not fill, so it is counted
 exactly rather than enumerated.
-Trial t draws from default_rng((seed, 1, t)), the bin table from
-default_rng((seed, 0)); reports are reproducible bit for bit and the
-per-trial records are aggregated in trial order. A binning trial draws its
-n joint cells with numpy's own ``Generator.choice`` algorithm (n uniforms
-searched in the normalized cumulative sum of the cell masses), but the sum
-is built once per run rather than validated and rebuilt on every trial, so
-the cells drawn are the ones ``choice(size, n, p=flat)`` returns.
+
+Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
+would draw, and the bin table comes from ``default_rng((seed, 0))``; reports
+are reproducible bit for bit and the per-trial records are aggregated in
+trial order. Building one Generator per trial costs more than a short
+trial's arithmetic, so ``_trial_states`` derives the PCG64 states of a whole
+block of trials at once: SeedSequence's entropy mixing and its
+``generate_state(4, uint64)`` run on uint32 arrays over the trial indices,
+then PCG64's seeding step on Python ints, and one reused bit generator is set
+to each state in turn. A binning trial draws its n joint cells with numpy's
+own ``Generator.choice`` algorithm (n uniforms searched in the normalized
+cumulative sum of the cell masses), with the sum built once per run, so the
+cells drawn are the ones ``choice(size, n, p=flat)`` returns.
+
+Batches. Within a block the cells, sequence indices and bins of every trial
+are computed together. The trials are then grouped by announced bin, and a
+group's trials are scored together: Bob's and Eve's likelihoods of every
+bin member form one (trials, 2, members) array, multiplied position by
+position from left to right as a single trial would be, and MAP decoding,
+ties and Eve's posterior entropies are taken row by row. Each entropy sums a
+row's own terms only, so every record equals the one-trial computation bit
+for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps the numbers a
+block draws and the likelihoods (with the factor tables behind them) a chunk
+of one bin's trials holds; a trial whose bin alone exceeds it is scored by
+itself.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,6 +69,24 @@ _MAX_GAP_SCHEME_N = 12
 # Posterior ties are compared with this relative slack; for erasure-style
 # conditionals the weights are exact dyadics and ties are exact anyway.
 _TIE_REL_TOL = 1e-12
+
+# Entries one batch array may hold: a block of trials draws at most this
+# many numbers, and a chunk of one bin's trials builds at most this many
+# member likelihoods and factor-table entries.
+_BATCH_ELEMENTS = 2**14
+
+# numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
+# entropy into the pool, INIT_B and MULT_B draw the state from it) and
+# PCG64's 128-bit LCG multiplier: what _trial_states needs to rebuild the
+# state default_rng((seed, 1, t)) starts in.
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,19 +150,30 @@ def exact_posterior_entropy(weights) -> float:
         raise ValueError("weights must be nonnegative")
     if w.sum() <= 0.0:
         raise ValueError("all weights are zero")
-    return _entropy_bits(w)
+    return float(_entropy_rows(w[None])[0])
 
 
-def _entropy_bits(w: np.ndarray) -> float:
-    """Entropy in bits of w / w.sum() for 1-D nonnegative float weights with a positive sum.
+def _entropy_rows(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of w / w.sum(axis=1): nonnegative rows with positive sums.
 
     A binning trial's likelihoods meet these conditions by construction, so
-    the trial calls this directly instead of checking them on every trial.
+    the trials call this directly instead of checking them. numpy's pairwise
+    summation groups terms by a sum's length, so each row's sum runs over its
+    own entries, and over its positive probabilities alone, in a block of
+    rows with as many: the result is bit for bit that of the row by itself.
     """
-    p = w / w.sum()
-    p = p[p > 0.0]
+    p = w / w.sum(axis=1, keepdims=True)
+    positive = p > 0.0
+    terms = p[positive]
+    terms *= np.log2(terms)
+    counts = positive.sum(axis=1)
+    ends = counts.cumsum()
+    sums = np.empty(len(p))
+    for count in np.flatnonzero(np.bincount(counts)):
+        rows = np.flatnonzero(counts == count)
+        sums[rows] = terms[(ends[rows] - count)[:, None] + np.arange(count)].sum(axis=1)
     # "+ 0.0" turns the -0.0 of a point mass into 0.0 and changes no other value.
-    return float(-(p * np.log2(p)).sum()) + 0.0
+    return -sums + 0.0
 
 
 def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> BinningCode:
@@ -145,6 +193,85 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
         rng = np.random.default_rng((seed, 0))
         table = rng.integers(0, n_bins, size=n_seq, dtype=np.int64)
     return BinningCode(n=n, rate=rate, n_bins=n_bins, bin_of=table, seed=seed)
+
+
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+    """SeedSequence's running hash constant: (value before, value after) each update."""
+    const = init
+    while True:
+        updated = const * mult & _MASK32
+        yield np.uint32(const), np.uint32(updated)
+        const = updated
+
+
+def _hashmix(value: np.ndarray, constants: Iterator) -> np.ndarray:
+    before, after = next(constants)
+    value = (value ^ before) * after
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ result >> np.uint32(16)
+
+
+def _trial_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng((seed, 1, t))`` for each t in trials, in order.
+
+    SeedSequence splits each entropy integer into little-endian 32-bit
+    words, so trial t's entropy is the words of seed, then 1, then t. The
+    hash constants never depend on the data, which lets every trial's pool
+    be mixed in one pass of uint32 array arithmetic.
+    """
+    if trials.stop > 1 << 32:
+        raise ValueError("trial indices must fit in one 32-bit word")
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full_like(t, word) for word in seed_words + [1]] + [t]
+    mixing = _hash_constants(*_HASH_A)
+    pool = [
+        _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t), mixing)
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixing))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, mixing))
+    drawing = _hash_constants(*_HASH_B)
+    words = [_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8)]
+    # generate_state(4, uint64) pairs the eight words little-endian.
+    halves = [words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)]
+    for s_hi, s_lo, q_hi, q_lo in zip(*(map(int, half) for half in halves)):
+        # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc.
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        yield ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
+
+
+def _trial_generators(seed: int, trials: range) -> Iterator[np.random.Generator]:
+    """For each t in trials, a Generator in the state ``default_rng((seed, 1, t))`` starts in.
+
+    One Generator is re-seeded in place and yielded every time, so a caller
+    takes each trial's draws before it advances.
+    """
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for state, inc in _trial_states(seed, trials):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator
+
+
+def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:
+    """Consecutive ranges of trial indices, each drawing at most _BATCH_ELEMENTS numbers."""
+    step = max(1, _BATCH_ELEMENTS // draws_per_trial)
+    return (range(start, min(start + step, trials)) for start in range(0, trials, step))
 
 
 class _SwContext(NamedTuple):
@@ -169,16 +296,17 @@ class _SwContext(NamedTuple):
     tail_index: np.ndarray
 
 
-class _SwTrial(NamedTuple):
-    error: bool
-    tie: bool
-    equiv: float
-    seq_index: int
-    bin_index: int
-    decoded_index: int
-    a: np.ndarray
-    b: np.ndarray
-    e: np.ndarray
+class _SwTrials(NamedTuple):
+    """Records of a block of binning trials: entry (or row) i belongs to its i-th trial."""
+
+    error: np.ndarray
+    tie: np.ndarray
+    equiv: np.ndarray
+    seq_index: np.ndarray
+    bin_index: np.ndarray
+    decoded_index: np.ndarray
+    # (trials, n) drawn joint cells, flat indices into the (A, B, E) table.
+    cells: np.ndarray
 
 
 def _factor_index(n_digits: int, first: int, alphabet_size: int) -> np.ndarray:
@@ -226,46 +354,69 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
     )
 
 
-def _sw_trial(ctx: _SwContext, rng: np.random.Generator) -> _SwTrial:
-    cells = ctx.cdf.searchsorted(rng.random(ctx.n), side="right")
-    a_idx, b_idx, e_idx = np.unravel_index(cells, ctx.cell_shape)
-    seq_index = int(a_idx @ ctx.radix)
-    bin_index = int(ctx.code.bin_of[seq_index])
-    members = ctx.members_order[
-        ctx.bin_offsets[bin_index] : ctx.bin_offsets[bin_index + 1]
-    ]
-    # Bob's and Eve's likelihoods of every member, each the product of its n
-    # factors taken left to right: the high digits' partial products are
-    # formed once per trial, then each member multiplies in its low digits'
-    # factors one position at a time.
-    factors = ctx.cell_factors.take(cells, axis=0).reshape(-1)
-    head = factors.take(ctx.head_index).prod(axis=0)
-    tail = factors.take(ctx.tail_index)
+def _score_in_bin(
+    ctx: _SwContext, cells: np.ndarray, seq_index: np.ndarray, members: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(error, tie, equiv, decoded_index) of trials whose sequences all lie in one bin.
+
+    cells holds the trials' drawn joint cells, one row per trial, and
+    members the bin's sequence indices in ascending order.
+    """
+    # Bob's (row 0) and Eve's (row 1) likelihoods of every member, each the
+    # product of its n factors taken left to right: the high digits' partial
+    # products are formed once per trial, then each member multiplies in its
+    # low digits' factors one position at a time.
     high, low = np.divmod(members, ctx.low_size)
-    bob, eve = np.concatenate(
-        (head.take(high, axis=1)[None], tail.take(low, axis=2))
-    ).prod(axis=0)
-    true_pos = int(np.searchsorted(members, seq_index))
-    if bob[true_pos] <= 0.0:
+    factors = ctx.cell_factors[cells].reshape(len(cells), -1)
+    likelihood = factors.take(ctx.head_index, axis=1).prod(axis=1).take(high, axis=2)
+    tail = factors.take(ctx.tail_index, axis=1)
+    for position in range(tail.shape[1]):
+        likelihood *= tail[:, position].take(low, axis=2)
+    bob, eve = likelihood[:, 0], likelihood[:, 1]
+    truth = (np.arange(len(cells)), members.searchsorted(seq_index))
+    if (bob[truth] <= 0.0).any():
         raise ArithmeticError("sampled sequence has zero posterior at Bob")
-    best = bob.max()
-    winners = np.flatnonzero(bob >= best * (1.0 - _TIE_REL_TOL))
-    decoded_index = int(members[winners[0]])
-    tie = winners.size > 1
-    error = tie or decoded_index != seq_index
-    if eve[true_pos] <= 0.0:
+    if (eve[truth] <= 0.0).any():
         raise ArithmeticError("sampled sequence has zero posterior at Eve")
-    equiv = _entropy_bits(eve) / ctx.n
-    return _SwTrial(
+    best = bob.max(axis=1)
+    winners = bob >= (best * (1.0 - _TIE_REL_TOL))[:, None]
+    decoded_index = members[winners.argmax(axis=1)]
+    tie = winners.sum(axis=1) > 1
+    return tie | (decoded_index != seq_index), tie, _entropy_rows(eve) / ctx.n, decoded_index
+
+
+def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
+    """Records of the binning trials with indices in trials, scored a bin at a time."""
+    uniforms = np.empty((len(trials), ctx.n))
+    for row, generator in zip(uniforms, _trial_generators(ctx.code.seed, trials)):
+        generator.random(out=row)
+    cells = ctx.cdf.searchsorted(uniforms, side="right")
+    # The source symbol is a cell's leading index in the (A, B, E) table.
+    seq_index = (cells // (ctx.cell_shape[1] * ctx.cell_shape[2])) @ ctx.radix
+    bin_index = ctx.code.bin_of[seq_index]
+    error = np.empty(len(trials), dtype=bool)
+    tie = np.empty(len(trials), dtype=bool)
+    equiv = np.empty(len(trials))
+    decoded_index = np.empty(len(trials), dtype=np.int64)
+    by_bin = np.argsort(bin_index, kind="stable")
+    for group in np.split(by_bin, np.flatnonzero(np.diff(bin_index[by_bin])) + 1):
+        j = bin_index[group[0]]
+        members = ctx.members_order[ctx.bin_offsets[j] : ctx.bin_offsets[j + 1]]
+        per_trial = ctx.head_index.size + ctx.tail_index.size + 2 * members.size
+        step = max(1, _BATCH_ELEMENTS // per_trial)
+        for start in range(0, group.size, step):
+            chunk = group[start : start + step]
+            error[chunk], tie[chunk], equiv[chunk], decoded_index[chunk] = _score_in_bin(
+                ctx, cells[chunk], seq_index[chunk], members
+            )
+    return _SwTrials(
         error=error,
         tie=tie,
         equiv=equiv,
         seq_index=seq_index,
         bin_index=bin_index,
         decoded_index=decoded_index,
-        a=np.asarray(a_idx),
-        b=np.asarray(b_idx),
-        e=np.asarray(e_idx),
+        cells=cells,
     )
 
 
@@ -274,6 +425,21 @@ def _check_run(trials: int, seed: int) -> None:
         raise ValueError("trials must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+
+
+def _summarize(equivs: np.ndarray, seed: int, errors: np.ndarray, ties: np.ndarray) -> SimReport:
+    trials = equivs.size
+    stderr = float(equivs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    n_ties = int(ties.sum())
+    return SimReport(
+        trials=trials,
+        p_e_hat=float(errors.mean()),
+        equiv_hat=float(equivs.mean()),
+        equiv_stderr=stderr,
+        seed=seed,
+        ties=n_ties,
+        wrong_decodes=int(errors.sum()) - n_ties,
+    )
 
 
 def run_sw_binning(
@@ -290,52 +456,42 @@ def run_sw_binning(
     """
     _check_run(trials, seed)
     ctx = _sw_context(joint_abe, n, rate, seed)
-    errors = np.zeros(trials, dtype=bool)
-    ties = np.zeros(trials, dtype=bool)
-    equivs = np.zeros(trials)
-    for t in range(trials):
-        record = _sw_trial(ctx, np.random.default_rng((seed, 1, t)))
-        errors[t] = record.error
-        ties[t] = record.tie
-        equivs[t] = record.equiv
-    stderr = float(equivs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    n_ties = int(ties.sum())
-    return SimReport(
-        trials=trials,
-        p_e_hat=float(errors.mean()),
-        equiv_hat=float(equivs.mean()),
-        equiv_stderr=stderr,
-        seed=seed,
-        ties=n_ties,
-        wrong_decodes=int(errors.sum()) - n_ties,
-    )
+    errors = np.empty(trials, dtype=bool)
+    ties = np.empty(trials, dtype=bool)
+    equivs = np.empty(trials)
+    for block in _trial_blocks(trials, n):
+        record = _sw_trials(ctx, block)
+        span = slice(block.start, block.stop)
+        errors[span], ties[span], equivs[span] = record.error, record.tie, record.equiv
+    return _summarize(equivs, seed, errors, ties)
 
 
-class _GapTrial(NamedTuple):
-    equiv: float
-    message_length: int
+class _GapTrials(NamedTuple):
+    """Records of a block of gap-scheme trials, one row per trial."""
+
+    equiv: np.ndarray
     a: np.ndarray
     bob_erased: np.ndarray
     eve_erased: np.ndarray
 
 
-def _gap_trial(params: ErasureParams, n: int, rng: np.random.Generator) -> _GapTrial:
-    a = rng.integers(0, 2, size=n)
-    bob_erased = rng.random(n) < params.p_b
-    eve_erased = rng.random(n) < params.p_e
+def _gap_trials(params: ErasureParams, n: int, seed: int, trials: range) -> _GapTrials:
+    a = np.empty((len(trials), n), dtype=np.int8)
+    uniforms = np.empty((len(trials), 2 * n))
+    for t, generator in enumerate(_trial_generators(seed, trials)):
+        a[t] = generator.integers(0, 2, size=n)
+        # One call for 2n doubles draws what two calls for n would: Bob's
+        # erasure uniforms, then Eve's.
+        generator.random(out=uniforms[t])
+    bob_erased = uniforms[:, :n] < params.p_b
+    eve_erased = uniforms[:, n:] < params.p_e
     # The gap-filling sequence is "the source bit where Bob is erased, a
     # constant elsewhere", so the transmission pins down both the filled
     # positions and their values for everyone listening. Eve's posterior is
     # uniform over the 2^k blocks free at her k erased, unfilled positions,
     # with entropy exactly k bits.
-    equiv = int((eve_erased & ~bob_erased).sum()) / n
-    return _GapTrial(
-        equiv=equiv,
-        message_length=int(bob_erased.sum()),
-        a=a,
-        bob_erased=bob_erased,
-        eve_erased=eve_erased,
-    )
+    equiv = (eve_erased & ~bob_erased).sum(axis=1) / n
+    return _GapTrials(equiv=equiv, a=a, bob_erased=bob_erased, eve_erased=eve_erased)
 
 
 def run_erasure_encoder_scheme(
@@ -355,14 +511,8 @@ def run_erasure_encoder_scheme(
     if not 1 <= n <= _MAX_GAP_SCHEME_N:
         raise ValueError(f"blocklength must lie in [1, {_MAX_GAP_SCHEME_N}], got {n}")
     _check_run(trials, seed)
-    equivs = np.zeros(trials)
-    for t in range(trials):
-        equivs[t] = _gap_trial(params, n, np.random.default_rng((seed, 1, t))).equiv
-    stderr = float(equivs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return SimReport(
-        trials=trials,
-        p_e_hat=0.0,
-        equiv_hat=float(equivs.mean()),
-        equiv_stderr=stderr,
-        seed=seed,
-    )
+    equivs = np.empty(trials)
+    for block in _trial_blocks(trials, 3 * n):
+        equivs[block.start : block.stop] = _gap_trials(params, n, seed, block).equiv
+    exact = np.zeros(trials, dtype=bool)
+    return _summarize(equivs, seed, exact, exact)

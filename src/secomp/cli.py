@@ -311,19 +311,25 @@ def _report_to_dict(report) -> dict:
     }
 
 
-def _emit_report(run, *run_args) -> int:
-    _emit_json(_report_to_dict(_from_flags(run, *run_args)), sys.stdout)
+def _emit_report(args, run, *run_args) -> int:
+    report = _from_flags(run, *run_args)
+    out = _report_to_dict(report)
+    if args.diagnostics:
+        out.update(ties=report.ties, wrong_decodes=report.wrong_decodes)
+    _emit_json(out, sys.stdout)
     return 0
 
 
 def _cmd_simulate_binning(args) -> int:
     joint = _load_over(args.input, ("A", "B", "E"))
-    return _emit_report(run_sw_binning, joint, args.n, args.rate, args.trials, args.seed)
+    return _emit_report(args, run_sw_binning, joint, args.n, args.rate, args.trials, args.seed)
 
 
 def _cmd_simulate_erasure_scheme(args) -> int:
     params = _from_flags(ErasureParams, p_b=args.pb, p_e=args.pe)
-    return _emit_report(run_erasure_encoder_scheme, params, args.n, args.trials, args.seed)
+    return _emit_report(
+        args, run_erasure_encoder_scheme, params, args.n, args.trials, args.seed
+    )
 
 
 def _cmd_preset_erasure(args) -> int:
@@ -390,15 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="small-blocklength Monte Carlo")
     sim_sub = simulate.add_subparsers(dest="sim_kind", required=True, parser_class=_Parser)
+    sim_diagnostics_flag = _flag(
+        "--diagnostics", action="store_true",
+        help="append ties and wrong_decodes, the decoding failures behind p_e_hat split by "
+             "cause (both 0 for erasure-scheme, which decodes exactly), to the output",
+    )
 
-    p = sim_sub.add_parser("binning", parents=[input_flag, seed_flag],
+    p = sim_sub.add_parser("binning", parents=[input_flag, seed_flag, sim_diagnostics_flag],
                            help="random binning with uncoded side information")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.set_defaults(func=_cmd_simulate_binning)
 
-    p = sim_sub.add_parser("erasure-scheme", parents=[seed_flag],
+    p = sim_sub.add_parser("erasure-scheme", parents=[seed_flag, sim_diagnostics_flag],
                            help="transmit-the-gaps encoder scheme")
     p.add_argument("--pb", type=float, required=True)
     p.add_argument("--pe", type=float, required=True)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import dirichlet_joint
 from secomp.binning import (
     SimReport,
+    _BATCH_ELEMENTS,
     _TIE_REL_TOL,
-    _gap_trial,
+    _gap_trials,
     _sw_context,
-    _sw_trial,
+    _sw_trials,
+    _trial_states,
     exact_posterior_entropy,
     make_binning_code,
     run_erasure_encoder_scheme,
@@ -116,6 +119,15 @@ def _reference_run(joint, n, rate, trials, seed):
     )
 
 
+def _records(batch):
+    """One record per trial from a batch's per-trial arrays, as Python scalars or rows."""
+    for values in zip(*batch):
+        yield SimpleNamespace(**{
+            name: value.item() if value.ndim == 0 else value
+            for name, value in zip(batch._fields, values)
+        })
+
+
 def _enumerated_gap_equiv(record, n):
     """Eve's gap-scheme equivocation by enumerating her candidate blocks."""
     free = np.flatnonzero(record.eve_erased)
@@ -207,6 +219,26 @@ class TestBinningCode:
             make_binning_code(n=21, rate=0.5, alphabet_size=2, seed=0)
 
 
+class TestTrialStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 1])
+    def test_states_are_default_rngs(self, seed):
+        # One to four 32-bit seed words: the trial index lands in the pool
+        # or, past the pool's four words, in the extra-entropy rounds.
+        derived = list(_trial_states(seed, range(3000)))
+        for t, (state, inc) in enumerate(derived):
+            expected = np.random.default_rng((seed, 1, t)).bit_generator.state["state"]
+            assert (state, inc) == (expected["state"], expected["inc"])
+        assert list(_trial_states(seed, range(1000, 1200))) == derived[1000:1200]
+
+    def test_trial_index_must_fit_one_word(self):
+        last = 2**32 - 1
+        (state, inc), = _trial_states(7, range(last, last + 1))
+        expected = np.random.default_rng((7, 1, last)).bit_generator.state["state"]
+        assert (state, inc) == (expected["state"], expected["inc"])
+        with pytest.raises(ValueError):
+            list(_trial_states(7, range(last, last + 2)))
+
+
 class TestSwBinning:
     def test_full_rate_reveals_everything_exactly(self):
         joint = make_erasure_joint(ErasureParams(0.5, 0.8))
@@ -242,22 +274,22 @@ class TestSwBinning:
         ctx = _sw_context(joint, n=12, rate=0.6, seed=21)
         ref = _reference_context(joint, n=12, rate=0.6, seed=21)
         n_erased_cap = 0
-        for t in range(80):
-            record = _sw_trial(ctx, np.random.default_rng((21, 1, t)))
+        for record in _records(_sw_trials(ctx, range(80))):
+            _, b, e = np.unravel_index(record.cells, ctx.cell_shape)
             # announced bin really contains the drawn sequence
             assert ctx.code.bin_of[record.seq_index] == record.bin_index
             assert ctx.code.bin_of[record.decoded_index] == record.bin_index
             # decoding failure implies a competitor at least as likely
             if record.error and not record.tie:
                 bob_true = np.prod(
-                    ref.p_a_given_b[ref.seq_table[record.seq_index], record.b]
+                    ref.p_a_given_b[ref.seq_table[record.seq_index], b]
                 )
                 bob_decoded = np.prod(
-                    ref.p_a_given_b[ref.seq_table[record.decoded_index], record.b]
+                    ref.p_a_given_b[ref.seq_table[record.decoded_index], b]
                 )
                 assert bob_decoded >= bob_true
             # per-trial equivocation never exceeds what Eve's own symbols allow
-            eve_only = (record.e == 2).sum() / ctx.n
+            eve_only = (e == 2).sum() / ctx.n
             assert record.equiv <= eve_only + 1e-12
             n_erased_cap = max(n_erased_cap, record.equiv)
         assert n_erased_cap > 0  # the cap is actually exercised
@@ -314,11 +346,19 @@ class TestSwBinning:
             )
             ctx = _sw_context(joint, n, rate, seed)
             ref = _reference_context(joint, n, rate, seed)
-            for t in range(40):
-                record = _sw_trial(ctx, np.random.default_rng((seed, 1, t)))
+            for t, record in enumerate(_records(_sw_trials(ctx, range(40)))):
                 got = (record.error, record.tie, record.equiv, record.seq_index,
                        record.decoded_index)
                 assert got == _reference_trial(ref, np.random.default_rng((seed, 1, t)))
+
+    def test_run_longer_than_one_block_matches_reference(self):
+        # A block draws at most _BATCH_ELEMENTS numbers, so this run spans two.
+        joint = dirichlet_joint(np.random.default_rng(7), (2, 3, 3))
+        n = 12
+        trials = _BATCH_ELEMENTS // n + 40
+        assert run_sw_binning(joint, n, 0.75, trials, 6) == _reference_run(
+            joint, n, 0.75, trials, 6
+        )
 
     @pytest.mark.parametrize("n", [1, 8])
     def test_cell_draw_is_generator_choice(self, n):
@@ -359,6 +399,22 @@ class TestSwBinning:
             tracemalloc.stop()
         assert peak <= 5 * 8 * 2**18
 
+    def test_single_bin_n16_memory_is_set_by_the_batch_budget(self):
+        # Rate 0 puts all 2^16 sequences in one bin. Scoring the 100 trials
+        # together would hold 100 x 2 x 2^16 likelihoods (100 MiB); a chunk
+        # holds _BATCH_ELEMENTS of them, or one trial's if that is more.
+        joint = make_erasure_joint(ErasureParams(0.1, 0.3))
+        members = 2**16
+        chunk_bytes = 8 * max(_BATCH_ELEMENTS, 2 * members)
+        tracemalloc.start()
+        try:
+            run_sw_binning(joint, n=16, rate=0.0, trials=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The bin table and the member order, then a few chunk-sized arrays.
+        assert peak <= 2 * 8 * members + 8 * chunk_bytes
+
     def test_rejects_bad_rate_and_size(self):
         joint = make_erasure_joint(ErasureParams(0.5, 0.8))
         with pytest.raises(ValueError):
@@ -395,17 +451,42 @@ class TestGapScheme:
         assert abs(report.equiv_hat - 0.375) <= 0.1
 
     def test_trial_equivocation_counts_untransmitted_eve_gaps(self):
-        for t in range(50):
-            record = _gap_trial(ErasureParams(0.25, 0.5), 10, np.random.default_rng((5, t)))
+        for record in _records(_gap_trials(ErasureParams(0.25, 0.5), 10, 5, range(50))):
             free = (record.eve_erased & ~record.bob_erased).sum()
             assert record.equiv == pytest.approx(free / 10, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, 12])
+    def test_trial_draws_are_default_rng_streams(self, n):
+        # The batch sets one generator to each trial's derived state; an odd
+        # n leaves a cached 32-bit half after the source bits, which the
+        # erasure uniforms must not consume.
+        seed = 2**70 + 1
+        records = _records(_gap_trials(ErasureParams(0.25, 0.5), n, seed, range(300)))
+        for t, record in enumerate(records):
+            rng = np.random.default_rng((seed, 1, t))
+            np.testing.assert_array_equal(record.a, rng.integers(0, 2, size=n))
+            np.testing.assert_array_equal(record.bob_erased, rng.random(n) < 0.25)
+            np.testing.assert_array_equal(record.eve_erased, rng.random(n) < 0.5)
+
+    def test_run_longer_than_one_block_matches_per_trial_streams(self):
+        params, n, seed = ErasureParams(0.25, 0.5), 12, 3
+        trials = 2 * (_BATCH_ELEMENTS // (3 * n)) + 7
+        equivs = np.empty(trials)
+        for t in range(trials):
+            rng = np.random.default_rng((seed, 1, t))
+            rng.integers(0, 2, size=n)
+            bob_erased = rng.random(n) < params.p_b
+            eve_erased = rng.random(n) < params.p_e
+            equivs[t] = int((eve_erased & ~bob_erased).sum()) / n
+        report = run_erasure_encoder_scheme(params, n, trials, seed)
+        assert report.equiv_hat == float(equivs.mean())
+        assert report.equiv_stderr == float(equivs.std(ddof=1) / math.sqrt(trials))
 
     @pytest.mark.parametrize("n", [1, 5, 8, 12])
     @pytest.mark.parametrize("p_b,p_e", [(0.25, 0.5), (0.1, 0.9), (0.6, 0.7)])
     def test_counted_posterior_equals_enumeration(self, n, p_b, p_e):
         params = ErasureParams(p_b, p_e)
-        for t in range(200):
-            record = _gap_trial(params, n, np.random.default_rng((n, 1, t)))
+        for record in _records(_gap_trials(params, n, n, range(200))):
             assert record.equiv == _enumerated_gap_equiv(record, n)
 
     def test_reproducible_bit_for_bit(self):

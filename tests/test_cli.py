@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
-from secomp.cli import main
+from conftest import dirichlet_joint
+from secomp.binning import run_erasure_encoder_scheme, run_sw_binning
+from secomp.cli import distribution_to_dict, load_distribution, main
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.probability import entropy_of, mutual_information_of
 
@@ -251,6 +254,29 @@ class TestSimulate:
         report = json.loads(out)
         assert report["p_e_hat"] == 0.0
         assert 0.2 <= report["equiv_hat"] <= 0.55
+
+    def test_diagnostics_append_ties_and_wrong_decodes(self, capsys, tmp_path):
+        # A Dirichlet joint decodes wrongly as well as on ties.
+        joint = dirichlet_joint(np.random.default_rng(9), (2, 3, 3))
+        path = tmp_path / "dirichlet.json"
+        path.write_text(json.dumps(distribution_to_dict(joint)))
+        commands = [
+            (("binning", "-i", str(path), "--n", "10", "--rate", "0.3", "--trials", "120"),
+             run_sw_binning(load_distribution(path), 10, 0.3, 120, 1)),
+            (("erasure-scheme", "--pb", "0.1", "--pe", "0.3", "--n", "10", "--trials", "120"),
+             run_erasure_encoder_scheme(ErasureParams(0.1, 0.3), 10, 120, 1)),
+        ]
+        for args, report in commands:
+            argv = ("simulate", *args, "--seed", "1")
+            code, plain, _ = run_cli(capsys, *argv)
+            assert code == 0
+            code, out, _ = run_cli(capsys, *argv, "--diagnostics")
+            assert code == 0
+            # The default report is the diagnostic one minus its last two fields.
+            assert out.startswith(plain[: plain.rindex("\n}")])
+            extra = {k: v for k, v in json.loads(out).items() if k not in json.loads(plain)}
+            assert extra == {"ties": report.ties, "wrong_decodes": report.wrong_decodes}
+        assert commands[0][1].ties > 0 and commands[0][1].wrong_decodes > 0
 
 
 class TestExitCodes:

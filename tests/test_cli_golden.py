@@ -17,6 +17,12 @@ perturbation of every input cell. Solves whose best channel is picked among
 values equal up to the last bits are left out, because a change that only
 moves rounding can reprint them: ``sb`` and ``both`` where the search runs,
 and ``se`` on the degraded joint, where other channels tie with copy of E.
+Three simulator cases pin the edges of the per-trial seeding, recorded while
+each trial still built its own ``default_rng((seed, 1, t))``: ``binning`` at
+seed 2^32 (two 32-bit seed words) on the Dirichlet joint, ``binning`` at seed
+2^70 + 1 (three words, so the trial index enters after the pool is full) and
+rate 0 on the erasure joint (cells without mass, one bin holding every
+sequence), and ``erasure-scheme`` at seed 2^32 + 3.
 """
 
 import json

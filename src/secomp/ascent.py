@@ -1,4 +1,4 @@
-"""Auxiliary-channel search (``maximize_channel``): an exact envelope or a multi-start ascent.
+"""Auxiliary-channel search (``maximize_channel``): an exact envelope or column generation.
 
 Every objective the package maximizes over an auxiliary channel W (rows are
 the conditioning cells, columns the output symbols) is a signed sum of
@@ -10,48 +10,54 @@ matrix P (rows x K) with a sign per column, and
 
     value(W) = const - sum_{k,u} sign_k * m_ku * log2(m_ku),  m = P^T W.
 
-Moving row r of W to ``base + t * delta`` moves the marginals to
-``m0 + t * P[r] (x) delta``, so a line search costs O(K * |U|) per point and
-never rebuilds the joint or copies W.
+Every objective the package builds is balanced: each row's signed columns
+cancel (``P @ sign == 0``). Write rho_r for row r's share of the mass,
+lam_u = sum_r rho_r W[r, u] and q_u for the posterior of the rows with mass
+given u, q_u(r) = rho_r W[r, u] / lam_u. Marginal column u is then lam_u
+times that of q_u, the lam_u log lam_u terms cancel, and
 
-The vertex step tries every one-hot row for row r. Each candidate replaces
-row r completely, so its marginal is ``rest + P[r] (x) e_u`` with ``rest``
-the marginal without row r, whatever row r held before. The candidates differ
-from ``rest`` in one column only, so all |U| values come from two batched
-column evaluations. Trying u = 0, 1, ... in turn and keeping u whenever it
-beats the best value so far ends on the first maximizer of the candidate
-values, provided that maximum beats the current value; the candidates do not
-depend on which earlier vertex was kept. The batched step takes ``argmax``
-(the first maximizer) under the same condition, so it chooses the same
-vertex, ties included; only the rounding of the candidate values, which the
-two ways sum in different orders, can set them apart.
+    value(W) = sum_u lam_u c(q_u),  c(q) = value of the one-column table q,
 
-Fixed per-call costs are paid once where the numbers allow it. The golden
-section scores its two opening points and its closing point t = 1 in one
-batched evaluation, and each step forms one new point; each start draws a
-whole sweep's directions in one call from its own generator, the same
-stream in the same order; the rows without mass are found once per ascent.
-None of this changes a floating-point operation, so results are the same
-bit for bit as scoring each point and drawing each direction on its own.
-
-All randomness derives from (seed, start index), so runs are reproducible
-bit for bit and starts could execute concurrently without changing results.
+with sum_u lam_u = 1 and sum_u lam_u q_u = rho. So the maximum over channels
+is a linear program over posteriors, max sum_i lam_i c(q_i) subject to
+sum_i lam_i q_i = rho and lam >= 0: the upper concave envelope of c at rho
+(Nair, "Upper concave envelopes and auxiliary random variables", 2013). A
+basic solution has at most (rows with mass) columns in its support, so it
+fits in |U| outputs. The witness of a solution is W[r, u] = lam_u q_u(r) /
+rho_r.
 
 ``maximize_channel`` searches only where it must. One stage scores the
-channels found without a search (``envelope_witness``), the caller's
-candidates and starts and the uniform channel. When at most two
-conditioning rows carry mass and every row's signed columns balance, the
-objective is a sum over U of p(u) times a function of a one-dimensional
-posterior, and ``two_row_envelope`` finds its maximum as the upper concave
-envelope of that function, with a certified upper bound and no randomness.
-That covers p(u|a) objectives on a binary source: the S_B-open secrecy
+channel found without a search (``envelope_witness``), the caller's
+candidates and the uniform channel. With at most two rows with mass c is a
+function of a one-dimensional posterior, and ``two_row_envelope`` finds its
+envelope exactly, with a certified upper bound and no randomness. That
+covers p(u|a) objectives on a binary source: the S_B-open secrecy
 objective, each coded corner and both less-noisy violations. With three or
-four balanced rows the witness of an LP over a grid of posteriors
-(``grid_witness``) is scored instead, and only the caller's analytic upper
-bound can certify it. When the two-row envelope applies, or the best
-channel scored is within ``CERTIFY_TOL`` of that bound, the best is the
-maximum and no search runs; otherwise ``multistart_ascent`` runs as it
-would alone.
+four rows the LP over a fixed grid of posteriors (``grid_witness``) gives
+the witness, and only the caller's analytic upper bound can certify it.
+When the two-row envelope applies, or the best channel scored is within
+``CERTIFY_TOL`` of that bound, the best is the maximum and no search runs.
+
+Otherwise ``column_generation`` solves the LP by Dantzig-Wolfe column
+generation: the master LP over a set of columns, solved by
+``lp.phase2_simplex``, gives duals y, and pricing looks for posteriors whose
+reduced cost c(q) - y.q is positive. The first columns are the vertices,
+rho, the grid (three or four rows) and the posteriors of every table the
+first stage scored. Pricing is a batched exponentiated-gradient ascent of
+the reduced cost; its gradient is -sum_k sign_k P[r, k] log2 mu_k / rho_r,
+the log2(e) parts cancelling by balance. It starts from the vertices and
+the master's support, pulled toward rho (a multiplicative step cannot move
+a zero coordinate), and in the first round also from ``starts``
+Dirichlet(1) points drawn from default_rng(seed); the support holds the
+points of earlier rounds that the master uses. A round adds every end
+point that prices above ``PRICE_TOL``; the search stops after a round that
+adds none, or after ``MAX_ROUNDS`` rounds. The optimum usually has fewer
+support points than there are rows, which leaves the master at rho
+degenerate; it is solved at shares perturbed by a relative 1e-8, and the
+weights of its support are solved again for rho. The witness is scored
+after the first stage's channels, so the result is never below them. It is
+achievable, a lower bound on the maximum: pricing finds local maxima of
+the reduced cost only. Everything is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -67,10 +73,6 @@ from .envelope import chord_gap, upper_envelope
 from .lp import phase2_simplex
 from .probability import Alphabet, Channel, VarSpec
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_ITERS = 28
-_DIRECTIONS_PER_ROW = 2
-
 # A row's signed columns balance when |proj @ sign| is below this times its mass.
 _BALANCE_TOL = 1e-12
 
@@ -78,27 +80,37 @@ _BALANCE_TOL = 1e-12
 # of their posterior simplex with coordinates in multiples of 1 / 16 (969
 # points for four rows); an even count keeps the midpoints, where the
 # erasure family's optimal supports sit. Phase 2 stops once no reduced cost
-# is below minus _GRID_LP_TOL, and weights up to it, the rounding residue of
-# a degenerate basis, are dropped from the support.
+# is below minus _LP_TOL, and weights up to it, the rounding residue of a
+# degenerate basis, are dropped from the support.
 _GRID_LP_ROWS = range(3, 5)
 _GRID_LP_RESOLUTION = 16
-_GRID_LP_TOL = 1e-13
+_LP_TOL = 1e-13
 
 # A channel within this of the analytic upper bound ends the search.
 CERTIFY_TOL = 1e-12
 
-# Sweeps a start may run; a start freezes once a sweep gains less than TOL,
-# and starts within TOL of the best value count as agreeing.
-MAX_ITERS = 500
+# Column generation runs at most MAX_ROUNDS pricing rounds and adds the end
+# points pricing above PRICE_TOL. Each pricing start takes _PRICING_STEPS
+# exponentiated-gradient steps from a step size of 1, which doubles after a
+# gain and halves after a loss; starts are pulled _PULL of the way toward
+# rho. The master's target shares are perturbed by up to _PERTURB of
+# themselves.
+MAX_ROUNDS = 100
+PRICE_TOL = 1e-10
+_PRICING_STEPS = 30
+_PULL = 1e-6
+_PERTURB = 1e-8
+
+# Trace entries within TOL of the best value count as agreeing.
 TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Random ``starts`` of the multi-start ascent, drawn from ``seed``.
+    """Random pricing starts of column generation: ``starts`` Dirichlet points drawn from ``seed``.
 
-    The envelope path uses neither; the sweep cap and tolerance are the
-    module constants ``MAX_ITERS`` and ``TOL``.
+    A certified first stage uses neither; the round cap and the price
+    tolerance are the module constants ``MAX_ROUNDS`` and ``PRICE_TOL``.
     """
 
     starts: int = 64
@@ -116,7 +128,7 @@ class EntropyObjective:
     """const - sum_k sign_k sum_u m_ku log2 m_ku over the marginals m = P^T W.
 
     ``proj`` is P (rows x K), ``sign`` holds +1 or -1 per column. Arrays of
-    marginals have shape (..., K, |U|); tables W have shape (starts, rows, |U|).
+    marginals have shape (..., K, |U|); tables W have shape (tables, rows, |U|).
     """
 
     proj: np.ndarray
@@ -178,170 +190,26 @@ class EntropyObjective:
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return self.value(self.marginals(w))
 
-    def row_step(self, r: int, delta: np.ndarray) -> np.ndarray:
-        """Marginal shift P[r] (x) delta of moving row r by ``delta`` (starts x |U|)."""
-        return self.proj[r][None, :, None] * delta[:, None, :]
-
-    def vertex_values(self, m: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-        """Value of each start with row r replaced by each one-hot vertex.
-
-        ``m`` are the marginals of ``w``; the result has shape (starts, |U|).
-        """
-        p_r = self.proj[r][None, :, None]
-        rest = m - p_r * w[:, r, None, :]
-        cols = self.column_values(rest)
-        with_row = self.column_values(rest + p_r)
-        return self.const + cols.sum(axis=1)[:, None] - cols + with_row
-
 
 @dataclass(frozen=True, eq=False)
-class AscentResult:
-    """Final per-start values and tables, and how each start ended.
+class ChannelResult:
+    """The values and tables of every channel scored, and how the search ended.
 
-    ``sweeps[s]`` counts the sweeps start s ran before it froze (or
-    ``MAX_ITERS``); ``hit_max_iters`` is true when some start still improved
-    by at least ``TOL`` in the last allowed sweep. ``evaluations`` counts the
+    ``rounds`` counts column generation's pricing rounds, 0 when the first
+    stage certified; ``hit_max_rounds`` is true when the last of
+    ``MAX_ROUNDS`` rounds still added a column. ``evaluations`` counts the
     points the objective was scored at. ``upper_bound`` is a certified bound
     on the objective's maximum over all channels: the envelope's, or the
-    analytic bound ``maximize_channel`` was given; None from
-    ``multistart_ascent`` alone.
+    analytic bound ``maximize_channel`` was given, and at least the best
+    value.
     """
 
     values: np.ndarray
     tables: np.ndarray
-    sweeps: np.ndarray
-    hit_max_iters: bool
-    evaluations: int = 0
-    upper_bound: float | None = None
-
-
-def _golden_max(
-    eval_t: Callable[[np.ndarray], np.ndarray], n_batch: int, iters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched golden-section maximization over t in [0, 1], end point t = 1 included.
-
-    ``eval_t`` maps an array of t values of shape (..., n_batch) to their
-    values. The two opening points and t = 1 are scored in one call; t = 1
-    replaces the section's best point only when it is strictly better.
-    """
-    a = np.zeros(n_batch)
-    b = np.ones(n_batch)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2, f_one = eval_t(np.stack([x1, x2, b]))
-    for _ in range(iters):
-        # When x1 scores at least as well the bracket shrinks to [a, x2],
-        # else to [x1, b]; the new point sits between the kept inner point
-        # (base) and the kept end (far). Negation is exact, so
-        # x2 + c * (a - x2) is the same number as x2 - c * (x2 - a).
-        left = f1 >= f2
-        base, far = np.where(left, (x2, a), (x1, b))
-        x_new = base + _INVPHI * (far - base)
-        f_new = eval_t(x_new)
-        a, b, x1, x2, f1, f2 = np.where(
-            left, (a, x2, x_new, x1, f_new, f1), (x1, b, x2, x_new, f2, f_new)
-        )
-    t = np.where(f1 >= f2, x1, x2)
-    f = np.maximum(f1, f2)
-    return np.where(f_one > f, 1.0, t), np.maximum(f_one, f)
-
-
-def multistart_ascent(
-    objective: EntropyObjective,
-    n_symbols: int,
-    cfg: OptimizerConfig,
-    extra_rows: Sequence[np.ndarray] = (),
-) -> AscentResult:
-    """Maximize ``objective`` over stacks of per-row simplex distributions.
-
-    Start ``s`` draws from default_rng((seed, s)); random starts come first,
-    then ``extra_rows``. Each sweep visits every row, first trying each
-    one-hot vertex exactly (the interesting optima often sit at deterministic
-    channels, and exact vertex moves both reach them and let the sweep
-    improvement drop to zero so termination fires), then golden-section line
-    searches toward random simplex points for interior refinement. Rows of
-    conditioning cells without mass are skipped: no move of theirs changes
-    the objective, so they keep their start values. A start freezes once a
-    full sweep improves it by less than ``TOL``; later sweeps run on the
-    starts still active only, which changes nothing for any start because
-    each start only reads its own table and generator.
-    """
-    n_starts = cfg.starts + len(extra_rows)
-    rngs = [np.random.default_rng((cfg.seed, s)) for s in range(n_starts)]
-    w = np.empty((n_starts, objective.n_rows, n_symbols))
-    ones = np.ones(n_symbols)
-    for s in range(cfg.starts):
-        w[s] = rngs[s].dirichlet(ones, size=objective.n_rows)
-    for i, rows in enumerate(extra_rows):
-        w[cfg.starts + i] = rows
-    f = objective(w)
-    live_rows = np.flatnonzero(objective.proj.any(axis=1))
-    # Points one start scores per sweep: each live row's vertices, then the
-    # golden section's three opening points and one per step, per direction.
-    per_sweep = live_rows.size * (n_symbols + _DIRECTIONS_PER_ROW * (3 + _GOLDEN_ITERS))
-    evaluations = n_starts
-    active = np.ones(n_starts, dtype=bool)
-    sweeps = np.zeros(n_starts, dtype=int)
-    for _ in range(MAX_ITERS):
-        idx = np.flatnonzero(active)
-        w_run = w[idx]
-        f_run = _sweep(objective, w_run, f[idx], [rngs[s] for s in idx], live_rows)
-        sweeps[idx] += 1
-        evaluations += idx.size * per_sweep
-        active[idx] = (f_run - f[idx]) >= TOL
-        w[idx] = w_run
-        f[idx] = f_run
-        if not active.any():
-            break
-    return AscentResult(f, w, sweeps, bool(active.any()), evaluations)
-
-
-def _sweep(
-    objective: EntropyObjective,
-    w: np.ndarray,
-    f: np.ndarray,
-    rngs: Sequence[np.random.Generator],
-    live_rows: np.ndarray,
-) -> np.ndarray:
-    """One pass over the rows ``live_rows`` of the tables ``w`` (updated in place).
-
-    ``f`` holds the current values; returns the values after the pass.
-    """
-    n_starts, n_rows, n_symbols = w.shape
-    every = np.arange(n_starts)
-    # directions[r, k] is direction k of row r for every start. Each start
-    # draws them for every row, skipped rows included, from its own generator
-    # in (row, direction) order, so one draw per start keeps every stream.
-    directions = np.stack([
-        rng.dirichlet(np.ones(n_symbols), size=(n_rows, _DIRECTIONS_PER_ROW)) for rng in rngs
-    ], axis=2)
-    m = objective.marginals(w)
-    for r in live_rows:
-        f_vertex = objective.vertex_values(m, w, r)
-        u = np.argmax(f_vertex, axis=1)
-        f_u = f_vertex[every, u]
-        take = f_u > f
-        if take.any():
-            w[take, r, :] = 0.0
-            w[take, r, u[take]] = 1.0
-            f = np.where(take, f_u, f)
-            m = objective.marginals(w)
-        for z in directions[r]:
-            base = w[:, r, :].copy()
-            delta = z - base
-            dm = objective.row_step(r, delta)
-
-            def eval_t(t: np.ndarray) -> np.ndarray:
-                return objective.value(m + t[..., None, None] * dm)
-
-            t_best, f_best = _golden_max(eval_t, n_starts, _GOLDEN_ITERS)
-            take = f_best > f
-            if take.any():
-                moved = base[take] + t_best[take, None] * delta[take]
-                w[take, r, :] = np.maximum(moved, 0.0)
-                f = np.where(take, f_best, f)
-                m = objective.marginals(w)
-    return f
+    rounds: int
+    hit_max_rounds: bool
+    evaluations: int
+    upper_bound: float
 
 
 def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray] | None:
@@ -439,39 +307,54 @@ def _simplex_grid(k: int) -> np.ndarray:
     return grid
 
 
+def _scaled(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """P over the rows ``live`` divided by their shares; a posterior q has marginals q @ it."""
+    return objective.proj[live] / rho[:, None]
+
+
+def _master(columns: np.ndarray, values: np.ndarray,
+            shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights lam maximizing values @ lam subject to columns.T @ lam = shares, and the duals.
+
+    The first ``shares.size`` columns are the vertices, the starting basis.
+    """
+    return phase2_simplex(columns.T, shares, values, np.arange(shares.size), _LP_TOL)
+
+
+def _witness(n_rows: int, n_symbols: int, live: np.ndarray, columns: np.ndarray,
+             lam: np.ndarray) -> np.ndarray:
+    """The channel W[r, u] = lam_u q_u(r) / rho_r of the support of ``lam``, in column order.
+
+    The rows are normalized by their sums, which are rho up to rounding. A
+    row with a share below rounding can lose its whole support when weights
+    up to _LP_TOL are dropped; it is made uniform, as are the rows without
+    mass.
+    """
+    support = np.flatnonzero(lam > _LP_TOL)
+    table = np.zeros((live.size, n_symbols))
+    table[:, : support.size] = columns[support].T * lam[support]
+    table[~table.any(axis=1)] = 1.0
+    witness = np.full((n_rows, n_symbols), 1.0 / n_symbols)
+    witness[live] = table / table.sum(axis=1, keepdims=True)
+    return witness
+
+
 def grid_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarray | None, int]:
-    """A channel from the grid LP envelope and the grid points scored.
+    """The witness of the master LP over the grid's columns, and the grid points scored.
 
     Applies when three or four rows carry mass and every row's signed
-    columns balance; returns (None, 0) otherwise. As in ``two_row_envelope``,
-    value(W) = const + sum_u lam_u phi(q_u), where q_u is the posterior of
-    the live rows given u and sum_u lam_u q_u = rho, their shares of the
-    mass. Each grid point q_i is scored as a one-column table, const +
-    phi(q_i), and phase 2 of the simplex, started from the grid's vertices,
-    solves max sum_i lam_i phi(q_i) subject to sum_i lam_i q_i = rho and
-    lam >= 0: the upper concave envelope of phi at rho over supports on the
-    grid, a lower bound on the maximum that is exact where optimal supports
-    lie on the grid. The witness W[r, u] = lam_u q_u(r) / rho_r takes the
-    support in grid order; rows without mass are uniform.
+    columns balance; returns (None, 0) otherwise. The LP over supports on
+    the grid is a lower bound on the maximum, exact where optimal supports
+    lie on the grid; it is column generation without pricing.
     """
     rows = _balanced_rows(objective)
     if rows is None or rows[0].size not in _GRID_LP_ROWS:
         return None, 0
     live, rho = rows
     grid = _simplex_grid(live.size)
-    marginals = grid @ (objective.proj[live] / rho[:, None])
-    values = objective.value(marginals[:, :, None])
-    lam = phase2_simplex(grid.T, rho, values, np.arange(live.size), _GRID_LP_TOL)
-    support = np.flatnonzero(lam > _GRID_LP_TOL)
-    table = np.zeros((live.size, n_symbols))
-    table[:, : support.size] = grid[support].T * lam[support]
-    # Points covering a row weigh at most _GRID_LP_RESOLUTION times its share,
-    # so a row with a share below rounding can lose its whole support to the
-    # drop; it is made uniform.
-    table[~table.any(axis=1)] = 1.0
-    witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
-    witness[live] = table / table.sum(axis=1, keepdims=True)
-    return witness, len(grid)
+    values = objective.value((grid @ _scaled(objective, live, rho))[:, :, None])
+    lam, _ = _master(grid, values, rho)
+    return _witness(objective.n_rows, n_symbols, live, grid, lam), len(grid)
 
 
 def envelope_witness(
@@ -504,58 +387,135 @@ def u_channel(cond_vars: tuple[VarSpec, ...], rows: np.ndarray) -> Channel:
     return Channel(cond_vars, ("U", u_alphabet), table)
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    q = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return q / q.sum(axis=1, keepdims=True)
+
+
+def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
+           logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentiated-gradient ascent of the reduced cost c(q) - y.q from q = softmax(logits).
+
+    ``scaled`` is ``_scaled`` of the live rows. Each start takes
+    _PRICING_STEPS steps of its own size; returns the end logits and their
+    reduced costs.
+    """
+    def reduced_cost(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = _softmax(logits)
+        m = q @ scaled
+        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
+        cost = objective.const - (m * log_m) @ objective.sign - q @ y
+        return cost, -(log_m * objective.sign) @ scaled.T - y
+
+    cost, grad = reduced_cost(logits)
+    step = np.ones(len(logits))
+    for _ in range(_PRICING_STEPS):
+        trial = logits + step[:, None] * grad
+        trial_cost, trial_grad = reduced_cost(trial)
+        gain = trial_cost > cost
+        logits = np.where(gain[:, None], trial, logits)
+        grad = np.where(gain[:, None], trial_grad, grad)
+        cost = np.where(gain, trial_cost, cost)
+        step = np.where(gain, 2.0 * step, 0.5 * step)
+    return logits, cost
+
+
+def column_generation(
+    objective: EntropyObjective, n_symbols: int, cfg: OptimizerConfig, tables: np.ndarray
+) -> tuple[np.ndarray, int, bool, int]:
+    """The witness of column generation, its rounds, whether they hit the cap, the points scored.
+
+    ``tables`` (tables x rows x |U|) are the channels scored so far; their
+    posteriors join the first columns. Raises ValueError unless every row's
+    signed columns balance: only then is the maximum an LP over posteriors.
+    """
+    rows = _balanced_rows(objective)
+    if rows is None:
+        raise ValueError("column generation needs an objective whose rows' signed columns balance")
+    live, rho = rows
+    k = live.size
+    scaled = _scaled(objective, live, rho)
+
+    def column_values(q: np.ndarray) -> np.ndarray:
+        return objective.value((q @ scaled)[:, :, None])
+
+    joint = rho[:, None] * tables[:, live, :]
+    lam = joint.sum(axis=1)
+    posteriors = np.moveaxis(joint, 1, 2)[lam > 0.0] / lam[lam > 0.0][:, None]
+    first = _simplex_grid(k) if k in _GRID_LP_ROWS else np.eye(k)
+    columns = np.vstack([first, rho, posteriors])
+    values = column_values(columns)
+    evaluations = len(columns)
+    rng = np.random.default_rng(cfg.seed)
+    logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
+    # At rho itself the master is degenerate wherever the optimum has fewer
+    # support points than rows, and the simplex can stall among the bases
+    # of one vertex; each share is raised by a random fraction of _PERTURB.
+    target = rho * (1.0 + _PERTURB * rng.random(k))
+    hit_max_rounds = False
+    for rounds in range(1, MAX_ROUNDS + 1):
+        lam, y = _master(columns, values, target)
+        kept = lam > _LP_TOL
+        kept[:k] = True
+        starts = np.log(columns[kept] * (1.0 - _PULL) + _PULL * rho)
+        logits, cost = _price(objective, scaled, y, np.vstack([starts, logits]))
+        evaluations += (_PRICING_STEPS + 1) * len(cost)
+        positive = cost > PRICE_TOL
+        if not positive.any():
+            break
+        new = _softmax(logits[positive])
+        columns = np.vstack([columns, new])
+        values = np.concatenate([values, column_values(new)])
+        evaluations += len(new)
+        logits = logits[:0]  # later rounds start from the vertices and the support only
+    else:
+        lam, _ = _master(columns, values, target)
+        hit_max_rounds = True
+    # The weights on the support, solved again for rho itself.
+    support = np.flatnonzero(lam > _LP_TOL)
+    lam = np.zeros(len(columns))
+    lam[support] = np.maximum(np.linalg.lstsq(columns[support].T, rho, rcond=None)[0], 0.0)
+    witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
+    return witness, rounds, hit_max_rounds, evaluations
+
+
 def maximize_channel(
     objective: EntropyObjective,
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
     bound: Callable[[], float],
-    starts: Sequence[Channel] = (),
     candidates: Sequence[Channel] = (),
-) -> tuple[AscentResult, Channel]:
+) -> tuple[ChannelResult, Channel]:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
-    ``starts`` and ``candidates`` are lifted to ``cond_vars``; the ascent
-    starts from ``starts``, while ``candidates`` are only scored. One stage
-    scores the ``envelope_witness`` (if any), the candidates, the starts and
-    the uniform channel, in that order. Where the two-row envelope applies
-    its bound certifies the witness, and ``cfg`` is not used; else
-    ``bound()`` is called (so the bound is computed only here), and it
-    certifies the best channel scored if that is within ``CERTIFY_TOL`` of
-    it. A certified stage is the result, with zero sweeps and
-    ``upper_bound`` at least its best value. Else the multi-start ascent
-    runs the random starts, then ``starts``, then the uniform channel, as
-    if nothing had been scored, and the witness and candidates follow its
-    values with zero sweeps (the ascent already climbed from the starts and
-    the uniform channel). Returns the result and the best table as a
-    ``u_channel``, the first table with the highest value winning ties.
+    One stage scores the ``envelope_witness`` (if any), the ``candidates``
+    lifted to ``cond_vars`` and the uniform channel, in that order. Where
+    the two-row envelope applies its bound certifies the witness, and
+    ``cfg`` is not used; else ``bound()`` is called (so the bound is
+    computed only here), and it certifies the best channel scored if that
+    is within ``CERTIFY_TOL`` of it. A certified stage is the result, with
+    zero rounds. Else ``column_generation`` runs from the stage's tables,
+    and its witness is scored last. Returns the result and the best table
+    as a ``u_channel``, the first table with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
-
-    def tables(channels: Sequence[Channel]) -> list[np.ndarray]:
-        padded = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in channels)
-        return [channel.rows.reshape(-1, n_symbols) for channel in padded]
-
-    injected = tables(starts) + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
     witness, points, upper = envelope_witness(objective, n_symbols)
-    scored = ([] if witness is None else [witness]) + tables(candidates)
-    stacked = np.stack(scored + injected)
+    lifted = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in candidates)
+    tables = ([] if witness is None else [witness]) + [
+        channel.rows.reshape(-1, n_symbols) for channel in lifted
+    ]
+    stacked = np.stack(tables + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)])
     values = objective(stacked)
     evaluations = points + len(values)
-    certified = upper is not None
-    if not certified:
+    rounds, hit_max_rounds = 0, False
+    if upper is None:
         upper = bound()
-    if certified or values.max() >= upper - CERTIFY_TOL:
-        ascent = AscentResult(values, stacked, np.zeros(len(values), dtype=int), False,
-                              evaluations, max(upper, float(values.max())))
-    else:
-        ascent = multistart_ascent(objective, n_symbols, cfg, injected)
-        n = len(scored)
-        ascent = AscentResult(
-            np.concatenate([ascent.values, values[:n]]),
-            np.concatenate([ascent.tables, stacked[:n]]),
-            np.concatenate([ascent.sweeps, np.zeros(n, dtype=int)]),
-            ascent.hit_max_iters,
-            ascent.evaluations + evaluations,
-            upper,
-        )
-    return ascent, u_channel(cond_vars, ascent.tables[int(np.argmax(ascent.values))])
+        if values.max() < upper - CERTIFY_TOL:
+            table, rounds, hit_max_rounds, priced = column_generation(
+                objective, n_symbols, cfg, stacked)
+            stacked = np.concatenate([stacked, table[None]])
+            values = np.concatenate([values, objective(table[None])])
+            evaluations += priced + 1
+    result = ChannelResult(values, stacked, rounds, hit_max_rounds, evaluations,
+                           max(upper, float(values.max())))
+    return result, u_channel(cond_vars, stacked[int(np.argmax(values))])

@@ -208,9 +208,8 @@ def _diagnostics(opt: OptResult, upper_bound: float) -> dict:
     """How a solve was obtained: the fields ``--diagnostics`` appends."""
     return {
         "upper_bound": upper_bound,
-        "max_sweeps": max(opt.sweeps),
-        "total_sweeps": sum(opt.sweeps),
-        "hit_max_iters": opt.hit_max_iters,
+        "rounds": opt.rounds,
+        "hit_max_rounds": opt.hit_max_rounds,
         "evaluations": opt.evaluations,
         "certified": opt.certified,
     }
@@ -359,17 +358,17 @@ def build_parser() -> argparse.ArgumentParser:
     seed_flag = _flag("--seed", type=int, default=0)
     starts_flag = _flag(
         "--starts", type=int, default=OptimizerConfig().starts,
-        help="random starts of the multi-start search (default %(default)s); validated but "
-             "unused where the value is exact: --switches se, a binary A with S_B open "
-             "(--switches none, region coded, less-noisy checks), and wherever a channel "
+        help="random pricing starts of the column-generation search (default %(default)s); "
+             "validated but unused where the value is exact: --switches se, a binary A with S_B "
+             "open (--switches none, region coded, less-noisy checks), and wherever a channel "
              "scored before the search meets the upper bound (--switches sb and both on the "
              "erasure preset with --pb <= 0.5)",
     )
     optimizer_flags = [input_flag, starts_flag, seed_flag]
     diagnostics_flag = _flag(
         "--diagnostics", action="store_true",
-        help="append upper_bound, max_sweeps, total_sweeps, hit_max_iters, evaluations and "
-             "certified (no search ran) to the output",
+        help="append upper_bound, rounds (column-generation pricing rounds), hit_max_rounds, "
+             "evaluations and certified (no search ran) to the output",
     )
 
     p = sub.add_parser("measures", parents=[input_flag],

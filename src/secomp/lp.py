@@ -2,11 +2,14 @@
 
 ``phase1_simplex`` finds a point of {x >= 0 : A x = b} or certifies that
 there is none (the degradation check). ``phase2_simplex`` maximizes c @ x
-over such a set from a feasible basis of unit columns (the grid envelope of
-``ascent``). Both run the same pivot loop, which cannot cycle, on a
+over such a set from a feasible basis of unit columns and returns the duals
+too (the master LP of ``ascent``: the grid envelope and column generation).
+Both run the same pivot loop, which cannot cycle in exact arithmetic, on a
 tableau whose last row holds the reduced costs of a minimization and, in
 its last entry, minus the objective. The systems here have a few dozen rows
-at most, so no factorization tricks are needed.
+at most, so no factorization tricks are needed; in rounding, though, the
+loop can stall on a strongly degenerate LP, so column generation perturbs
+its master's right-hand side (see ``ascent``).
 """
 
 from __future__ import annotations
@@ -105,15 +108,20 @@ def phase1_simplex(
 
 def phase2_simplex(
     a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray, basis: np.ndarray, tol: float
-) -> np.ndarray:
-    """x >= 0 maximizing c @ x subject to a_eq @ x = b_eq, from a feasible basis.
+) -> tuple[np.ndarray, np.ndarray]:
+    """x >= 0 maximizing c @ x subject to a_eq @ x = b_eq from a feasible basis, and the duals.
 
     Column ``basis[i]`` of ``a_eq`` must be the i-th unit vector and b_eq >= 0,
     so the tableau starts in canonical form with x[basis] = b_eq. The result
     is within ``tol`` times sum(x) of the optimum; the set must be bounded.
+    The duals y = c_B B^-1 of the final basis B satisfy y @ a_eq >= c - tol
+    and y @ b_eq = c @ x. Column j's reduced cost is y @ a_j - c_j, and a_j
+    is the i-th unit vector for j = ``basis[i]`` as given, so y_i is the
+    final reduced cost there plus c_j.
     """
     m, n = a_eq.shape
-    basis = np.array(basis)
+    start = np.array(basis)
+    basis = start.copy()
     tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = a_eq
     tableau[:m, -1] = b_eq
@@ -124,4 +132,4 @@ def phase2_simplex(
         raise ArithmeticError("phase-2 simplex on an unbounded set")
     x = np.zeros(n)
     x[basis] = tableau[:m, -1]
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0), tableau[m, start] + c[start]

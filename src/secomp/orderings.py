@@ -12,11 +12,12 @@ a constant U, I(A;stronger) - I(A;weaker) (van Dijk, IEEE T-IT 1997). The
 check is therefore ``regions.maximize_secrecy`` with Y = weaker, the solver
 behind the ``none`` setting and the coded corners. For a binary source that
 maximum is an exact envelope; for larger sources the bound on the violation
-is I(A;weaker|stronger), and the search runs only where no channel scored
-before it (the grid witness for |A| <= 4, the copy of A, the uniform
-channel) comes within ``ascent.CERTIFY_TOL`` of that bound. On an
-A - stronger - weaker chain the bound is 0 and the uniform channel meets it,
-so the proof needs no search at any |A|. Either way the verdict
+is I(A;weaker|stronger), and column generation over posteriors of A runs
+only where no channel scored before it (the grid witness for |A| <= 4, the
+copy of A, the uniform channel) comes within ``ascent.CERTIFY_TOL`` of that
+bound. On an A - stronger - weaker chain the bound is 0 and the uniform
+channel meets it, so the proof needs no search at any |A|. Either way the
+verdict
 carries a certified ``upper_bound`` on the violation, and a
 non-falsification with ``upper_bound <= WITNESS_TOL`` is a proof at the
 given prior; otherwise it is evidence, not proof, and the verdict names say
@@ -64,8 +65,9 @@ class OrderingVerdict:
     ``physically_degraded`` flag for whether the given joint itself forms the
     Markov chain (degradation as checked here only constrains the pairwise
     marginals). Falsifications carry the ``witness`` channel and its ``gap``;
-    non-falsifications record the search ``budget_used`` in channels scored
-    (starts, or the envelope's witness and injected channels). Less-noisy
+    non-falsifications record the ``budget_used`` in channels scored (the
+    envelope's or grid witness, the copy of A, the uniform channel, and
+    column generation's witness where it ran). Less-noisy
     verdicts carry a certified ``upper_bound`` on the violation, at least
     ``gap``: the envelope's for a binary source, else I(A;weaker|stronger);
     ``opt`` is the secrecy solve behind them, for its diagnostics.
@@ -177,7 +179,7 @@ def search_less_noisy_violation(
     stronger, weaker = _roles(_LESS_NOISY_ROLES, direction)
     a_spec = ("A", joint_abe.alphabet("A"))
     opt = maximize_secrecy(joint_abe, stronger, (a_spec,), cfg, weaker,
-                           [Channel.copy_of(a_spec, "U")])
+                           candidates=[Channel.copy_of(a_spec, "U")])
     # The objective's value at a constant U, I(A;stronger) - I(A;weaker).
     baseline = entropy_of(joint_abe, "A", weaker) - entropy_of(joint_abe, "A", stronger)
     gap = max(opt.objective_trace) - baseline

@@ -16,15 +16,16 @@ E and ``sb``'s solution, lifted (``sb``'s search runs where ``sb`` needs
 one). When the best of them reaches the analytic bound (H(A|Y), or
 I(A;X|Y) for channels p(u|a)) the value is exact and no search runs; on
 the erasure family that is ``sb`` and ``both`` for p_b <= 1/2. Otherwise
-a multi-start local ascent runs over the product of row simplexes:
-Dirichlet(1) starts, vertex steps and golden-section line searches along
-random in-simplex directions, until a full sweep improves by less than
-``ascent.TOL``. Every path scores the uniform channel, whose
+column generation solves the objective's LP over posteriors of the
+conditioning cells (see ``ascent``): a master LP over a growing set of
+posteriors, priced by an exponentiated-gradient ascent from seeded
+Dirichlet points and the master's support. Its first columns include every
+channel scored first, and every path scores the uniform channel, whose
 objective is the plain Slepian-Wolf baseline I(A;X) - I(A;Y), so values
-are achievable lower bounds on the true maximum, never below the
-baseline. ``upper_bound`` bounds the maximum from above; ``certified``,
-``starts_agreeing``, ``sweeps``, ``hit_max_iters`` and ``evaluations`` are
-the diagnostics.
+are achievable lower bounds on the true maximum, never below the baseline
+or a channel scored first. ``upper_bound`` bounds the maximum from above;
+``certified``, ``starts_agreeing``, ``rounds``, ``hit_max_rounds`` and
+``evaluations`` are the diagnostics.
 """
 
 from __future__ import annotations
@@ -121,44 +122,42 @@ class OptResult:
     ``delta_star`` is max(0, best objective found); a code may always reveal
     everything, so equivocation 0 is trivially achievable and negative
     objectives are clamped. ``objective_trace`` holds the value of each
-    channel scored: the search's starts (random starts first, then injected
-    ones), then the channels scored without a search; ``starts_agreeing``
-    counts entries within ``ascent.TOL`` of the best. ``sweeps`` holds the
-    sweeps each entry ran before it froze, in trace order, 0 for a channel
-    only scored; ``hit_max_iters`` is true when some start was still
-    improving after ``ascent.MAX_ITERS`` sweeps. ``evaluations`` counts the
-    points the objective was scored at, envelope and grid points included.
+    channel scored, in the order given below; ``starts_agreeing`` counts
+    entries within ``ascent.TOL`` of the best. ``rounds`` counts the
+    pricing rounds of column generation, 0 where none ran;
+    ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS`` rounds
+    still added a column. ``evaluations`` counts the points the objective
+    was scored at, envelope, grid and pricing points included.
     ``upper_bound`` is a certified upper bound on the true maximum of
     ``delta_star``: the envelope's value plus its eps where the two-row
     envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
     H(A|Y) for channels that also see B; never below the best value or 0.
-    ``certified`` is true when no search ran: the two-row envelope, the
-    S_E-closed closed form, or a channel scored first that reached the
-    analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed closed form
-    counts as one agreeing start that ran no sweep and scored nothing:
-    trace ``(delta_star,)``, ``sweeps == (0,)``, ``hit_max_iters`` false,
-    ``evaluations == 0``, ``upper_bound == delta_star``. A certified solve
-    reports its trace as the envelope's or the grid's witness, the
-    candidates, any injected starts and the uniform channel. For ``both``
-    the candidates are the copy of E and ``sb``'s ``best_u``, and
-    ``evaluations`` includes the points ``sb``'s solve scored, its search
-    too where ``sb`` needed one; the trace, the sweeps and ``certified``
-    describe ``both``'s own stage and search only.
+    ``certified`` is true when no search ran (``rounds == 0``): the two-row
+    envelope, the S_E-closed closed form, or a channel scored first that
+    reached the analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed
+    closed form counts as one agreeing entry that scored nothing: trace
+    ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
+    ``evaluations == 0``, ``upper_bound == delta_star``. The trace of any
+    other solve is the envelope's or the grid's witness, the candidates and
+    the uniform channel, followed by the witness of column generation where
+    it ran. For ``both`` the candidates are the copy of E and ``sb``'s
+    ``best_u``, and ``evaluations`` includes the points ``sb``'s solve
+    scored, its search too where ``sb`` needed one; the trace, the rounds
+    and ``certified`` describe ``both``'s own stage and search only.
     """
 
     delta_star: float
     best_u: Channel
     objective_trace: tuple[float, ...]
     starts_agreeing: int
-    sweeps: tuple[int, ...]
-    hit_max_iters: bool
+    rounds: int
+    hit_max_rounds: bool
     evaluations: int
     upper_bound: float
 
     @property
     def certified(self) -> bool:
-        # Every start of a search runs at least one sweep.
-        return max(self.sweeps) == 0
+        return self.rounds == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +249,7 @@ def maximize_equivocation(
         delta = _snap(closed_form_delta(joint_abe, "se_closed"))
         best_u = u_channel(cond_vars, copy_e.lift(cond_vars).rows)
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
-                         starts_agreeing=1, sweeps=(0,), hit_max_iters=False,
+                         starts_agreeing=1, rounds=0, hit_max_rounds=False,
                          evaluations=0, upper_bound=delta)
     sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
     opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
@@ -311,10 +310,9 @@ def maximize_secrecy(
     cond_vars: tuple[VarSpec, ...],
     cfg: OptimizerConfig,
     y_var: str = "E",
-    starts: Sequence[Channel] = (),
     candidates: Sequence[Channel] = (),
 ) -> OptResult:
-    """Maximize I(A;X|U) - I(A;Y|U) over p(u | cond_vars), scoring ``starts`` and ``candidates``.
+    """Maximize I(A;X|U) - I(A;Y|U) over p(u | cond_vars), scoring ``candidates`` first.
 
     The one core behind the ``none``, ``sb`` and ``both`` solves, the coded
     corners and both less-noisy checks. Where the two-row envelope does not
@@ -334,16 +332,16 @@ def maximize_secrecy(
             return mutual_information_of(joint, "A", x_var, (y_var,))
         return entropy_of(joint, "A", (y_var,))
 
-    ascent, best_u = maximize_channel(objective, cond_vars, cfg, bound, starts, candidates)
-    f = ascent.values
+    solved, best_u = maximize_channel(objective, cond_vars, cfg, bound, candidates)
+    f = solved.values
     best_value = float(f.max())
     return OptResult(
         delta_star=_snap(best_value),
         best_u=best_u,
         objective_trace=tuple(f.tolist()),
         starts_agreeing=int(np.sum(f >= best_value - TOL)),
-        sweeps=tuple(ascent.sweeps.tolist()),
-        hit_max_iters=ascent.hit_max_iters,
-        evaluations=ascent.evaluations,
-        upper_bound=max(ascent.upper_bound, best_value, 0.0),
+        rounds=solved.rounds,
+        hit_max_rounds=solved.hit_max_rounds,
+        evaluations=solved.evaluations,
+        upper_bound=max(solved.upper_bound, best_value, 0.0),
     )

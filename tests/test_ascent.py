@@ -1,22 +1,19 @@
-import math
+import functools
 
 import numpy as np
 import pytest
 
 from secomp import ascent
-from secomp.ascent import (
-    _DIRECTIONS_PER_ROW,
-    _GOLDEN_ITERS,
-    _INVPHI,
-    AscentResult,
-    OptimizerConfig,
-    maximize_channel,
-    multistart_ascent,
-    u_channel,
-)
+from secomp.ascent import OptimizerConfig, maximize_channel, u_channel
 from secomp.erasure import ErasureParams, make_erasure_joint
-from secomp.probability import Channel, build_joint, mutual_information_of
-from secomp.regions import SwitchConfig, secrecy_entropy_objective, secrecy_objective
+from secomp.orderings import search_less_noisy_violation
+from secomp.probability import Channel, build_joint, mutual_information_of, rename_variable
+from secomp.regions import (
+    SwitchConfig,
+    maximize_equivocation,
+    secrecy_entropy_objective,
+    secrecy_objective,
+)
 
 from conftest import dirichlet_joint, random_channel
 
@@ -24,28 +21,8 @@ SWITCHES = [SwitchConfig.from_name(name) for name in ("none", "sb", "se", "both"
 
 
 def table_of(channel):
-    """Channel rows as a one-start optimizer table (1, rows, symbols)."""
+    """Channel rows as a one-table stack (1, rows, symbols)."""
     return channel.rows.reshape(1, -1, channel.rows.shape[-1])
-
-
-def sequential_vertex(objective, w, r, f):
-    """Reference vertex step: try each one-hot row in turn, keep strict gains."""
-    pick = np.full(w.shape[0], -1)
-    for u in range(w.shape[2]):
-        cand = w.copy()
-        cand[:, r, :] = 0.0
-        cand[:, r, u] = 1.0
-        f_cand = objective(cand)
-        take = f_cand > f
-        pick = np.where(take, u, pick)
-        f = np.where(take, f_cand, f)
-    return pick
-
-
-def batched_vertex(objective, w, r, f):
-    f_vertex = objective.vertex_values(objective.marginals(w), w, r)
-    u = np.argmax(f_vertex, axis=1)
-    return np.where(f_vertex[np.arange(w.shape[0]), u] > f, u, -1)
 
 
 class TestStackedObjective:
@@ -112,199 +89,27 @@ class TestStackedObjective:
 
 
 class TestIncrementalMoves:
-    def test_line_point_matches_full_recompute(self):
-        rng = np.random.default_rng(113)
-        for switches in SWITCHES:
-            joint = dirichlet_joint(rng, (2, 3, 3))
-            objective = secrecy_entropy_objective(joint, "B", switches.conditioning_vars())
-            n_starts, n_symbols = 4, 5
-            w = rng.dirichlet(np.ones(n_symbols), size=(n_starts, objective.n_rows))
-            m0 = objective.marginals(w)
-            for r in range(objective.n_rows):
-                delta = rng.dirichlet(np.ones(n_symbols), size=n_starts) - w[:, r, :]
-                dm = objective.row_step(r, delta)
-                t = rng.uniform(size=n_starts)
-                moved = w.copy()
-                moved[:, r, :] += t[:, None] * delta
-                np.testing.assert_allclose(
-                    objective.value(m0 + t[:, None, None] * dm), objective(moved),
-                    rtol=0.0, atol=1e-12,
-                )
-
     def test_vertex_values_match_full_recompute(self):
+        # Column generation scores a channel as sum_u lam_u c(q_u) over its
+        # posteriors, c(q) the value of the one-column table q; on tables
+        # with one row moved to each vertex of its simplex in turn, the sum
+        # equals the value recomputed in full.
         rng = np.random.default_rng(127)
         joint = dirichlet_joint(rng, (2, 3, 3))
         objective = secrecy_entropy_objective(joint, "B", ("A", "E"))
+        live, rho = ascent._balanced_rows(objective)
+        scaled = ascent._scaled(objective, live, rho)
         w = rng.dirichlet(np.ones(4), size=(3, objective.n_rows))
-        m = objective.marginals(w)
         for r in range(objective.n_rows):
-            f_vertex = objective.vertex_values(m, w, r)
             for u in range(4):
                 cand = w.copy()
                 cand[:, r, :] = np.eye(4)[u]
-                np.testing.assert_allclose(f_vertex[:, u], objective(cand), rtol=0.0, atol=1e-12)
-
-    def test_batched_vertex_step_picks_sequential_vertex(self):
-        rng = np.random.default_rng(131)
-        for switches in SWITCHES:
-            joint = dirichlet_joint(rng, (2, 3, 3))
-            objective = secrecy_entropy_objective(joint, "B", switches.conditioning_vars())
-            w = rng.dirichlet(np.ones(4), size=(6, objective.n_rows))
-            f = objective(w)
-            for r in range(objective.n_rows):
-                np.testing.assert_array_equal(
-                    batched_vertex(objective, w, r, f), sequential_vertex(objective, w, r, f)
-                )
-
-    def test_batched_vertex_step_breaks_ties_like_sequential(self):
-        # With every row uniform, both vertices of row 0 give mirror-image
-        # marginals and so exactly the same value: the first one must win.
-        joint = dirichlet_joint(np.random.default_rng(137), (2, 3, 3))
-        objective = secrecy_entropy_objective(joint, "B", ("A",))
-        w = np.full((3, objective.n_rows, 2), 0.5)
-        f = objective(w) - 1.0
-        f_vertex = objective.vertex_values(objective.marginals(w), w, 0)
-        assert np.array_equal(f_vertex[:, 0], f_vertex[:, 1])
-        batched = batched_vertex(objective, w, 0, f)
-        np.testing.assert_array_equal(batched, [0, 0, 0])
-        np.testing.assert_array_equal(batched, sequential_vertex(objective, w, 0, f))
-
-
-# Reference ascent: the golden-section search, sweep and multi-start loop as
-# they were before their fixed per-call costs were hoisted (one eval per
-# opening point and for t = 1, per-row direction draws, per-sweep live-row
-# test). The library's ascent must reproduce it bit for bit.
-
-
-def _reference_value(objective, m):
-    return objective.const + objective.column_values(m).sum(axis=-1)
-
-
-def _reference_golden_max(eval_t, n_batch, iters):
-    a = np.zeros(n_batch)
-    b = np.ones(n_batch)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = eval_t(x1)
-    f2 = eval_t(x2)
-    for _ in range(iters):
-        left = f1 >= f2
-        a = np.where(left, a, x1)
-        b = np.where(left, x2, b)
-        old_x1, old_f1 = x1, f1
-        old_x2, old_f2 = x2, f2
-        x1 = np.where(left, b - _INVPHI * (b - a), old_x2)
-        x2 = np.where(left, old_x1, a + _INVPHI * (b - a))
-        f_new = eval_t(np.where(left, x1, x2))
-        f1 = np.where(left, f_new, old_f2)
-        f2 = np.where(left, old_f1, f_new)
-    t = np.where(f1 >= f2, x1, x2)
-    return t, np.maximum(f1, f2)
-
-
-def _reference_sweep(objective, w, f, rngs):
-    n_starts, n_rows, n_symbols = w.shape
-    ones = np.ones(n_symbols)
-    every = np.arange(n_starts)
-    t_one = np.ones(n_starts)
-    live = objective.proj.any(axis=1)
-    m = objective.marginals(w)
-    for r in range(n_rows):
-        directions = [
-            np.stack([rng.dirichlet(ones) for rng in rngs])
-            for _ in range(_DIRECTIONS_PER_ROW)
-        ]
-        if not live[r]:
-            continue
-        f_vertex = objective.vertex_values(m, w, r)
-        u = np.argmax(f_vertex, axis=1)
-        f_u = f_vertex[every, u]
-        take = f_u > f
-        if take.any():
-            w[take, r, :] = 0.0
-            w[take, r, u[take]] = 1.0
-            f = np.where(take, f_u, f)
-            m = objective.marginals(w)
-        for z in directions:
-            base = w[:, r, :].copy()
-            delta = z - base
-            dm = objective.row_step(r, delta)
-
-            def eval_t(t):
-                return _reference_value(objective, m + t[:, None, None] * dm)
-
-            t_best, f_best = _reference_golden_max(eval_t, n_starts, _GOLDEN_ITERS)
-            f_vertex = eval_t(t_one)
-            t_best = np.where(f_vertex > f_best, 1.0, t_best)
-            f_best = np.maximum(f_vertex, f_best)
-            take = f_best > f
-            if take.any():
-                moved = base[take] + t_best[take, None] * delta[take]
-                w[take, r, :] = np.maximum(moved, 0.0)
-                f = np.where(take, f_best, f)
-                m = objective.marginals(w)
-    return f
-
-
-def _reference_multistart_ascent(objective, n_symbols, cfg, extra_rows=()):
-    n_starts = cfg.starts + len(extra_rows)
-    rngs = [np.random.default_rng((cfg.seed, s)) for s in range(n_starts)]
-    w = np.empty((n_starts, objective.n_rows, n_symbols))
-    ones = np.ones(n_symbols)
-    for s in range(cfg.starts):
-        w[s] = rngs[s].dirichlet(ones, size=objective.n_rows)
-    for i, rows in enumerate(extra_rows):
-        w[cfg.starts + i] = rows
-    f = _reference_value(objective, objective.marginals(w))
-    active = np.ones(n_starts, dtype=bool)
-    sweeps = np.zeros(n_starts, dtype=int)
-    for _ in range(ascent.MAX_ITERS):
-        idx = np.flatnonzero(active)
-        w_run = w[idx]
-        f_run = _reference_sweep(objective, w_run, f[idx], [rngs[s] for s in idx])
-        sweeps[idx] += 1
-        active[idx] = (f_run - f[idx]) >= ascent.TOL
-        w[idx] = w_run
-        f[idx] = f_run
-        if not active.any():
-            break
-    return AscentResult(f, w, sweeps, bool(active.any()))
-
-
-def _ascent_cases():
-    joints = {
-        "dirichlet": dirichlet_joint(np.random.default_rng(139), (2, 2, 3)),
-        "erasure": make_erasure_joint(ErasureParams(0.1, 0.3)),
-    }
-    for joint_name, joint in joints.items():
-        for switches in SWITCHES:
-            cond = switches.conditioning_vars()
-            n_rows = math.prod(joint.alphabet(v).size for v in cond)
-            yield (f"{joint_name}-{switches.name}",
-                   secrecy_entropy_objective(joint, "B", cond), n_rows + 1)
-        # The less-noisy-be check: X = E, Y = B (the B, E roles are the none case).
-        yield f"{joint_name}-less-noisy", secrecy_entropy_objective(joint, "E", ("A",), "B"), 3
-
-
-ASCENT_CASES = list(_ascent_cases())
-
-
-class TestAscentMatchesReference:
-    @pytest.mark.parametrize("case", ASCENT_CASES, ids=lambda case: case[0])
-    @pytest.mark.parametrize("starts", [1, 3, 8])
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_bit_identical_to_reference(self, case, starts, seed, monkeypatch):
-        _, objective, n_symbols = case
-        # A sweep cap keeps the slow cases short and also runs starts that hit it.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 30)
-        cfg = OptimizerConfig(starts=starts, seed=seed)
-        uniform = [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
-        got = multistart_ascent(objective, n_symbols, cfg, uniform)
-        want = _reference_multistart_ascent(objective, n_symbols, cfg, uniform)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.tables, want.tables)
-        assert np.array_equal(got.sweeps, want.sweeps)
-        assert got.hit_max_iters == want.hit_max_iters
+                joint_ru = rho[:, None] * cand[:, live, :]
+                lam = joint_ru.sum(axis=1)
+                q = np.moveaxis(joint_ru, 1, 2) / lam[:, :, None]
+                c = objective.value((q @ scaled)[..., None])
+                np.testing.assert_allclose((lam * c).sum(axis=1), objective(cand),
+                                           rtol=0.0, atol=1e-12)
 
 
 class TestMaximizeChannel:
@@ -319,13 +124,94 @@ class TestMaximizeChannel:
             bound = mutual_information_of(joint, "A", stronger, (weaker,))
             result, best = maximize_channel(objective, cond, cfg, lambda: bound, [copy_a])
             start_value = objective(table_of(u_channel(cond, copy_a.rows)))[0]
-            # No channel scored first reaches I(A;X|Y) here, so the ascent runs:
-            # random starts, then the injected one, then uniform, then the
-            # grid witness, scored without a sweep.
-            assert len(result.values) == cfg.starts + 3
-            assert min(result.sweeps[: cfg.starts + 2]) >= 1
-            assert result.sweeps[-1] == 0
-            assert result.values[cfg.starts] >= start_value - 1e-12
+            # No channel scored first reaches I(A;X|Y) here, so column
+            # generation runs: the trace is the grid witness, the copy of A,
+            # the uniform channel, then the witness of column generation.
+            assert len(result.values) == 4
+            assert result.rounds >= 1 and not result.hit_max_rounds
+            assert result.values[1] == start_value
+            assert result.values[-1] >= result.values[:-1].max() - 1e-12
             assert result.values.max() <= result.upper_bound == bound
             assert best.to_var[1].symbols == ("u0", "u1", "u2", "u3")
             assert objective(table_of(best))[0] == pytest.approx(result.values.max(), abs=1e-12)
+
+
+# delta_star of the multi-start ascent this solver replaced, at
+# OptimizerConfig(starts=8): column generation must never be below them.
+# Less-noisy-be is the secrecy maximum behind the check, X = E and Y = B.
+JOINTS = {
+    "erasure-0.7-0.5": lambda: make_erasure_joint(ErasureParams(0.7, 0.5)),
+    "2x3x3-(2008,0)": lambda: dirichlet_joint(np.random.default_rng((2008, 0)), (2, 3, 3)),
+    "2x3x3-(2008,1)": lambda: dirichlet_joint(np.random.default_rng((2008, 1)), (2, 3, 3)),
+    "3x3x3-7": lambda: dirichlet_joint(np.random.default_rng(7), (3, 3, 3)),
+    "5x2x2-300": lambda: dirichlet_joint(np.random.default_rng(300), (5, 2, 2)),
+    "3x3x3-200": lambda: dirichlet_joint(np.random.default_rng(200), (3, 3, 3)),
+}
+ASCENT_VALUES = {
+    ("erasure-0.7-0.5", "sb"): 0.44064544961534613,
+    ("erasure-0.7-0.5", "both"): 0.4406454496153461,
+    ("2x3x3-(2008,0)", "sb"): 0.8343691687850385,
+    ("2x3x3-(2008,0)", "both"): 0.8552035082844482,
+    ("2x3x3-(2008,1)", "sb"): 0.8361254781959667,
+    ("2x3x3-(2008,1)", "both"): 0.8698425285353241,
+    ("3x3x3-7", "none"): 0.0024625157427109468,
+    ("3x3x3-7", "sb"): 1.2301864169188566,
+    ("5x2x2-300", "none"): 0.01896672513413845,
+    ("3x3x3-200", "less-noisy-be"): 0.036652616446743336,
+}
+CG = OptimizerConfig(starts=8)
+
+
+@functools.cache
+def solve(name, setting):
+    """The searched solve: (joint, OptResult, switches its objective is scored under)."""
+    joint = JOINTS[name]()
+    if setting == "less-noisy-be":
+        # I(A;E|U) - I(A;B|U) is the none objective with B and E swapped.
+        opt = search_less_noisy_violation(joint, CG, "e_less_noisy_than_b").opt
+        swapped = rename_variable(rename_variable(rename_variable(joint, "B", "X"), "E", "B"),
+                                  "X", "E")
+        return swapped, opt, SwitchConfig()
+    switches = SwitchConfig.from_name(setting)
+    return joint, maximize_equivocation(joint, switches, CG), switches
+
+
+class TestColumnGeneration:
+    @pytest.mark.parametrize("case", list(ASCENT_VALUES), ids="-".join)
+    def test_never_below_the_ascent(self, case):
+        _, opt, _ = solve(*case)
+        assert not opt.certified and opt.rounds >= 1 and not opt.hit_max_rounds
+        assert opt.delta_star >= ASCENT_VALUES[case] - 1e-9
+
+    @pytest.mark.parametrize("case", list(ASCENT_VALUES), ids="-".join)
+    def test_result_is_its_channel_and_under_the_bound(self, case):
+        joint, opt, switches = solve(*case)
+        assert secrecy_objective(joint, opt.best_u, switches) == pytest.approx(
+            opt.delta_star, abs=1e-12)
+        assert opt.delta_star == max(opt.objective_trace)
+        assert opt.delta_star <= opt.upper_bound
+
+    @pytest.mark.parametrize("name", ["erasure-0.7-0.5", "2x3x3-(2008,0)", "2x3x3-(2008,1)"])
+    def test_both_at_least_sb(self, name):
+        assert solve(name, "both")[1].delta_star >= solve(name, "sb")[1].delta_star - 1e-12
+
+    def test_same_seed_same_output(self):
+        joint, first, switches = solve("3x3x3-7", "sb")
+        again = maximize_equivocation(joint, switches, CG)
+        assert again.objective_trace == first.objective_trace
+        assert (again.rounds, again.evaluations) == (first.rounds, first.evaluations)
+        np.testing.assert_array_equal(again.best_u.rows, first.best_u.rows)
+
+    def test_pricing_finds_what_the_ascent_missed(self):
+        # The ascent stops at 0.836125 on this joint at any number of starts;
+        # with pricing switched off, the master over the first columns alone
+        # gives 0 here.
+        assert solve("2x3x3-(2008,1)", "sb")[1].delta_star >= 0.8807
+
+    def test_round_cap(self, monkeypatch):
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 1)
+        joint, _, switches = solve("2x3x3-(2008,1)", "sb")
+        capped = maximize_equivocation(joint, switches, CG)
+        assert (capped.rounds, capped.hit_max_rounds) == (1, True)
+        assert secrecy_objective(joint, capped.best_u, switches) == pytest.approx(
+            capped.delta_star, abs=1e-12)

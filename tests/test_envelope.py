@@ -18,12 +18,12 @@ import pytest
 from secomp.ascent import (
     EntropyObjective,
     OptimizerConfig,
+    column_generation,
     envelope_witness,
     two_row_envelope,
     maximize_channel,
-    multistart_ascent,
 )
-from secomp import envelope
+from secomp import ascent, envelope
 from secomp.cli import distribution_to_dict, main
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.orderings import WITNESS_TOL, search_less_noisy_violation
@@ -200,17 +200,21 @@ class TestAgainstBruteForce:
 
     @pytest.mark.parametrize("k", range(0, len(JOINTS), 3))
     def test_ascent_never_beats_the_bound(self, k):
+        # Column generation run on its own, from the uniform channel, where
+        # the envelope would certify: its pricing ascent and master LP must
+        # stay under the envelope's bound.
         joint = JOINTS[k]
+        uniform = np.full((1, 2, 3), 1.0 / 3.0)
+        cfg = OptimizerConfig(starts=8, seed=k)
         objective = secrecy_entropy_objective(joint, "B", ("A",))
         bound = maximize_equivocation(joint, SwitchConfig(), CFG).upper_bound
-        uniform = [np.full((2, 3), 1.0 / 3.0)]
-        ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
-        assert ascent.values.max() <= bound + 1e-12
+        witness = column_generation(objective, 3, cfg, uniform)[0]
+        assert objective(witness[None])[0] <= bound + 1e-12
         for stronger, weaker in (("B", "E"), ("E", "B")):
             objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
-            ascent = multistart_ascent(objective, 3, OptimizerConfig(starts=8, seed=k), uniform)
-            bound = _less_noisy(joint, stronger, weaker)[1]
-            assert ascent.values.max() - ascent.values[-1] <= bound + 1e-12
+            witness = column_generation(objective, 3, cfg, uniform)[0]
+            value = objective(witness[None])[0] - objective(uniform)[0]
+            assert value <= _less_noisy(joint, stronger, weaker)[1] + 1e-12
 
 
 def _coarsen(monkeypatch):
@@ -289,29 +293,29 @@ class TestClosedForms:
         result = maximize_equivocation(joint, SwitchConfig(), CFG)
         assert result.delta_star == 0.0
         assert result.upper_bound == 0.0
-        assert result.sweeps == (0, 0)
+        assert result.rounds == 0
 
 
 class TestDispatch:
-    def test_other_settings_keep_the_ascent(self, monkeypatch):
-        monkeypatch.setattr("secomp.ascent.MAX_ITERS", 5)
+    def test_other_settings_keep_the_ascent(self):
+        # Settings no envelope certifies keep the search: column generation,
+        # whose pricing is an exponentiated-gradient ascent, runs at least
+        # one round.
         cfg = OptimizerConfig(starts=4)
         joint = dirichlet_joint(np.random.default_rng(3), (2, 3, 3))
-        # The random starts and the uniform one run; channels only scored
-        # follow with zero sweeps: for both the copy of E and sb's solution
-        # (sb has six cells with mass, too many for a witness of its own).
-        for name, n_scored in (("sb", 0), ("both", 2)):
+        # The channels scored first, then column generation's witness: the
+        # uniform channel alone for sb (six cells carry mass, too many for a
+        # grid witness), and for both the copy of E and sb's solution first.
+        for name, n_scored in (("sb", 1), ("both", 3)):
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
-            assert len(result.objective_trace) == cfg.starts + 1 + n_scored
-            assert min(result.sweeps[: cfg.starts + 1]) >= 1
-            assert result.sweeps[cfg.starts + 1:] == (0,) * n_scored
+            assert len(result.objective_trace) == n_scored + 1
+            assert result.rounds >= 1 and not result.certified
             assert result.upper_bound == pytest.approx(entropy_of(joint, "A", ("E",)), abs=1e-12)
-        # |A| = 3: the grid witness is scored after the ascent.
+        # |A| = 3: the grid witness and the uniform channel come first.
         ternary = dirichlet_joint(np.random.default_rng(4), (3, 3, 3))
         result = maximize_equivocation(ternary, SwitchConfig(), cfg)
-        assert len(result.objective_trace) == cfg.starts + 2
-        assert min(result.sweeps[: cfg.starts + 1]) >= 1
-        assert result.sweeps[-1] == 0
+        assert len(result.objective_trace) == 3
+        assert result.rounds >= 1
         assert result.upper_bound == pytest.approx(
             mutual_information_of(ternary, "A", "B", ("E",)), abs=1e-12
         )
@@ -322,17 +326,20 @@ class TestDispatch:
         assert verdict.kind == "less_noisy_falsified"
         assert verdict.upper_bound >= verdict.gap
 
-    def test_unbalanced_objective_keeps_the_ascent(self):
+    def test_unbalanced_objective_is_rejected(self):
         # H(U) over two rows: the lam log lam terms do not cancel, so the
-        # objective is no envelope of a function of the posterior.
+        # objective is no envelope of a function of the posterior and no LP
+        # over posteriors.
         objective = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
         assert two_row_envelope(objective, 3) is None
         a_spec = ("A", Alphabet("A", ("0", "1")))
         # An unreachable bound: the uniform channel alone would meet log2(3).
-        ascent, _ = maximize_channel(objective, (a_spec,), CFG, lambda: math.inf)
-        assert len(ascent.values) == CFG.starts + 1
-        assert min(ascent.sweeps) >= 1
-        assert ascent.values.max() == pytest.approx(np.log2(3.0), abs=1e-12)
+        with pytest.raises(ValueError, match="balance"):
+            maximize_channel(objective, (a_spec,), CFG, lambda: math.inf)
+        # A bound the uniform channel meets certifies it without a search.
+        result, _ = maximize_channel(objective, (a_spec,), CFG, lambda: float(np.log2(3.0)))
+        assert result.rounds == 0
+        assert result.values.max() == pytest.approx(np.log2(3.0), abs=1e-12)
 
     def test_envelope_ignores_seed_and_starts(self):
         joint = JOINTS[0]
@@ -365,7 +372,7 @@ class TestEnvelopeWitness:
         assert bound == ascent.upper_bound
         np.testing.assert_array_equal(witness, ascent.tables[0])
         assert points + len(ascent.values) == ascent.evaluations
-        assert set(ascent.sweeps) == {0}
+        assert ascent.rounds == 0
 
     @pytest.mark.parametrize("sizes,points", [((3, 3, 3), 153), ((4, 3, 3), 969)])
     def test_three_or_four_rows_give_the_grid_witness_unbounded(self, sizes, points):
@@ -386,21 +393,21 @@ class TestEnvelopeWitness:
 
 class TestEvaluationCount:
     def test_ascent_counts_every_point_scored(self, monkeypatch):
-        # Counting wraps the two scoring methods; the arithmetic is untouched.
+        # Counting wraps the scoring of tables and posteriors and the
+        # pricing's reduced costs; the arithmetic is untouched.
         scored = [0]
-        value, vertex_values = EntropyObjective.value, EntropyObjective.vertex_values
+        value, price = EntropyObjective.value, ascent._price
 
         def counted_value(self, m):
             scored[0] += m.size // (m.shape[-1] * m.shape[-2])
             return value(self, m)
 
-        def counted_vertex_values(self, m, w, r):
-            scored[0] += w.shape[0] * w.shape[2]
-            return vertex_values(self, m, w, r)
+        def counted_price(objective, scaled, y, logits):
+            scored[0] += (ascent._PRICING_STEPS + 1) * len(logits)
+            return price(objective, scaled, y, logits)
 
         monkeypatch.setattr(EntropyObjective, "value", counted_value)
-        monkeypatch.setattr(EntropyObjective, "vertex_values", counted_vertex_values)
-        monkeypatch.setattr("secomp.ascent.MAX_ITERS", 4)
+        monkeypatch.setattr(ascent, "_price", counted_price)
         # Above p_b = 1/2 the search runs for sb and both; sb's grid witness
         # (four sb cells carry mass) is scored through ``value`` too, and
         # both counts the sb solve it runs first.
@@ -409,6 +416,7 @@ class TestEvaluationCount:
             scored[0] = 0
             cfg = OptimizerConfig(starts=3, seed=1)
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
+            assert result.rounds >= 1
             assert result.evaluations == scored[0]
 
 

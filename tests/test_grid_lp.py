@@ -52,10 +52,13 @@ class TestPhase2AgainstLinprog:
         points = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=40)])
         values = rng.normal(size=len(points))
         rho = rng.dirichlet(np.ones(k))
-        lam = phase2_simplex(points.T, rho, values, np.arange(k), 1e-13)
+        lam, y = phase2_simplex(points.T, rho, values, np.arange(k), 1e-13)
         assert (lam >= 0.0).all()
         np.testing.assert_allclose(points.T @ lam, rho, atol=1e-12)
         assert values @ lam == pytest.approx(linprog_max(points, values, rho), abs=1e-9)
+        # The duals are feasible and close the gap: weak duality is tight.
+        assert (y @ points.T >= values - 1e-12).all()
+        assert y @ rho == pytest.approx(values @ lam, abs=1e-12)
 
     def test_degenerate_ties_terminate(self):
         # Every point on one face has the same value: many optimal bases.
@@ -63,8 +66,9 @@ class TestPhase2AgainstLinprog:
         values = np.where(points[:, 3] == 0.0, 1.0, 0.0)
         rho = np.array([0.3, 0.3, 0.4, 0.0])
         basis = [int(np.flatnonzero((points == vertex).all(axis=1))[0]) for vertex in np.eye(4)]
-        lam = phase2_simplex(points.T, rho, values, basis, 1e-13)
+        lam, y = phase2_simplex(points.T, rho, values, basis, 1e-13)
         assert values @ lam == pytest.approx(1.0, abs=1e-12)
+        assert (y @ points.T >= values - 1e-12).all()
 
 
 def objectives():

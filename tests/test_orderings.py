@@ -281,7 +281,7 @@ class TestSharedSolver:
     @pytest.mark.parametrize("direction", ["b_less_noisy_than_e", "e_less_noisy_than_b"])
     def test_gap_never_exceeds_upper(self, sizes, direction, monkeypatch):
         # The bound holds wherever the search stops; a short cap keeps |A| = 3 quick.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 5)
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 5)
         rng = np.random.default_rng(2028)
         kinds = []
         for _ in range(10):
@@ -294,7 +294,7 @@ class TestSharedSolver:
 
     def test_chains_prove_b_less_noisy_at_any_source_size(self, monkeypatch):
         # A - B - E: I(A;E|B) = 0 bounds the violation wherever the search stops.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 3)
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 3)
         rng = np.random.default_rng(2029)
         for _ in range(10):
             joint = markov_chain_joint(rng, n_a=3)
@@ -313,8 +313,8 @@ class TestSharedSolver:
             assert verdict.kind == "less_noisy_not_falsified"
             assert verdict.upper_bound <= WITNESS_TOL
             assert verdict.opt.certified
-            assert set(verdict.opt.sweeps) == {0}
-            assert not verdict.opt.hit_max_iters
+            assert verdict.opt.rounds == 0
+            assert not verdict.opt.hit_max_rounds
 
     @pytest.mark.parametrize("k", range(24))
     def test_violation_is_the_none_value_above_its_baseline(self, k):

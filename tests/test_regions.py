@@ -193,18 +193,23 @@ class TestMaximize:
         np.testing.assert_array_equal(first.best_u.rows, second.best_u.rows)
 
     def test_trace_covers_all_starts(self):
-        # A Dirichlet 2x3x3 joint: six cells carry mass, so no channel is
-        # scored besides the ascent's starts, which all run.
+        # A Dirichlet 2x3x3 joint: six cells carry mass, too many for a grid
+        # witness, so the trace is the uniform channel, then the witness of
+        # column generation.
         joint = dirichlet_joint(np.random.default_rng(0), (2, 3, 3))
         result = maximize_equivocation(joint, SB, FAST)
-        assert len(result.objective_trace) == FAST.starts + 1  # plus uniform start
+        assert len(result.objective_trace) == 2
+        assert result.objective_trace[0] == pytest.approx(
+            secrecy_objective(joint, Channel.uniform(
+                (("A", joint.alphabet("A")), ("B", joint.alphabet("B"))),
+                ("U", Alphabet("U", ("u0",)))), SB), abs=1e-12)
         assert result.delta_star >= max(0.0, max(result.objective_trace)) - 1e-15
         assert 1 <= result.starts_agreeing <= len(result.objective_trace)
         # With a binary source and S_B open the envelope solves the problem:
         # the trace is its witness and the uniform channel.
         result = maximize_equivocation(joint, NONE, FAST)
         assert len(result.objective_trace) == 2
-        assert result.sweeps == (0, 0)
+        assert result.rounds == 0
 
     def test_lifted_channel_keeps_objective_and_seeds_larger_search(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))
@@ -220,23 +225,21 @@ class TestMaximize:
     def test_convergence_diagnostics(self, monkeypatch):
         joint = dirichlet_joint(np.random.default_rng(0), (2, 3, 3))
         result = maximize_equivocation(joint, SB, FAST)
-        assert len(result.sweeps) == len(result.objective_trace)
-        assert all(1 <= k <= ascent.MAX_ITERS for k in result.sweeps)
-        assert max(result.sweeps) < ascent.MAX_ITERS
-        assert not result.hit_max_iters
-        monkeypatch.setattr(ascent, "MAX_ITERS", 1)
+        assert 1 <= result.rounds < ascent.MAX_ROUNDS
+        assert not result.hit_max_rounds and not result.certified
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 1)
         capped = maximize_equivocation(joint, SB, OptimizerConfig(starts=3, seed=3))
-        assert capped.sweeps == (1,) * 4
-        assert capped.hit_max_iters
+        assert capped.rounds == 1
+        assert capped.hit_max_rounds
 
 
 class TestUpperBound:
     @pytest.mark.parametrize("sizes", [(2, 3, 3), (3, 3, 3)], ids=["2x3x3", "3x3x3"])
     @pytest.mark.parametrize("switches", [NONE, SB, SE, BOTH], ids=lambda s: s.name)
     def test_lower_never_exceeds_upper(self, sizes, switches, monkeypatch):
-        # The bound holds wherever the search stops, so a short sweep cap
+        # The bound holds wherever the search stops, so a short round cap
         # keeps the S_B-closed searches quick.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 1)
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 2)
         rng = np.random.default_rng(2027)
         for _ in range(10):
             joint = dirichlet_joint(rng, sizes)
@@ -249,9 +252,9 @@ class TestSbClosedCertificate:
     """S_B closed on the erasure family: exact for p_b <= 1/2, both never below sb or se."""
 
     def test_erasure_grid(self, monkeypatch):
-        # Above p_b = 1/2 the search runs; a short sweep cap keeps it quick,
+        # Above p_b = 1/2 the search runs; a short round cap keeps it quick,
         # and every check there holds wherever a search stops.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 2)
+        monkeypatch.setattr(ascent, "MAX_ROUNDS", 2)
         configs = (OptimizerConfig(starts=1, seed=0), OptimizerConfig(starts=3, seed=7))
         grid = np.round(np.arange(0.0, 1.01, 0.1), 10)
         for pb in grid:
@@ -272,7 +275,7 @@ class TestSbClosedCertificate:
                     continue
                 for result in (r for pair in runs for r in pair):
                     assert result.delta_star == pytest.approx(pe, abs=1e-12)
-                    assert set(result.sweeps) == {0}
+                    assert result.rounds == 0
                 for first, other in zip(runs[0], runs[1]):
                     assert first.objective_trace == other.objective_trace
                     np.testing.assert_array_equal(first.best_u.rows, other.best_u.rows)
@@ -292,11 +295,11 @@ class TestSbClosedCertificate:
         assert both.delta_star >= sb.delta_star - 1e-12
 
     @pytest.mark.parametrize("switches", [SB, BOTH], ids=lambda s: s.name)
-    def test_search_runs_as_it_would_alone(self, switches, monkeypatch):
-        # Where nothing certifies, the ascent's values come first, bit for
-        # bit those of a plain multi-start ascent, so delta_star is at least
-        # its maximum.
-        monkeypatch.setattr(ascent, "MAX_ITERS", 5)
+    def test_search_runs_as_it_would_alone(self, switches):
+        # Where nothing certifies, the channels scored first keep their
+        # values, the uniform channel last among them, and the witness of
+        # column generation follows, bit for bit that of a plain
+        # column_generation run from the same tables; delta_star is its value.
         cfg = OptimizerConfig(starts=2, seed=1)
         joints = [make_erasure_joint(ErasureParams(0.7, 0.5)),
                   make_erasure_joint(ErasureParams(0.9, 0.6)),
@@ -305,13 +308,30 @@ class TestSbClosedCertificate:
             result = maximize_equivocation(joint, switches, cfg)
             assert not result.certified
             cond_vars = tuple((v, joint.alphabet(v)) for v in switches.conditioning_vars())
+            uniform = Channel.uniform(cond_vars, ("U", Alphabet("U", ("u0",))))
+            assert result.objective_trace[-2] == pytest.approx(
+                secrecy_objective(joint, uniform, switches), abs=1e-12)
+            assert result.objective_trace[-1] >= max(result.objective_trace[:-1]) - 1e-12
+            assert result.delta_star == pytest.approx(
+                secrecy_objective(joint, result.best_u, switches), abs=1e-12)
+            # The same search alone: the envelope's or grid's witness, the
+            # copy of E and sb's solution (both only), the uniform channel.
             objective = secrecy_entropy_objective(joint, "B", switches.conditioning_vars())
             n_symbols = ascent.u_cardinality(cond_vars)
-            uniform = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
-            plain = ascent.multistart_ascent(objective, n_symbols, cfg, [uniform])
-            assert result.objective_trace[: len(plain.values)] == tuple(plain.values.tolist())
-            assert result.sweeps[: len(plain.sweeps)] == tuple(plain.sweeps.tolist())
-            assert result.delta_star >= plain.values.max()
+            witness = ascent.envelope_witness(objective, n_symbols)[0]
+            candidates = []
+            if switches.s_e:
+                candidates = [Channel.copy_of(("E", joint.alphabet("E")), "U"),
+                              maximize_equivocation(joint, SB, cfg).best_u]
+            tables = ([] if witness is None else [witness]) + [
+                ascent.u_channel(cond_vars, c.lift(cond_vars).rows).rows.reshape(-1, n_symbols)
+                for c in candidates
+            ] + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
+            assert len(tables) + 1 == len(result.objective_trace)
+            plain, rounds, hit_max_rounds, _ = ascent.column_generation(
+                objective, n_symbols, cfg, np.stack(tables))
+            assert result.objective_trace[-1] == objective(plain[None])[0]
+            assert (result.rounds, result.hit_max_rounds) == (rounds, hit_max_rounds)
 
 
 class TestSeClosedForm:
@@ -345,8 +365,8 @@ class TestSeClosedForm:
         result = maximize_equivocation(joint, SE, FAST)
         assert result.objective_trace == (result.delta_star,)
         assert result.starts_agreeing == 1
-        assert result.sweeps == (0,)
-        assert not result.hit_max_iters
+        assert result.rounds == 0
+        assert not result.hit_max_rounds
         assert result.best_u.to_var[1].symbols == tuple(f"u{i}" for i in range(7))
         np.testing.assert_array_equal(result.best_u.rows[:, :, 3:], 0.0)
         np.testing.assert_array_equal(result.best_u.rows[:, :, :3], np.eye(3)[None].repeat(2, 0))

@@ -26,26 +26,28 @@ basic solution has at most (rows with mass) columns in its support, so it
 fits in |U| outputs. The witness of a solution is W[r, u] = lam_u q_u(r) /
 rho_r.
 
-``maximize_channel`` searches only where it must. One stage scores the
-channel found without a search (``envelope_witness``), the caller's
-candidates and the uniform channel. With at most two rows with mass c is a
-function of a one-dimensional posterior, and ``two_row_envelope`` finds its
-envelope exactly, with a certified upper bound and no randomness. That
-covers p(u|a) objectives on a binary source: the S_B-open secrecy
-objective, each coded corner and both less-noisy violations. With three or
-four rows the LP over a fixed grid of posteriors (``grid_witness``) gives
-the witness, and only the caller's analytic upper bound can certify it.
-When the two-row envelope applies, or the best channel scored is within
-``CERTIFY_TOL`` of that bound, the best is the maximum and no search runs.
+``maximize_channel`` searches only where it must. It finds the rows with
+mass and their shares once, and one stage scores the channel found without
+a search, the caller's candidates and the uniform channel. With at most two
+rows with mass c is a function of a one-dimensional posterior, and
+``two_row_envelope`` finds its envelope exactly, with a certified upper
+bound and no randomness. That covers p(u|a) objectives on a binary source:
+the S_B-open secrecy objective, each coded corner and both less-noisy
+violations. With three or four rows the master LP over a fixed grid of
+posteriors gives the witness, and only the caller's analytic upper bound
+can certify it. When the two-row envelope applies, or the best channel
+scored is within ``CERTIFY_TOL`` of that bound, the best is the maximum and
+no search runs.
 
-Otherwise ``column_generation`` solves the LP by Dantzig-Wolfe column
+Otherwise column generation solves the LP by Dantzig-Wolfe column
 generation: the master LP over a set of columns, solved by
 ``lp.phase2_simplex``, gives duals y, and pricing looks for posteriors whose
-reduced cost c(q) - y.q is positive. The first columns are the vertices,
-rho, the grid (three or four rows) and the posteriors of every table the
-first stage scored. Pricing is a batched exponentiated-gradient ascent of
-the reduced cost; its gradient is -sum_k sign_k P[r, k] log2 mu_k / rho_r,
-the log2(e) parts cancelling by balance. It starts from the vertices and
+reduced cost c(q) - y.q is positive. The first columns are the grid with
+the values the first stage scored (three or four rows) or else the
+vertices, then rho and the posteriors of every table the first stage
+scored. Pricing is a batched exponentiated-gradient ascent of the reduced
+cost; its gradient is -sum_k sign_k P[r, k] log2 mu_k / rho_r, the log2(e)
+parts cancelling by balance. It starts from the vertices and
 the master's support, pulled toward rho (a multiplicative step cannot move
 a zero coordinate), and in the first round also from ``starts``
 Dirichlet(1) points drawn from default_rng(seed); the support holds the
@@ -198,10 +200,11 @@ class ChannelResult:
     ``rounds`` counts column generation's pricing rounds, 0 when the first
     stage certified; ``hit_max_rounds`` is true when the last of
     ``MAX_ROUNDS`` rounds still added a column. ``evaluations`` counts the
-    points the objective was scored at. ``upper_bound`` is a certified bound
-    on the objective's maximum over all channels: the envelope's, or the
-    analytic bound ``maximize_channel`` was given, and at least the best
-    value.
+    points the objective was scored at; the grid is scored once, for its
+    witness, and column generation reuses those values. ``upper_bound`` is a
+    certified bound on the objective's maximum over all channels: the
+    envelope's, or the analytic bound ``maximize_channel`` was given, and at
+    least the best value.
     """
 
     values: np.ndarray
@@ -212,25 +215,29 @@ class ChannelResult:
     upper_bound: float
 
 
-def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray] | None:
-    """The rows with mass and their shares of it; None unless each one's signed columns balance."""
+def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray]:
+    """The rows with mass and their shares of it.
+
+    Raises ValueError unless each row's signed columns balance: only then is
+    the maximum an LP over posteriors.
+    """
     proj = objective.proj
     live = np.flatnonzero(proj.any(axis=1))
     mass = proj[live].sum(axis=1)
     if np.any(np.abs(proj[live] @ objective.sign) > _BALANCE_TOL * mass):
-        return None
+        raise ValueError("the channel search needs an objective whose rows' signed columns balance")
     return live, mass / mass.sum()
 
 
 def two_row_envelope(
-    objective: EntropyObjective, n_symbols: int
+    objective: EntropyObjective, live: np.ndarray, rho: np.ndarray, n_symbols: int
 ) -> tuple[np.ndarray, int, float] | None:
-    """The exact maximizer when at most two rows carry mass and every row's signed columns balance.
+    """The exact maximizer of a balanced objective with mass on the rows ``live`` only, at most two.
 
-    Returns None for any other objective. Write rho_r for row r's share of
-    the mass (its projection row's sum), lam_u = sum_r rho_r W[r, u] and
-    q_u = rho_0 W[0, u] / lam_u over the two rows 0 and 1 with mass. Every
-    marginal column is then lam_u * mu(q_u), mu(q) = q P[0] / rho_0 +
+    ``rho`` holds their shares of the mass, rho_r for row r (``_balanced_rows``).
+    Returns None where one share is below rounding. Write lam_u = sum_r
+    rho_r W[r, u] and q_u = rho_0 W[0, u] / lam_u over the two rows 0 and 1
+    with mass. Every marginal column is then lam_u * mu(q_u), mu(q) = q P[0] / rho_0 +
     (1 - q) P[1] / rho_1, and because the signed columns of each row cancel
     (``proj @ sign == 0``), the lam_u log lam_u terms drop out:
 
@@ -252,10 +259,6 @@ def two_row_envelope(
     same value, so the witness is the uniform channel and its value, one
     point scored, is the bound. Rows without mass are uniform.
     """
-    rows = _balanced_rows(objective)
-    if rows is None or rows[0].size > 2:
-        return None
-    live, rho = rows
     proj, sign = objective.proj, objective.sign
     witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
     if live.size < 2:
@@ -307,11 +310,6 @@ def _simplex_grid(k: int) -> np.ndarray:
     return grid
 
 
-def _scaled(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """P over the rows ``live`` divided by their shares; a posterior q has marginals q @ it."""
-    return objective.proj[live] / rho[:, None]
-
-
 def _master(columns: np.ndarray, values: np.ndarray,
             shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights lam maximizing values @ lam subject to columns.T @ lam = shares, and the duals.
@@ -339,39 +337,6 @@ def _witness(n_rows: int, n_symbols: int, live: np.ndarray, columns: np.ndarray,
     return witness
 
 
-def grid_witness(objective: EntropyObjective, n_symbols: int) -> tuple[np.ndarray | None, int]:
-    """The witness of the master LP over the grid's columns, and the grid points scored.
-
-    Applies when three or four rows carry mass and every row's signed
-    columns balance; returns (None, 0) otherwise. The LP over supports on
-    the grid is a lower bound on the maximum, exact where optimal supports
-    lie on the grid; it is column generation without pricing.
-    """
-    rows = _balanced_rows(objective)
-    if rows is None or rows[0].size not in _GRID_LP_ROWS:
-        return None, 0
-    live, rho = rows
-    grid = _simplex_grid(live.size)
-    values = objective.value((grid @ _scaled(objective, live, rho))[:, :, None])
-    lam, _ = _master(grid, values, rho)
-    return _witness(objective.n_rows, n_symbols, live, grid, lam), len(grid)
-
-
-def envelope_witness(
-    objective: EntropyObjective, n_symbols: int
-) -> tuple[np.ndarray | None, int, float | None]:
-    """The channel found without a search, the points scored for it, and its bound.
-
-    The two-row envelope's witness with its certified bound, else the grid
-    witness with None (a lower bound only), else (None, 0, None).
-    """
-    two_row = two_row_envelope(objective, n_symbols)
-    if two_row is not None:
-        return two_row
-    witness, points = grid_witness(objective, n_symbols)
-    return witness, points, None
-
-
 def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
     """|U| = (product of the conditioning alphabet sizes) + 1."""
     return math.prod(alph.size for _, alph in cond_vars) + 1
@@ -396,9 +361,9 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
            logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiated-gradient ascent of the reduced cost c(q) - y.q from q = softmax(logits).
 
-    ``scaled`` is ``_scaled`` of the live rows. Each start takes
-    _PRICING_STEPS steps of its own size; returns the end logits and their
-    reduced costs.
+    ``scaled`` is P over the live rows divided by their shares. Each start
+    takes _PRICING_STEPS steps of its own size; returns the end logits and
+    their reduced costs.
     """
     def reduced_cost(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = _softmax(logits)
@@ -420,21 +385,19 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
     return logits, cost
 
 
-def column_generation(
-    objective: EntropyObjective, n_symbols: int, cfg: OptimizerConfig, tables: np.ndarray
-) -> tuple[np.ndarray, int, bool, int]:
+def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray,
+                       scaled: np.ndarray, n_symbols: int, cfg: OptimizerConfig,
+                       tables: np.ndarray, grid: tuple[np.ndarray, np.ndarray] | None,
+                       ) -> tuple[np.ndarray, int, bool, int]:
     """The witness of column generation, its rounds, whether they hit the cap, the points scored.
 
-    ``tables`` (tables x rows x |U|) are the channels scored so far; their
-    posteriors join the first columns. Raises ValueError unless every row's
-    signed columns balance: only then is the maximum an LP over posteriors.
+    ``scaled`` is P over the rows ``live`` divided by their shares ``rho``,
+    so a posterior q has marginals q @ scaled. The first columns are
+    ``grid`` (the grid points and their values, scored already) or else the
+    vertices, then rho and the posteriors of ``tables`` (tables x rows x
+    |U|), the channels scored so far.
     """
-    rows = _balanced_rows(objective)
-    if rows is None:
-        raise ValueError("column generation needs an objective whose rows' signed columns balance")
-    live, rho = rows
     k = live.size
-    scaled = _scaled(objective, live, rho)
 
     def column_values(q: np.ndarray) -> np.ndarray:
         return objective.value((q @ scaled)[:, :, None])
@@ -442,10 +405,10 @@ def column_generation(
     joint = rho[:, None] * tables[:, live, :]
     lam = joint.sum(axis=1)
     posteriors = np.moveaxis(joint, 1, 2)[lam > 0.0] / lam[lam > 0.0][:, None]
-    first = _simplex_grid(k) if k in _GRID_LP_ROWS else np.eye(k)
+    first, values = grid if grid is not None else (np.eye(k), np.empty(0))
     columns = np.vstack([first, rho, posteriors])
-    values = column_values(columns)
-    evaluations = len(columns)
+    evaluations = len(columns) - len(values)
+    values = np.concatenate([values, column_values(columns[len(values):])])
     rng = np.random.default_rng(cfg.seed)
     logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
     # At rho itself the master is degenerate wherever the optimum has fewer
@@ -488,18 +451,36 @@ def maximize_channel(
 ) -> tuple[ChannelResult, Channel]:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
-    One stage scores the ``envelope_witness`` (if any), the ``candidates``
-    lifted to ``cond_vars`` and the uniform channel, in that order. Where
-    the two-row envelope applies its bound certifies the witness, and
-    ``cfg`` is not used; else ``bound()`` is called (so the bound is
-    computed only here), and it certifies the best channel scored if that
-    is within ``CERTIFY_TOL`` of it. A certified stage is the result, with
-    zero rounds. Else ``column_generation`` runs from the stage's tables,
-    and its witness is scored last. Returns the result and the best table
-    as a ``u_channel``, the first table with the highest value winning ties.
+    Raises ValueError unless every row's signed columns balance. One stage
+    scores the channel found without a search, the ``candidates`` lifted to
+    ``cond_vars`` and the uniform channel, in that order. With at most two
+    rows with mass that channel is the ``two_row_envelope`` witness, whose
+    bound certifies it, and ``cfg`` is not used; with three or four it is
+    the witness of the master LP over the grid at rho. Without the
+    envelope's bound ``bound()`` is called (so the bound is computed only
+    here), and it certifies the best channel scored if that is within
+    ``CERTIFY_TOL`` of it. A certified stage is the result, with zero
+    rounds. Else column generation runs from the stage's tables, starting
+    from the grid and its values where they were scored, and its witness is
+    scored last. Returns the result and the best table as a ``u_channel``,
+    the first table with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
-    witness, points, upper = envelope_witness(objective, n_symbols)
+    live, rho = _balanced_rows(objective)
+    scaled = objective.proj[live] / rho[:, None]
+    witness, points, upper, grid = None, 0, None, None
+    if live.size <= 2:
+        envelope = two_row_envelope(objective, live, rho, n_symbols)
+        if envelope is not None:
+            witness, points, upper = envelope
+    elif live.size in _GRID_LP_ROWS:
+        # The master over the grid alone: a lower bound on the maximum, exact
+        # where optimal supports lie on the grid.
+        columns = _simplex_grid(live.size)
+        grid = columns, objective.value((columns @ scaled)[:, :, None])
+        lam, _ = _master(*grid, rho)
+        witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
+        points = len(columns)
     lifted = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in candidates)
     tables = ([] if witness is None else [witness]) + [
         channel.rows.reshape(-1, n_symbols) for channel in lifted
@@ -511,8 +492,8 @@ def maximize_channel(
     if upper is None:
         upper = bound()
         if values.max() < upper - CERTIFY_TOL:
-            table, rounds, hit_max_rounds, priced = column_generation(
-                objective, n_symbols, cfg, stacked)
+            table, rounds, hit_max_rounds, priced = _column_generation(
+                objective, live, rho, scaled, n_symbols, cfg, stacked, grid)
             stacked = np.concatenate([stacked, table[None]])
             values = np.concatenate([values, objective(table[None])])
             evaluations += priced + 1

@@ -345,7 +345,9 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
         cdf=cdf,
         cell_shape=(n_a, n_b, n_e),
         radix=(n_a ** np.arange(n - 1, -1, -1)).astype(np.int64),
-        members_order=np.argsort(code.bin_of, kind="stable"),
+        # A stable sort has one answer; numpy radix-sorts 8- and 16-bit keys.
+        members_order=np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
+                                 kind="stable"),
         bin_offsets=offsets,
         cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell]), axis=1),
         low_size=n_a**n_low,

@@ -4,12 +4,15 @@
 there is none (the degradation check). ``phase2_simplex`` maximizes c @ x
 over such a set from a feasible basis of unit columns and returns the duals
 too (the master LP of ``ascent``: the grid envelope and column generation).
-Both run the same pivot loop, which cannot cycle in exact arithmetic, on a
-tableau whose last row holds the reduced costs of a minimization and, in
-its last entry, minus the objective. The systems here have a few dozen rows
-at most, so no factorization tricks are needed; in rounding, though, the
-loop can stall on a strongly degenerate LP, so column generation perturbs
-its master's right-hand side (see ``ascent``).
+Phase 1 is phase 2 on the system with one artificial column per row, cost
+-1 on the artificials and 0 elsewhere, from the artificials as the basis.
+Both build the same canonical tableau, whose last row holds the reduced
+costs of a minimization and, in its last entry, minus the objective, and
+run the same pivot loop, which cannot cycle in exact arithmetic: Bland's
+rule for phase 1, steepest pivoting for phase 2. The systems here have a
+few dozen rows at most, so no factorization tricks are needed; in
+rounding, though, the loop can stall on a strongly degenerate LP, so
+column generation perturbs its master's right-hand side (see ``ascent``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ _MAX_PIVOTS = 50_000
 
 
 def _pivot_to_optimum(
-    tableau: np.ndarray, basis: np.ndarray, n_cols: int, tol: float, steepest: bool = False
+    tableau: np.ndarray, basis: np.ndarray, n_cols: int, tol: float, steepest: bool
 ) -> bool:
     """Pivot until no column below ``n_cols`` has a reduced cost below -tol.
 
@@ -73,14 +76,39 @@ def _pivot_to_optimum(
     raise ArithmeticError("simplex failed to terminate")
 
 
+def _optimize(
+    a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray, basis: np.ndarray, tol: float,
+    steepest: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """x maximizing c @ x over {x >= 0 : a_eq @ x = b_eq}, and the final tableau's last row.
+
+    Column ``basis[i]`` of ``a_eq`` must be the i-th unit vector and b_eq >= 0,
+    so the tableau starts in canonical form with x[basis] = b_eq; its last
+    row holds the reduced costs of minimizing -c, c_B a_eq - c, and minus
+    that minimum, c_B b_eq. Raises ArithmeticError on an unbounded set.
+    """
+    m, n = a_eq.shape
+    basis = np.array(basis)
+    tableau = np.zeros((m + 1, n + 1))
+    tableau[:m, :n] = a_eq
+    tableau[:m, -1] = b_eq
+    tableau[m, :n] = c[basis] @ a_eq - c
+    tableau[m, -1] = c[basis] @ b_eq
+    if not _pivot_to_optimum(tableau, basis, n, tol, steepest):
+        raise ArithmeticError("simplex on an unbounded set")
+    x = np.zeros(n)
+    x[basis] = tableau[:m, -1]
+    return x, tableau[m]
+
+
 def phase1_simplex(
     a_eq: np.ndarray, b_eq: np.ndarray, tol: float = _FEASIBILITY_TOL
 ) -> np.ndarray | None:
     """Find x >= 0 with a_eq @ x = b_eq, or None on certified infeasibility.
 
-    Minimizes the sum of one artificial variable per row, starting from the
-    artificials as the basis; the system is feasible when that sum ends at
-    most ``tol``.
+    Maximizes minus the sum of one artificial variable per row, starting
+    from the artificials as the basis, by Bland's rule; the system is
+    feasible when that sum ends at most ``tol``.
     """
     a_eq = np.asarray(a_eq, dtype=float).copy()
     b_eq = np.asarray(b_eq, dtype=float).copy()
@@ -88,22 +116,10 @@ def phase1_simplex(
     flip = b_eq < 0.0
     a_eq[flip] *= -1.0
     b_eq[flip] *= -1.0
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_eq
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_eq
-    # Objective row: reduced costs for minimizing the sum of artificials.
-    tableau[m, :n] = -a_eq.sum(axis=0)
-    tableau[m, -1] = -b_eq.sum()
-    basis = np.arange(n, n + m)
-    if not _pivot_to_optimum(tableau, basis, n + m, _REDUCED_COST_TOL):
-        return None
-    if -tableau[m, -1] > tol:
-        return None
-    x = np.zeros(n)
-    real = basis < n
-    x[basis[real]] = tableau[:m, -1][real]
-    return np.maximum(x, 0.0)
+    cost = np.concatenate([np.zeros(n), np.full(m, -1.0)])
+    x, reduced = _optimize(np.hstack([a_eq, np.eye(m)]), b_eq, cost, np.arange(n, n + m),
+                           _REDUCED_COST_TOL, steepest=False)
+    return None if -reduced[-1] > tol else np.maximum(x[:n], 0.0)
 
 
 def phase2_simplex(
@@ -119,17 +135,5 @@ def phase2_simplex(
     is the i-th unit vector for j = ``basis[i]`` as given, so y_i is the
     final reduced cost there plus c_j.
     """
-    m, n = a_eq.shape
-    start = np.array(basis)
-    basis = start.copy()
-    tableau = np.zeros((m + 1, n + 1))
-    tableau[:m, :n] = a_eq
-    tableau[:m, -1] = b_eq
-    # Minimizing -c: reduced costs c_B a_eq - c, minus the objective c_B b_eq.
-    tableau[m, :n] = c[basis] @ a_eq - c
-    tableau[m, -1] = c[basis] @ b_eq
-    if not _pivot_to_optimum(tableau, basis, n, tol, steepest=True):
-        raise ArithmeticError("phase-2 simplex on an unbounded set")
-    x = np.zeros(n)
-    x[basis] = tableau[:m, -1]
-    return np.maximum(x, 0.0), tableau[m, start] + c[start]
+    x, reduced = _optimize(a_eq, b_eq, c, basis, tol, steepest=True)
+    return np.maximum(x, 0.0), reduced[basis] + c[basis]

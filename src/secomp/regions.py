@@ -19,13 +19,14 @@ the erasure family that is ``sb`` and ``both`` for p_b <= 1/2. Otherwise
 column generation solves the objective's LP over posteriors of the
 conditioning cells (see ``ascent``): a master LP over a growing set of
 posteriors, priced by an exponentiated-gradient ascent from seeded
-Dirichlet points and the master's support. Its first columns include every
-channel scored first, and every path scores the uniform channel, whose
-objective is the plain Slepian-Wolf baseline I(A;X) - I(A;Y), so values
-are achievable lower bounds on the true maximum, never below the baseline
-or a channel scored first. ``upper_bound`` bounds the maximum from above;
-``certified``, ``starts_agreeing``, ``rounds``, ``hit_max_rounds`` and
-``evaluations`` are the diagnostics.
+Dirichlet points and the master's support. Its first columns are the grid
+LP's where there is one, with the values scored for its witness, and the
+posteriors of every channel scored first. Every path scores the uniform
+channel, whose objective is the plain Slepian-Wolf baseline I(A;X) -
+I(A;Y), so values are achievable lower bounds on the true maximum, never
+below the baseline or a channel scored first. ``upper_bound`` bounds the
+maximum from above; ``certified``, ``starts_agreeing``, ``rounds``,
+``hit_max_rounds`` and ``evaluations`` are the diagnostics.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ class OptResult:
     pricing rounds of column generation, 0 where none ran;
     ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS`` rounds
     still added a column. ``evaluations`` counts the points the objective
-    was scored at, envelope, grid and pricing points included.
+    was scored at, envelope, grid and pricing points included; the grid
+    counts once, since column generation starts from its scored values.
     ``upper_bound`` is a certified upper bound on the true maximum of
     ``delta_star``: the envelope's value plus its eps where the two-row
     envelope solved the problem, else I(A;X|Y) for channels p(u|a) and

@@ -98,7 +98,7 @@ class TestIncrementalMoves:
         joint = dirichlet_joint(rng, (2, 3, 3))
         objective = secrecy_entropy_objective(joint, "B", ("A", "E"))
         live, rho = ascent._balanced_rows(objective)
-        scaled = ascent._scaled(objective, live, rho)
+        scaled = objective.proj[live] / rho[:, None]
         w = rng.dirichlet(np.ones(4), size=(3, objective.n_rows))
         for r in range(objective.n_rows):
             for u in range(4):

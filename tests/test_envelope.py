@@ -18,8 +18,6 @@ import pytest
 from secomp.ascent import (
     EntropyObjective,
     OptimizerConfig,
-    column_generation,
-    envelope_witness,
     two_row_envelope,
     maximize_channel,
 )
@@ -199,22 +197,28 @@ class TestAgainstBruteForce:
         assert regained == pytest.approx(value, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(0, len(JOINTS), 3))
-    def test_ascent_never_beats_the_bound(self, k):
-        # Column generation run on its own, from the uniform channel, where
-        # the envelope would certify: its pricing ascent and master LP must
-        # stay under the envelope's bound.
+    def test_ascent_never_beats_the_bound(self, k, monkeypatch):
+        # Column generation run from the uniform channel alone where the
+        # envelope would certify (it is switched off, as for a row share
+        # below rounding, and the caller's bound is unreachable): its
+        # pricing ascent and master LP must stay under the envelope's bound.
         joint = JOINTS[k]
-        uniform = np.full((1, 2, 3), 1.0 / 3.0)
+        cond = (("A", joint.alphabet("A")),)
         cfg = OptimizerConfig(starts=8, seed=k)
-        objective = secrecy_entropy_objective(joint, "B", ("A",))
         bound = maximize_equivocation(joint, SwitchConfig(), CFG).upper_bound
-        witness = column_generation(objective, 3, cfg, uniform)[0]
-        assert objective(witness[None])[0] <= bound + 1e-12
-        for stronger, weaker in (("B", "E"), ("E", "B")):
-            objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
-            witness = column_generation(objective, 3, cfg, uniform)[0]
-            value = objective(witness[None])[0] - objective(uniform)[0]
-            assert value <= _less_noisy(joint, stronger, weaker)[1] + 1e-12
+        less_noisy = {pair: _less_noisy(joint, *pair)[1] for pair in (("B", "E"), ("E", "B"))}
+        monkeypatch.setattr(ascent, "two_row_envelope", lambda *args: None)
+
+        def search(objective):
+            result, _ = maximize_channel(objective, cond, cfg, lambda: math.inf)
+            assert len(result.values) == 2 and result.rounds >= 1
+            return result.values
+
+        values = search(secrecy_entropy_objective(joint, "B", ("A",)))
+        assert values[-1] <= bound + 1e-12
+        for (stronger, weaker), top in less_noisy.items():
+            values = search(secrecy_entropy_objective(joint, stronger, ("A",), weaker))
+            assert values[-1] - values[0] <= top + 1e-12
 
 
 def _coarsen(monkeypatch):
@@ -329,17 +333,13 @@ class TestDispatch:
     def test_unbalanced_objective_is_rejected(self):
         # H(U) over two rows: the lam log lam terms do not cancel, so the
         # objective is no envelope of a function of the posterior and no LP
-        # over posteriors.
+        # over posteriors. It is rejected before anything is scored, even
+        # with a bound the uniform channel would meet.
         objective = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
-        assert two_row_envelope(objective, 3) is None
         a_spec = ("A", Alphabet("A", ("0", "1")))
-        # An unreachable bound: the uniform channel alone would meet log2(3).
-        with pytest.raises(ValueError, match="balance"):
-            maximize_channel(objective, (a_spec,), CFG, lambda: math.inf)
-        # A bound the uniform channel meets certifies it without a search.
-        result, _ = maximize_channel(objective, (a_spec,), CFG, lambda: float(np.log2(3.0)))
-        assert result.rounds == 0
-        assert result.values.max() == pytest.approx(np.log2(3.0), abs=1e-12)
+        for upper in (math.inf, float(np.log2(3.0))):
+            with pytest.raises(ValueError, match="balance"):
+                maximize_channel(objective, (a_spec,), CFG, lambda: upper)
 
     def test_envelope_ignores_seed_and_starts(self):
         joint = JOINTS[0]
@@ -350,8 +350,12 @@ class TestDispatch:
         assert first.evaluations == other.evaluations > len(first.objective_trace)
 
 
+def _never_called() -> float:
+    raise AssertionError("the two-row envelope's own bound certifies")
+
+
 class TestEnvelopeWitness:
-    """``envelope_witness`` returns (witness, points scored, bound) on each of its paths."""
+    """The channel ``maximize_channel`` scores first, its points and its bound, on each path."""
 
     @staticmethod
     def _one_live_row():
@@ -364,31 +368,42 @@ class TestEnvelopeWitness:
     def test_two_row_bound_is_the_solve_bound(self, which):
         joint = JOINTS[0] if which == "two-rows" else self._one_live_row()
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        witness, points, bound = envelope_witness(objective, 3)
-        # An unreachable caller bound: the envelope's own must be used.
-        ascent, _ = maximize_channel(
-            objective, (("A", joint.alphabet("A")),), CFG, lambda: math.inf
+        witness, points, bound = two_row_envelope(objective, *ascent._balanced_rows(objective), 3)
+        # The envelope's own bound is used; the caller's is never computed.
+        result, _ = maximize_channel(
+            objective, (("A", joint.alphabet("A")),), CFG, _never_called
         )
-        assert bound == ascent.upper_bound
-        np.testing.assert_array_equal(witness, ascent.tables[0])
-        assert points + len(ascent.values) == ascent.evaluations
-        assert ascent.rounds == 0
+        assert bound == result.upper_bound
+        np.testing.assert_array_equal(witness, result.tables[0])
+        assert points + len(result.values) == result.evaluations
+        assert result.rounds == 0
 
     @pytest.mark.parametrize("sizes,points", [((3, 3, 3), 153), ((4, 3, 3), 969)])
     def test_three_or_four_rows_give_the_grid_witness_unbounded(self, sizes, points):
+        # The grid witness carries no bound: the caller's is computed, and
+        # one below every value certifies the stage as it stands.
         joint = dirichlet_joint(np.random.default_rng(9), sizes)
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        witness, scored, bound = envelope_witness(objective, sizes[0] + 1)
-        assert witness.shape == (sizes[0], sizes[0] + 1)
-        assert (scored, bound) == (points, None)
+        calls = []
+        result, _ = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
+                                     lambda: calls.append(1) or -math.inf)
+        assert calls == [1]
+        assert result.tables[0].shape == (sizes[0], sizes[0] + 1)
+        assert len(result.values) == 2
+        assert result.evaluations == points + 2
+        assert (result.rounds, result.upper_bound) == (0, result.values.max())
 
     def test_nothing_for_five_rows_or_an_unbalanced_objective(self):
         joint = dirichlet_joint(np.random.default_rng(9), (5, 2, 2))
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        assert envelope_witness(objective, 6) == (None, 0, None)
+        result, _ = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
+                                     lambda: -math.inf)
+        # The uniform channel alone is scored.
+        assert len(result.values) == result.evaluations == 1
         # H(U) over two rows: the lam log lam terms do not cancel.
         unbalanced = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
-        assert envelope_witness(unbalanced, 3) == (None, 0, None)
+        with pytest.raises(ValueError, match="balance"):
+            maximize_channel(unbalanced, (("A", Alphabet("A", ("0", "1"))),), CFG, _never_called)
 
 
 class TestEvaluationCount:
@@ -418,6 +433,26 @@ class TestEvaluationCount:
             result = maximize_equivocation(joint, SwitchConfig.from_name(name), cfg)
             assert result.rounds >= 1
             assert result.evaluations == scored[0]
+
+    def test_searched_grid_is_scored_once(self, monkeypatch):
+        # Erasure (0.7, 0.5) with S_B closed has four cells with mass and is
+        # searched: the 969 grid points are scored once, for the grid
+        # witness, and column generation starts from those values. Scoring
+        # the grid again for column generation counted 5527 at this cfg.
+        grids = [0]
+        value = EntropyObjective.value
+
+        def counted_value(self, m):
+            # Only a batch holding the grid has that many posteriors.
+            grids[0] += m.shape[0] >= len(ascent._simplex_grid(4))
+            return value(self, m)
+
+        monkeypatch.setattr(EntropyObjective, "value", counted_value)
+        joint = make_erasure_joint(ErasureParams(0.7, 0.5))
+        result = maximize_equivocation(joint, SwitchConfig(s_b=True), OptimizerConfig(starts=8))
+        assert result.rounds >= 1
+        assert grids[0] == 1
+        assert result.evaluations == 5527 - 969
 
 
 BINARY_COMMANDS = [

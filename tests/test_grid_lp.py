@@ -1,24 +1,26 @@
 """The grid-LP first stage of ``maximize_channel`` against scipy's ``linprog``.
 
-``phase2_simplex`` must reach the optimum linprog finds, and ``grid_witness``
-must turn that optimum into a channel whose value is the LP's. The grid and
-the LP here are built independently of ``secomp.ascent``: the grid from
-``itertools``, the LP values by scoring each grid point as a one-column
-table, which needs only ``EntropyObjective.value``.
+``phase2_simplex`` must reach the optimum linprog finds, and the channel
+``maximize_channel`` scores first for three or four rows with mass must be
+a channel whose value is that optimum. The grid and the LP here are built
+independently of ``secomp.ascent``: the grid from ``itertools``, the LP
+values by scoring each grid point as a one-column table, which needs only
+``EntropyObjective.value``.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from secomp import ascent
-from secomp.ascent import EntropyObjective, OptimizerConfig, grid_witness
+from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.lp import phase2_simplex
 from secomp.orderings import search_less_noisy_violation
-from secomp.probability import JointPMF, entropy_of, mutual_information_of
+from secomp.probability import Alphabet, JointPMF, entropy_of, mutual_information_of
 from secomp.regions import SwitchConfig, maximize_equivocation, secrecy_entropy_objective
 
 from conftest import dirichlet_joint
@@ -36,6 +38,14 @@ def linprog_max(points, values, rho):
     res = linprog(-values, A_eq=points.T, b_eq=rho, bounds=(0, None), method="highs")
     assert res.status == 0
     return -res.fun
+
+
+def grid_stage(joint, objective, cond):
+    """The certified first stage of ``maximize_channel``: a bound below every value."""
+    cond_vars = tuple((v, joint.alphabet(v)) for v in cond)
+    result, _ = maximize_channel(objective, cond_vars, OptimizerConfig(), lambda: -math.inf)
+    assert result.rounds == 0
+    return result
 
 
 def live_shares(objective):
@@ -92,9 +102,10 @@ class TestGridWitness:
         objective = secrecy_entropy_objective(joint, x, cond, y)
         live, rho = live_shares(objective)
         assert live.size in (3, 4)
-        witness, points = grid_witness(objective, objective.n_rows + 1)
+        result = grid_stage(joint, objective, cond)
+        witness = result.tables[0]
         grid = simplex_grid(live.size)
-        assert points == len(grid)
+        assert result.evaluations - len(result.values) == len(grid)
         marginals = grid @ (objective.proj[live] / rho[:, None])
         best = linprog_max(grid, objective.value(marginals[:, :, None]), rho)
         np.testing.assert_allclose(witness.sum(axis=1), 1.0, atol=1e-12)
@@ -108,15 +119,20 @@ class TestGridWitness:
 
     def test_applies_to_three_or_four_balanced_rows_only(self):
         rng = np.random.default_rng(3)
+        # Two rows get the two-row envelope's witness and five none; the
+        # grid's points are the points scored besides the tables.
         for sizes, applies in (((2, 3, 3), False), ((5, 2, 2), False), ((4, 3, 3), True)):
             joint = dirichlet_joint(rng, sizes)
             objective = secrecy_entropy_objective(joint, "B", ("A",))
-            witness, points = grid_witness(objective, sizes[0] + 1)
-            assert (witness is not None) == applies
-            assert points == (len(simplex_grid(4)) if applies else 0)
+            result = grid_stage(joint, objective, ("A",))
+            points = result.evaluations - len(result.values)
+            assert (points == len(simplex_grid(4))) == applies
+            assert len(result.values) == (1 if sizes[0] == 5 else 2)
         # H(U) over three rows: the lam log lam terms do not cancel.
         unbalanced = EntropyObjective(np.full((3, 1), 1.0 / 3.0), np.array([1.0]))
-        assert grid_witness(unbalanced, 4) == (None, 0)
+        cond_vars = (("A", Alphabet("A", ("0", "1", "2"))),)
+        with pytest.raises(ValueError, match="balance"):
+            maximize_channel(unbalanced, cond_vars, OptimizerConfig(), lambda: -math.inf)
 
     def test_grid_sizes(self):
         assert len(ascent._simplex_grid(3)) == 153
@@ -140,7 +156,7 @@ class TestRowShareBelowRounding:
     def test_witness_is_a_channel(self):
         joint = self.tiny_source_symbol()
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        witness, _ = grid_witness(objective, 4)
+        witness = grid_stage(joint, objective, ("A",)).tables[0]
         assert np.isfinite(witness).all() and (witness >= 0.0).all()
         np.testing.assert_allclose(witness.sum(axis=1), 1.0, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -299,7 +301,8 @@ class TestSbClosedCertificate:
         # Where nothing certifies, the channels scored first keep their
         # values, the uniform channel last among them, and the witness of
         # column generation follows, bit for bit that of a plain
-        # column_generation run from the same tables; delta_star is its value.
+        # maximize_channel run with the same candidates and an unreachable
+        # bound; delta_star is its value.
         cfg = OptimizerConfig(starts=2, seed=1)
         joints = [make_erasure_joint(ErasureParams(0.7, 0.5)),
                   make_erasure_joint(ErasureParams(0.9, 0.6)),
@@ -314,24 +317,19 @@ class TestSbClosedCertificate:
             assert result.objective_trace[-1] >= max(result.objective_trace[:-1]) - 1e-12
             assert result.delta_star == pytest.approx(
                 secrecy_objective(joint, result.best_u, switches), abs=1e-12)
-            # The same search alone: the envelope's or grid's witness, the
-            # copy of E and sb's solution (both only), the uniform channel.
+            # The same search alone: the grid's witness (four cells with
+            # mass), the copy of E and sb's solution (both only), the
+            # uniform channel.
             objective = secrecy_entropy_objective(joint, "B", switches.conditioning_vars())
-            n_symbols = ascent.u_cardinality(cond_vars)
-            witness = ascent.envelope_witness(objective, n_symbols)[0]
             candidates = []
             if switches.s_e:
                 candidates = [Channel.copy_of(("E", joint.alphabet("E")), "U"),
                               maximize_equivocation(joint, SB, cfg).best_u]
-            tables = ([] if witness is None else [witness]) + [
-                ascent.u_channel(cond_vars, c.lift(cond_vars).rows).rows.reshape(-1, n_symbols)
-                for c in candidates
-            ] + [np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)]
-            assert len(tables) + 1 == len(result.objective_trace)
-            plain, rounds, hit_max_rounds, _ = ascent.column_generation(
-                objective, n_symbols, cfg, np.stack(tables))
-            assert result.objective_trace[-1] == objective(plain[None])[0]
-            assert (result.rounds, result.hit_max_rounds) == (rounds, hit_max_rounds)
+            plain, best_u = ascent.maximize_channel(
+                objective, cond_vars, cfg, lambda: math.inf, candidates)
+            assert result.objective_trace == tuple(plain.values.tolist())
+            assert (result.rounds, result.hit_max_rounds) == (plain.rounds, plain.hit_max_rounds)
+            np.testing.assert_array_equal(result.best_u.rows, best_u.rows)
 
 
 class TestSeClosedForm:

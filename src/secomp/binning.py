@@ -28,11 +28,16 @@ trial order. Building one Generator per trial costs more than a short
 trial's arithmetic, so ``_trial_states`` derives the PCG64 states of a whole
 block of trials at once: SeedSequence's entropy mixing and its
 ``generate_state(4, uint64)`` run on uint32 arrays over the trial indices,
-then PCG64's seeding step on Python ints, and one reused bit generator is set
-to each state in turn. A binning trial draws its n joint cells with numpy's
-own ``Generator.choice`` algorithm (n uniforms searched in the normalized
+then PCG64's seeding step on Python ints. ``_trial_uniforms`` is the one
+place a trial's state is set: it steps the state ``skip`` times (each 64-bit
+output is one LCG step, state * mult + inc mod 2^128), sets one reused bit
+generator to it and draws the trial's doubles, each one whole output. A
+binning trial skips nothing and draws its n joint cells with numpy's own
+``Generator.choice`` algorithm (n uniforms searched in the normalized
 cumulative sum of the cell masses), with the sum built once per run, so the
-cells drawn are the ones ``choice(size, n, p=flat)`` returns.
+cells drawn are the ones ``choice(size, n, p=flat)`` returns. A gap trial's
+stream opens with its source bits, ``integers(0, 2, n)``: n 32-bit halves of
+ceil(n/2) outputs, which no equivocation reads, so the gap scheme skips them.
 
 Batches. Within a block the cells, sequence indices and bins of every trial
 are computed together. The trials are then grouped by announced bin, and a
@@ -250,22 +255,29 @@ def _trial_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
         yield ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
 
 
-def _trial_generators(seed: int, trials: range) -> Iterator[np.random.Generator]:
-    """For each t in trials, a Generator in the state ``default_rng((seed, 1, t))`` starts in.
+def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.ndarray:
+    """One row of ``count`` uniforms per trial t in trials, after ``skip`` 64-bit outputs.
 
-    One Generator is re-seeded in place and yielded every time, so a caller
-    takes each trial's draws before it advances.
+    Row i holds what ``default_rng((seed, 1, t)).random(count)`` returns for
+    the i-th t once that stream has given its first ``skip`` outputs.
     """
+    # skip steps state -> state * _PCG64_MULT + inc compose to
+    # state -> state * mult + inc * add.
+    mult, add = 1, 0
+    for _ in range(skip):
+        mult, add = mult * _PCG64_MULT & _MASK128, add * _PCG64_MULT + 1 & _MASK128
     bit_generator = np.random.PCG64(0)
     generator = np.random.Generator(bit_generator)
-    for state, inc in _trial_states(seed, trials):
+    uniforms = np.empty((len(trials), count))
+    for row, (state, inc) in zip(uniforms, _trial_states(seed, trials)):
         bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
+            "state": {"state": state * mult + inc * add & _MASK128, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }
-        yield generator
+        generator.random(out=row)
+    return uniforms
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:
@@ -389,10 +401,7 @@ def _score_in_bin(
 
 def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
     """Records of the binning trials with indices in trials, scored a bin at a time."""
-    uniforms = np.empty((len(trials), ctx.n))
-    for row, generator in zip(uniforms, _trial_generators(ctx.code.seed, trials)):
-        generator.random(out=row)
-    cells = ctx.cdf.searchsorted(uniforms, side="right")
+    cells = ctx.cdf.searchsorted(_trial_uniforms(ctx.code.seed, trials, ctx.n), side="right")
     # The source symbol is a cell's leading index in the (A, B, E) table.
     seq_index = (cells // (ctx.cell_shape[1] * ctx.cell_shape[2])) @ ctx.radix
     bin_index = ctx.code.bin_of[seq_index]
@@ -468,23 +477,10 @@ def run_sw_binning(
     return _summarize(equivs, seed, errors, ties)
 
 
-class _GapTrials(NamedTuple):
-    """Records of a block of gap-scheme trials, one row per trial."""
-
-    equiv: np.ndarray
-    a: np.ndarray
-    bob_erased: np.ndarray
-    eve_erased: np.ndarray
-
-
-def _gap_trials(params: ErasureParams, n: int, seed: int, trials: range) -> _GapTrials:
-    a = np.empty((len(trials), n), dtype=np.int8)
-    uniforms = np.empty((len(trials), 2 * n))
-    for t, generator in enumerate(_trial_generators(seed, trials)):
-        a[t] = generator.integers(0, 2, size=n)
-        # One call for 2n doubles draws what two calls for n would: Bob's
-        # erasure uniforms, then Eve's.
-        generator.random(out=uniforms[t])
+def _gap_trials(params: ErasureParams, n: int, seed: int, trials: range) -> np.ndarray:
+    """Eve's per-symbol equivocation in each gap-scheme trial with index in trials."""
+    # Past the skipped source bits come Bob's n erasure uniforms, then Eve's.
+    uniforms = _trial_uniforms(seed, trials, 2 * n, skip=-(-n // 2))
     bob_erased = uniforms[:, :n] < params.p_b
     eve_erased = uniforms[:, n:] < params.p_e
     # The gap-filling sequence is "the source bit where Bob is erased, a
@@ -492,8 +488,7 @@ def _gap_trials(params: ErasureParams, n: int, seed: int, trials: range) -> _Gap
     # positions and their values for everyone listening. Eve's posterior is
     # uniform over the 2^k blocks free at her k erased, unfilled positions,
     # with entropy exactly k bits.
-    equiv = (eve_erased & ~bob_erased).sum(axis=1) / n
-    return _GapTrials(equiv=equiv, a=a, bob_erased=bob_erased, eve_erased=eve_erased)
+    return (eve_erased & ~bob_erased).sum(axis=1) / n
 
 
 def run_erasure_encoder_scheme(
@@ -508,13 +503,16 @@ def run_erasure_encoder_scheme(
     filled positions along with their values; her exact posterior is uniform
     over the source blocks matching her own unerased symbols and the filled
     bits, leaving per-symbol equivocation p_e * (1 - p_b) in expectation at
-    every blocklength.
+    every blocklength. Trial t's erasures are the 2n uniforms that
+    ``default_rng((seed, 1, t))`` draws after its source block,
+    ``integers(0, 2, n)``; her equivocation counts positions only, so the
+    block is skipped, never drawn.
     """
     if not 1 <= n <= _MAX_GAP_SCHEME_N:
         raise ValueError(f"blocklength must lie in [1, {_MAX_GAP_SCHEME_N}], got {n}")
     _check_run(trials, seed)
     equivs = np.empty(trials)
-    for block in _trial_blocks(trials, 3 * n):
-        equivs[block.start : block.stop] = _gap_trials(params, n, seed, block).equiv
+    for block in _trial_blocks(trials, 2 * n):
+        equivs[block.start : block.stop] = _gap_trials(params, n, seed, block)
     exact = np.zeros(trials, dtype=bool)
     return _summarize(equivs, seed, exact, exact)

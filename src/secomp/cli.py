@@ -335,8 +335,11 @@ def _cmd_preset_erasure(args) -> int:
     params = _from_flags(ErasureParams, p_b=args.pb, p_e=args.pe)
     data = distribution_to_dict(make_erasure_joint(params))
     if args.output:
-        with open(args.output, "w") as stream:
-            _emit_json(data, stream)
+        try:
+            with open(args.output, "w") as stream:
+                _emit_json(data, stream)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}") from exc
     else:
         _emit_json(data, sys.stdout)
     return 0

@@ -101,14 +101,12 @@ def _optimize(
     return x, tableau[m]
 
 
-def phase1_simplex(
-    a_eq: np.ndarray, b_eq: np.ndarray, tol: float = _FEASIBILITY_TOL
-) -> np.ndarray | None:
+def phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
     """Find x >= 0 with a_eq @ x = b_eq, or None on certified infeasibility.
 
     Maximizes minus the sum of one artificial variable per row, starting
     from the artificials as the basis, by Bland's rule; the system is
-    feasible when that sum ends at most ``tol``.
+    feasible when that sum ends at most ``_FEASIBILITY_TOL``.
     """
     a_eq = np.asarray(a_eq, dtype=float).copy()
     b_eq = np.asarray(b_eq, dtype=float).copy()
@@ -119,7 +117,7 @@ def phase1_simplex(
     cost = np.concatenate([np.zeros(n), np.full(m, -1.0)])
     x, reduced = _optimize(np.hstack([a_eq, np.eye(m)]), b_eq, cost, np.arange(n, n + m),
                            _REDUCED_COST_TOL, steepest=False)
-    return None if -reduced[-1] > tol else np.maximum(x[:n], 0.0)
+    return None if -reduced[-1] > _FEASIBILITY_TOL else np.maximum(x[:n], 0.0)
 
 
 def phase2_simplex(

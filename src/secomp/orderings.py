@@ -40,8 +40,6 @@ COMPOSITION_TOL = 1e-8
 # Witness objective values above this count as a falsification.
 WITNESS_TOL = 1e-6
 
-_LP_FEASIBILITY_TOL = 1e-9
-
 # Each check's direction -> its (stronger, weaker) observation.
 _DEGRADATION_ROLES = {"e_degraded_wrt_b": ("B", "E"), "b_degraded_wrt_e": ("E", "B")}
 _LESS_NOISY_ROLES = {"b_less_noisy_than_e": ("B", "E"), "e_less_noisy_than_b": ("E", "B")}
@@ -137,7 +135,7 @@ def check_stochastic_degradation(
         np.kron(np.eye(n_sup), np.ones(n_w)),
     ])
     b_eq = np.concatenate([p_weak.ravel(), np.ones(n_sup)])
-    solution = phase1_simplex(a_eq, b_eq, tol=_LP_FEASIBILITY_TOL)
+    solution = phase1_simplex(a_eq, b_eq)
     if solution is None:
         return OrderingVerdict(kind="not_degraded", physically_degraded=physically)
 

@@ -189,23 +189,30 @@ class Channel:
     def lift(self, new_from_vars: Sequence[VarSpec]) -> "Channel":
         """Recondition on a superset of variables, ignoring the extra ones."""
         new_from_vars = tuple(new_from_vars)
-        new_names = [n for n, _ in new_from_vars]
-        for name, alph in self.from_vars:
-            if name not in new_names:
-                raise DistributionError(f"lift drops conditioning variable {name!r}")
-            if new_from_vars[new_names.index(name)][1].symbols != alph.symbols:
-                raise DistributionError(f"alphabet mismatch on lifted variable {name!r}")
-        old_names = list(self.from_names)
-        # Transpose the old conditioning axes into their order of appearance
-        # in the new conditioning list, then broadcast over the added axes.
-        order = sorted(range(len(old_names)), key=lambda i: new_names.index(old_names[i]))
-        rows = np.transpose(self.rows, (*order, len(old_names)))
-        shape = tuple(
-            a.size if n in old_names else 1 for n, a in new_from_vars
-        ) + (self.to_var[1].size,)
         full = tuple(a.size for _, a in new_from_vars) + (self.to_var[1].size,)
-        lifted = np.broadcast_to(rows.reshape(shape), full).copy()
+        lifted = np.broadcast_to(_aligned_rows(self, new_from_vars), full).copy()
         return Channel(new_from_vars, self.to_var, lifted)
+
+
+def _aligned_rows(channel: Channel, target: tuple[VarSpec, ...]) -> np.ndarray:
+    """The channel's rows with one axis per target variable, then the output axis.
+
+    Every conditioning variable must be in ``target`` with the same
+    alphabet. Its axis moves to that variable's place in ``target``; every
+    other target variable gets a size-1 axis, so the result broadcasts
+    against an array over ``target``.
+    """
+    names = [n for n, _ in target]
+    from_names = channel.from_names
+    for name, alph in channel.from_vars:
+        if name not in names:
+            raise DistributionError(f"conditioning variable {name!r} is not among {names}")
+        if target[names.index(name)][1].symbols != alph.symbols:
+            raise DistributionError(f"alphabet mismatch on conditioning variable {name!r}")
+    order = sorted(range(len(from_names)), key=lambda i: names.index(from_names[i]))
+    rows = np.transpose(channel.rows, (*order, len(from_names)))
+    shape = tuple(a.size if n in from_names else 1 for n, a in target)
+    return rows.reshape(shape + (channel.to_var[1].size,))
 
 
 def require_variables(joint: JointPMF, names: Iterable[str]) -> None:
@@ -224,25 +231,10 @@ def build_joint(base: JointPMF, attach: Channel) -> JointPMF:
     variable given the channel inputs, by construction:
     p(base, u) = p(base) * p(u | conditioning projection of base).
     """
-    new_name, new_alph = attach.to_var
+    new_name = attach.to_var[0]
     if new_name in base.var_names:
         raise DistributionError(f"variable {new_name!r} already present in joint")
-    base_pos = {n: i for i, n in enumerate(base.var_names)}
-    for name, alph in attach.from_vars:
-        if name not in base_pos:
-            raise DistributionError(f"unknown conditioning variable {name!r}")
-        if base.alphabet(name).symbols != alph.symbols:
-            raise DistributionError(f"alphabet mismatch on conditioning variable {name!r}")
-    # Align the channel axes with the base variable order, then broadcast.
-    order = sorted(
-        range(len(attach.from_vars)), key=lambda i: base_pos[attach.from_vars[i][0]]
-    )
-    rows = np.transpose(attach.rows, (*order, len(attach.from_vars)))
-    shape = [1] * base.mass.ndim + [new_alph.size]
-    for i in order:
-        name, alph = attach.from_vars[i]
-        shape[base_pos[name]] = alph.size
-    mass = base.mass[..., None] * rows.reshape(shape)
+    mass = base.mass[..., None] * _aligned_rows(attach, base.variables)
     return JointPMF((*base.variables, attach.to_var), mass)
 
 

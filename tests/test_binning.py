@@ -16,6 +16,7 @@ from secomp.binning import (
     _sw_context,
     _sw_trials,
     _trial_states,
+    _trial_uniforms,
     exact_posterior_entropy,
     make_binning_code,
     run_erasure_encoder_scheme,
@@ -128,16 +129,23 @@ def _records(batch):
         })
 
 
-def _enumerated_gap_equiv(record, n):
+def _gap_trial_draws(params, n, seed, t):
+    """(a, bob_erased, eve_erased) of gap trial t, drawn in order from its own stream."""
+    rng = np.random.default_rng((seed, 1, t))
+    a = rng.integers(0, 2, size=n)
+    return a, rng.random(n) < params.p_b, rng.random(n) < params.p_e
+
+
+def _enumerated_gap_equiv(a, bob_erased, eve_erased):
     """Eve's gap-scheme equivocation by enumerating her candidate blocks."""
-    free = np.flatnonzero(record.eve_erased)
+    n = a.size
+    free = np.flatnonzero(eve_erased)
     n_candidates = 1 << free.size
-    candidates = np.tile(record.a, (n_candidates, 1))
+    candidates = np.tile(a, (n_candidates, 1))
     if free.size:
         combos = (np.arange(n_candidates)[:, None] >> np.arange(free.size)[None, :]) & 1
         candidates[:, free] = combos
-    bob_erased = record.bob_erased
-    match = (candidates[:, bob_erased] == record.a[bob_erased]).all(axis=1)
+    match = (candidates[:, bob_erased] == a[bob_erased]).all(axis=1)
     return exact_posterior_entropy(match.astype(float)) / n
 
 
@@ -237,6 +245,19 @@ class TestTrialStreams:
         assert (state, inc) == (expected["state"], expected["inc"])
         with pytest.raises(ValueError):
             list(_trial_states(7, range(last, last + 2)))
+
+    @pytest.mark.parametrize("seed", [2**32, 2**70 + 1])
+    def test_uniforms_are_default_rng_draws(self, seed):
+        np.testing.assert_array_equal(
+            _trial_uniforms(seed, range(200), 5),
+            [np.random.default_rng((seed, 1, t)).random(5) for t in range(200)],
+        )
+        # A skip passes over whole 64-bit outputs of the stream.
+        skipped = _trial_uniforms(seed, range(100, 200), 5, skip=3)
+        for t, row in zip(range(100, 200), skipped):
+            rng = np.random.default_rng((seed, 1, t))
+            rng.bit_generator.random_raw(3)
+            np.testing.assert_array_equal(row, rng.random(5))
 
 
 class TestSwBinning:
@@ -451,43 +472,38 @@ class TestGapScheme:
         assert abs(report.equiv_hat - 0.375) <= 0.1
 
     def test_trial_equivocation_counts_untransmitted_eve_gaps(self):
-        for record in _records(_gap_trials(ErasureParams(0.25, 0.5), 10, 5, range(50))):
-            free = (record.eve_erased & ~record.bob_erased).sum()
-            assert record.equiv == pytest.approx(free / 10, abs=1e-12)
+        params, n, seed = ErasureParams(0.25, 0.5), 10, 5
+        for t, equiv in enumerate(_gap_trials(params, n, seed, range(50))):
+            _, bob_erased, eve_erased = _gap_trial_draws(params, n, seed, t)
+            assert equiv == (eve_erased & ~bob_erased).sum() / n
 
-    @pytest.mark.parametrize("n", [1, 7, 12])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_trial_draws_are_default_rng_streams(self, n):
-        # The batch sets one generator to each trial's derived state; an odd
-        # n leaves a cached 32-bit half after the source bits, which the
-        # erasure uniforms must not consume.
-        seed = 2**70 + 1
-        records = _records(_gap_trials(ErasureParams(0.25, 0.5), n, seed, range(300)))
-        for t, record in enumerate(records):
-            rng = np.random.default_rng((seed, 1, t))
-            np.testing.assert_array_equal(record.a, rng.integers(0, 2, size=n))
-            np.testing.assert_array_equal(record.bob_erased, rng.random(n) < 0.25)
-            np.testing.assert_array_equal(record.eve_erased, rng.random(n) < 0.5)
+        # The erasure uniforms follow the n source bits, which take ceil(n/2)
+        # 64-bit outputs: an odd n leaves a cached 32-bit half that the
+        # uniforms must not consume.
+        params, seed = ErasureParams(0.25, 0.5), 2**70 + 1
+        for t, equiv in enumerate(_gap_trials(params, n, seed, range(300))):
+            _, bob_erased, eve_erased = _gap_trial_draws(params, n, seed, t)
+            assert equiv == (eve_erased & ~bob_erased).sum() / n
 
     def test_run_longer_than_one_block_matches_per_trial_streams(self):
         params, n, seed = ErasureParams(0.25, 0.5), 12, 3
-        trials = 2 * (_BATCH_ELEMENTS // (3 * n)) + 7
+        trials = 2 * (_BATCH_ELEMENTS // (2 * n)) + 7
         equivs = np.empty(trials)
         for t in range(trials):
-            rng = np.random.default_rng((seed, 1, t))
-            rng.integers(0, 2, size=n)
-            bob_erased = rng.random(n) < params.p_b
-            eve_erased = rng.random(n) < params.p_e
+            _, bob_erased, eve_erased = _gap_trial_draws(params, n, seed, t)
             equivs[t] = int((eve_erased & ~bob_erased).sum()) / n
         report = run_erasure_encoder_scheme(params, n, trials, seed)
         assert report.equiv_hat == float(equivs.mean())
         assert report.equiv_stderr == float(equivs.std(ddof=1) / math.sqrt(trials))
 
-    @pytest.mark.parametrize("n", [1, 5, 8, 12])
+    @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("p_b,p_e", [(0.25, 0.5), (0.1, 0.9), (0.6, 0.7)])
     def test_counted_posterior_equals_enumeration(self, n, p_b, p_e):
         params = ErasureParams(p_b, p_e)
-        for record in _records(_gap_trials(params, n, n, range(200))):
-            assert record.equiv == _enumerated_gap_equiv(record, n)
+        for t, equiv in enumerate(_gap_trials(params, n, n, range(200))):
+            assert equiv == _enumerated_gap_equiv(*_gap_trial_draws(params, n, n, t))
 
     def test_reproducible_bit_for_bit(self):
         first = run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), n=8, trials=50, seed=2)

@@ -44,6 +44,15 @@ class TestPreset:
         assert code == 1
         assert "p_b" in err
 
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+    def test_unwritable_output_is_exit_one(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run_cli(
+            capsys, "preset", "erasure", "--pb", "0.1", "--pe", "0.3", "-o", str(path)
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write {path}:") and "Traceback" not in err
+
 
 class TestMeasures:
     def test_round_trip_matches_in_memory_values(self, capsys, tmp_path):

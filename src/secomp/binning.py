@@ -25,19 +25,27 @@ Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
 would draw, and the bin table comes from ``default_rng((seed, 0))``; reports
 are reproducible bit for bit and the per-trial records are aggregated in
 trial order. Building one Generator per trial costs more than a short
-trial's arithmetic, so ``_trial_states`` derives the PCG64 states of a whole
-block of trials at once: SeedSequence's entropy mixing and its
-``generate_state(4, uint64)`` run on uint32 arrays over the trial indices,
-then PCG64's seeding step on Python ints. ``_trial_uniforms`` is the one
-place a trial's state is set: it steps the state ``skip`` times (each 64-bit
-output is one LCG step, state * mult + inc mod 2^128), sets one reused bit
-generator to it and draws the trial's doubles, each one whole output. A
-binning trial skips nothing and draws its n joint cells with numpy's own
-``Generator.choice`` algorithm (n uniforms searched in the normalized
-cumulative sum of the cell masses), with the sum built once per run, so the
-cells drawn are the ones ``choice(size, n, p=flat)`` returns. A gap trial's
-stream opens with its source bits, ``integers(0, 2, n)``: n 32-bit halves of
-ceil(n/2) outputs, which no equivocation reads, so the gap scheme skips them.
+trial's arithmetic, so no Generator is built for a trial: the block's
+doubles come from its PCG64 states by uint64 array arithmetic.
+``_trial_states`` runs SeedSequence's entropy mixing and its
+``generate_state(4, uint64)`` on uint32 arrays over the trial indices, then
+PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves,
+which ``_add128`` and ``_mul128`` add and multiply mod 2^128. PCG64 takes
+one LCG step, state * mult + inc mod 2^128, before each 64-bit output, so
+after j steps the state is the affine map state * mult^j + inc * (1 + mult
++ ... + mult^(j-1)). ``_trial_uniforms`` composes that map as Python ints
+for each column j = skip + k + 1 it draws and applies it to every trial's
+halves at once. PCG64's XSL-RR output (the halves xored, rotated right by
+the state's top 6 bits) and ``Generator.random``'s double, the output's top
+53 bits times 2^-53, then finish each draw. Every step is exact integer
+arithmetic, so the doubles are the very numbers numpy's ``next64`` and
+``random`` compute from the same states. A binning trial skips nothing and
+draws its n joint cells with numpy's own ``Generator.choice`` algorithm (n
+uniforms searched in the normalized cumulative sum of the cell masses),
+with the sum built once per run, so the cells drawn are the ones
+``choice(size, n, p=flat)`` returns. A gap trial's stream opens with its
+source bits, ``integers(0, 2, n)``: n 32-bit halves of ceil(n/2) outputs,
+which no equivocation reads, so the gap scheme skips them.
 
 Batches. Within a block the cells, sequence indices and bins of every trial
 are computed together. The trials are then grouped by announced bin, and a
@@ -91,7 +99,14 @@ _MIX_MULT_R = 0x4973F715
 _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
+_PCG64_MULT_HALVES = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
+# Shift counts and masks of the uint64 limb arithmetic, typed so that no
+# operand is a Python int: numpy 1.24's value-based casting would turn some
+# mixes of Python ints and uint64 into float64.
+_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
+_U64_MASK32 = np.uint64(_MASK32)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,17 +235,37 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> np.uint32(16)
 
 
-def _trial_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
-    """PCG64 (state, inc) of ``default_rng((seed, 1, t))`` for each t in trials, in order.
+def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2^128 on (high, low) uint64 halves."""
+    low = a[1] + b[1]
+    # The low words wrapped exactly when their sum is below either of them.
+    return a[0] + b[0] + (low < b[1]).astype(np.uint64), low
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2^128 on (high, low) uint64 halves.
+
+    uint64 products wrap mod 2^64, so only the high word of low * low needs
+    the low words split into 32-bit parts; the cross terms enter the high
+    word mod 2^64 whole.
+    """
+    (a_hi, a_lo), (b_hi, b_lo) = a, b
+    a1, a0 = a_lo >> _U32, a_lo & _U64_MASK32
+    b1, b0 = b_lo >> _U32, b_lo & _U64_MASK32
+    cross = a1 * b0
+    middle = (a0 * b0 >> _U32) + (cross & _U64_MASK32) + a0 * b1
+    carry = (cross >> _U32) + (middle >> _U32) + a1 * b1
+    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
+
+
+def _seed_sequence_states(seed: int, t: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence((seed, 1, t)).generate_state(4, uint64)``: four uint64 arrays over t.
 
     SeedSequence splits each entropy integer into little-endian 32-bit
     words, so trial t's entropy is the words of seed, then 1, then t. The
     hash constants never depend on the data, which lets every trial's pool
     be mixed in one pass of uint32 array arithmetic.
     """
-    if trials.stop > 1 << 32:
-        raise ValueError("trial indices must fit in one 32-bit word")
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.full_like(t, word) for word in seed_words + [1]] + [t]
     mixing = _hash_constants(*_HASH_A)
@@ -245,14 +280,26 @@ def _trial_states(seed: int, trials: range) -> Iterator[tuple[int, int]]:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, mixing))
+    # Eight 32-bit words drawn from the pool, paired little-endian.
     drawing = _hash_constants(*_HASH_B)
-    words = [_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8)]
-    # generate_state(4, uint64) pairs the eight words little-endian.
-    halves = [words[2 * k] | words[2 * k + 1] << np.uint64(32) for k in range(4)]
-    for s_hi, s_lo, q_hi, q_lo in zip(*(map(int, half) for half in halves)):
-        # PCG64's srandom: inc = 2 * initseq + 1, state = (inc + initstate) * mult + inc.
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        yield ((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc & _MASK128, inc
+    words = (_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8))
+    return [low | next(words) << _U32 for low in words]
+
+
+def _trial_states(seed: int, trials: range) -> tuple[tuple, tuple]:
+    """PCG64 ``((state_hi, state_lo), (inc_hi, inc_lo))`` of ``default_rng((seed, 1, t))``.
+
+    Each half is a uint64 array with one entry per t in trials, in order.
+    """
+    if trials.stop > 1 << 32:
+        raise ValueError("trial indices must fit in one 32-bit word")
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(seed, t)
+    # PCG64's srandom from initstate = (s_hi, s_lo) and initseq = (q_hi, q_lo):
+    # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
+    inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
+    state = _add128(_mul128(_add128((s_hi, s_lo), inc), _PCG64_MULT_HALVES), inc)
+    return state, inc
 
 
 def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.ndarray:
@@ -261,23 +308,29 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     Row i holds what ``default_rng((seed, 1, t)).random(count)`` returns for
     the i-th t once that stream has given its first ``skip`` outputs.
     """
-    # skip steps state -> state * _PCG64_MULT + inc compose to
-    # state -> state * mult + inc * add.
+    # PCG64 steps its LCG, state -> state * mult + inc, before each output,
+    # so column k reads the state after j = skip + k + 1 steps:
+    # state * mult^j + inc * (1 + mult + ... + mult^(j-1)).
     mult, add = 1, 0
-    for _ in range(skip):
+    maps = np.empty((4, count), dtype=np.uint64)
+    for step in range(skip + count):
         mult, add = mult * _PCG64_MULT & _MASK128, add * _PCG64_MULT + 1 & _MASK128
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    uniforms = np.empty((len(trials), count))
-    for row, (state, inc) in zip(uniforms, _trial_states(seed, trials)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state * mult + inc * add & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.random(out=row)
-    return uniforms
+        if step >= skip:
+            maps[:, step - skip] = np.array(
+                [mult >> 64, mult & _MASK64, add >> 64, add & _MASK64], dtype=np.uint64
+            )
+    mult_hi, mult_lo, add_hi, add_lo = maps
+    (state_hi, state_lo), (inc_hi, inc_lo) = _trial_states(seed, trials)
+    high, low = _add128(
+        _mul128((state_hi[:, None], state_lo[:, None]), (mult_hi, mult_lo)),
+        _mul128((inc_hi[:, None], inc_lo[:, None]), (add_hi, add_lo)),
+    )
+    # XSL-RR: the two halves xored, rotated right by the state's top 6 bits.
+    value = high ^ low
+    rotation = high >> _U58
+    out = value >> rotation | value << (-rotation & _U63)
+    # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
+    return (out >> _U11).astype(np.float64) * 2.0**-53
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:
@@ -434,6 +487,10 @@ def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
 def _check_run(trials: int, seed: int) -> None:
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    # Trial t's stream is default_rng((seed, 1, t)) with t one 32-bit word;
+    # checked before the per-trial records are allocated.
+    if trials > 1 << 32:
+        raise ValueError("trials must be <= 2**32")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
 
@@ -463,7 +520,8 @@ def run_sw_binning(
     (any tie counts as an error), and score the eavesdropper's equivocation
     as the entropy of her exact posterior over the bin, per symbol.
     Raises ValueError for a rate outside [0, log2 |A|], a blocklength past
-    the enumeration limit, fewer than one trial or a negative seed.
+    the enumeration limit, fewer than one or more than 2^32 trials, or a
+    negative seed.
     """
     _check_run(trials, seed)
     ctx = _sw_context(joint_abe, n, rate, seed)

@@ -383,7 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = region_sub.add_parser("uncoded", parents=optimizer_flags + [diagnostics_flag],
                               help="side information seen directly by Bob")
-    p.add_argument("--switches", choices=["none", "sb", "se", "both"], default="none")
+    p.add_argument(
+        "--switches", choices=["none", "sb", "se", "both"], default="none",
+        help="what the encoder also sees: nothing, Bob's B, Eve's E or both "
+             "(default %(default)s); with sb and both, delta_star is the maximum of the "
+             "single-letter objective I(A;B|U) - I(A;E|U): an achievable (inner) value, "
+             "not the region's equivocation",
+    )
     p.set_defaults(func=_cmd_region_uncoded)
 
     p = region_sub.add_parser("coded", parents=optimizer_flags,

@@ -62,8 +62,13 @@ def erasure_delta(params: ErasureParams, switches: SwitchConfig) -> float:
     P(U = A) = 1/2 whatever Bob saw, so U is independent of (A, E), and A
     is a function of (B, U). For p_b > 1/2 the value is p_e h(p_b), the
     same U with keep = 0 (U = A where Bob is erased, 1 - A elsewhere): a
-    lower bound, which the optimizer matches but no converse is known to
-    meet.
+    lower bound on the objective's maximum, which the optimizer matches.
+
+    The ``sb``/``both`` value (``delta_star``) is the maximum of the
+    single-letter objective: an achievable (inner) value of the
+    equivocation, not the region's equivocation. For p_b <= 1/2 it meets
+    the outer bound H(A|E) = p_e, so the two agree; for p_b > 1/2 no
+    converse is known to meet p_e h(p_b).
     """
     if switches.name == "none":
         return max(params.p_e - params.p_b, 0.0)

@@ -5,14 +5,16 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_joint
 from secomp.binning import (
     SimReport,
     _BATCH_ELEMENTS,
     _TIE_REL_TOL,
+    _add128,
     _gap_trials,
+    _mul128,
     _sw_context,
     _sw_trials,
     _trial_states,
@@ -227,24 +229,87 @@ class TestBinningCode:
             make_binning_code(n=21, rate=0.5, alphabet_size=2, seed=0)
 
 
+def _joined(halves):
+    """Python ints high << 64 | low of a pair of uint64 arrays."""
+    return [int(high) << 64 | int(low) for high, low in zip(*halves)]
+
+
+def _split(value):
+    """One-entry uint64 arrays (high, low) of a 128-bit Python int."""
+    return np.array([value >> 64], dtype=np.uint64), np.array([value % 2**64], dtype=np.uint64)
+
+
+def _derived_states(seed, trials):
+    state, inc = _trial_states(seed, trials)
+    return list(zip(_joined(state), _joined(inc)))
+
+
+def _default_rng_state(seed, t):
+    state = np.random.default_rng((seed, 1, t)).bit_generator.state["state"]
+    return state["state"], state["inc"]
+
+
+_U128 = st.integers(0, 2**128 - 1)
+
+
 class TestTrialStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**70 + 1])
     def test_states_are_default_rngs(self, seed):
         # One to four 32-bit seed words: the trial index lands in the pool
         # or, past the pool's four words, in the extra-entropy rounds.
-        derived = list(_trial_states(seed, range(3000)))
-        for t, (state, inc) in enumerate(derived):
-            expected = np.random.default_rng((seed, 1, t)).bit_generator.state["state"]
-            assert (state, inc) == (expected["state"], expected["inc"])
-        assert list(_trial_states(seed, range(1000, 1200))) == derived[1000:1200]
+        derived = _derived_states(seed, range(3000))
+        for t, state_and_inc in enumerate(derived):
+            assert state_and_inc == _default_rng_state(seed, t)
+        assert _derived_states(seed, range(1000, 1200)) == derived[1000:1200]
 
     def test_trial_index_must_fit_one_word(self):
         last = 2**32 - 1
-        (state, inc), = _trial_states(7, range(last, last + 1))
-        expected = np.random.default_rng((7, 1, last)).bit_generator.state["state"]
-        assert (state, inc) == (expected["state"], expected["inc"])
+        assert _derived_states(7, range(last, last + 1)) == [_default_rng_state(7, last)]
         with pytest.raises(ValueError):
-            list(_trial_states(7, range(last, last + 2)))
+            _trial_states(7, range(last, last + 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=_U128, b=_U128)
+    @example(a=2**64 - 1, b=1)
+    @example(a=2**128 - 1, b=2**128 - 1)
+    def test_limb_arithmetic_is_mod_2_128(self, a, b):
+        # The helpers against Python ints; the examples carry out of the low
+        # words and fill every 32-bit part of both low words.
+        a_halves, b_halves = _split(a), _split(b)
+        assert _joined(_add128(a_halves, b_halves)) == [(a + b) % 2**128]
+        assert _joined(_mul128(a_halves, b_halves)) == [a * b % 2**128]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70 - 1),
+        start=st.integers(0, 2**32 - 8),
+        trials=st.integers(1, 8),
+        count=st.integers(1, 24),
+        skip=st.integers(0, 6),
+    )
+    @example(seed=2**70 - 1, start=2**32 - 8, trials=8, count=24, skip=6)
+    def test_uniforms_match_default_rng_after_a_skip(self, seed, start, trials, count, skip):
+        got = _trial_uniforms(seed, range(start, start + trials), count, skip)
+        for t, row in zip(range(start, start + trials), got):
+            rng = np.random.default_rng((seed, 1, t))
+            rng.bit_generator.random_raw(skip)
+            np.testing.assert_array_equal(row, rng.random(count))
+
+    @pytest.mark.parametrize("count", [1, 8, 24, _BATCH_ELEMENTS])
+    def test_one_block_holds_a_few_block_sized_arrays(self, count):
+        # A block draws _BATCH_ELEMENTS doubles. Its per-trial states and
+        # per-draw 128-bit products are uint64 arrays no larger than the
+        # block, so the peak is a fixed number of block-sized arrays whatever
+        # the shape; the warm-up call keeps one-time allocations out of it.
+        trials = range(_BATCH_ELEMENTS // count)
+        _trial_uniforms(0, range(2), count)
+        tracemalloc.start()
+        try:
+            _trial_uniforms(0, trials, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * _BATCH_ELEMENTS
 
     @pytest.mark.parametrize("seed", [2**32, 2**70 + 1])
     def test_uniforms_are_default_rng_draws(self, seed):

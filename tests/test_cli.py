@@ -353,6 +353,10 @@ class TestExitCodes:
             ("simulate", "binning", "--seed", "-1"),
             ("simulate", "erasure-scheme", "--n", "13"),
             ("simulate", "erasure-scheme", "--seed", "-3"),
+            # Past 2^32 trial indices, rejected before any per-trial array
+            # is allocated (5e9 trials would need 37 GiB).
+            ("simulate", "binning", "--trials", "5000000000"),
+            ("simulate", "erasure-scheme", "--trials", "5000000000"),
             ("region", "uncoded", "--starts", "0"),
             ("region", "uncoded", "--seed", "-1"),
             # The S_E-closed value is a closed form that reads neither flag.

@@ -15,11 +15,11 @@ Blocklengths stay desk-scale because Bob's decoding and Eve's posterior
 enumerate every member of the announced bin; that is the point, since exact
 posteriors make the equivocation estimate unbiased with a reportable standard
 error. A binning run holds O(|A|^n) integers of index (the bin table, one
-member ordering and the bin offsets) plus factor indices for the two halves
-of a sequence's digits, never a table of every sequence's symbols. In the
-gap scheme Eve's posterior is uniform over 2^k blocks, k the number of
-positions she misses that the transmission does not fill, so it is counted
-exactly rather than enumerated.
+member ordering and the bin offsets) plus the index rows of the bins it is
+scoring, never a table of every sequence's symbols. In the gap scheme Eve's
+posterior is uniform over 2^k blocks, k the number of positions she misses
+that the transmission does not fill, so it is counted exactly rather than
+enumerated.
 
 Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
 would draw, and the bin table comes from ``default_rng((seed, 0))``; reports
@@ -48,16 +48,22 @@ source bits, ``integers(0, 2, n)``: n 32-bit halves of ceil(n/2) outputs,
 which no equivocation reads, so the gap scheme skips them.
 
 Batches. Within a block the cells, sequence indices and bins of every trial
-are computed together. The trials are then grouped by announced bin, and a
-group's trials are scored together: Bob's and Eve's likelihoods of every
-bin member form one (trials, 2, members) array, multiplied position by
-position from left to right as a single trial would be, and MAP decoding,
-ties and Eve's posterior entropies are taken row by row. Each entropy sums a
-row's own terms only, so every record equals the one-trial computation bit
-for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps the numbers a
-block draws and the likelihoods (with the factor tables behind them) a chunk
-of one bin's trials holds; a trial whose bin alone exceeds it is scored by
-itself.
+are computed together. The trials are sorted by the size of their bin, then
+by bin, and cut into chunks, and a chunk is scored in one pass over all its
+(trial, member) pairs: Bob's and Eve's likelihoods form one (2, trials,
+members) array, zero past each trial's bin. A member's likelihood is the
+product of its n factors taken left to right, as a single trial takes them:
+its first k digits are read off a per-trial table of prefix products, with
+|A|^k no larger than the mean bin size, and each later position's factor is
+multiplied in. The index work, each member's head number and later digits,
+is done once per bin of the chunk and shared by the trials that drew it;
+consecutive chunks of one bin reuse it. MAP decoding, ties and Eve's
+posterior entropies are then taken row by row. Each entropy sums a row's own
+terms only, grouped by length, so every record equals the one-trial
+computation bit for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps
+the numbers a block draws and the likelihoods, head tables and bin index
+rows a chunk holds; a trial whose bin alone exceeds it is a chunk of its
+own.
 """
 
 from __future__ import annotations
@@ -83,9 +89,9 @@ _MAX_GAP_SCHEME_N = 12
 # conditionals the weights are exact dyadics and ties are exact anyway.
 _TIE_REL_TOL = 1e-12
 
-# Entries one batch array may hold: a block of trials draws at most this
-# many numbers, and a chunk of one bin's trials builds at most this many
-# member likelihoods and factor-table entries.
+# Entries one batch may hold: a block of trials draws at most this many
+# numbers, and a chunk of trials holds at most this many member
+# likelihoods, head-table entries and bin index entries.
 _BATCH_ELEMENTS = 2**14
 
 # numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
@@ -173,27 +179,48 @@ def exact_posterior_entropy(weights) -> float:
     return float(_entropy_rows(w[None])[0])
 
 
-def _entropy_rows(w: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row of w / w.sum(axis=1): nonnegative rows with positive sums.
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sum of each consecutive segment of values, bit for bit that segment's own ``.sum()``.
 
-    A binning trial's likelihoods meet these conditions by construction, so
-    the trials call this directly instead of checking them. numpy's pairwise
-    summation groups terms by a sum's length, so each row's sum runs over its
-    own entries, and over its positive probabilities alone, in a block of
-    rows with as many: the result is bit for bit that of the row by itself.
+    numpy's pairwise summation groups a sum's terms by the sum's length
+    alone, so each run of consecutive segments of one length is summed as
+    the rows of one matrix. ``np.add.reduceat`` adds a segment's terms one
+    by one and would not give the same bits.
     """
-    p = w / w.sum(axis=1, keepdims=True)
+    steps = lengths[1:] - lengths[:-1]
+    if not steps.any():
+        return values.reshape(len(lengths), lengths[0]).sum(axis=1)
+    sums = np.empty(len(lengths))
+    edges = [0, *(np.flatnonzero(steps) + 1).tolist(), len(lengths)]
+    lengths, ends = lengths.tolist(), lengths.cumsum().tolist()
+    for first, stop in zip(edges[:-1], edges[1:]):
+        length = lengths[first]
+        segments = values[ends[first] - length : ends[stop - 1]]
+        sums[first:stop] = segments.reshape(stop - first, length).sum(axis=1)
+    return sums
+
+
+def _entropy_rows(w: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    """Entropy in bits of each row of w, its first lengths[i] entries normalized to sum 1.
+
+    Rows are nonnegative with positive sums and zero past their lengths;
+    lengths None means every row is full. A binning trial's likelihoods meet
+    these conditions by construction, so the trials call this directly
+    instead of checking them. Each row's sum runs over its own entries, and
+    over its positive probabilities alone, as ``_segment_sums`` sums them:
+    the result is bit for bit that of the row by itself.
+    """
+    if lengths is None:
+        sums = w.sum(axis=1)
+    else:
+        sums = _segment_sums(w[np.arange(w.shape[1]) < lengths[:, None]], lengths)
+    p = w / sums[:, None]
     positive = p > 0.0
     terms = p[positive]
+    del p  # before log2's temporary, so a row of 2^20 members peaks lower
     terms *= np.log2(terms)
-    counts = positive.sum(axis=1)
-    ends = counts.cumsum()
-    sums = np.empty(len(p))
-    for count in np.flatnonzero(np.bincount(counts)):
-        rows = np.flatnonzero(counts == count)
-        sums[rows] = terms[(ends[rows] - count)[:, None] + np.arange(count)].sum(axis=1)
     # "+ 0.0" turns the -0.0 of a point mass into 0.0 and changes no other value.
-    return -sums + 0.0
+    return -_segment_sums(terms, positive.sum(axis=1)) + 0.0
 
 
 def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> BinningCode:
@@ -350,15 +377,17 @@ class _SwContext(NamedTuple):
     # ascending sequence index because the argsort is stable.
     members_order: np.ndarray
     bin_offsets: np.ndarray
-    # cell_factors[c, w, a] is P(a | b) for w = 0 and P(a | e) for w = 1 at
-    # joint cell c = (., b, e), so a trial's drawn cells give an (n, 2, |A|)
-    # factor block. A sequence index is high * low_size + low; head_index
-    # and tail_index pick from the flattened block the factors of every
-    # high part (first ceil(n/2) positions) and every low part (the rest).
+    # cell_factors[w, c, a] is P(a | b) for w = 0 and P(a | e) for w = 1 at
+    # joint cell c = (., b, e), so a trial's drawn cells give a (2, n, |A|)
+    # factor block.
     cell_factors: np.ndarray
-    low_size: int
-    head_index: np.ndarray
-    tail_index: np.ndarray
+    # A member's likelihood is read off a table over its first head_digits
+    # digits, k >= 1 with |A|^k no larger than the mean bin size, then
+    # multiplied by each later digit's factor. The table puts position p at
+    # place |A|^p, so a member's head number has its k digits reversed;
+    # reversed_halves reverse the low k // 2 and the high k - k // 2.
+    head_digits: int
+    reversed_halves: tuple[np.ndarray, np.ndarray]
 
 
 class _SwTrials(NamedTuple):
@@ -374,16 +403,14 @@ class _SwTrials(NamedTuple):
     cells: np.ndarray
 
 
-def _factor_index(n_digits: int, first: int, alphabet_size: int) -> np.ndarray:
-    """(n_digits, 2, |A|^n_digits) flat indices into an (n, 2, |A|) factor block.
-
-    Entry [j, w, s] addresses position first + j, observer w and symbol
-    digits[j, s], the j-th most significant base-|A| digit of s.
-    """
-    place = alphabet_size ** np.arange(n_digits - 1, -1, -1)
-    digits = np.arange(alphabet_size**n_digits) // place[:, None] % alphabet_size
-    pos = first + np.arange(n_digits)
-    return (pos[:, None, None] * 2 + np.arange(2)[:, None]) * alphabet_size + digits[:, None, :]
+def _reversed_digits(n_digits: int, alphabet_size: int) -> np.ndarray:
+    """Entry s is s with its n_digits base-|A| digits in reverse order."""
+    rest = np.arange(alphabet_size**n_digits)
+    reversed_s = np.zeros_like(rest)
+    for _ in range(n_digits):
+        rest, digit = np.divmod(rest, alphabet_size)
+        reversed_s = reversed_s * alphabet_size + digit
+    return reversed_s
 
 
 def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwContext:
@@ -401,9 +428,11 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
     _, b_of_cell, e_of_cell = np.unravel_index(np.arange(mass.size), mass.shape)
     offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
     np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
-    n_low = n // 2
     cdf = mass.reshape(-1).cumsum()
     cdf /= cdf[-1]
+    head_digits = n
+    while head_digits > 1 and n_a**head_digits * code.n_bins > n_a**n:
+        head_digits -= 1
     return _SwContext(
         n=n,
         code=code,
@@ -414,65 +443,164 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
         members_order=np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
                                  kind="stable"),
         bin_offsets=offsets,
-        cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell]), axis=1),
-        low_size=n_a**n_low,
-        head_index=_factor_index(n - n_low, 0, n_a),
-        tail_index=_factor_index(n_low, n - n_low, n_a),
+        cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell])),
+        head_digits=head_digits,
+        reversed_halves=(_reversed_digits(head_digits // 2, n_a),
+                         _reversed_digits(head_digits - head_digits // 2, n_a)),
     )
 
 
-def _score_in_bin(
-    ctx: _SwContext, cells: np.ndarray, seq_index: np.ndarray, members: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(error, tie, equiv, decoded_index) of trials whose sequences all lie in one bin.
+class _BinRows(NamedTuple):
+    """Padded member rows of distinct bins and the index work of scoring them."""
 
-    cells holds the trials' drawn joint cells, one row per trial, and
-    members the bin's sequence indices in ascending order.
+    sizes: np.ndarray
+    # Each bin's members in ascending order, padded with the last sequence index.
+    members: np.ndarray
+    # A member's head number, its first head_digits digits reversed, and
+    # digits[j], its digit at position head_digits + j in the smallest
+    # unsigned type that holds a symbol.
+    head: np.ndarray
+    digits: np.ndarray
+
+
+def _bin_rows(ctx: _SwContext, bins: np.ndarray) -> _BinRows:
+    """The rows of the distinct bins in bins, in that order."""
+    starts, sizes = ctx.bin_offsets[bins], ctx.bin_offsets[bins + 1] - ctx.bin_offsets[bins]
+    if len(bins) == 1:
+        members = ctx.members_order[starts[0] : starts[0] + sizes[0]][None]
+    else:
+        columns = np.arange(sizes.max())
+        members = ctx.members_order.take(starts[:, None] + columns, mode="clip")
+        members[columns >= sizes[:, None]] = ctx.code.bin_of.size - 1
+    n_a, n_tail = ctx.cell_shape[0], ctx.n - ctx.head_digits
+    # Floor division by a scalar is much faster than np.divmod.
+    head = members
+    digits = np.empty((n_tail,) + members.shape, dtype=np.min_scalar_type(n_a - 1))
+    for position in range(n_tail - 1, -1, -1):
+        rest = head // n_a
+        digits[position] = head - n_a * rest
+        head = rest
+    low_size = n_a ** (ctx.head_digits // 2)
+    high = head // low_size
+    reversed_low, reversed_high = ctx.reversed_halves
+    head = reversed_low[head - low_size * high] * (n_a**ctx.head_digits // low_size)
+    head += reversed_high[high]
+    return _BinRows(sizes=sizes, members=members, head=head, digits=digits)
+
+
+def _score_chunk(
+    ctx: _SwContext, bin_rows: _BinRows, bin_row: np.ndarray, cells: np.ndarray,
+    seq_index: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(error, tie, equiv, decoded_index) of trials whose bins have rows in bin_rows.
+
+    Trial i's bin is row bin_row[i], and cells holds the trials' drawn
+    joint cells, one row per trial.
     """
-    # Bob's (row 0) and Eve's (row 1) likelihoods of every member, each the
-    # product of its n factors taken left to right: the high digits' partial
-    # products are formed once per trial, then each member multiplies in its
-    # low digits' factors one position at a time.
-    high, low = np.divmod(members, ctx.low_size)
-    factors = ctx.cell_factors[cells].reshape(len(cells), -1)
-    likelihood = factors.take(ctx.head_index, axis=1).prod(axis=1).take(high, axis=2)
-    tail = factors.take(ctx.tail_index, axis=1)
-    for position in range(tail.shape[1]):
-        likelihood *= tail[:, position].take(low, axis=2)
-    bob, eve = likelihood[:, 0], likelihood[:, 1]
-    truth = (np.arange(len(cells)), members.searchsorted(seq_index))
-    if (bob[truth] <= 0.0).any():
-        raise ArithmeticError("sampled sequence has zero posterior at Bob")
-    if (eve[truth] <= 0.0).any():
-        raise ArithmeticError("sampled sequence has zero posterior at Eve")
-    best = bob.max(axis=1)
-    winners = bob >= (best * (1.0 - _TIE_REL_TOL))[:, None]
-    decoded_index = members[winners.argmax(axis=1)]
+    trials, (n_bins, width) = len(cells), bin_rows.members.shape
+    n_a = ctx.cell_shape[0]
+    # Bob's (row 0) and Eve's (row 1) likelihoods of every member of each
+    # trial's bin, each the product of its n factors taken left to right.
+    # A trial's head table is built by prefix products, each position's
+    # factors on the slowest axis so that every product runs over the whole
+    # table; then each member multiplies in its later digits' factors one
+    # position at a time.
+    factors = ctx.cell_factors.take(cells.T, axis=1)
+    table = factors[:, 0, :, None, :]
+    for position in range(1, ctx.head_digits):
+        table = (factors[:, position, :, :, None] * table).reshape(2, trials, 1, -1)
+    tails = factors[:, ctx.head_digits :]
+    if n_bins == 1:
+        # The trials share the bin's index rows.
+        likelihood = table.reshape(2, trials, -1).take(bin_rows.head[0], axis=2)
+        del table
+        for factor, digit in zip(tails.swapaxes(0, 1), bin_rows.digits[:, 0]):
+            likelihood *= factor.take(digit, axis=2)
+        truth = bin_rows.members[0].searchsorted(seq_index)
+    else:
+        # Each trial offsets its bin's index rows into its own part of the
+        # flattened tables, and its entries past the bin's size are zeroed.
+        trial = np.arange(trials)[:, None]
+        likelihood = table.reshape(2, -1).take(
+            bin_rows.head[bin_row] + table.shape[3] * trial, axis=1
+        )
+        del table
+        tails = tails.reshape(2, len(tails[0]), trials * n_a).swapaxes(0, 1)
+        for factor, digit in zip(tails, bin_rows.digits):
+            likelihood *= factor.take(digit[bin_row] + n_a * trial, axis=1)
+        likelihood[:, np.arange(width) >= bin_rows.sizes[bin_row, None]] = 0.0
+        # Shifted by r |A|^n, row r of members ascends and stays below the
+        # next row, so one search of the flattened rows finds every truth.
+        shift = ctx.code.bin_of.size
+        keys = bin_rows.members + shift * np.arange(n_bins)[:, None]
+        truth = keys.reshape(-1).searchsorted(seq_index + shift * bin_row) - width * bin_row
+    at_truth = likelihood[:, np.arange(trials), truth]
+    for observer, zero in zip(("Bob", "Eve"), (at_truth <= 0.0).any(axis=1)):
+        if zero:
+            raise ArithmeticError(f"sampled sequence has zero posterior at {observer}")
+    bob, eve = likelihood
+    winners = bob >= (bob.max(axis=1) * (1.0 - _TIE_REL_TOL))[:, None]
+    decoded_index = bin_rows.members[bin_row, winners.argmax(axis=1)]
     tie = winners.sum(axis=1) > 1
-    return tie | (decoded_index != seq_index), tie, _entropy_rows(eve) / ctx.n, decoded_index
+    lengths = None if n_bins == 1 else bin_rows.sizes[bin_row]
+    return (tie | (decoded_index != seq_index), tie, _entropy_rows(eve, lengths) / ctx.n,
+            decoded_index)
+
+
+def _chunks(ctx: _SwContext, sizes: np.ndarray, run: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of trials sorted by (bin size, bin), each within _BATCH_ELEMENTS.
+
+    run numbers the sorted trials' bins 0, 1, ... in order. A chunk's
+    likelihoods and head tables take 2 (m + |A|^k) entries a trial and its
+    bin rows 2 m entries and m (n - k) digits a bin, m its largest bin and
+    k the head digits, counting a digit by its bytes; a trial past the
+    budget alone is a chunk of its own.
+    """
+    n_a, n_tail = ctx.cell_shape[0], ctx.n - ctx.head_digits
+    per_trial = 2 * (sizes + n_a**ctx.head_digits)
+    per_bin = sizes * (2 + n_tail * np.min_scalar_type(n_a - 1).itemsize / 8)
+    # Sizes ascend, so the trials that fill the budget alone come last.
+    shared = (per_trial + per_bin).searchsorted(_BATCH_ELEMENTS, side="right")
+    start = 0
+    while start < shared:
+        # No chunk holds more trials than fit at its first trial's cost.
+        end = min(shared, start + int(_BATCH_ELEMENTS // per_trial[start]))
+        cost = (np.arange(1, end - start + 1) * per_trial[start:end]
+                + (run[start:end] - run[start] + 1) * per_bin[start:end])
+        stop = start + cost.searchsorted(_BATCH_ELEMENTS, side="right")
+        yield slice(start, stop)
+        start = stop
+    yield from (slice(i, i + 1) for i in range(shared, len(sizes)))
 
 
 def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
-    """Records of the binning trials with indices in trials, scored a bin at a time."""
+    """Records of the binning trials with indices in trials, scored a chunk at a time."""
     cells = ctx.cdf.searchsorted(_trial_uniforms(ctx.code.seed, trials, ctx.n), side="right")
     # The source symbol is a cell's leading index in the (A, B, E) table.
     seq_index = (cells // (ctx.cell_shape[1] * ctx.cell_shape[2])) @ ctx.radix
     bin_index = ctx.code.bin_of[seq_index]
-    error = np.empty(len(trials), dtype=bool)
-    tie = np.empty(len(trials), dtype=bool)
-    equiv = np.empty(len(trials))
-    decoded_index = np.empty(len(trials), dtype=np.int64)
-    by_bin = np.argsort(bin_index, kind="stable")
-    for group in np.split(by_bin, np.flatnonzero(np.diff(bin_index[by_bin])) + 1):
-        j = bin_index[group[0]]
-        members = ctx.members_order[ctx.bin_offsets[j] : ctx.bin_offsets[j + 1]]
-        per_trial = ctx.head_index.size + ctx.tail_index.size + 2 * members.size
-        step = max(1, _BATCH_ELEMENTS // per_trial)
-        for start in range(0, group.size, step):
-            chunk = group[start : start + step]
-            error[chunk], tie[chunk], equiv[chunk], decoded_index[chunk] = _score_in_bin(
-                ctx, cells[chunk], seq_index[chunk], members
-            )
+    # Sorted by bin size, chunks pad little; sorted by bin within a size, a
+    # bin's trials are adjacent, so a chunk's bins are a range of runs and
+    # consecutive chunks of one bin share its rows.
+    sizes = ctx.bin_offsets[bin_index + 1] - ctx.bin_offsets[bin_index]
+    order = np.lexsort((bin_index, sizes))
+    sorted_bins = bin_index[order]
+    starts_run = np.r_[True, sorted_bins[1:] != sorted_bins[:-1]]
+    run = starts_run.cumsum() - 1
+    run_bins = sorted_bins[starts_run]
+    sorted_cells, sorted_seq_index = cells[order], seq_index[order]
+    scored = []
+    runs = bin_rows = None
+    for chunk in _chunks(ctx, sizes[order], run):
+        chunk_runs = (run[chunk.start], run[chunk.stop - 1] + 1)
+        if chunk_runs != runs:
+            runs = chunk_runs
+            bin_rows = _bin_rows(ctx, run_bins[runs[0] : runs[1]])
+        scored.append(_score_chunk(
+            ctx, bin_rows, run[chunk] - runs[0], sorted_cells[chunk], sorted_seq_index[chunk]
+        ))
+    unsort = order.argsort()
+    error, tie, equiv, decoded_index = (np.concatenate(field)[unsort] for field in zip(*scored))
     return _SwTrials(
         error=error,
         tie=tie,

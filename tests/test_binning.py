@@ -13,8 +13,11 @@ from secomp.binning import (
     _BATCH_ELEMENTS,
     _TIE_REL_TOL,
     _add128,
+    _bin_rows,
     _gap_trials,
     _mul128,
+    _score_chunk,
+    _segment_sums,
     _sw_context,
     _sw_trials,
     _trial_states,
@@ -201,6 +204,22 @@ class TestPosteriorEntropy:
         assert exact_posterior_entropy(shuffled) == pytest.approx(
             exact_posterior_entropy(w), abs=1e-9
         )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_segment_sums_are_each_segments_own_sum(self, seed):
+        # Lengths 1-300 cross the 8-term unroll and the 128-term blocks of
+        # numpy's pairwise summation; each appears twice, shuffled or in order.
+        rng = np.random.default_rng(seed)
+        shuffled = rng.permutation(np.tile(np.arange(1, 301), 2))
+        values = rng.standard_normal(shuffled.sum()) * 10.0 ** rng.integers(-8, 8, shuffled.sum())
+        for lengths in (shuffled, np.sort(shuffled)):
+            own = [segment.sum() for segment in np.split(values, lengths.cumsum()[:-1])]
+            assert _segment_sums(values, lengths).tolist() == own
+        for length in (1, 7, 8, 9, 127, 128, 129, 300):
+            same = values[: 5 * length]
+            assert _segment_sums(same, np.full(5, length)).tolist() == [
+                segment.sum() for segment in same.reshape(5, length)
+            ]
 
 
 class TestBinningCode:
@@ -391,26 +410,63 @@ class TestSwBinning:
         for rate in (0.0, 0.5, math.log2(n_a)):
             ctx = _sw_context(joint, n=n, rate=rate, seed=n)
             code = ctx.code
+            k = ctx.head_digits
             cases.add(code.n_bins >= n_seq)
             assert ctx.bin_offsets[0] == 0 and ctx.bin_offsets[-1] == n_seq
+            assert 1 <= k <= n and (k == 1 or n_a**k * code.n_bins <= n_seq)
+            # All bins in one set of padded rows, and each bin in rows of its own.
+            every = _bin_rows(ctx, np.arange(code.n_bins))
             for bin_index in range(code.n_bins):
                 members = ctx.members_order[
                     ctx.bin_offsets[bin_index] : ctx.bin_offsets[bin_index + 1]
                 ]
                 np.testing.assert_array_equal(members, np.flatnonzero(code.bin_of == bin_index))
-                # Read each member's (position, observer, symbol) triples off
-                # the factor indices and compare them with its digits.
-                high, low = np.divmod(members, ctx.low_size)
-                picked = np.concatenate(
-                    (ctx.head_index[:, :, high], ctx.tail_index[:, :, low])
-                )
-                position, observer, symbol = (
-                    picked // (2 * n_a), picked // n_a % 2, picked % n_a
-                )
-                assert (position == np.arange(n)[:, None, None]).all()
-                assert (observer == np.arange(2)[:, None]).all()
-                assert (symbol == digits[members].T[:, None, :]).all()
+                alone = _bin_rows(ctx, np.array([bin_index]))
+                for rows, row in ((every, bin_index), (alone, 0)):
+                    size = rows.sizes[row]
+                    assert size == members.size
+                    np.testing.assert_array_equal(rows.members[row, :size], members)
+                    assert (rows.members[row, size:] == n_seq - 1).all()
+                    # Read each member's digits off the index rows: the head
+                    # number holds position p at place |A|^p, and digits[j]
+                    # is position k + j.
+                    head = rows.head[row, :size]
+                    read = [head // n_a**p % n_a for p in range(k)]
+                    read += [tail[row, :size] for tail in rows.digits]
+                    np.testing.assert_array_equal(np.array(read).T, digits[members])
         assert cases == {True, False}
+
+    @pytest.mark.parametrize(
+        "sizes,n,rate", [((2, 3, 3), 9, 0.5), ((2, 2, 3), 10, 0.3), ((3, 2, 2), 6, 0.9)]
+    )
+    def test_mixed_chunk_matches_reference(self, sizes, n, rate):
+        # One chunk: a bin drawn by several trials, and bins of other sizes
+        # drawn by one trial each, in no particular order.
+        joint = dirichlet_joint(np.random.default_rng((41, n)), sizes)
+        seed = 5
+        ctx = _sw_context(joint, n, rate, seed)
+        ref = _reference_context(joint, n, rate, seed)
+        records = _sw_trials(ctx, range(1000))
+        sizes_of = np.diff(ctx.bin_offsets)[records.bin_index]
+        shared = np.bincount(records.bin_index).argmax()
+        picked = list(np.flatnonzero(records.bin_index == shared)[:4])
+        seen = {sizes_of[picked[0]]}
+        for t in range(1000):
+            if sizes_of[t] not in seen:
+                seen.add(sizes_of[t])
+                picked.append(t)
+        assert len(picked) >= 7
+        picked = np.random.default_rng(0).permutation(picked)
+        bins, bin_row = np.unique(records.bin_index[picked], return_inverse=True)
+        bin_rows = _bin_rows(ctx, bins)
+        assert len(set(bin_rows.sizes)) == len(bins) > 1
+        scored = _score_chunk(
+            ctx, bin_rows, bin_row.reshape(-1), records.cells[picked], records.seq_index[picked]
+        )
+        for t, error, tie, equiv, decoded_index in zip(picked, *scored):
+            got = (bool(error), bool(tie), float(equiv), int(records.seq_index[t]),
+                   int(decoded_index))
+            assert got == _reference_trial(ref, np.random.default_rng((seed, 1, t)))
 
     @pytest.mark.parametrize(
         "make_joint",

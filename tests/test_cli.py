@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +266,17 @@ class TestSimulate:
         report = json.loads(out)
         assert report["p_e_hat"] == 0.0
         assert 0.2 <= report["equiv_hat"] <= 0.55
+
+    def test_python_m_secomp_prints_what_main_prints(self, capsys):
+        argv = ["simulate", "erasure-scheme", "--pb", "0.25", "--pe", "0.5", "--n", "8",
+                "--trials", "100", "--seed", "7", "--diagnostics"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "secomp", *argv], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
     def test_diagnostics_append_ties_and_wrong_decodes(self, capsys, tmp_path):
         # A Dirichlet joint decodes wrongly as well as on ties.

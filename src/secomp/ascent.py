@@ -2,13 +2,13 @@
 
 Every objective the package maximizes over an auxiliary channel W (rows are
 the conditioning cells, columns the output symbols) is a signed sum of
-entropies of marginals of ``mass x W`` plus a constant. Each such marginal
+entropies of marginals of ``mass x W``. Each such marginal
 is linear in W: its cell (k, u) is ``sum_r P[r, k] * W[r, u]``, where P[r, k]
 adds up the mass of every joint cell that sits in conditioning row r and in
 marginal cell k. Stacking the marginals of all terms gives one projection
 matrix P (rows x K) with a sign per column, and
 
-    value(W) = const - sum_{k,u} sign_k * m_ku * log2(m_ku),  m = P^T W.
+    value(W) = -sum_{k,u} sign_k * m_ku * log2(m_ku),  m = P^T W.
 
 Every objective the package builds is balanced: each row's signed columns
 cancel (``P @ sign == 0``). Write rho_r for row r's share of the mass,
@@ -60,6 +60,10 @@ weights of its support are solved again for rho. The witness is scored
 after the first stage's channels, so the result is never below them. It is
 achievable, a lower bound on the maximum: pricing finds local maxima of
 the reduced cost only. Everything is deterministic for a fixed seed.
+
+``maximize_channel`` returns an ``OptResult``, the one result type of every
+auxiliary-channel solve: ``regions.maximize_secrecy`` returns it unchanged,
+and only the S_E-closed closed form builds one elsewhere.
 """
 
 from __future__ import annotations
@@ -106,6 +110,13 @@ _PERTURB = 1e-8
 # Trace entries within TOL of the best value count as agreeing.
 TOL = 1e-9
 
+# Objective magnitudes below numerical resolution are reported as exactly 0.
+_SNAP_TOL = 1e-12
+
+
+def _snap(value: float) -> float:
+    return value if value >= _SNAP_TOL else 0.0
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -127,7 +138,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class EntropyObjective:
-    """const - sum_k sign_k sum_u m_ku log2 m_ku over the marginals m = P^T W.
+    """-sum_k sign_k sum_u m_ku log2 m_ku over the marginals m = P^T W.
 
     ``proj`` is P (rows x K), ``sign`` holds +1 or -1 per column. Arrays of
     marginals have shape (..., K, |U|); tables W have shape (tables, rows, |U|).
@@ -135,7 +146,6 @@ class EntropyObjective:
 
     proj: np.ndarray
     sign: np.ndarray
-    const: float = 0.0
 
     @classmethod
     def from_terms(
@@ -143,9 +153,8 @@ class EntropyObjective:
         mass: np.ndarray,
         cond_axes: tuple[int, ...],
         terms: Sequence[tuple[tuple[int, ...], float]],
-        const: float = 0.0,
     ) -> "EntropyObjective":
-        """Objective sum_i sign_i * H(marginal_i of mass x W) + const.
+        """Objective sum_i sign_i * H(marginal_i of mass x W).
 
         Term i keeps the listed mass axes plus the channel's output axis; W
         conditions on ``cond_axes`` in row-major order.
@@ -167,7 +176,7 @@ class EntropyObjective:
         proj = np.hstack(blocks)
         # Cells with no mass contribute 0 log 0 = 0 to every evaluation.
         used = proj.any(axis=0)
-        return cls(proj[:, used], np.concatenate(signs)[used], float(const))
+        return cls(proj[:, used], np.concatenate(signs)[used])
 
     @property
     def n_rows(self) -> int:
@@ -186,33 +195,62 @@ class EntropyObjective:
         return -self._signed_plogp(m)
 
     def value(self, m: np.ndarray) -> np.ndarray:
-        # Negation is exact, so this equals const + column_values(m).sum(-1).
-        return self.const - np.add.reduce(self._signed_plogp(m), axis=-1)
+        # Negation is exact, so this equals column_values(m).sum(-1), except
+        # that a zero sum gives 0.0, never -0.0.
+        return 0.0 - np.add.reduce(self._signed_plogp(m), axis=-1)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return self.value(self.marginals(w))
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelResult:
-    """The values and tables of every channel scored, and how the search ended.
+class OptResult:
+    """Outcome of one auxiliary-channel maximization.
 
-    ``rounds`` counts column generation's pricing rounds, 0 when the first
-    stage certified; ``hit_max_rounds`` is true when the last of
-    ``MAX_ROUNDS`` rounds still added a column. ``evaluations`` counts the
-    points the objective was scored at; the grid is scored once, for its
-    witness, and column generation reuses those values. ``upper_bound`` is a
-    certified bound on the objective's maximum over all channels: the
-    envelope's, or the analytic bound ``maximize_channel`` was given, and at
-    least the best value.
+    ``delta_star`` is max(0, best objective found); a code may always reveal
+    everything, so equivocation 0 is trivially achievable and negative
+    objectives are clamped. ``objective_trace`` holds the value of each
+    channel scored, in the order given below; ``starts_agreeing`` counts
+    entries within ``ascent.TOL`` of the best. ``rounds`` counts the
+    pricing rounds of column generation, 0 where none ran;
+    ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS`` rounds
+    still added a column. ``evaluations`` counts the points the objective
+    was scored at, envelope, grid and pricing points included; the grid
+    counts once, since column generation starts from its scored values.
+    ``upper_bound`` is a certified upper bound on the true maximum of
+    ``delta_star``: the envelope's value plus its eps where the two-row
+    envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
+    H(A|Y) for channels that also see B; never below the best value or 0.
+    ``certified`` is true when no search ran (``rounds == 0``): the two-row
+    envelope, the S_E-closed closed form, or a channel scored first that
+    reached the analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed
+    closed form counts as one agreeing entry that scored nothing: trace
+    ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
+    ``evaluations == 0``, ``upper_bound == delta_star``. The trace of any
+    other solve is the envelope's or the grid's witness, the candidates and
+    the uniform channel, followed by the witness of column generation where
+    it ran. For ``both`` the candidates are the copy of E and ``sb``'s
+    ``best_u``, and ``evaluations`` includes the points ``sb``'s solve
+    scored, its search too where ``sb`` needed one; the trace, the rounds
+    and ``certified`` describe ``both``'s own stage and search only.
     """
 
-    values: np.ndarray
-    tables: np.ndarray
+    delta_star: float
+    best_u: Channel
+    objective_trace: tuple[float, ...]
     rounds: int
     hit_max_rounds: bool
     evaluations: int
     upper_bound: float
+
+    @property
+    def starts_agreeing(self) -> int:
+        best = max(self.objective_trace)
+        return sum(value >= best - TOL for value in self.objective_trace)
+
+    @property
+    def certified(self) -> bool:
+        return self.rounds == 0
 
 
 def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +279,7 @@ def two_row_envelope(
     (1 - q) P[1] / rho_1, and because the signed columns of each row cancel
     (``proj @ sign == 0``), the lam_u log lam_u terms drop out:
 
-        value(W) = const + sum_u lam_u phi(q_u),  phi(q) = -sum_k sign_k mu_k log2 mu_k,
+        value(W) = sum_u lam_u phi(q_u),  phi(q) = -sum_k sign_k mu_k log2 mu_k,
 
     with sum_u lam_u = 1 and sum_u lam_u q_u = rho_0. The maximum is the upper
     concave envelope of phi at rho_0 (Nair, "Upper concave envelopes and
@@ -252,8 +290,8 @@ def two_row_envelope(
     add nothing to eps.
 
     Returns (witness, points scored, bound): the witness W[r, u] = lam_u
-    q_u(r) / rho_r, with q_u(0) = q_u and q_u(1) = 1 - q_u, and const plus
-    the envelope's certified bound at rho_0. Where the support is rho_0
+    q_u(r) / rho_r, with q_u(0) = q_u and q_u(1) = 1 - q_u, and the
+    envelope's certified bound at rho_0. Where the support is rho_0
     alone, U independent of A is optimal and the witness is the uniform
     channel. Where fewer than two rows carry mass every channel has the
     same value, so the witness is the uniform channel and its value, one
@@ -291,7 +329,7 @@ def two_row_envelope(
         table = np.zeros((2, n_symbols))
         table[:, :2] = (lam * np.stack([q / rho[0], (1.0 - q) / rho[1]]))[:, ::-1]
         witness[live] = table / table.sum(axis=1, keepdims=True)
-    return witness, points, objective.const + top
+    return witness, points, 0.0 + top  # no -0.0 bound
 
 
 @functools.cache
@@ -369,7 +407,7 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
         q = _softmax(logits)
         m = q @ scaled
         log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
-        cost = objective.const - (m * log_m) @ objective.sign - q @ y
+        cost = -((m * log_m) @ objective.sign) - q @ y
         return cost, -(log_m * objective.sign) @ scaled.T - y
 
     cost, grad = reduced_cost(logits)
@@ -448,7 +486,7 @@ def maximize_channel(
     cfg: OptimizerConfig,
     bound: Callable[[], float],
     candidates: Sequence[Channel] = (),
-) -> tuple[ChannelResult, Channel]:
+) -> OptResult:
     """Maximize ``objective`` over channels p(U | cond_vars).
 
     Raises ValueError unless every row's signed columns balance. One stage
@@ -462,8 +500,8 @@ def maximize_channel(
     ``CERTIFY_TOL`` of it. A certified stage is the result, with zero
     rounds. Else column generation runs from the stage's tables, starting
     from the grid and its values where they were scored, and its witness is
-    scored last. Returns the result and the best table as a ``u_channel``,
-    the first table with the highest value winning ties.
+    scored last. ``best_u`` is the best table as a ``u_channel``, the first
+    table with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
     live, rho = _balanced_rows(objective)
@@ -497,6 +535,13 @@ def maximize_channel(
             stacked = np.concatenate([stacked, table[None]])
             values = np.concatenate([values, objective(table[None])])
             evaluations += priced + 1
-    result = ChannelResult(values, stacked, rounds, hit_max_rounds, evaluations,
-                           max(upper, float(values.max())))
-    return result, u_channel(cond_vars, stacked[int(np.argmax(values))])
+    best = int(np.argmax(values))
+    return OptResult(
+        delta_star=_snap(float(values[best])),
+        best_u=u_channel(cond_vars, stacked[best]),
+        objective_trace=tuple(values.tolist()),
+        rounds=rounds,
+        hit_max_rounds=hit_max_rounds,
+        evaluations=evaluations,
+        upper_bound=max(upper, float(values[best]), 0.0),
+    )

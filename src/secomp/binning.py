@@ -224,7 +224,13 @@ def _entropy_rows(w: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarra
 
 
 def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> BinningCode:
-    """Assign every length-n sequence a bin; 2^ceil(n*rate) bins."""
+    """Assign every length-n sequence a bin; 2^ceil(n*rate) bins.
+
+    Raises ValueError for a rate outside [0, log2 alphabet_size], a
+    blocklength below 1 or past the enumeration limit.
+    """
+    if not 0.0 <= rate <= math.log2(alphabet_size) + 1e-12:
+        raise ValueError(f"rate must lie in [0, log2 {alphabet_size}], got {rate}")
     if n < 1:
         raise ValueError("blocklength must be positive")
     n_seq = alphabet_size**n
@@ -417,8 +423,6 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
     require_variables(joint_abe, ("A", "B", "E"))
     mass = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", "B", "E")), (0, 1, 2))
     n_a, n_b, n_e = mass.shape
-    if not 0.0 <= rate <= math.log2(n_a) + 1e-12:
-        raise ValueError(f"rate must lie in [0, log2 {n_a}], got {rate}")
     code = make_binning_code(n, rate, n_a, seed)
     p_ab = mass.sum(axis=2)
     p_ae = mass.sum(axis=1)

@@ -121,12 +121,13 @@ def load_distribution(path: str) -> JointPMF:
     for rec in records:
         if not isinstance(rec, dict) or "p" not in rec:
             raise CliError(f"pmf record {rec!r} needs a 'p' field")
-        try:
-            p = float(rec["p"])
-        except (TypeError, ValueError):
-            raise CliError(f"pmf record {rec!r} has a non-numeric 'p'") from None
-        if not np.isfinite(p):
-            raise CliError(f"pmf record {rec!r} has a non-finite 'p'")
+        # A JSON number loads as int or float (bool is an int subclass); the
+        # magnitude test fails for NaN, infinities and ints past the float range.
+        p = rec["p"]
+        numeric = isinstance(p, (int, float)) and not isinstance(p, bool)
+        if not (numeric and abs(p) <= sys.float_info.max):
+            raise CliError(f"pmf record {rec!r} has a non-numeric or non-finite 'p'")
+        p = float(p)
         idx = []
         for name, alph in variables:
             if name not in rec:
@@ -135,6 +136,8 @@ def load_distribution(path: str) -> JointPMF:
             if symbol not in alph.symbols:
                 raise CliError(f"symbol {symbol!r} not in alphabet {name!r}")
             idx.append(alph.symbols.index(symbol))
+        if len(rec) != len(variables) + 1:
+            raise CliError(f"pmf record {rec!r} has a key that is neither a variable nor 'p'")
         mass[tuple(idx)] += p
     return JointPMF(tuple(variables), mass)  # DistributionError -> exit 2
 
@@ -311,7 +314,10 @@ def _report_to_dict(report) -> dict:
 
 
 def _emit_report(args, run, *run_args) -> int:
-    report = _from_flags(run, *run_args)
+    try:
+        report = _from_flags(run, *run_args)
+    except MemoryError:
+        raise CliError(f"--trials {args.trials} needs more memory than is available") from None
     out = _report_to_dict(report)
     if args.diagnostics:
         out.update(ties=report.ties, wrong_decodes=report.wrong_decodes)

@@ -24,9 +24,11 @@ LP's where there is one, with the values scored for its witness, and the
 posteriors of every channel scored first. Every path scores the uniform
 channel, whose objective is the plain Slepian-Wolf baseline I(A;X) -
 I(A;Y), so values are achievable lower bounds on the true maximum, never
-below the baseline or a channel scored first. ``upper_bound`` bounds the
-maximum from above; ``certified``, ``starts_agreeing``, ``rounds``,
-``hit_max_rounds`` and ``evaluations`` are the diagnostics.
+below the baseline or a channel scored first. The result is
+``ascent.OptResult``, built by ``maximize_channel`` and re-exported here:
+``upper_bound`` bounds the maximum from above; ``certified``,
+``starts_agreeing`` (both derived), ``rounds``, ``hit_max_rounds`` and
+``evaluations`` are the diagnostics.
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
 from .ascent import (
-    TOL,
+    _SNAP_TOL,
     EntropyObjective,
     OptimizerConfig,
+    OptResult,
+    _snap,
     maximize_channel,
     u_channel,
 )
@@ -53,14 +55,6 @@ from .probability import (
     mutual_information_of,
     require_variables,
 )
-
-# Objective magnitudes below numerical resolution are reported as exactly 0.
-_SNAP_TOL = 1e-12
-
-
-def _snap(value: float) -> float:
-    return value if value >= _SNAP_TOL else 0.0
-
 
 # Switch setting name -> (S_B closed, S_E closed).
 _SWITCHES = {
@@ -114,52 +108,6 @@ class RatePoint:
                 raise ValueError(f"{label} must be nonnegative, got {value}")
             if value < 0.0:
                 object.__setattr__(self, label, 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class OptResult:
-    """Outcome of one auxiliary-channel maximization.
-
-    ``delta_star`` is max(0, best objective found); a code may always reveal
-    everything, so equivocation 0 is trivially achievable and negative
-    objectives are clamped. ``objective_trace`` holds the value of each
-    channel scored, in the order given below; ``starts_agreeing`` counts
-    entries within ``ascent.TOL`` of the best. ``rounds`` counts the
-    pricing rounds of column generation, 0 where none ran;
-    ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS`` rounds
-    still added a column. ``evaluations`` counts the points the objective
-    was scored at, envelope, grid and pricing points included; the grid
-    counts once, since column generation starts from its scored values.
-    ``upper_bound`` is a certified upper bound on the true maximum of
-    ``delta_star``: the envelope's value plus its eps where the two-row
-    envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
-    H(A|Y) for channels that also see B; never below the best value or 0.
-    ``certified`` is true when no search ran (``rounds == 0``): the two-row
-    envelope, the S_E-closed closed form, or a channel scored first that
-    reached the analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed
-    closed form counts as one agreeing entry that scored nothing: trace
-    ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
-    ``evaluations == 0``, ``upper_bound == delta_star``. The trace of any
-    other solve is the envelope's or the grid's witness, the candidates and
-    the uniform channel, followed by the witness of column generation where
-    it ran. For ``both`` the candidates are the copy of E and ``sb``'s
-    ``best_u``, and ``evaluations`` includes the points ``sb``'s solve
-    scored, its search too where ``sb`` needed one; the trace, the rounds
-    and ``certified`` describe ``both``'s own stage and search only.
-    """
-
-    delta_star: float
-    best_u: Channel
-    objective_trace: tuple[float, ...]
-    starts_agreeing: int
-    rounds: int
-    hit_max_rounds: bool
-    evaluations: int
-    upper_bound: float
-
-    @property
-    def certified(self) -> bool:
-        return self.rounds == 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +199,7 @@ def maximize_equivocation(
         delta = _snap(closed_form_delta(joint_abe, "se_closed"))
         best_u = u_channel(cond_vars, copy_e.lift(cond_vars).rows)
         return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
-                         starts_agreeing=1, rounds=0, hit_max_rounds=False,
-                         evaluations=0, upper_bound=delta)
+                         rounds=0, hit_max_rounds=False, evaluations=0, upper_bound=delta)
     sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
     opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
     return replace(opt, evaluations=opt.evaluations + sb.evaluations)
@@ -334,16 +281,4 @@ def maximize_secrecy(
             return mutual_information_of(joint, "A", x_var, (y_var,))
         return entropy_of(joint, "A", (y_var,))
 
-    solved, best_u = maximize_channel(objective, cond_vars, cfg, bound, candidates)
-    f = solved.values
-    best_value = float(f.max())
-    return OptResult(
-        delta_star=_snap(best_value),
-        best_u=best_u,
-        objective_trace=tuple(f.tolist()),
-        starts_agreeing=int(np.sum(f >= best_value - TOL)),
-        rounds=solved.rounds,
-        hit_max_rounds=solved.hit_max_rounds,
-        evaluations=solved.evaluations,
-        upper_bound=max(solved.upper_bound, best_value, 0.0),
-    )
+    return maximize_channel(objective, cond_vars, cfg, bound, candidates)

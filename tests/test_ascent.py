@@ -122,18 +122,19 @@ class TestMaximizeChannel:
         for stronger, weaker in (("B", "E"), ("E", "B")):
             objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
             bound = mutual_information_of(joint, "A", stronger, (weaker,))
-            result, best = maximize_channel(objective, cond, cfg, lambda: bound, [copy_a])
+            result = maximize_channel(objective, cond, cfg, lambda: bound, [copy_a])
+            values, best = np.array(result.objective_trace), result.best_u
             start_value = objective(table_of(u_channel(cond, copy_a.rows)))[0]
             # No channel scored first reaches I(A;X|Y) here, so column
             # generation runs: the trace is the grid witness, the copy of A,
             # the uniform channel, then the witness of column generation.
-            assert len(result.values) == 4
+            assert len(values) == 4
             assert result.rounds >= 1 and not result.hit_max_rounds
-            assert result.values[1] == start_value
-            assert result.values[-1] >= result.values[:-1].max() - 1e-12
-            assert result.values.max() <= result.upper_bound == bound
+            assert values[1] == start_value
+            assert values[-1] >= values[:-1].max() - 1e-12
+            assert values.max() <= result.upper_bound == bound
             assert best.to_var[1].symbols == ("u0", "u1", "u2", "u3")
-            assert objective(table_of(best))[0] == pytest.approx(result.values.max(), abs=1e-12)
+            assert objective(table_of(best))[0] == pytest.approx(values.max(), abs=1e-12)
 
 
 # delta_star of the multi-start ascent this solver replaced, at

@@ -247,6 +247,13 @@ class TestBinningCode:
         with pytest.raises(ValueError):
             make_binning_code(n=21, rate=0.5, alphabet_size=2, seed=0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0, 3.0])
+    def test_rejects_a_rate_outside_zero_to_log_alphabet(self, rate):
+        # Unchecked, NaN and inf crashed in the bin count, -5 gave one bin
+        # and 3.0 gave 4096 bins over 16 sequences.
+        with pytest.raises(ValueError, match=r"rate must lie in \[0, log2 2\]"):
+            make_binning_code(n=4, rate=rate, alphabet_size=2, seed=0)
+
 
 def _joined(halves):
     """Python ints high << 64 | low of a pair of uint64 arrays."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import dirichlet_joint
+from secomp import cli
 from secomp.binning import run_erasure_encoder_scheme, run_sw_binning
 from secomp.cli import distribution_to_dict, load_distribution, main
 from secomp.erasure import ErasureParams, make_erasure_joint
@@ -346,6 +347,39 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("field,value", [("p", True), ("p", "0.5"), ("Z", "1")],
+                             ids=["boolean p", "string p", "unknown key"])
+    def test_malformed_record_is_exit_one(self, capsys, tmp_path, field, value):
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        data = json.loads(path.read_text())
+        data["pmf"][0][field] = value
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "measures", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,flags,run", [
+        ("simulate binning", ("--n", "3", "--rate", "1"), "run_sw_binning"),
+        ("simulate erasure-scheme", ("--pb", "0.25", "--pe", "0.5", "--n", "3"),
+         "run_erasure_encoder_scheme"),
+    ], ids=["binning", "erasure-scheme"])
+    def test_out_of_memory_run_is_exit_one(self, capsys, tmp_path, monkeypatch, command, flags,
+                                           run):
+        # 2^32 trials pass the range check, but their per-trial records need
+        # tens of GiB; the run is replaced by one that fails as numpy would.
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 32.0 GiB")
+
+        monkeypatch.setattr(cli, run, out_of_memory)
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        inputs = ("-i", str(path)) if command == "simulate binning" else ()
+        code, out, err = run_cli(capsys, *command.split(), *inputs, *flags,
+                                 "--trials", str(2**32))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "memory" in err and "Traceback" not in err
 
     def test_bad_flag_is_exit_one(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.1, 0.3)

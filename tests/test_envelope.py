@@ -1,6 +1,6 @@
 """The two-row envelope path of ``maximize_channel`` against a brute-force hull.
 
-For a binary source every U - A - (X, E) objective is const + sum_u p(u)
+For a binary source every U - A - (X, E) objective is sum_u p(u)
 f(p_{A|u}), so its maximum is the upper concave envelope of f at p_A. The
 oracle here computes f on a fine grid of priors straight from p(x|a) and
 p(e|a), takes the grid's hull at p_A by minimizing max_q f(q) - s (q - p_A)
@@ -126,12 +126,13 @@ def _less_noisy(joint, stronger, weaker):
     """
     a_spec = ("A", joint.alphabet("A"))
     objective = secrecy_entropy_objective(joint, stronger, ("A",), weaker)
-    result, witness = maximize_channel(
+    result = maximize_channel(
         objective, (a_spec,), CFG, lambda: mutual_information_of(joint, "A", stronger, (weaker,)),
         [Channel.copy_of(a_spec, "U")],
     )
-    baseline = result.values[-1]
-    return float(result.values.max()) - baseline, result.upper_bound - baseline, witness
+    values = np.array(result.objective_trace)
+    baseline = values[-1]
+    return float(values.max()) - baseline, result.upper_bound - baseline, result.best_u
 
 
 def _pair(joint, first, second):
@@ -210,9 +211,10 @@ class TestAgainstBruteForce:
         monkeypatch.setattr(ascent, "two_row_envelope", lambda *args: None)
 
         def search(objective):
-            result, _ = maximize_channel(objective, cond, cfg, lambda: math.inf)
-            assert len(result.values) == 2 and result.rounds >= 1
-            return result.values
+            result = maximize_channel(objective, cond, cfg, lambda: math.inf)
+            values = np.array(result.objective_trace)
+            assert len(values) == 2 and result.rounds >= 1
+            return values
 
         values = search(secrecy_entropy_objective(joint, "B", ("A",)))
         assert values[-1] <= bound + 1e-12
@@ -370,12 +372,13 @@ class TestEnvelopeWitness:
         objective = secrecy_entropy_objective(joint, "B", ("A",))
         witness, points, bound = two_row_envelope(objective, *ascent._balanced_rows(objective), 3)
         # The envelope's own bound is used; the caller's is never computed.
-        result, _ = maximize_channel(
+        result = maximize_channel(
             objective, (("A", joint.alphabet("A")),), CFG, _never_called
         )
         assert bound == result.upper_bound
-        np.testing.assert_array_equal(witness, result.tables[0])
-        assert points + len(result.values) == result.evaluations
+        # The witness is the first channel scored.
+        assert objective(witness[None])[0] == result.objective_trace[0]
+        assert points + len(result.objective_trace) == result.evaluations
         assert result.rounds == 0
 
     @pytest.mark.parametrize("sizes,points", [((3, 3, 3), 153), ((4, 3, 3), 969)])
@@ -385,21 +388,29 @@ class TestEnvelopeWitness:
         joint = dirichlet_joint(np.random.default_rng(9), sizes)
         objective = secrecy_entropy_objective(joint, "B", ("A",))
         calls = []
-        result, _ = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
-                                     lambda: calls.append(1) or -math.inf)
+        result = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
+                                  lambda: calls.append(1) or -math.inf)
         assert calls == [1]
-        assert result.tables[0].shape == (sizes[0], sizes[0] + 1)
-        assert len(result.values) == 2
+        # The grid witness, rebuilt as the first stage builds it, is scored first.
+        live, rho = ascent._balanced_rows(objective)
+        columns = ascent._simplex_grid(live.size)
+        values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
+        lam, _ = ascent._master(columns, values, rho)
+        witness = ascent._witness(objective.n_rows, sizes[0] + 1, live, columns, lam)
+        assert witness.shape == (sizes[0], sizes[0] + 1)
+        assert objective(witness[None])[0] == result.objective_trace[0]
+        assert len(result.objective_trace) == 2
         assert result.evaluations == points + 2
-        assert (result.rounds, result.upper_bound) == (0, result.values.max())
+        # The bound falls back to the best value, clamped at 0 like delta_star.
+        assert (result.rounds, result.upper_bound) == (0, max(*result.objective_trace, 0.0))
 
     def test_nothing_for_five_rows_or_an_unbalanced_objective(self):
         joint = dirichlet_joint(np.random.default_rng(9), (5, 2, 2))
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        result, _ = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
-                                     lambda: -math.inf)
+        result = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
+                                  lambda: -math.inf)
         # The uniform channel alone is scored.
-        assert len(result.values) == result.evaluations == 1
+        assert len(result.objective_trace) == result.evaluations == 1
         # H(U) over two rows: the lam log lam terms do not cancel.
         unbalanced = EntropyObjective(np.array([[0.5], [0.5]]), np.array([1.0]))
         with pytest.raises(ValueError, match="balance"):

@@ -5,7 +5,9 @@
 a channel whose value is that optimum. The grid and the LP here are built
 independently of ``secomp.ascent``: the grid from ``itertools``, the LP
 values by scoring each grid point as a one-column table, which needs only
-``EntropyObjective.value``.
+``EntropyObjective.value``. The witness under test is rebuilt with the
+first stage's own helpers, and must score bit for bit the first value the
+solve reports.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from scipy.optimize import linprog
 
 from secomp import ascent
-from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel
+from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.lp import phase2_simplex
 from secomp.orderings import search_less_noisy_violation
@@ -43,9 +45,21 @@ def linprog_max(points, values, rho):
 def grid_stage(joint, objective, cond):
     """The certified first stage of ``maximize_channel``: a bound below every value."""
     cond_vars = tuple((v, joint.alphabet(v)) for v in cond)
-    result, _ = maximize_channel(objective, cond_vars, OptimizerConfig(), lambda: -math.inf)
+    result = maximize_channel(objective, cond_vars, OptimizerConfig(), lambda: -math.inf)
     assert result.rounds == 0
     return result
+
+
+def grid_witness(joint, objective, cond, result):
+    """The grid witness as the first stage builds it; ``result`` must have scored it first."""
+    live, rho = ascent._balanced_rows(objective)
+    columns = ascent._simplex_grid(live.size)
+    values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
+    lam, _ = ascent._master(columns, values, rho)
+    n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
+    witness = ascent._witness(objective.n_rows, n_symbols, live, columns, lam)
+    assert objective(witness[None])[0] == result.objective_trace[0]
+    return witness
 
 
 def live_shares(objective):
@@ -103,9 +117,9 @@ class TestGridWitness:
         live, rho = live_shares(objective)
         assert live.size in (3, 4)
         result = grid_stage(joint, objective, cond)
-        witness = result.tables[0]
+        witness = grid_witness(joint, objective, cond, result)
         grid = simplex_grid(live.size)
-        assert result.evaluations - len(result.values) == len(grid)
+        assert result.evaluations - len(result.objective_trace) == len(grid)
         marginals = grid @ (objective.proj[live] / rho[:, None])
         best = linprog_max(grid, objective.value(marginals[:, :, None]), rho)
         np.testing.assert_allclose(witness.sum(axis=1), 1.0, atol=1e-12)
@@ -125,9 +139,9 @@ class TestGridWitness:
             joint = dirichlet_joint(rng, sizes)
             objective = secrecy_entropy_objective(joint, "B", ("A",))
             result = grid_stage(joint, objective, ("A",))
-            points = result.evaluations - len(result.values)
+            points = result.evaluations - len(result.objective_trace)
             assert (points == len(simplex_grid(4))) == applies
-            assert len(result.values) == (1 if sizes[0] == 5 else 2)
+            assert len(result.objective_trace) == (1 if sizes[0] == 5 else 2)
         # H(U) over three rows: the lam log lam terms do not cancel.
         unbalanced = EntropyObjective(np.full((3, 1), 1.0 / 3.0), np.array([1.0]))
         cond_vars = (("A", Alphabet("A", ("0", "1", "2"))),)
@@ -156,7 +170,7 @@ class TestRowShareBelowRounding:
     def test_witness_is_a_channel(self):
         joint = self.tiny_source_symbol()
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        witness = grid_stage(joint, objective, ("A",)).tables[0]
+        witness = grid_witness(joint, objective, ("A",), grid_stage(joint, objective, ("A",)))
         assert np.isfinite(witness).all() and (witness >= 0.0).all()
         np.testing.assert_allclose(witness.sum(axis=1), 1.0, atol=1e-12)
 

@@ -317,7 +317,9 @@ def _emit_report(args, run, *run_args) -> int:
     try:
         report = _from_flags(run, *run_args)
     except MemoryError:
-        raise CliError(f"--trials {args.trials} needs more memory than is available") from None
+        raise CliError(
+            f"the run needs more memory than is available (--trials {args.trials})"
+        ) from None
     out = _report_to_dict(report)
     if args.diagnostics:
         out.update(ties=report.ties, wrong_decodes=report.wrong_decodes)

@@ -3,6 +3,8 @@ from collections import defaultdict
 
 import numpy as np
 
+from secomp import ascent
+from secomp.ascent import u_cardinality
 from secomp.probability import Alphabet, Channel, JointPMF
 
 
@@ -14,6 +16,18 @@ def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
         for name, size in zip(names, sizes)
     )
     return JointPMF(variables, mass)
+
+
+def grid_witness(joint, objective, cond, result):
+    """The grid witness as the first stage builds it; ``result`` must have scored it first."""
+    live, rho = ascent._balanced_rows(objective)
+    columns = ascent._simplex_grid(live.size)
+    values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
+    lam, _ = ascent._master(columns, values, rho)
+    n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
+    witness = ascent._witness(objective.n_rows, n_symbols, live, columns, lam)
+    assert objective(witness[None])[0] == result.objective_trace[0]
+    return witness
 
 
 def random_channel(rng, joint, cond_vars, to_name, n_symbols):

@@ -41,7 +41,7 @@ from secomp.regions import (
     secrecy_objective,
 )
 
-from conftest import dirichlet_joint, random_channel
+from conftest import dirichlet_joint, grid_witness, random_channel
 
 CFG = OptimizerConfig(starts=4, seed=0)
 GRID = np.linspace(0.0, 1.0, 8193)
@@ -391,14 +391,9 @@ class TestEnvelopeWitness:
         result = maximize_channel(objective, (("A", joint.alphabet("A")),), CFG,
                                   lambda: calls.append(1) or -math.inf)
         assert calls == [1]
+        assert result.best_u.rows.shape == (sizes[0], sizes[0] + 1)
         # The grid witness, rebuilt as the first stage builds it, is scored first.
-        live, rho = ascent._balanced_rows(objective)
-        columns = ascent._simplex_grid(live.size)
-        values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
-        lam, _ = ascent._master(columns, values, rho)
-        witness = ascent._witness(objective.n_rows, sizes[0] + 1, live, columns, lam)
-        assert witness.shape == (sizes[0], sizes[0] + 1)
-        assert objective(witness[None])[0] == result.objective_trace[0]
+        grid_witness(joint, objective, ("A",), result)
         assert len(result.objective_trace) == 2
         assert result.evaluations == points + 2
         # The bound falls back to the best value, clamped at 0 like delta_star.

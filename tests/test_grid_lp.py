@@ -18,14 +18,14 @@ import pytest
 from scipy.optimize import linprog
 
 from secomp import ascent
-from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel, u_cardinality
+from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.lp import phase2_simplex
 from secomp.orderings import search_less_noisy_violation
 from secomp.probability import Alphabet, JointPMF, entropy_of, mutual_information_of
 from secomp.regions import SwitchConfig, maximize_equivocation, secrecy_entropy_objective
 
-from conftest import dirichlet_joint
+from conftest import dirichlet_joint, grid_witness
 
 RESOLUTION = 16
 
@@ -48,18 +48,6 @@ def grid_stage(joint, objective, cond):
     result = maximize_channel(objective, cond_vars, OptimizerConfig(), lambda: -math.inf)
     assert result.rounds == 0
     return result
-
-
-def grid_witness(joint, objective, cond, result):
-    """The grid witness as the first stage builds it; ``result`` must have scored it first."""
-    live, rho = ascent._balanced_rows(objective)
-    columns = ascent._simplex_grid(live.size)
-    values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
-    lam, _ = ascent._master(columns, values, rho)
-    n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
-    witness = ascent._witness(objective.n_rows, n_symbols, live, columns, lam)
-    assert objective(witness[None])[0] == result.objective_trace[0]
-    return witness
 
 
 def live_shares(objective):

@@ -43,7 +43,6 @@ from .regions import (
     CodedBoundResult,
     OptResult,
     OptimizerConfig,
-    RatePoint,
     SwitchConfig,
     closed_form_delta,
     coded_inner_bound_sample,
@@ -64,7 +63,6 @@ __all__ = [
     "OptResult",
     "OptimizerConfig",
     "OrderingVerdict",
-    "RatePoint",
     "SimReport",
     "SwitchConfig",
     "build_joint",

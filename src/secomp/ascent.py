@@ -27,17 +27,17 @@ fits in |U| outputs. The witness of a solution is W[r, u] = lam_u q_u(r) /
 rho_r.
 
 ``maximize_channel`` searches only where it must. It finds the rows with
-mass and their shares once, and one stage scores the channel found without
-a search, the caller's candidates and the uniform channel. With at most two
-rows with mass c is a function of a one-dimensional posterior, and
-``two_row_envelope`` finds its envelope exactly, with a certified upper
-bound and no randomness. That covers p(u|a) objectives on a binary source:
-the S_B-open secrecy objective, each coded corner and both less-noisy
-violations. With three or four rows the master LP over a fixed grid of
-posteriors gives the witness, and only the caller's analytic upper bound
-can certify it. When the two-row envelope applies, or the best channel
-scored is within ``CERTIFY_TOL`` of that bound, the best is the maximum and
-no search runs.
+mass and their shares once, and one stage scores the channel that
+``_search_free_witness`` finds without a search, the caller's candidates
+and the uniform channel. With at most two rows with mass c is a function of
+a one-dimensional posterior, and ``two_row_envelope`` finds its envelope
+exactly, with a certified upper bound and no randomness. That covers p(u|a)
+objectives on a binary source: the S_B-open secrecy objective, each coded
+corner and both less-noisy violations. With three or four rows the master
+LP over a fixed grid of posteriors gives the witness, and only the caller's
+analytic upper bound can certify it. When the two-row envelope applies, or
+the best channel scored is within ``CERTIFY_TOL`` of that bound, the best
+is the maximum and no search runs.
 
 Otherwise column generation solves the LP by Dantzig-Wolfe column
 generation: the master LP over a set of columns, solved by
@@ -424,18 +424,19 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
 
 
 def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray,
-                       scaled: np.ndarray, n_symbols: int, cfg: OptimizerConfig,
-                       tables: np.ndarray, grid: tuple[np.ndarray, np.ndarray] | None,
+                       n_symbols: int, cfg: OptimizerConfig, tables: np.ndarray,
+                       grid: tuple[np.ndarray, np.ndarray] | None,
                        ) -> tuple[np.ndarray, int, bool, int]:
     """The witness of column generation, its rounds, whether they hit the cap, the points scored.
 
-    ``scaled`` is P over the rows ``live`` divided by their shares ``rho``,
-    so a posterior q has marginals q @ scaled. The first columns are
-    ``grid`` (the grid points and their values, scored already) or else the
-    vertices, then rho and the posteriors of ``tables`` (tables x rows x
-    |U|), the channels scored so far.
+    A posterior q of the rows ``live`` has marginals q @ scaled, where
+    ``scaled`` is P over those rows divided by their shares ``rho``. The
+    first columns are ``grid`` (the grid points and their values, scored
+    already) or else the vertices, then rho and the posteriors of ``tables``
+    (tables x rows x |U|), the channels scored so far.
     """
     k = live.size
+    scaled = objective.proj[live] / rho[:, None]
 
     def column_values(q: np.ndarray) -> np.ndarray:
         return objective.value((q @ scaled)[:, :, None])
@@ -480,6 +481,32 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
     return witness, rounds, hit_max_rounds, evaluations
 
 
+def _search_free_witness(
+    objective: EntropyObjective, live: np.ndarray, rho: np.ndarray, n_symbols: int
+) -> tuple[np.ndarray | None, int, float | None, tuple[np.ndarray, np.ndarray] | None]:
+    """The channel found without a search, the points scored, its certified bound, the grid.
+
+    ``live`` and ``rho`` are the rows with mass and their shares
+    (``_balanced_rows``). With at most two rows the witness is
+    ``two_row_envelope``'s and its bound certifies it. With three or four
+    it is the witness of the master LP over the grid at rho, a lower bound
+    on the maximum, exact where optimal supports lie on the grid; it has no
+    bound, and the grid comes back with its values for column generation.
+    Elsewhere, and where the envelope returns None, there is no witness.
+    """
+    if live.size <= 2:
+        envelope = two_row_envelope(objective, live, rho, n_symbols)
+        if envelope is not None:
+            return *envelope, None
+    elif live.size in _GRID_LP_ROWS:
+        columns = _simplex_grid(live.size)
+        scaled = objective.proj[live] / rho[:, None]
+        grid = columns, objective.value((columns @ scaled)[:, :, None])
+        lam, _ = _master(*grid, rho)
+        return _witness(objective.n_rows, n_symbols, live, columns, lam), len(columns), None, grid
+    return None, 0, None, None
+
+
 def maximize_channel(
     objective: EntropyObjective,
     cond_vars: tuple[VarSpec, ...],
@@ -490,35 +517,19 @@ def maximize_channel(
     """Maximize ``objective`` over channels p(U | cond_vars).
 
     Raises ValueError unless every row's signed columns balance. One stage
-    scores the channel found without a search, the ``candidates`` lifted to
-    ``cond_vars`` and the uniform channel, in that order. With at most two
-    rows with mass that channel is the ``two_row_envelope`` witness, whose
-    bound certifies it, and ``cfg`` is not used; with three or four it is
-    the witness of the master LP over the grid at rho. Without the
+    scores the ``_search_free_witness`` channel, the ``candidates`` lifted
+    to ``cond_vars`` and the uniform channel, in that order. Without the
     envelope's bound ``bound()`` is called (so the bound is computed only
     here), and it certifies the best channel scored if that is within
     ``CERTIFY_TOL`` of it. A certified stage is the result, with zero
-    rounds. Else column generation runs from the stage's tables, starting
-    from the grid and its values where they were scored, and its witness is
-    scored last. ``best_u`` is the best table as a ``u_channel``, the first
-    table with the highest value winning ties.
+    rounds, and ``cfg`` is not used. Else column generation runs from the
+    stage's tables, starting from the grid and its values where they were
+    scored, and its witness is scored last. ``best_u`` is the best table as
+    a ``u_channel``, the first table with the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
     live, rho = _balanced_rows(objective)
-    scaled = objective.proj[live] / rho[:, None]
-    witness, points, upper, grid = None, 0, None, None
-    if live.size <= 2:
-        envelope = two_row_envelope(objective, live, rho, n_symbols)
-        if envelope is not None:
-            witness, points, upper = envelope
-    elif live.size in _GRID_LP_ROWS:
-        # The master over the grid alone: a lower bound on the maximum, exact
-        # where optimal supports lie on the grid.
-        columns = _simplex_grid(live.size)
-        grid = columns, objective.value((columns @ scaled)[:, :, None])
-        lam, _ = _master(*grid, rho)
-        witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
-        points = len(columns)
+    witness, points, upper, grid = _search_free_witness(objective, live, rho, n_symbols)
     lifted = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in candidates)
     tables = ([] if witness is None else [witness]) + [
         channel.rows.reshape(-1, n_symbols) for channel in lifted
@@ -531,7 +542,7 @@ def maximize_channel(
         upper = bound()
         if values.max() < upper - CERTIFY_TOL:
             table, rounds, hit_max_rounds, priced = _column_generation(
-                objective, live, rho, scaled, n_symbols, cfg, stacked, grid)
+                objective, live, rho, n_symbols, cfg, stacked, grid)
             stacked = np.concatenate([stacked, table[None]])
             values = np.concatenate([values, objective(table[None])])
             evaluations += priced + 1

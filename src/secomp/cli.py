@@ -58,10 +58,6 @@ def _round12(value: float) -> float:
 def _jsonable(obj):
     if isinstance(obj, float):
         return _round12(obj)
-    if isinstance(obj, (np.floating,)):
-        return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -110,6 +106,8 @@ def load_distribution(path: str) -> JointPMF:
         raise CliError("'alphabets' must map variable names to symbol lists")
     variables = []
     for name, symbols in alphabets.items():
+        if name == "p":
+            raise CliError("no variable may be named 'p': it is the key of a pmf record's mass")
         if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
             raise CliError(f"alphabet {name!r} must be a list of strings")
         variables.append((name, Alphabet(name, tuple(symbols))))
@@ -153,6 +151,9 @@ def _load_over(path: str, names: tuple[str, ...]) -> JointPMF:
 
 
 def distribution_to_dict(joint: JointPMF) -> dict:
+    """The JSON distribution format of ``joint``; raises ValueError for a variable named 'p'."""
+    if "p" in joint.var_names:
+        raise ValueError("no variable may be named 'p': it is the key of a pmf record's mass")
     records = []
     for idx in np.ndindex(*joint.mass.shape):
         p = float(joint.mass[idx])
@@ -260,9 +261,7 @@ def _cmd_region_coded(args) -> int:
     sys.stdout.write("r_a,r_c,delta_star\n")
     for channel in channels:
         result = coded_inner_bound_sample(joint, channel, cfg)
-        sys.stdout.write(
-            f"{result.corner.r_a:.12g},{result.corner.r_c:.12g},{result.corner.delta:.12g}\n"
-        )
+        sys.stdout.write(f"{result.r_a:.12g},{result.r_c:.12g},{result.delta:.12g}\n")
     return 0
 
 

@@ -115,7 +115,10 @@ def check_stochastic_degradation(
     Solves the feasibility LP: find rows q(weak | strong) >= 0 summing to 1
     with sum_s p(strong=s | a) q(weak=w | s) = p(weak=w | a) for every (a, w).
     Feasible systems yield a ``degraded`` verdict whose certificate is
-    re-verified against the composition equation outside the solver.
+    re-verified against the composition equation outside the solver. The
+    certificate is one vertex of a feasible set that is often degenerate,
+    so it moves with the last bits of the conditionals: computing them with
+    other rounding can return another vertex that passes the same recheck.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     strong, weak = _roles(_DEGRADATION_ROLES, direction)

@@ -28,7 +28,9 @@ below the baseline or a channel scored first. The result is
 ``ascent.OptResult``, built by ``maximize_channel`` and re-exported here:
 ``upper_bound`` bounds the maximum from above; ``certified``,
 ``starts_agreeing`` (both derived), ``rounds``, ``hit_max_rounds`` and
-``evaluations`` are the diagnostics.
+``evaluations`` are the diagnostics. A coded corner is a
+``CodedBoundResult``: its rates ``r_a`` and ``r_c``, ``sum_ok`` and the
+solve's ``OptResult``, whose ``delta_star`` its ``delta`` reads.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .ascent import (
-    _SNAP_TOL,
     EntropyObjective,
     OptimizerConfig,
     OptResult,
@@ -92,37 +93,25 @@ class SwitchConfig:
         return ("A",) + ("B",) * self.s_b + ("E",) * self.s_e
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """A (R_A, R_C, delta) triple in bits/symbol; R_C is None when uncoded."""
-
-    r_a: float
-    r_c: float | None
-    delta: float
-
-    def __post_init__(self) -> None:
-        for label, value in (("r_a", self.r_a), ("r_c", self.r_c), ("delta", self.delta)):
-            if value is None:
-                continue
-            if value < -_SNAP_TOL:
-                raise ValueError(f"{label} must be nonnegative, got {value}")
-            if value < 0.0:
-                object.__setattr__(self, label, 0.0)
-
-
 @dataclass(frozen=True, eq=False)
 class CodedBoundResult:
-    """Corner of the helper-quantized achievable region for one V channel.
+    """Corner (r_a, r_c, delta) of the helper-quantized achievable region for one V channel.
 
-    The certified achievable set is every (R_A', R_C', delta') with
-    R_A' >= corner.r_a, R_C' >= corner.r_c, delta' <= corner.delta and
-    R_A' + delta' >= H(A|E). ``sum_ok`` records whether the corner itself
-    already sits on or above that last floor.
+    Rates are in bits/symbol; ``delta`` is ``opt.delta_star``. The
+    certified achievable set is every (R_A', R_C', delta') with
+    R_A' >= r_a, R_C' >= r_c, delta' <= delta and R_A' + delta' >= H(A|E).
+    ``sum_ok`` records whether the corner itself already sits on or above
+    that last floor.
     """
 
-    corner: RatePoint
+    r_a: float
+    r_c: float
     sum_ok: bool
     opt: OptResult
+
+    @property
+    def delta(self) -> float:
+        return self.opt.delta_star
 
 
 def secrecy_objective(
@@ -229,8 +218,7 @@ def coded_inner_bound_sample(
     opt = maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg)
     h_a_e = entropy_of(joint_ace, "A", ("E",))
     sum_ok = bool(r_a + opt.delta_star >= h_a_e - 1e-9)
-    corner = RatePoint(r_a=r_a, r_c=r_c, delta=opt.delta_star)
-    return CodedBoundResult(corner=corner, sum_ok=sum_ok, opt=opt)
+    return CodedBoundResult(r_a=r_a, r_c=r_c, sum_ok=sum_ok, opt=opt)
 
 
 def secrecy_entropy_objective(

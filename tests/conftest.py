@@ -19,13 +19,11 @@ def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
 
 
 def grid_witness(joint, objective, cond, result):
-    """The grid witness as the first stage builds it; ``result`` must have scored it first."""
-    live, rho = ascent._balanced_rows(objective)
-    columns = ascent._simplex_grid(live.size)
-    values = objective.value((columns @ (objective.proj[live] / rho[:, None]))[:, :, None])
-    lam, _ = ascent._master(columns, values, rho)
+    """The grid witness of the first stage; ``result`` must have scored it first."""
     n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
-    witness = ascent._witness(objective.n_rows, n_symbols, live, columns, lam)
+    live, rho = ascent._balanced_rows(objective)
+    witness, _, bound, grid = ascent._search_free_witness(objective, live, rho, n_symbols)
+    assert bound is None and grid is not None
     assert objective(witness[None])[0] == result.objective_trace[0]
     return witness
 

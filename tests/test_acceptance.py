@@ -291,14 +291,14 @@ def test_criterion_10_coded_corner_recovery():
     )
     degenerate = coded_inner_bound_sample(joint, constant, DEFAULTS)
     ok = (
-        abs(corner.corner.r_a - 0.1) <= 1e-9
-        and abs(corner.corner.delta - 0.2) <= 1e-3
+        abs(corner.r_a - 0.1) <= 1e-9
+        and abs(corner.delta - 0.2) <= 1e-3
         and corner.sum_ok
-        and degenerate.corner.delta == 0.0
+        and degenerate.delta == 0.0
     )
     report(
         10,
         ok,
-        f"identity corner r_a={corner.corner.r_a:.10f} delta={corner.corner.delta:.6f} "
-        f"sum_ok={corner.sum_ok}; constant quantizer delta={degenerate.corner.delta}",
+        f"identity corner r_a={corner.r_a:.10f} delta={corner.delta:.6f} "
+        f"sum_ok={corner.sum_ok}; constant quantizer delta={degenerate.delta}",
     )

@@ -12,7 +12,7 @@ from secomp import cli
 from secomp.binning import run_erasure_encoder_scheme, run_sw_binning
 from secomp.cli import distribution_to_dict, load_distribution, main
 from secomp.erasure import ErasureParams, make_erasure_joint
-from secomp.probability import entropy_of, mutual_information_of
+from secomp.probability import entropy_of, mutual_information_of, rename_variable
 
 
 def run_cli(capsys, *argv):
@@ -359,6 +359,41 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("data,message", [
+        ([1, 2], "must be an object"),
+        ({"pmf": []}, "must be an object"),
+        ({"alphabets": {"A": ["0"]}}, "must be an object"),
+        ({"alphabets": ["A"], "pmf": []}, "'alphabets' must map"),
+        ({"alphabets": {}, "pmf": []}, "'alphabets' must map"),
+        ({"alphabets": {"A": ["0", 1]}, "pmf": []}, "list of strings"),
+        ({"alphabets": {"A": ["0"]}, "pmf": {"A": "0", "p": 1.0}}, "'pmf' must be a list"),
+        ({"alphabets": {"A": ["0"]}, "pmf": [{"A": "0"}]}, "needs a 'p' field"),
+        ({"alphabets": {"A": ["0"]}, "pmf": ["A"]}, "needs a 'p' field"),
+        ({"alphabets": {"A": ["0"], "B": ["0"]}, "pmf": [{"A": "0", "p": 1.0}]},
+         "misses variable 'B'"),
+    ], ids=["not an object", "no alphabets", "no pmf", "alphabets not an object",
+            "no variables", "symbol not a string", "pmf not a list", "record without p",
+            "record not an object", "record misses a variable"])
+    def test_malformed_file_is_exit_one(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "measures", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    def test_variable_named_p_is_exit_one(self, capsys, tmp_path):
+        # 'p' keys each record's mass, so a variable of that name cannot be read back.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"alphabets": {"p": ["0", "1"]}, "pmf": [{"p": 1.0}]}))
+        code, out, err = run_cli(capsys, "measures", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "named 'p'" in err
+        joint = rename_variable(make_erasure_joint(ErasureParams(0.1, 0.3)), "B", "p")
+        with pytest.raises(ValueError, match="named 'p'"):
+            distribution_to_dict(joint)
 
     @pytest.mark.parametrize("command,flags,run", [
         ("simulate binning", ("--n", "3", "--rate", "1"), "run_sw_binning"),

@@ -258,6 +258,40 @@ class TestCertificate:
         assert g <= result.upper_bound + 1e-15
 
 
+class TestNarrowBump:
+    """A bump that the starting grid misses is found by a second round on the refined points."""
+
+    CENTER, HALF_WIDTH, HEIGHT = 0.6037, 2e-4, 0.02  # between grid points 77/128 and 78/128
+
+    def phi(self, q):
+        bump = self.HEIGHT - self.HEIGHT / self.HALF_WIDTH * np.abs(q - self.CENTER)
+        return 0.25 - (q - 0.5) ** 2 + np.maximum(bump, 0.0)
+
+    def cell_gaps(self, lo, hi):
+        # The parabola rises (hi - lo)^2 / 4 above its chord. The bump is
+        # nonnegative, at most HEIGHT and HEIGHT / HALF_WIDTH-Lipschitz, so
+        # on a cell it overlaps it rises at most the smaller of HEIGHT and
+        # that slope times the width above its own chord.
+        overlap = (lo < self.CENTER + self.HALF_WIDTH) & (hi > self.CENTER - self.HALF_WIDTH)
+        bump = np.minimum(self.HEIGHT, self.HEIGHT / self.HALF_WIDTH * (hi - lo))
+        return (hi - lo) ** 2 / 4.0 + np.where(overlap, bump, 0.0)
+
+    def test_second_round_finds_the_bump(self):
+        support, _, bound, _ = envelope.upper_envelope(self.phi, self.cell_gaps, 0.5)
+        assert support is not None
+        assert np.abs(support - self.CENTER).min() < self.HALF_WIDTH
+        # The best chord at 0.5 from a fine grid left of it to the bump's peak.
+        left = np.linspace(0.0, 0.5, 50001)
+        f_left, peak = self.phi(left), self.phi(np.array(self.CENTER))
+        brute = np.max(f_left + (0.5 - left) / (self.CENTER - left) * (peak - f_left))
+        assert brute <= bound <= brute + 1e-8
+
+    def test_one_round_misses_the_bump(self, monkeypatch):
+        monkeypatch.setattr(envelope, "_ROUNDS", 1)
+        support, _, _, _ = envelope.upper_envelope(self.phi, self.cell_gaps, 0.5)
+        assert support is None
+
+
 class TestClosedForms:
     @pytest.mark.parametrize("p_b", [0.0, 0.05, 0.2, 0.45, 0.7, 0.95])
     @pytest.mark.parametrize("p_e", [0.0, 0.1, 0.3, 0.5, 0.8, 1.0])
@@ -381,6 +415,24 @@ class TestEnvelopeWitness:
         assert points + len(result.objective_trace) == result.evaluations
         assert result.rounds == 0
 
+    def test_share_below_rounding_gives_no_envelope(self):
+        # A's second symbol has mass 1e-18, so rho_0 rounds to 1: no
+        # envelope, and the uniform channel alone meets the analytic bound.
+        joint = dirichlet_joint(np.random.default_rng(5), (2, 3, 3))
+        mass = joint.mass.copy()
+        mass[1] *= 1e-18 / mass[1].sum()
+        joint = JointPMF(joint.variables, mass / mass.sum())
+        objective = secrecy_entropy_objective(joint, "B", ("A",))
+        live, rho = ascent._balanced_rows(objective)
+        assert live.size == 2 and rho[0] == 1.0
+        assert two_row_envelope(objective, live, rho, 3) is None
+        result = maximize_equivocation(joint, SwitchConfig(), CFG)
+        assert (result.delta_star, result.upper_bound, result.certified) == (0.0, 0.0, True)
+        assert len(result.objective_trace) == result.evaluations == 1
+        verdict = search_less_noisy_violation(joint, CFG)
+        assert verdict.kind == "less_noisy_not_falsified"
+        assert verdict.opt.certified and 0.0 <= verdict.upper_bound < 1e-15
+
     @pytest.mark.parametrize("sizes,points", [((3, 3, 3), 153), ((4, 3, 3), 969)])
     def test_three_or_four_rows_give_the_grid_witness_unbounded(self, sizes, points):
         # The grid witness carries no bound: the caller's is computed, and
@@ -392,7 +444,7 @@ class TestEnvelopeWitness:
                                   lambda: calls.append(1) or -math.inf)
         assert calls == [1]
         assert result.best_u.rows.shape == (sizes[0], sizes[0] + 1)
-        # The grid witness, rebuilt as the first stage builds it, is scored first.
+        # The grid witness is scored first.
         grid_witness(joint, objective, ("A",), result)
         assert len(result.objective_trace) == 2
         assert result.evaluations == points + 2

@@ -5,9 +5,10 @@
 a channel whose value is that optimum. The grid and the LP here are built
 independently of ``secomp.ascent``: the grid from ``itertools``, the LP
 values by scoring each grid point as a one-column table, which needs only
-``EntropyObjective.value``. The witness under test is rebuilt with the
-first stage's own helpers, and must score bit for bit the first value the
-solve reports.
+``EntropyObjective.value``; only the rows with mass and their shares come
+from ``ascent._balanced_rows``. The witness under test is the one
+``ascent._search_free_witness`` returns, and must score bit for bit the
+first value the solve reports.
 """
 
 import itertools
@@ -48,12 +49,6 @@ def grid_stage(joint, objective, cond):
     result = maximize_channel(objective, cond_vars, OptimizerConfig(), lambda: -math.inf)
     assert result.rounds == 0
     return result
-
-
-def live_shares(objective):
-    live = np.flatnonzero(objective.proj.any(axis=1))
-    mass = objective.proj[live].sum(axis=1)
-    return live, mass / mass.sum()
 
 
 class TestPhase2AgainstLinprog:
@@ -102,7 +97,7 @@ class TestGridWitness:
     def test_witness_reaches_the_grid_lp_optimum(self, case):
         _, joint, x, y, cond = case
         objective = secrecy_entropy_objective(joint, x, cond, y)
-        live, rho = live_shares(objective)
+        live, rho = ascent._balanced_rows(objective)
         assert live.size in (3, 4)
         result = grid_stage(joint, objective, cond)
         witness = grid_witness(joint, objective, cond, result)

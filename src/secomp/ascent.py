@@ -326,9 +326,8 @@ def two_row_envelope(
     if q is not None:
         # u0 takes the support richer in row 0, so supports {0, 1} give
         # the copy of the conditioning symbol itself.
-        table = np.zeros((2, n_symbols))
-        table[:, :2] = (lam * np.stack([q / rho[0], (1.0 - q) / rho[1]]))[:, ::-1]
-        witness[live] = table / table.sum(axis=1, keepdims=True)
+        witness = _witness(objective.n_rows, n_symbols, live,
+                           np.stack([q, 1.0 - q], axis=1)[::-1], lam[::-1])
     return witness, points, 0.0 + top  # no -0.0 bound
 
 

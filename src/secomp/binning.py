@@ -470,12 +470,9 @@ class _BinRows(NamedTuple):
 def _bin_rows(ctx: _SwContext, bins: np.ndarray) -> _BinRows:
     """The rows of the distinct bins in bins, in that order."""
     starts, sizes = ctx.bin_offsets[bins], ctx.bin_offsets[bins + 1] - ctx.bin_offsets[bins]
-    if len(bins) == 1:
-        members = ctx.members_order[starts[0] : starts[0] + sizes[0]][None]
-    else:
-        columns = np.arange(sizes.max())
-        members = ctx.members_order.take(starts[:, None] + columns, mode="clip")
-        members[columns >= sizes[:, None]] = ctx.code.bin_of.size - 1
+    columns = np.arange(sizes.max())
+    members = ctx.members_order.take(starts[:, None] + columns, mode="clip")
+    members[columns >= sizes[:, None]] = ctx.code.bin_of.size - 1
     n_a, n_tail = ctx.cell_shape[0], ctx.n - ctx.head_digits
     # Floor division by a scalar is much faster than np.divmod.
     head = members

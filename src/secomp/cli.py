@@ -6,7 +6,8 @@ Distributions travel as a self-describing JSON file (variable names prevent
 axis-order bugs); region sweeps emit CSV for plotting, everything else JSON.
 
 Exit codes: 0 success, 1 malformed file or flags, 2 invariant breach (for
-example a PMF that does not normalize). All numeric output is printed with
+example a PMF that does not normalize, or a simplex that rounding stops
+from reaching an optimum). All numeric output is printed with
 12 significant digits and all randomness flows from explicit --seed flags,
 so repeated runs with identical arguments are byte-identical.
 """
@@ -73,7 +74,7 @@ def _emit_json(obj, stream) -> None:
 def channel_to_dict(channel: Channel) -> dict:
     rows = []
     shape = tuple(a.size for _, a in channel.from_vars)
-    for idx in np.ndindex(*shape) if shape else [()]:
+    for idx in np.ndindex(*shape):
         given = {
             name: alph.symbols[i]
             for (name, alph), i in zip(channel.from_vars, idx)
@@ -238,11 +239,10 @@ def _cmd_region_uncoded(args) -> int:
 
 def _sample_v_channels(alph_c: Alphabet, count: int, seed: int) -> list[Channel]:
     """Identity and constant corners, then seeded Dirichlet quantizers."""
-    channels = [Channel.copy_of(("C", alph_c), "V")]
-    if count >= 2:
-        channels.append(
-            Channel.uniform((("C", alph_c),), ("V", Alphabet("V", ("v0",))))
-        )
+    channels = [
+        Channel.copy_of(("C", alph_c), "V"),
+        Channel.uniform((("C", alph_c),), ("V", Alphabet("V", ("v0",)))),
+    ]
     n_v = alph_c.size + 2
     v_alph = Alphabet("V", tuple(f"v{i}" for i in range(n_v)))
     for i in range(count - 2):
@@ -452,7 +452,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DistributionError as exc:
+    except (DistributionError, ArithmeticError) as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 2
 

@@ -31,6 +31,8 @@ _POLISH_ROUNDS = 4
 _BRIDGE_STEPS = 64
 # Two support points that beat phi at rho0 by at most this are rounding noise.
 _TIE_TOL = 1e-13
+# Each np.unique here asks for first indices: without them numpy 2.4 takes a
+# hash-table path that imports numpy.ma, about 1 MB of a CLI run's peak RSS.
 
 
 def _neg_xlogx(x: np.ndarray) -> np.ndarray:
@@ -83,7 +85,7 @@ def _polish(
             np.linspace(max(qb - h, rho0), min(qb + h, 1.0), _POLISH_POINTS),
             [qa, rho0, qb],
         ])
-        window = window[_distinct(window)]
+        window = np.unique(window, return_index=True)[0]
         f = phi(window)
         points += window.size
         i, j = _bridge(window, f, int(np.searchsorted(window, rho0)))
@@ -111,8 +113,7 @@ def upper_envelope(
     concave stretch, the support is rho0 alone and None is returned for it,
     so the witness does not follow the noise.
     """
-    q = np.append(np.linspace(0.0, 1.0, _GRID + 1), rho0)
-    q = q[_distinct(q)]
+    q = np.unique(np.append(np.linspace(0.0, 1.0, _GRID + 1), rho0), return_index=True)[0]
     f = phi(q)
     points = q.size
     for _ in range(_ROUNDS):
@@ -158,16 +159,7 @@ def upper_envelope(
     return support, np.array([1.0 - lam_b, lam_b]), top + eps, points
 
 
-def _distinct(q: np.ndarray) -> np.ndarray:
-    """Indices that sort ``q``, repeats dropped (``np.unique`` imports numpy.ma)."""
-    order = np.argsort(q, kind="stable")
-    keep = np.ones(order.size, dtype=bool)
-    keep[1:] = np.diff(q[order]) > 0.0
-    return order[keep]
-
-
 def _merge(qs: list[np.ndarray], fs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Points and values of several scorings, sorted by point, repeats dropped."""
-    q = np.concatenate(qs)
-    keep = _distinct(q)
-    return q[keep], np.concatenate(fs)[keep]
+    """Points and values of several scorings, sorted by point; a repeat keeps its first value."""
+    q, first = np.unique(np.concatenate(qs), return_index=True)
+    return q, np.concatenate(fs)[first]

@@ -13,6 +13,9 @@ rule for phase 1, steepest pivoting for phase 2. The systems here have a
 few dozen rows at most, so no factorization tricks are needed; in
 rounding, though, the loop can stall on a strongly degenerate LP, so
 column generation perturbs its master's right-hand side (see ``ascent``).
+The rank-1 updates also drift where a row's share is tiny, so a run of
+``_SEGMENT`` pivots that ends without an optimum starts the next run from
+the tableau rebuilt from its basis, by Bland's rule once runs repeat.
 """
 
 from __future__ import annotations
@@ -29,12 +32,16 @@ _PIVOT_TOL = 1e-11
 _RATIO_TIE = 1e-12
 _COST_TIE = 1e-12
 _MAX_PIVOTS = 50_000
+# Pivots between rebuilds. The tests and the benchmark take at most 180
+# pivots a solve, and searched solves on seeded Dirichlet joints up to
+# 6x3x2 at most 564, so those solves never rebuild.
+_SEGMENT = 2_000
 
 
 def _pivot_to_optimum(
     tableau: np.ndarray, basis: np.ndarray, n_cols: int, tol: float, steepest: bool
 ) -> bool:
-    """Pivot until no column below ``n_cols`` has a reduced cost below -tol.
+    """Pivot until no column below ``n_cols`` has a reduced cost below -tol, at most _SEGMENT times.
 
     ``basis[i]`` is the column basic in row i; both arrays change in place.
     The entering column is the lowest-index one with a negative reduced cost
@@ -43,12 +50,13 @@ def _pivot_to_optimum(
     did not move (a degenerate step): a cycle consists of such steps only,
     so Bland's rule runs every step of any would-be cycle and none can form.
     On the grid LPs of ``ascent`` (3-4 rows, 153 or 969 columns) Bland's
-    rule alone took about 8 times the pivots. Returns False when the
-    entering column has no positive entry (the minimization is unbounded).
+    rule alone took about 8 times the pivots. Returns whether it reached an
+    optimum; it stops early where the entering column has no positive entry
+    (the minimization looks unbounded) or the least ratio is not finite.
     """
     m = tableau.shape[0] - 1
     stalled = False
-    for _ in range(_MAX_PIVOTS):
+    for _ in range(_SEGMENT):
         reduced = tableau[m, :n_cols]
         negative = np.flatnonzero(reduced < -tol)
         if negative.size == 0:
@@ -66,6 +74,8 @@ def _pivot_to_optimum(
             return False
         ratios = tableau[candidates, -1] / column[candidates]
         best = ratios.min()
+        if not np.isfinite(best):
+            return False
         ties = candidates[ratios <= best + _RATIO_TIE]
         leaving = ties[np.argmin(basis[ties])]
         stalled = best <= _RATIO_TIE
@@ -73,7 +83,21 @@ def _pivot_to_optimum(
         tableau -= np.outer(tableau[:, entering], pivot_row)
         tableau[leaving] = pivot_row
         basis[leaving] = entering
-    raise ArithmeticError("simplex failed to terminate")
+    return False
+
+
+def _rebuild(tableau: np.ndarray, basis: np.ndarray, a_eq: np.ndarray, b_eq: np.ndarray,
+             c: np.ndarray) -> None:
+    """Recompute in place the canonical tableau of ``basis`` from the system itself."""
+    m = basis.size
+    try:
+        tableau[:m] = np.linalg.solve(a_eq[:, basis], np.column_stack([a_eq, b_eq]))
+    except np.linalg.LinAlgError:
+        raise ArithmeticError("simplex basis is singular") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        tableau[m] = c[basis] @ tableau[:m] - np.append(c, 0.0)
+    if not np.isfinite(tableau).all():
+        raise ArithmeticError("simplex basis rebuilds to non-finite entries")
 
 
 def _optimize(
@@ -85,7 +109,11 @@ def _optimize(
     Column ``basis[i]`` of ``a_eq`` must be the i-th unit vector and b_eq >= 0,
     so the tableau starts in canonical form with x[basis] = b_eq; its last
     row holds the reduced costs of minimizing -c, c_B a_eq - c, and minus
-    that minimum, c_B b_eq. Raises ArithmeticError on an unbounded set.
+    that minimum, c_B b_eq. Both callers' sets are bounded, so a pivot run
+    that reports an unbounded one has drifted, as has one that ends without
+    an optimum: the next run starts from the rebuilt tableau, within
+    ``_MAX_PIVOTS`` pivots in all. Raises ArithmeticError when they run out
+    or a basis cannot be rebuilt.
     """
     m, n = a_eq.shape
     basis = np.array(basis)
@@ -94,8 +122,20 @@ def _optimize(
     tableau[:m, -1] = b_eq
     tableau[m, :n] = c[basis] @ a_eq - c
     tableau[m, -1] = c[basis] @ b_eq
-    if not _pivot_to_optimum(tableau, basis, n, tol, steepest):
-        raise ArithmeticError("simplex on an unbounded set")
+    started = set()
+    for segment in range(_MAX_PIVOTS // _SEGMENT):
+        if segment:
+            _rebuild(tableau, basis, a_eq, b_eq, c)
+        # A rebuilt tableau depends on the set of basic columns alone, so a
+        # run that starts where an earlier one started would repeat it: from
+        # then on Bland's rule runs.
+        key = frozenset(basis.tolist())
+        steepest &= key not in started
+        started.add(key)
+        if _pivot_to_optimum(tableau, basis, n, tol, steepest):
+            break
+    else:
+        raise ArithmeticError("simplex failed to terminate")
     x = np.zeros(n)
     x[basis] = tableau[:m, -1]
     return x, tableau[m]
@@ -128,10 +168,14 @@ def phase2_simplex(
     Column ``basis[i]`` of ``a_eq`` must be the i-th unit vector and b_eq >= 0,
     so the tableau starts in canonical form with x[basis] = b_eq. The result
     is within ``tol`` times sum(x) of the optimum; the set must be bounded.
-    The duals y = c_B B^-1 of the final basis B satisfy y @ a_eq >= c - tol
-    and y @ b_eq = c @ x. Column j's reduced cost is y @ a_j - c_j, and a_j
-    is the i-th unit vector for j = ``basis[i]`` as given, so y_i is the
-    final reduced cost there plus c_j.
+    The duals are read off the final tableau: column j's reduced cost is
+    y @ a_j - c_j, and a_j is the i-th unit vector for j = ``basis[i]`` as
+    given, so y_i is the final reduced cost there plus c_j. In exact
+    arithmetic y = c_B B^-1 for the final basis B, so y @ a_eq >= c - tol
+    and y @ b_eq = c @ x. In rounding y carries the drift of the rank-1
+    updates, and both can fail by far more than ``tol``: on one
+    column-generation master of a 2x3x3 joint, max(c - y @ a_eq) was 2.8e-8
+    and |y @ b_eq - c @ x| was 5.1e-10.
     """
     x, reduced = _optimize(a_eq, b_eq, c, basis, tol, steepest=True)
     return np.maximum(x, 0.0), reduced[basis] + c[basis]

@@ -144,7 +144,6 @@ def check_stochastic_degradation(
 
     rows = np.full((n_s, n_w), 1.0 / n_w)
     rows[support] = solution.reshape(n_sup, n_w)
-    rows = np.maximum(rows, 0.0)
     rows /= rows.sum(axis=1, keepdims=True)
     residual = np.abs(p_strong @ rows - p_weak).max()
     if residual > COMPOSITION_TOL:

@@ -166,7 +166,7 @@ class Channel:
         to_name, to_alph = to_var
         shape = tuple(a.size for _, a in from_vars)
         rows = np.zeros(shape + (to_alph.size,))
-        for idx in np.ndindex(*shape) if shape else [()]:
+        for idx in np.ndindex(*shape):
             symbols = tuple(a.symbols[i] for (_, a), i in zip(from_vars, idx))
             rows[idx + (to_alph.index(assign(symbols)),)] = 1.0
         return cls(from_vars, to_var, rows)
@@ -246,9 +246,7 @@ def marginalize(joint: JointPMF, keep_vars: str | Iterable[str]) -> JointPMF:
     for name in keep:
         joint.axis(name)  # raises on unknown names
     kept = tuple(v for v in joint.variables if v[0] in keep)
-    drop_axes = tuple(i for i, (n, _) in enumerate(joint.variables) if n not in keep)
-    arr = joint.mass.sum(axis=drop_axes) if drop_axes else joint.mass
-    return JointPMF(kept, arr)
+    return JointPMF(kept, _marginal_array(joint, keep))
 
 
 def rename_variable(joint: JointPMF, old: str, new: str) -> JointPMF:

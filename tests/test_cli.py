@@ -416,6 +416,20 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and "memory" in err and "Traceback" not in err
 
+    def test_simplex_lost_to_rounding_is_exit_two(self, capsys, tmp_path, monkeypatch):
+        # The solve is replaced by one that fails as the simplex does when
+        # rounding keeps it from an optimum.
+        def lost_to_rounding(*args):
+            raise ArithmeticError("simplex failed to terminate")
+
+        monkeypatch.setattr(cli, "maximize_equivocation", lost_to_rounding)
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        code, out, err = run_cli(capsys, "region", "uncoded", "-i", str(path),
+                                 "--switches", "both")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invariant breach:") and "Traceback" not in err
+
     def test_bad_flag_is_exit_one(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.1, 0.3)
         with pytest.raises(SystemExit) as exc:

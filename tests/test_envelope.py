@@ -11,6 +11,10 @@ only coarsen ``secomp.envelope``'s grid to check the bound on a poor witness.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +294,37 @@ class TestNarrowBump:
         monkeypatch.setattr(envelope, "_ROUNDS", 1)
         support, _, _, _ = envelope.upper_envelope(self.phi, self.cell_gaps, 0.5)
         assert support is None
+
+
+class TestMerge:
+    def test_sorted_and_a_repeat_keeps_its_first_scoring(self):
+        # Every other point is scored first with value 0, the rest with 1;
+        # then all of them again, reversed and with value 2.
+        grid = np.linspace(0.0, 1.0, 65)
+        q, f = envelope._merge([grid[::2], grid[::-1], grid],
+                               [np.zeros(33), np.ones(65), np.full(65, 2.0)])
+        assert (np.diff(q) > 0.0).all()
+        np.testing.assert_array_equal(q, grid)
+        np.testing.assert_array_equal(f, np.arange(65) % 2)
+
+
+class TestMaskedArraysUnloaded:
+    def test_envelope_leaves_numpy_ma_unloaded(self):
+        # A plain np.unique imports numpy.ma on numpy 2.4, about 1 MB of RSS.
+        script = "\n".join([
+            "import sys",
+            "import numpy",
+            "if 'numpy.ma' in sys.modules:",
+            "    sys.exit(0)  # numpy 1.x imports it itself",
+            "from secomp import envelope",
+            "envelope.upper_envelope(lambda q: q * (1.0 - q), lambda lo, hi: (hi - lo) ** 2, 0.3)",
+            "sys.exit('numpy.ma' in sys.modules)",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=False)
+        assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 class TestClosedForms:

@@ -164,6 +164,23 @@ class TestRowShareBelowRounding:
         result = maximize_equivocation(joint, switches, self.CFG)
         assert result.delta_star == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize("seed,sizes,scale", [((6, 0), (2, 3, 3), 1e-6),
+                                                  ((3, 51), (4, 3, 2), 1e-3)])
+    def test_both_with_cells_of_tiny_mass(self, seed, sizes, scale):
+        # A sixth of the cells scaled down: rank-1 tableau updates drift on
+        # these masters until the tableau is rebuilt from its basis.
+        rng = np.random.default_rng(seed)
+        joint = dirichlet_joint(rng, sizes)
+        mass = joint.mass.flatten()
+        mass[rng.choice(mass.size, mass.size // 6, replace=False)] *= scale
+        joint = JointPMF(joint.variables, mass.reshape(sizes) / mass.sum())
+        value = {name: maximize_equivocation(joint, SwitchConfig.from_name(name),
+                                             self.CFG).delta_star
+                 for name in ("se", "sb", "both")}
+        assert value["se"] <= value["both"]
+        assert value["sb"] <= value["both"]
+        assert value["both"] <= entropy_of(joint, "A", "E")
+
     def test_ternary_source_with_a_tiny_symbol(self):
         joint = self.tiny_source_symbol()
         result = maximize_equivocation(joint, SwitchConfig(), self.CFG)

@@ -63,7 +63,7 @@ the reduced cost only. Everything is deterministic for a fixed seed.
 
 ``maximize_channel`` returns an ``OptResult``, the one result type of every
 auxiliary-channel solve: ``regions.maximize_secrecy`` returns it unchanged,
-and only the S_E-closed closed form builds one elsewhere.
+and the S_E-closed value comes from ``OptResult.closed_form``.
 """
 
 from __future__ import annotations
@@ -182,9 +182,6 @@ class EntropyObjective:
     def n_rows(self) -> int:
         return self.proj.shape[0]
 
-    def marginals(self, w: np.ndarray) -> np.ndarray:
-        return self.proj.T @ w
-
     def _signed_plogp(self, m: np.ndarray) -> np.ndarray:
         """sum_k sign_k m_ku log2 m_ku for each output column u."""
         log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
@@ -200,7 +197,7 @@ class EntropyObjective:
         return 0.0 - np.add.reduce(self._signed_plogp(m), axis=-1)
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        return self.value(self.marginals(w))
+        return self.value(self.proj.T @ w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,17 +219,15 @@ class OptResult:
     envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
     H(A|Y) for channels that also see B; never below the best value or 0.
     ``certified`` is true when no search ran (``rounds == 0``): the two-row
-    envelope, the S_E-closed closed form, or a channel scored first that
-    reached the analytic bound to ``ascent.CERTIFY_TOL``. The S_E-closed
-    closed form counts as one agreeing entry that scored nothing: trace
-    ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
-    ``evaluations == 0``, ``upper_bound == delta_star``. The trace of any
-    other solve is the envelope's or the grid's witness, the candidates and
-    the uniform channel, followed by the witness of column generation where
-    it ran. For ``both`` the candidates are the copy of E and ``sb``'s
-    ``best_u``, and ``evaluations`` includes the points ``sb``'s solve
-    scored, its search too where ``sb`` needed one; the trace, the rounds
-    and ``certified`` describe ``both``'s own stage and search only.
+    envelope, a ``closed_form`` value, or a channel scored first that
+    reached the analytic bound to ``ascent.CERTIFY_TOL``. The trace of a
+    solve that scores channels is the envelope's or the grid's witness, the
+    candidates and the uniform channel, followed by the witness of column
+    generation where it ran. For ``both`` the candidates are the copy of E
+    and ``sb``'s ``best_u``, and ``evaluations`` includes the points
+    ``sb``'s solve scored, its search too where ``sb`` needed one; the
+    trace, the rounds and ``certified`` describe ``both``'s own stage and
+    search only.
     """
 
     delta_star: float
@@ -242,6 +237,18 @@ class OptResult:
     hit_max_rounds: bool
     evaluations: int
     upper_bound: float
+
+    @classmethod
+    def closed_form(cls, value: float, best_u: Channel) -> "OptResult":
+        """The result of a value known without a search: S_E closed alone, I(A;B|E) at U = E.
+
+        It counts as one agreeing entry that scored nothing: trace
+        ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
+        ``evaluations == 0``, ``upper_bound == delta_star``.
+        """
+        delta = _snap(value)
+        return cls(delta_star=delta, best_u=best_u, objective_trace=(delta,), rounds=0,
+                   hit_max_rounds=False, evaluations=0, upper_bound=delta)
 
     @property
     def starts_agreeing(self) -> int:
@@ -347,13 +354,9 @@ def _simplex_grid(k: int) -> np.ndarray:
     return grid
 
 
-def _master(columns: np.ndarray, values: np.ndarray,
-            shares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights lam maximizing values @ lam subject to columns.T @ lam = shares, and the duals.
-
-    The first ``shares.size`` columns are the vertices, the starting basis.
-    """
-    return phase2_simplex(columns.T, shares, values, np.arange(shares.size), _LP_TOL)
+def _posterior_values(objective: EntropyObjective, scaled: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The value c(q) of each posterior q, a row of ``q``, whose marginals are q @ ``scaled``."""
+    return objective.value((q @ scaled)[:, :, None])
 
 
 def _witness(n_rows: int, n_symbols: int, live: np.ndarray, columns: np.ndarray,
@@ -436,17 +439,13 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
     """
     k = live.size
     scaled = objective.proj[live] / rho[:, None]
-
-    def column_values(q: np.ndarray) -> np.ndarray:
-        return objective.value((q @ scaled)[:, :, None])
-
     joint = rho[:, None] * tables[:, live, :]
     lam = joint.sum(axis=1)
     posteriors = np.moveaxis(joint, 1, 2)[lam > 0.0] / lam[lam > 0.0][:, None]
     first, values = grid if grid is not None else (np.eye(k), np.empty(0))
     columns = np.vstack([first, rho, posteriors])
     evaluations = len(columns) - len(values)
-    values = np.concatenate([values, column_values(columns[len(values):])])
+    values = np.concatenate([values, _posterior_values(objective, scaled, columns[len(values):])])
     rng = np.random.default_rng(cfg.seed)
     logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
     # At rho itself the master is degenerate wherever the optimum has fewer
@@ -455,7 +454,7 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
     target = rho * (1.0 + _PERTURB * rng.random(k))
     hit_max_rounds = False
     for rounds in range(1, MAX_ROUNDS + 1):
-        lam, y = _master(columns, values, target)
+        lam, y = phase2_simplex(columns.T, target, values, _LP_TOL)
         kept = lam > _LP_TOL
         kept[:k] = True
         starts = np.log(columns[kept] * (1.0 - _PULL) + _PULL * rho)
@@ -466,11 +465,11 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
             break
         new = _softmax(logits[positive])
         columns = np.vstack([columns, new])
-        values = np.concatenate([values, column_values(new)])
+        values = np.concatenate([values, _posterior_values(objective, scaled, new)])
         evaluations += len(new)
         logits = logits[:0]  # later rounds start from the vertices and the support only
     else:
-        lam, _ = _master(columns, values, target)
+        lam, _ = phase2_simplex(columns.T, target, values, _LP_TOL)
         hit_max_rounds = True
     # The weights on the support, solved again for rho itself.
     support = np.flatnonzero(lam > _LP_TOL)
@@ -499,10 +498,10 @@ def _search_free_witness(
             return *envelope, None
     elif live.size in _GRID_LP_ROWS:
         columns = _simplex_grid(live.size)
-        scaled = objective.proj[live] / rho[:, None]
-        grid = columns, objective.value((columns @ scaled)[:, :, None])
-        lam, _ = _master(*grid, rho)
-        return _witness(objective.n_rows, n_symbols, live, columns, lam), len(columns), None, grid
+        values = _posterior_values(objective, objective.proj[live] / rho[:, None], columns)
+        lam, _ = phase2_simplex(columns.T, rho, values, _LP_TOL)
+        witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
+        return witness, len(columns), None, (columns, values)
     return None, 0, None, None
 
 

@@ -15,6 +15,7 @@ so repeated runs with identical arguments are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -111,7 +112,10 @@ def load_distribution(path: str) -> JointPMF:
             raise CliError("no variable may be named 'p': it is the key of a pmf record's mass")
         if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
             raise CliError(f"alphabet {name!r} must be a list of strings")
-        variables.append((name, Alphabet(name, tuple(symbols))))
+        try:
+            variables.append((name, Alphabet(name, tuple(symbols))))
+        except DistributionError as exc:  # empty, or a repeated symbol
+            raise CliError(str(exc)) from exc
     shape = tuple(alph.size for _, alph in variables)
     mass = np.zeros(shape)
     records = data["pmf"]
@@ -302,16 +306,6 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _report_to_dict(report) -> dict:
-    return {
-        "trials": report.trials,
-        "p_e_hat": report.p_e_hat,
-        "equiv_hat": report.equiv_hat,
-        "equiv_stderr": report.equiv_stderr,
-        "seed": report.seed,
-    }
-
-
 def _emit_report(args, run, *run_args) -> int:
     try:
         report = _from_flags(run, *run_args)
@@ -319,9 +313,9 @@ def _emit_report(args, run, *run_args) -> int:
         raise CliError(
             f"the run needs more memory than is available (--trials {args.trials})"
         ) from None
-    out = _report_to_dict(report)
-    if args.diagnostics:
-        out.update(ties=report.ties, wrong_decodes=report.wrong_decodes)
+    out = dataclasses.asdict(report)
+    if not args.diagnostics:
+        del out["ties"], out["wrong_decodes"]
     _emit_json(out, sys.stdout)
     return 0
 

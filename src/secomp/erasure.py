@@ -106,13 +106,10 @@ def gap_filler_u(switches: SwitchConfig) -> Channel:
     p_e (1 - p_b), below what ``erasure_delta`` reports for every
     0 < p_b < 1 and p_e > 0.
     """
-    u_alphabet = Alphabet("U", ("u0", "u1", "c"))
-
-    def assign(symbols: tuple[str, ...]) -> str:
-        a, b = symbols
-        return f"u{a}" if b == "e" else "c"
-
-    return _for_switches(switches, Channel.deterministic(_AB, ("U", u_alphabet), assign))
+    rows = np.zeros((2, 3, 3))
+    rows[:, :2, 2] = 1.0  # c wherever Bob sees a bit, B = A or not
+    rows[:, 2, :2] = np.eye(2)  # u0 or u1, the value of A, where Bob is erased
+    return _for_switches(switches, Channel(_AB, ("U", Alphabet("U", ("u0", "u1", "c"))), rows))
 
 
 def _for_switches(switches: SwitchConfig, channel: Channel) -> Channel:

@@ -9,19 +9,14 @@ the source. The checker maximizes the violation I(U; weaker-hypothesis side)
 positive. With U - A - (B, E), I(A;X) = I(U;X) + I(A;X|U), so the violation
 is the secrecy objective I(A;stronger|U) - I(A;weaker|U) minus its value at
 a constant U, I(A;stronger) - I(A;weaker) (van Dijk, IEEE T-IT 1997). The
-check is therefore ``regions.maximize_secrecy`` with Y = weaker, the solver
-behind the ``none`` setting and the coded corners. For a binary source that
-maximum is an exact envelope; for larger sources the bound on the violation
-is I(A;weaker|stronger), and column generation over posteriors of A runs
-only where no channel scored before it (the grid witness for |A| <= 4, the
-copy of A, the uniform channel) comes within ``ascent.CERTIFY_TOL`` of that
-bound. On an A - stronger - weaker chain the bound is 0 and the uniform
-channel meets it, so the proof needs no search at any |A|. Either way the
-verdict
-carries a certified ``upper_bound`` on the violation, and a
-non-falsification with ``upper_bound <= WITNESS_TOL`` is a proof at the
-given prior; otherwise it is evidence, not proof, and the verdict names say
-so.
+check is therefore ``regions.maximize_secrecy`` with Y = weaker over
+channels p(u|a), with the copy of A as a candidate; ``secomp.ascent``
+decides how it searches. The bound on the violation is
+I(A;weaker|stronger), 0 on an A - stronger - weaker chain, where the
+uniform channel meets it. The verdict carries a certified ``upper_bound``
+on the violation, and a non-falsification with ``upper_bound <=
+WITNESS_TOL`` is a proof at the given prior; otherwise it is evidence, not
+proof, and the verdict names say so.
 """
 
 from __future__ import annotations

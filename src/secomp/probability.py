@@ -12,7 +12,7 @@ concurrent workers; the operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -46,14 +46,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return len(self.symbols)
-
-    def index(self, symbol: str) -> int:
-        try:
-            return self.symbols.index(symbol)
-        except ValueError:
-            raise DistributionError(
-                f"symbol {symbol!r} not in alphabet {self.name!r}"
-            ) from None
 
 
 VarSpec = tuple[str, Alphabet]
@@ -153,23 +145,6 @@ class Channel:
     @property
     def from_names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.from_vars)
-
-    @classmethod
-    def deterministic(
-        cls,
-        from_vars: Sequence[VarSpec],
-        to_var: VarSpec,
-        assign: Callable[[tuple[str, ...]], str],
-    ) -> "Channel":
-        """Channel whose output is a function of the conditioning symbols."""
-        from_vars = tuple(from_vars)
-        to_name, to_alph = to_var
-        shape = tuple(a.size for _, a in from_vars)
-        rows = np.zeros(shape + (to_alph.size,))
-        for idx in np.ndindex(*shape):
-            symbols = tuple(a.symbols[i] for (_, a), i in zip(from_vars, idx))
-            rows[idx + (to_alph.index(assign(symbols)),)] = 1.0
-        return cls(from_vars, to_var, rows)
 
     @classmethod
     def uniform(cls, from_vars: Sequence[VarSpec], to_var: VarSpec) -> "Channel":

@@ -1,4 +1,4 @@
-"""Compression-equivocation rate regions and auxiliary-channel search.
+"""Compression-equivocation rate regions: the secrecy objective, its candidates and bounds.
 
 The secrecy objective I(A;B|U) - I(A;E|U) is maximized over conditional
 channels p(u|.) whose conditioning set depends on which side-information
@@ -6,29 +6,14 @@ sequences the encoder sees. With only S_E closed the maximum is I(A;B|E),
 at U = copy of E, and no search runs (see ``maximize_equivocation``).
 Elsewhere ``maximize_secrecy`` solves max I(A;X|U) - I(A;Y|U): X = B for
 the uncoded settings, X = V for a coded corner, and X, Y the stronger and
-weaker observation for the orderings' less-noisy checks. With channels
-p(u|a) on a binary source the objective is sum_u p(u) f(p_{A|u}), and its
-maximum is the upper concave envelope of f at p_A, computed exactly with a
-certified eps. With S_B closed, or a larger source, channels found
-without a search are scored first: the grid LP envelope's witness where
-three or four conditioning cells carry mass, and for ``both`` the copy of
-E and ``sb``'s solution, lifted (``sb``'s search runs where ``sb`` needs
-one). When the best of them reaches the analytic bound (H(A|Y), or
-I(A;X|Y) for channels p(u|a)) the value is exact and no search runs; on
-the erasure family that is ``sb`` and ``both`` for p_b <= 1/2. Otherwise
-column generation solves the objective's LP over posteriors of the
-conditioning cells (see ``ascent``): a master LP over a growing set of
-posteriors, priced by an exponentiated-gradient ascent from seeded
-Dirichlet points and the master's support. Its first columns are the grid
-LP's where there is one, with the values scored for its witness, and the
-posteriors of every channel scored first. Every path scores the uniform
-channel, whose objective is the plain Slepian-Wolf baseline I(A;X) -
-I(A;Y), so values are achievable lower bounds on the true maximum, never
-below the baseline or a channel scored first. The result is
-``ascent.OptResult``, built by ``maximize_channel`` and re-exported here:
-``upper_bound`` bounds the maximum from above; ``certified``,
-``starts_agreeing`` (both derived), ``rounds``, ``hit_max_rounds`` and
-``evaluations`` are the diagnostics. A coded corner is a
+weaker observation for the orderings' less-noisy checks. This module
+decides what is maximized over which channels, the candidates scored
+first (for ``both`` the copy of E and ``sb``'s solution, lifted) and the
+analytic upper bound: H(A|Y), or I(A;X|Y) for channels p(u|a). How the
+maximum is found, and when it is exact, is ``secomp.ascent``'s to decide;
+its values are achievable lower bounds, never below the Slepian-Wolf
+baseline I(A;X) - I(A;Y) of a constant U. The result is
+``ascent.OptResult``, re-exported here. A coded corner is a
 ``CodedBoundResult``: its rates ``r_a`` and ``r_c``, ``sum_ok`` and the
 solve's ``OptResult``, whose ``delta_star`` its ``delta`` reads.
 """
@@ -42,7 +27,6 @@ from .ascent import (
     EntropyObjective,
     OptimizerConfig,
     OptResult,
-    _snap,
     maximize_channel,
     u_channel,
 )
@@ -185,10 +169,8 @@ def maximize_equivocation(
         return maximize_secrecy(joint_abe, "B", cond_vars, cfg)
     copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U")
     if not switches.s_b:
-        delta = _snap(closed_form_delta(joint_abe, "se_closed"))
         best_u = u_channel(cond_vars, copy_e.lift(cond_vars).rows)
-        return OptResult(delta_star=delta, best_u=best_u, objective_trace=(delta,),
-                         rounds=0, hit_max_rounds=False, evaluations=0, upper_bound=delta)
+        return OptResult.closed_form(closed_form_delta(joint_abe, "se_closed"), best_u)
     sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
     opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
     return replace(opt, evaluations=opt.evaluations + sb.evaluations)

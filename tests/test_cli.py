@@ -367,14 +367,17 @@ class TestExitCodes:
         ({"alphabets": ["A"], "pmf": []}, "'alphabets' must map"),
         ({"alphabets": {}, "pmf": []}, "'alphabets' must map"),
         ({"alphabets": {"A": ["0", 1]}, "pmf": []}, "list of strings"),
+        ({"alphabets": {"A": []}, "pmf": []}, "alphabet 'A' is empty"),
+        ({"alphabets": {"A": ["0", "0"]}, "pmf": []}, "alphabet 'A' repeats a symbol"),
         ({"alphabets": {"A": ["0"]}, "pmf": {"A": "0", "p": 1.0}}, "'pmf' must be a list"),
         ({"alphabets": {"A": ["0"]}, "pmf": [{"A": "0"}]}, "needs a 'p' field"),
         ({"alphabets": {"A": ["0"]}, "pmf": ["A"]}, "needs a 'p' field"),
         ({"alphabets": {"A": ["0"], "B": ["0"]}, "pmf": [{"A": "0", "p": 1.0}]},
          "misses variable 'B'"),
     ], ids=["not an object", "no alphabets", "no pmf", "alphabets not an object",
-            "no variables", "symbol not a string", "pmf not a list", "record without p",
-            "record not an object", "record misses a variable"])
+            "no variables", "symbol not a string", "empty alphabet", "repeated symbol",
+            "pmf not a list", "record without p", "record not an object",
+            "record misses a variable"])
     def test_malformed_file_is_exit_one(self, capsys, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

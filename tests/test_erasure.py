@@ -100,12 +100,12 @@ class TestOptimalChannel:
     """The explicit S_B-closed channels: the gap filler here, the binary channel below."""
 
     def test_reveals_source_exactly_on_erasures(self):
+        # Every (a, b) cell, the zero-mass ones with b != a included: u_a where
+        # Bob is erased, the constant c wherever he sees a bit.
         channel = gap_filler_u(SB)
-        symbols = channel.to_var[1].symbols
-        assert channel.rows[0, 2, symbols.index("u0")] == 1.0  # (a=0, b=e)
-        assert channel.rows[1, 2, symbols.index("u1")] == 1.0  # (a=1, b=e)
-        assert channel.rows[1, 1, symbols.index("c")] == 1.0  # (a=1, b=1)
-        assert channel.rows[0, 0, symbols.index("c")] == 1.0  # (a=0, b=0)
+        assert channel.to_var[1].symbols == ("u0", "u1", "c")
+        c, u0, u1 = [0, 0, 1], [1, 0, 0], [0, 1, 0]
+        np.testing.assert_array_equal(channel.rows, [[c, c, u0], [c, c, u1]])
 
     def test_objective_matches_reported_delta(self):
         # The gap filler's own value is p_e (1 - p_b), below erasure_delta's p_e.

@@ -2,7 +2,9 @@
 
 A standard-library stand-in for a linter's unused-import rule: a name bound
 by an import must be read somewhere in the module (a string annotation
-counts), or be listed in the module's ``__all__``.
+counts), or be listed in the module's ``__all__``. Nor does a module of
+``src/secomp`` import a private (``_``-prefixed) name from another: what
+two modules share is public.
 """
 
 import ast
@@ -14,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path for folder in ("src/secomp", "scripts", "tests") for path in (ROOT / folder).glob("*.py")
 )
+PACKAGE = sorted((ROOT / "src/secomp").glob("*.py"))
 
 
 def _bound_names(tree: ast.Module) -> dict[str, int]:
@@ -66,3 +69,25 @@ def test_guard_flags_an_unused_import():
     tree = ast.parse("import json\nfrom math import pi, tau\nprint(tau)\n")
     used = _used_names(tree)
     assert {n for n in _bound_names(tree) if n not in used} == {"json", "pi"}
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """The ``_``-prefixed names that a relative ``from`` import binds."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: str(path.relative_to(ROOT)))
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _private_imports(tree), f"{path.name}: private imports {_private_imports(tree)}"
+
+
+def test_guard_flags_a_private_import():
+    tree = ast.parse("from .ascent import OptResult, _snap\nfrom os import _exit\n")
+    assert _private_imports(tree) == ["_snap"]

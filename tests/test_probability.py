@@ -31,10 +31,6 @@ class TestAlphabet:
         with pytest.raises(DistributionError):
             Alphabet("X", ("a", "a"))
 
-    def test_index_unknown_symbol(self):
-        with pytest.raises(DistributionError):
-            Alphabet("X", ("a", "b")).index("c")
-
 
 class TestJointPMF:
     def test_mass_is_immutable(self):
@@ -307,10 +303,3 @@ class TestChannelHelpers:
             channel.lift(
                 (("A", Alphabet("A", ("x", "y"))), ("B", joint.alphabet("B")))
             )
-
-    def test_deterministic_channel_rows_are_one_hot(self):
-        alph = Alphabet("X", ("0", "1"))
-        channel = Channel.deterministic(
-            (("X", alph),), ("Y", Alphabet("Y", ("a", "b"))), lambda s: "b" if s[0] == "1" else "a"
-        )
-        np.testing.assert_array_equal(channel.rows, np.eye(2))

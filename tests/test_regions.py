@@ -394,11 +394,9 @@ class TestCodedBound:
 
     def test_erasure_flag_quantizer_cannot_beat_full_side_information(self):
         joint = self.make_ace(0.1, 0.3)
-        v = Channel.deterministic(
-            (("C", joint.alphabet("C")),),
-            ("V", Alphabet("V", ("s", "e"))),
-            lambda s: "e" if s[0] == "e" else "s",
-        )
+        # V = e where C is erased, s for either bit.
+        v = Channel((("C", joint.alphabet("C")),), ("V", Alphabet("V", ("s", "e"))),
+                    [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         result = coded_inner_bound_sample(joint, v, FAST)
         assert result.delta <= 0.2 + 1e-6
         # The merged quantizer output is independent of the source, so no

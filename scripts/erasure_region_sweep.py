@@ -27,6 +27,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("-o", "--output", default="erasure_region_sweep.csv")
     args = parser.parse_args()
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
 
     none = SwitchConfig()
     sb = SwitchConfig.from_name("sb")

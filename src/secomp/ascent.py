@@ -62,8 +62,9 @@ achievable, a lower bound on the maximum: pricing finds local maxima of
 the reduced cost only. Everything is deterministic for a fixed seed.
 
 ``maximize_channel`` returns an ``OptResult``, the one result type of every
-auxiliary-channel solve: ``regions.maximize_secrecy`` returns it unchanged,
-and the S_E-closed value comes from ``OptResult.closed_form``.
+auxiliary-channel solve, holding the objective's values as found: a
+maximum may be negative. Reading it as an equivocation, floored at 0, is
+``secomp.regions``' business.
 """
 
 from __future__ import annotations
@@ -109,13 +110,6 @@ _PERTURB = 1e-8
 
 # Trace entries within TOL of the best value count as agreeing.
 TOL = 1e-9
-
-# Objective magnitudes below numerical resolution are reported as exactly 0.
-_SNAP_TOL = 1e-12
-
-
-def _snap(value: float) -> float:
-    return value if value >= _SNAP_TOL else 0.0
 
 
 @dataclass(frozen=True)
@@ -202,32 +196,33 @@ class EntropyObjective:
 
 @dataclass(frozen=True, eq=False)
 class OptResult:
-    """Outcome of one auxiliary-channel maximization.
+    """Outcome of one auxiliary-channel maximization, in the objective's own values.
 
-    ``delta_star`` is max(0, best objective found); a code may always reveal
-    everything, so equivocation 0 is trivially achievable and negative
-    objectives are clamped. ``objective_trace`` holds the value of each
-    channel scored, in the order given below; ``starts_agreeing`` counts
-    entries within ``ascent.TOL`` of the best. ``rounds`` counts the
-    pricing rounds of column generation, 0 where none ran;
-    ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS`` rounds
-    still added a column. ``evaluations`` counts the points the objective
-    was scored at, envelope, grid and pricing points included; the grid
-    counts once, since column generation starts from its scored values.
-    ``upper_bound`` is a certified upper bound on the true maximum of
-    ``delta_star``: the envelope's value plus its eps where the two-row
-    envelope solved the problem, else I(A;X|Y) for channels p(u|a) and
-    H(A|Y) for channels that also see B; never below the best value or 0.
-    ``certified`` is true when no search ran (``rounds == 0``): the two-row
-    envelope, a ``closed_form`` value, or a channel scored first that
-    reached the analytic bound to ``ascent.CERTIFY_TOL``. The trace of a
-    solve that scores channels is the envelope's or the grid's witness, the
-    candidates and the uniform channel, followed by the witness of column
-    generation where it ran. For ``both`` the candidates are the copy of E
-    and ``sb``'s ``best_u``, and ``evaluations`` includes the points
-    ``sb``'s solve scored, its search too where ``sb`` needed one; the
-    trace, the rounds and ``certified`` describe ``both``'s own stage and
-    search only.
+    ``delta_star`` is the best objective value found, unclamped: it is
+    negative where every channel scores below 0. ``objective_trace`` holds
+    the value of each channel scored, in the order given below;
+    ``starts_agreeing`` counts entries within ``ascent.TOL`` of the best.
+    ``rounds`` counts the pricing rounds of column generation, 0 where none
+    ran; ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS``
+    rounds still added a column. ``evaluations`` counts the points the
+    objective was scored at, envelope, grid and pricing points included;
+    the grid counts once, since column generation starts from its scored
+    values. ``upper_bound`` is an upper bound on the true maximum: the
+    envelope's value plus its eps where the two-row envelope solved the
+    problem, else I(A;X|Y) for channels p(u|a) and H(A|Y) for channels that
+    also see B; never below the best value. It is certified up to rounding
+    only: where the maximum is exactly 0 (the copy of A on an erasure joint,
+    say) the envelope's value can come out up to ~1e-16 below it, and
+    ROADMAP item 3 adds the margin. ``certified`` is true when no search
+    ran (``rounds == 0``): the two-row envelope, a value known in closed
+    form, or a channel scored first that reached the analytic bound to
+    ``ascent.CERTIFY_TOL``. The trace of a solve that
+    scores channels is the envelope's or the grid's witness, the candidates
+    and the uniform channel, followed by the witness of column generation
+    where it ran. For ``both`` the candidates are the copy of E and
+    ``sb``'s ``best_u``, and ``evaluations`` includes the points ``sb``'s
+    solve scored, its search too where ``sb`` needed one; the trace, the
+    rounds and ``certified`` describe ``both``'s own stage and search only.
     """
 
     delta_star: float
@@ -237,18 +232,6 @@ class OptResult:
     hit_max_rounds: bool
     evaluations: int
     upper_bound: float
-
-    @classmethod
-    def closed_form(cls, value: float, best_u: Channel) -> "OptResult":
-        """The result of a value known without a search: S_E closed alone, I(A;B|E) at U = E.
-
-        It counts as one agreeing entry that scored nothing: trace
-        ``(delta_star,)``, ``rounds == 0``, ``hit_max_rounds`` false,
-        ``evaluations == 0``, ``upper_bound == delta_star``.
-        """
-        delta = _snap(value)
-        return cls(delta_star=delta, best_u=best_u, objective_trace=(delta,), rounds=0,
-                   hit_max_rounds=False, evaluations=0, upper_bound=delta)
 
     @property
     def starts_agreeing(self) -> int:
@@ -546,11 +529,11 @@ def maximize_channel(
             evaluations += priced + 1
     best = int(np.argmax(values))
     return OptResult(
-        delta_star=_snap(float(values[best])),
+        delta_star=float(values[best]),
         best_u=u_channel(cond_vars, stacked[best]),
         objective_trace=tuple(values.tolist()),
         rounds=rounds,
         hit_max_rounds=hit_max_rounds,
         evaluations=evaluations,
-        upper_bound=max(upper, float(values[best]), 0.0),
+        upper_bound=max(upper, float(values[best])),
     )

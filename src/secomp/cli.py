@@ -5,11 +5,11 @@ Subcommands: ``measures``, ``region uncoded``, ``region coded``, ``order``,
 Distributions travel as a self-describing JSON file (variable names prevent
 axis-order bugs); region sweeps emit CSV for plotting, everything else JSON.
 
-Exit codes: 0 success, 1 malformed file or flags, 2 invariant breach (for
-example a PMF that does not normalize, or a simplex that rounding stops
-from reaching an optimum). All numeric output is printed with
-12 significant digits and all randomness flows from explicit --seed flags,
-so repeated runs with identical arguments are byte-identical.
+Exit codes: 0 success, 1 malformed file or flags or too little memory, 2
+invariant breach (for example a PMF that does not normalize, or a simplex
+that rounding stops from reaching an optimum). All numeric output is
+printed with 12 significant digits and all randomness flows from explicit
+--seed flags, so repeated runs with identical arguments are byte-identical.
 """
 
 from __future__ import annotations
@@ -307,13 +307,7 @@ def _cmd_order(args) -> int:
 
 
 def _emit_report(args, run, *run_args) -> int:
-    try:
-        report = _from_flags(run, *run_args)
-    except MemoryError:
-        raise CliError(
-            f"the run needs more memory than is available (--trials {args.trials})"
-        ) from None
-    out = dataclasses.asdict(report)
+    out = dataclasses.asdict(_from_flags(run, *run_args))
     if not args.diagnostics:
         del out["ties"], out["wrong_decodes"]
     _emit_json(out, sys.stdout)
@@ -445,6 +439,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: the command needs more memory than is available", file=sys.stderr)
         return 1
     except (DistributionError, ArithmeticError) as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

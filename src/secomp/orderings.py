@@ -10,13 +10,11 @@ positive. With U - A - (B, E), I(A;X) = I(U;X) + I(A;X|U), so the violation
 is the secrecy objective I(A;stronger|U) - I(A;weaker|U) minus its value at
 a constant U, I(A;stronger) - I(A;weaker) (van Dijk, IEEE T-IT 1997). The
 check is therefore ``regions.maximize_secrecy`` with Y = weaker over
-channels p(u|a), with the copy of A as a candidate; ``secomp.ascent``
-decides how it searches. The bound on the violation is
-I(A;weaker|stronger), 0 on an A - stronger - weaker chain, where the
-uniform channel meets it. The verdict carries a certified ``upper_bound``
-on the violation, and a non-falsification with ``upper_bound <=
-WITNESS_TOL`` is a proof at the given prior; otherwise it is evidence, not
-proof, and the verdict names say so.
+channels p(u|a), with the copy of A as a candidate, read raw: the violation
+and its certified ``upper_bound`` are the solve's maximum and bound minus
+that baseline. A non-falsification with ``upper_bound <= WITNESS_TOL`` is
+a proof at the given prior; otherwise it is evidence, not proof, and the
+verdict names say so.
 """
 
 from __future__ import annotations
@@ -62,8 +60,7 @@ class OrderingVerdict:
     envelope's or grid witness, the copy of A, the uniform channel, and
     column generation's witness where it ran). Less-noisy
     verdicts carry a certified ``upper_bound`` on the violation, at least
-    ``gap``: the envelope's for a binary source, else I(A;weaker|stronger);
-    ``opt`` is the secrecy solve behind them, for its diagnostics.
+    ``gap``; ``opt`` is the secrecy solve behind them, for its diagnostics.
     """
 
     kind: str
@@ -177,8 +174,8 @@ def search_less_noisy_violation(
                            candidates=[Channel.copy_of(a_spec, "U")])
     # The objective's value at a constant U, I(A;stronger) - I(A;weaker).
     baseline = entropy_of(joint_abe, "A", weaker) - entropy_of(joint_abe, "A", stronger)
-    gap = max(opt.objective_trace) - baseline
-    upper = max(opt.upper_bound - baseline, gap)
+    gap = opt.delta_star - baseline
+    upper = opt.upper_bound - baseline
     if gap <= WITNESS_TOL:
         return OrderingVerdict(kind="less_noisy_not_falsified",
                                budget_used=len(opt.objective_trace), upper_bound=upper, opt=opt)

@@ -8,14 +8,12 @@ Elsewhere ``maximize_secrecy`` solves max I(A;X|U) - I(A;Y|U): X = B for
 the uncoded settings, X = V for a coded corner, and X, Y the stronger and
 weaker observation for the orderings' less-noisy checks. This module
 decides what is maximized over which channels, the candidates scored
-first (for ``both`` the copy of E and ``sb``'s solution, lifted) and the
-analytic upper bound: H(A|Y), or I(A;X|Y) for channels p(u|a). How the
-maximum is found, and when it is exact, is ``secomp.ascent``'s to decide;
-its values are achievable lower bounds, never below the Slepian-Wolf
-baseline I(A;X) - I(A;Y) of a constant U. The result is
-``ascent.OptResult``, re-exported here. A coded corner is a
-``CodedBoundResult``: its rates ``r_a`` and ``r_c``, ``sum_ok`` and the
-solve's ``OptResult``, whose ``delta_star`` its ``delta`` reads.
+first and the analytic upper bound; ``secomp.ascent`` finds the maximum.
+An equivocation is never negative, since a code may always reveal
+everything, so the equivocations ``maximize_equivocation`` and
+``coded_inner_bound_sample`` return are floored at 0 here, in
+``_as_equivocation``; ``maximize_secrecy`` returns the raw maximum. The
+result is ``ascent.OptResult``, re-exported here.
 """
 
 from __future__ import annotations
@@ -140,6 +138,19 @@ def closed_form_delta(joint_abe: JointPMF, mode: str) -> float:
     return max(0.0, value)
 
 
+# Equivocations below numerical resolution are reported as exactly 0.
+_SNAP_TOL = 1e-12
+
+
+def _as_equivocation(opt: OptResult) -> OptResult:
+    """``opt`` read as an equivocation, never negative: a code may always reveal everything.
+
+    ``delta_star`` below _SNAP_TOL becomes 0.0 and ``upper_bound`` is at least 0.0.
+    """
+    delta = opt.delta_star if opt.delta_star >= _SNAP_TOL else 0.0
+    return replace(opt, delta_star=delta, upper_bound=max(opt.upper_bound, 0.0))
+
+
 def maximize_equivocation(
     joint_abe: JointPMF,
     switches: SwitchConfig,
@@ -162,18 +173,25 @@ def maximize_equivocation(
     with the same ``cfg`` (its search runs where ``sb`` needs one), and the
     copy of E and ``sb``'s best channel are scored: ``both`` is at least
     ``se`` and at least ``sb``, and its ``evaluations`` include ``sb``'s.
+    Every setting's result is floored at 0 by ``_as_equivocation``.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     cond_vars = tuple((v, joint_abe.alphabet(v)) for v in switches.conditioning_vars())
-    if not switches.s_e:
-        return maximize_secrecy(joint_abe, "B", cond_vars, cfg)
     copy_e = Channel.copy_of(("E", joint_abe.alphabet("E")), "U")
-    if not switches.s_b:
-        best_u = u_channel(cond_vars, copy_e.lift(cond_vars).rows)
-        return OptResult.closed_form(closed_form_delta(joint_abe, "se_closed"), best_u)
-    sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
-    opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
-    return replace(opt, evaluations=opt.evaluations + sb.evaluations)
+    if not switches.s_e:
+        opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg)
+    elif not switches.s_b:
+        # Known without a search: one agreeing entry, nothing scored, its own bound.
+        value = closed_form_delta(joint_abe, "se_closed")
+        delta = value if value >= _SNAP_TOL else 0.0
+        opt = OptResult(delta_star=delta, best_u=u_channel(cond_vars, copy_e.lift(cond_vars).rows),
+                        objective_trace=(delta,), rounds=0, hit_max_rounds=False, evaluations=0,
+                        upper_bound=delta)
+    else:
+        sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
+        opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
+        opt = replace(opt, evaluations=opt.evaluations + sb.evaluations)
+    return _as_equivocation(opt)
 
 
 def coded_inner_bound_sample(
@@ -197,7 +215,7 @@ def coded_inner_bound_sample(
     joint_v = build_joint(joint_ace, v_channel)
     r_a = entropy_of(joint_v, "A", (v_name,))
     r_c = mutual_information_of(joint_v, "C", v_name)
-    opt = maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg)
+    opt = _as_equivocation(maximize_secrecy(joint_v, v_name, (("A", joint_v.alphabet("A")),), cfg))
     h_a_e = entropy_of(joint_ace, "A", ("E",))
     sum_ok = bool(r_a + opt.delta_star >= h_a_e - 1e-9)
     return CodedBoundResult(r_a=r_a, r_c=r_c, sum_ok=sum_ok, opt=opt)
@@ -239,9 +257,8 @@ def maximize_secrecy(
     when a channel scored without one reaches it. Channels p(u|a) give
     U - A - (X, Y), so the objective H(A|Y,U) - H(A|X,U) is at most
     I(A;X|Y,U) <= I(A;X|Y); channels that also see other variables are
-    bounded by H(A|Y,U) <= H(A|Y). The reported bound is never below the
-    best value found, which rounding can put a hair above an analytic bound
-    that is tight.
+    bounded by H(A|Y,U) <= H(A|Y). The result is ``maximize_channel``'s,
+    not floored at 0.
     """
     names = tuple(v for v, _ in cond_vars)
     objective = secrecy_entropy_objective(joint, x_var, names, y_var)

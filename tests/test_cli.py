@@ -399,22 +399,25 @@ class TestExitCodes:
             distribution_to_dict(joint)
 
     @pytest.mark.parametrize("command,flags,run", [
-        ("simulate binning", ("--n", "3", "--rate", "1"), "run_sw_binning"),
-        ("simulate erasure-scheme", ("--pb", "0.25", "--pe", "0.5", "--n", "3"),
-         "run_erasure_encoder_scheme"),
-    ], ids=["binning", "erasure-scheme"])
+        ("simulate binning", ("--n", "3", "--rate", "1", "--trials", str(2**32)),
+         "run_sw_binning"),
+        ("simulate erasure-scheme", ("--pb", "0.25", "--pe", "0.5", "--n", "3",
+                                     "--trials", str(2**32)), "run_erasure_encoder_scheme"),
+        ("region uncoded", ("--switches", "sb", "--starts", str(10**12)),
+         "maximize_equivocation"),
+    ], ids=["binning", "erasure-scheme", "region-uncoded"])
     def test_out_of_memory_run_is_exit_one(self, capsys, tmp_path, monkeypatch, command, flags,
                                            run):
         # 2^32 trials pass the range check, but their per-trial records need
-        # tens of GiB; the run is replaced by one that fails as numpy would.
+        # tens of GiB, as do 10^12 pricing starts; the run is replaced by one
+        # that fails as numpy would.
         def out_of_memory(*args):
             raise MemoryError("Unable to allocate 32.0 GiB")
 
         monkeypatch.setattr(cli, run, out_of_memory)
         path = write_preset(capsys, tmp_path, 0.1, 0.3)
-        inputs = ("-i", str(path)) if command == "simulate binning" else ()
-        code, out, err = run_cli(capsys, *command.split(), *inputs, *flags,
-                                 "--trials", str(2**32))
+        inputs = () if command == "simulate erasure-scheme" else ("-i", str(path))
+        code, out, err = run_cli(capsys, *command.split(), *inputs, *flags)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "memory" in err and "Traceback" not in err

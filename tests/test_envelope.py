@@ -359,6 +359,32 @@ class TestClosedForms:
                 assert verdict.kind == "less_noisy_not_falsified"
                 assert verdict.upper_bound <= WITNESS_TOL
 
+    @pytest.mark.parametrize("lam", [0.1, 0.3, 0.6, 0.9])
+    def test_negative_maximum_is_mrs_gerbers(self, lam):
+        # A = C xor Bern(0.11) with C a fair bit: the helper frontier's
+        # objective lam H(C|U) - H(A|U) over p(u|c) peaks at
+        # max_alpha lam h(alpha) - h(alpha * 0.11) by Mrs. Gerber's lemma
+        # (Wyner & Ziv 1973), which is negative for lam < 1. The solve
+        # returns that maximum and its bound as they are, not floored at 0.
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        noise = 0.11
+
+        def h(x):
+            return float(_neg_xlogx(x) + _neg_xlogx(1.0 - x))
+
+        mass = 0.5 * np.array([[1.0 - noise, noise], [noise, 1.0 - noise]])  # axes (C, A)
+        objective = EntropyObjective.from_terms(
+            mass, (0,), [((0,), lam), ((1,), -1.0), ((), 1.0 - lam)])
+        c_spec = ("C", Alphabet("C", ("0", "1")))
+        result = maximize_channel(objective, (c_spec,), CFG, _never_called)
+        reference = minimize_scalar(
+            lambda a: h(a * (1.0 - noise) + (1.0 - a) * noise) - lam * h(a),
+            bounds=(0.0, 0.5), method="bounded", options={"xatol": 1e-13})
+        value = -reference.fun
+        assert value < 0.0
+        assert result.delta_star == pytest.approx(value, abs=1e-9)
+        assert result.delta_star <= result.upper_bound <= result.delta_star + 1e-9
+
     def test_one_source_symbol_with_mass(self):
         # A row without mass leaves one row: every channel has the same value.
         joint = dirichlet_joint(np.random.default_rng(5), (2, 3, 3))
@@ -483,8 +509,8 @@ class TestEnvelopeWitness:
         grid_witness(joint, objective, ("A",), result)
         assert len(result.objective_trace) == 2
         assert result.evaluations == points + 2
-        # The bound falls back to the best value, clamped at 0 like delta_star.
-        assert (result.rounds, result.upper_bound) == (0, max(*result.objective_trace, 0.0))
+        # The bound falls back to the best value, unclamped like delta_star.
+        assert (result.rounds, result.upper_bound) == (0, max(result.objective_trace))
 
     def test_nothing_for_five_rows_or_an_unbalanced_objective(self):
         joint = dirichlet_joint(np.random.default_rng(9), (5, 2, 2))

@@ -10,11 +10,11 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(monkeypatch, name, *argv):
+def run_script(monkeypatch, name, *argv, code=0):
     monkeypatch.setattr(sys, "argv", [name, *argv])
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert exc.value.code == 0
+    assert exc.value.code == code
 
 
 def test_erasure_region_sweep(monkeypatch, tmp_path, capsys):
@@ -28,6 +28,13 @@ def test_erasure_region_sweep(monkeypatch, tmp_path, capsys):
         assert 0.0 <= float(row["optimizer_none"]) <= 0.5 + 1e-9
         assert 0.0 <= float(row["optimizer_sb"]) <= 0.5 + 1e-9
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_erasure_region_sweep_rejects_no_steps(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    run_script(monkeypatch, "erasure_region_sweep.py", "--steps", "0", "-o", str(out), code=2)
+    assert "--steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_binning_rate_sweep(monkeypatch, tmp_path, capsys):

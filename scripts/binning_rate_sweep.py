@@ -16,18 +16,8 @@ from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.probability import entropy_of
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pb", type=float, default=0.5)
-    parser.add_argument("--pe", type=float, default=0.8)
-    parser.add_argument("--n", type=int, default=16)
-    parser.add_argument("--trials", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--rates", type=float, nargs="+",
-                        default=[0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0])
-    parser.add_argument("-o", "--output", default="binning_rate_sweep.csv")
-    args = parser.parse_args()
-
+def sweep(args: argparse.Namespace) -> list[dict]:
+    """One CSV row per rate; raises ValueError for an out-of-range flag."""
     joint = make_erasure_joint(ErasureParams(args.pb, args.pe))
     h_a_b = entropy_of(joint, "A", "B")
     h_a_e = entropy_of(joint, "A", "E")
@@ -49,6 +39,24 @@ def main() -> int:
             f"rate={rate:.2f}  p_e={report.p_e_hat:.3f}  equiv={report.equiv_hat:.4f} "
             f"(floor {rows[-1]['equiv_floor']:.4f})"
         )
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pb", type=float, default=0.5)
+    parser.add_argument("--pe", type=float, default=0.8)
+    parser.add_argument("--n", type=int, default=16)
+    parser.add_argument("--trials", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--rates", type=float, nargs="+",
+                        default=[0.4, 0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9, 1.0])
+    parser.add_argument("-o", "--output", default="binning_rate_sweep.csv")
+    args = parser.parse_args()
+    try:
+        rows = sweep(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     with open(args.output, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

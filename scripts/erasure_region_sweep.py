@@ -19,17 +19,8 @@ from secomp.erasure import ErasureParams, erasure_delta, make_erasure_joint
 from secomp.regions import OptimizerConfig, SwitchConfig, maximize_equivocation
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--pe", type=float, default=0.5, help="eavesdropper erasure rate")
-    parser.add_argument("--steps", type=int, default=11, help="grid points for Bob's rate")
-    parser.add_argument("--starts", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-o", "--output", default="erasure_region_sweep.csv")
-    args = parser.parse_args()
-    if args.steps < 1:
-        parser.error("--steps must be >= 1")
-
+def sweep(args: argparse.Namespace) -> list[dict]:
+    """One CSV row per p_b; raises ValueError for an out-of-range flag."""
     none = SwitchConfig()
     sb = SwitchConfig.from_name("sb")
     cfg = OptimizerConfig(starts=args.starts, seed=args.seed)
@@ -56,6 +47,23 @@ def main() -> int:
             f"opt={res_none.delta_star:.4f}  encoder-SI: closed={rows[-1]['closed_form_sb']:.4f} "
             f"opt={res_sb.delta_star:.4f}"
         )
+    return rows
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--pe", type=float, default=0.5, help="eavesdropper erasure rate")
+    parser.add_argument("--steps", type=int, default=11, help="grid points for Bob's rate")
+    parser.add_argument("--starts", type=int, default=16)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("-o", "--output", default="erasure_region_sweep.csv")
+    args = parser.parse_args()
+    if args.steps < 1:
+        parser.error("--steps must be >= 1")
+    try:
+        rows = sweep(args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     with open(args.output, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

@@ -42,24 +42,23 @@ is the maximum and no search runs.
 Otherwise column generation solves the LP by Dantzig-Wolfe column
 generation: the master LP over a set of columns, solved by
 ``lp.phase2_simplex``, gives duals y, and pricing looks for posteriors whose
-reduced cost c(q) - y.q is positive. The first columns are the grid with
-the values the first stage scored (three or four rows) or else the
-vertices, then rho and the posteriors of every table the first stage
-scored. Pricing is a batched exponentiated-gradient ascent of the reduced
-cost; its gradient is -sum_k sign_k P[r, k] log2 mu_k / rho_r, the log2(e)
-parts cancelling by balance. It starts from the vertices and
-the master's support, pulled toward rho (a multiplicative step cannot move
-a zero coordinate), and in the first round also from ``starts``
-Dirichlet(1) points drawn from default_rng(seed); the support holds the
-points of earlier rounds that the master uses. A round adds every end
-point that prices above ``PRICE_TOL``; the search stops after a round that
-adds none, or after ``MAX_ROUNDS`` rounds. The optimum usually has fewer
-support points than there are rows, which leaves the master at rho
+reduced cost c(q) - y.q is positive. At every row count the first columns
+are the vertices, then the posteriors of every table the first stage scored;
+the uniform channel is one of those, and its posteriors are rho. Pricing is
+a batched exponentiated-gradient ascent of the reduced cost; its gradient is
+-sum_k sign_k P[r, k] log2 mu_k / rho_r, the log2(e) parts cancelling by
+balance. It starts from the vertices and the master's support, pulled toward
+rho (a multiplicative step cannot move a zero coordinate), and in the first
+round also from ``starts`` Dirichlet(1) points drawn from default_rng(seed);
+the support holds the points of earlier rounds that the master uses. A round
+adds every end point that prices above ``PRICE_TOL``; the search stops after
+a round that adds none, or after ``MAX_ROUNDS`` rounds. The optimum usually
+has fewer support points than there are rows, which leaves the master at rho
 degenerate; it is solved at shares perturbed by a relative 1e-8, and the
-weights of its support are solved again for rho. The witness is scored
-after the first stage's channels, so the result is never below them. It is
-achievable, a lower bound on the maximum: pricing finds local maxima of
-the reduced cost only. Everything is deterministic for a fixed seed.
+weights of its support are solved again for rho. The witness is scored after
+the first stage's channels, so the result is never below them. It is
+achievable, a lower bound on the maximum: pricing finds local maxima of the
+reduced cost only. Everything is deterministic for a fixed seed.
 
 ``maximize_channel`` returns an ``OptResult``, the one result type of every
 auxiliary-channel solve, holding the objective's values as found: a
@@ -205,15 +204,14 @@ class OptResult:
     ``rounds`` counts the pricing rounds of column generation, 0 where none
     ran; ``hit_max_rounds`` is true when the last of ``ascent.MAX_ROUNDS``
     rounds still added a column. ``evaluations`` counts the points the
-    objective was scored at, envelope, grid and pricing points included;
-    the grid counts once, since column generation starts from its scored
-    values. ``upper_bound`` is an upper bound on the true maximum: the
-    envelope's value plus its eps where the two-row envelope solved the
-    problem, else I(A;X|Y) for channels p(u|a) and H(A|Y) for channels that
-    also see B; never below the best value. It is certified up to rounding
-    only: where the maximum is exactly 0 (the copy of A on an erasure joint,
-    say) the envelope's value can come out up to ~1e-16 below it, and
-    ROADMAP item 3 adds the margin. ``certified`` is true when no search
+    objective was scored at, envelope, grid and pricing points included.
+    ``upper_bound`` is an upper bound on the true maximum: the envelope's
+    value plus its eps where the two-row envelope solved the problem, else
+    I(A;X|Y) for channels p(u|a) and H(A|Y) for channels that also see B;
+    never below the best value. It is certified up to rounding only: where
+    the maximum is exactly 0 (the copy of A on an erasure joint, say) the
+    envelope's value can come out up to ~1e-16 below it, and ROADMAP item 3
+    adds the margin. ``certified`` is true when no search
     ran (``rounds == 0``): the two-row envelope, a value known in closed
     form, or a channel scored first that reached the analytic bound to
     ``ascent.CERTIFY_TOL``. The trace of a solve that
@@ -410,25 +408,23 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
 
 def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray,
                        n_symbols: int, cfg: OptimizerConfig, tables: np.ndarray,
-                       grid: tuple[np.ndarray, np.ndarray] | None,
                        ) -> tuple[np.ndarray, int, bool, int]:
     """The witness of column generation, its rounds, whether they hit the cap, the points scored.
 
     A posterior q of the rows ``live`` has marginals q @ scaled, where
     ``scaled`` is P over those rows divided by their shares ``rho``. The
-    first columns are ``grid`` (the grid points and their values, scored
-    already) or else the vertices, then rho and the posteriors of ``tables``
-    (tables x rows x |U|), the channels scored so far.
+    first columns are the vertices, the master's starting basis, then the
+    posteriors of ``tables`` (tables x rows x |U|), the channels scored so
+    far; the uniform channel is one of them, and its posteriors are rho.
     """
     k = live.size
     scaled = objective.proj[live] / rho[:, None]
     joint = rho[:, None] * tables[:, live, :]
     lam = joint.sum(axis=1)
     posteriors = np.moveaxis(joint, 1, 2)[lam > 0.0] / lam[lam > 0.0][:, None]
-    first, values = grid if grid is not None else (np.eye(k), np.empty(0))
-    columns = np.vstack([first, rho, posteriors])
-    evaluations = len(columns) - len(values)
-    values = np.concatenate([values, _posterior_values(objective, scaled, columns[len(values):])])
+    columns = np.vstack([np.eye(k), posteriors])
+    values = _posterior_values(objective, scaled, columns)
+    evaluations = len(columns)
     rng = np.random.default_rng(cfg.seed)
     logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
     # At rho itself the master is degenerate wherever the optimum has fewer
@@ -464,28 +460,28 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
 
 def _search_free_witness(
     objective: EntropyObjective, live: np.ndarray, rho: np.ndarray, n_symbols: int
-) -> tuple[np.ndarray | None, int, float | None, tuple[np.ndarray, np.ndarray] | None]:
-    """The channel found without a search, the points scored, its certified bound, the grid.
+) -> tuple[np.ndarray | None, int, float | None]:
+    """The channel found without a search, the points scored and its certified bound.
 
     ``live`` and ``rho`` are the rows with mass and their shares
     (``_balanced_rows``). With at most two rows the witness is
     ``two_row_envelope``'s and its bound certifies it. With three or four
     it is the witness of the master LP over the grid at rho, a lower bound
     on the maximum, exact where optimal supports lie on the grid; it has no
-    bound, and the grid comes back with its values for column generation.
-    Elsewhere, and where the envelope returns None, there is no witness.
+    bound. Elsewhere, and where the envelope returns None, there is no
+    witness.
     """
     if live.size <= 2:
         envelope = two_row_envelope(objective, live, rho, n_symbols)
         if envelope is not None:
-            return *envelope, None
+            return envelope
     elif live.size in _GRID_LP_ROWS:
         columns = _simplex_grid(live.size)
         values = _posterior_values(objective, objective.proj[live] / rho[:, None], columns)
         lam, _ = phase2_simplex(columns.T, rho, values, _LP_TOL)
         witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
-        return witness, len(columns), None, (columns, values)
-    return None, 0, None, None
+        return witness, len(columns), None
+    return None, 0, None
 
 
 def maximize_channel(
@@ -504,13 +500,13 @@ def maximize_channel(
     here), and it certifies the best channel scored if that is within
     ``CERTIFY_TOL`` of it. A certified stage is the result, with zero
     rounds, and ``cfg`` is not used. Else column generation runs from the
-    stage's tables, starting from the grid and its values where they were
-    scored, and its witness is scored last. ``best_u`` is the best table as
-    a ``u_channel``, the first table with the highest value winning ties.
+    posteriors of the stage's tables, and its witness is scored last.
+    ``best_u`` is the best table as a ``u_channel``, the first table with
+    the highest value winning ties.
     """
     n_symbols = u_cardinality(cond_vars)
     live, rho = _balanced_rows(objective)
-    witness, points, upper, grid = _search_free_witness(objective, live, rho, n_symbols)
+    witness, points, upper = _search_free_witness(objective, live, rho, n_symbols)
     lifted = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in candidates)
     tables = ([] if witness is None else [witness]) + [
         channel.rows.reshape(-1, n_symbols) for channel in lifted
@@ -523,7 +519,7 @@ def maximize_channel(
         upper = bound()
         if values.max() < upper - CERTIFY_TOL:
             table, rounds, hit_max_rounds, priced = _column_generation(
-                objective, live, rho, n_symbols, cfg, stacked, grid)
+                objective, live, rho, n_symbols, cfg, stacked)
             stacked = np.concatenate([stacked, table[None]])
             values = np.concatenate([values, objective(table[None])])
             evaluations += priced + 1

@@ -99,7 +99,7 @@ def load_distribution(path: str) -> JointPMF:
             data = json.load(stream)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or text encoding, or nesting too deep
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or "alphabets" not in data or "pmf" not in data:
         raise CliError(f"{path} must be an object with 'alphabets' and 'pmf'")
@@ -262,10 +262,11 @@ def _cmd_region_coded(args) -> int:
     if args.v_grid < 1:
         raise CliError(f"--v-grid must be >= 1, got {args.v_grid}")
     channels = _sample_v_channels(joint.alphabet("C"), args.v_grid, args.seed)
+    # Every corner is solved before the table is written, so a failed one leaves stdout empty.
+    corners = [coded_inner_bound_sample(joint, channel, cfg) for channel in channels]
     sys.stdout.write("r_a,r_c,delta_star\n")
-    for channel in channels:
-        result = coded_inner_bound_sample(joint, channel, cfg)
-        sys.stdout.write(f"{result.r_a:.12g},{result.r_c:.12g},{result.delta:.12g}\n")
+    for corner in corners:
+        sys.stdout.write(f"{corner.r_a:.12g},{corner.r_c:.12g},{corner.delta:.12g}\n")
     return 0
 
 

@@ -22,8 +22,8 @@ def grid_witness(joint, objective, cond, result):
     """The grid witness of the first stage; ``result`` must have scored it first."""
     n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
     live, rho = ascent._balanced_rows(objective)
-    witness, _, bound, grid = ascent._search_free_witness(objective, live, rho, n_symbols)
-    assert bound is None and grid is not None
+    witness, _, bound = ascent._search_free_witness(objective, live, rho, n_symbols)
+    assert bound is None and witness is not None
     assert objective(witness[None])[0] == result.objective_trace[0]
     return witness
 

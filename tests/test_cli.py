@@ -30,6 +30,18 @@ def write_preset(capsys, tmp_path, pb, pe, name="dist.json"):
     return path
 
 
+def write_coded_preset(capsys, tmp_path, pb, pe):
+    """The erasure preset with B renamed C, the helper-coded (A, C, E) layout."""
+    path = write_preset(capsys, tmp_path, pb, pe)
+    data = json.loads(path.read_text())
+    data["alphabets"] = {"A": data["alphabets"]["A"], "C": data["alphabets"]["B"],
+                         "E": data["alphabets"]["E"]}
+    for rec in data["pmf"]:
+        rec["C"] = rec.pop("B")
+    path.write_text(json.dumps(data))
+    return path
+
+
 class TestPreset:
     def test_writes_valid_distribution(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.25, 0.5)
@@ -136,14 +148,7 @@ class TestRegion:
         assert result["best_u"]["conditioning"] == ["A", "B"]
 
     def test_coded_sweep_emits_csv(self, capsys, tmp_path):
-        path = write_preset(capsys, tmp_path, 0.1, 0.3)
-        # rename B -> C for the helper-coded layout
-        data = json.loads(path.read_text())
-        data["alphabets"] = {"A": data["alphabets"]["A"], "C": data["alphabets"]["B"],
-                             "E": data["alphabets"]["E"]}
-        for rec in data["pmf"]:
-            rec["C"] = rec.pop("B")
-        path.write_text(json.dumps(data))
+        path = write_coded_preset(capsys, tmp_path, 0.1, 0.3)
         code, out, _ = run_cli(
             capsys, "region", "coded", "-i", str(path),
             "--v-grid", "4", "--starts", "4", "--seed", "1",
@@ -311,6 +316,16 @@ class TestExitCodes:
         assert code == 1
         assert "JSON" in err or "json" in err
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not utf-8", "nested too deep"])
+    def test_undecodable_file_is_exit_one(self, capsys, tmp_path, content):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "measures", "-i", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_symbol_is_exit_one(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({
@@ -435,6 +450,27 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("invariant breach:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("error,code", [(ArithmeticError, 2), (MemoryError, 1)],
+                             ids=["invariant breach", "out of memory"])
+    def test_failed_coded_corner_leaves_stdout_empty(self, capsys, tmp_path, monkeypatch,
+                                                     error, code):
+        # The second quantizer's corner fails after the first one is solved.
+        solve = cli.coded_inner_bound_sample
+        calls = []
+
+        def fails_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise error("the second corner fails")
+            return solve(*args)
+
+        monkeypatch.setattr(cli, "coded_inner_bound_sample", fails_second)
+        path = write_coded_preset(capsys, tmp_path, 0.1, 0.3)
+        got, out, err = run_cli(capsys, "region", "coded", "-i", str(path), "--v-grid", "3")
+        assert (got, len(calls)) == (code, 2)
+        assert out == ""
+        assert err and "Traceback" not in err
 
     def test_bad_flag_is_exit_one(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.1, 0.3)

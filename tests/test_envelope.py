@@ -556,8 +556,8 @@ class TestEvaluationCount:
     def test_searched_grid_is_scored_once(self, monkeypatch):
         # Erasure (0.7, 0.5) with S_B closed has four cells with mass and is
         # searched: the 969 grid points are scored once, for the grid
-        # witness, and column generation starts from those values. Scoring
-        # the grid again for column generation counted 5527 at this cfg.
+        # witness. Column generation scores its own first columns, the four
+        # vertices and the stage's posteriors, and never the grid.
         grids = [0]
         value = EntropyObjective.value
 
@@ -571,7 +571,36 @@ class TestEvaluationCount:
         result = maximize_equivocation(joint, SwitchConfig(s_b=True), OptimizerConfig(starts=8))
         assert result.rounds >= 1
         assert grids[0] == 1
-        assert result.evaluations == 5527 - 969
+        assert result.evaluations == 4561
+
+    def test_first_master_starts_from_the_vertices_and_the_stage(self, monkeypatch):
+        # The same searched solve: the first phase2_simplex call is the grid
+        # LP, the second column generation's first master. Its columns are
+        # the four vertices, then the posteriors of the stage's tables (the
+        # grid witness and the uniform channel, whose posteriors are rho),
+        # and no other grid point.
+        masters = []
+        solve = ascent.phase2_simplex
+
+        def spied(a_eq, b_eq, c, tol):
+            masters.append(a_eq.T.copy())
+            return solve(a_eq, b_eq, c, tol)
+
+        monkeypatch.setattr(ascent, "phase2_simplex", spied)
+        joint = make_erasure_joint(ErasureParams(0.7, 0.5))
+        result = maximize_equivocation(joint, SwitchConfig(s_b=True), OptimizerConfig(starts=8))
+        assert result.rounds >= 1
+        objective = secrecy_entropy_objective(joint, "B", ("A", "B"))
+        live, rho = ascent._balanced_rows(objective)
+        witness = grid_witness(joint, objective, ("A", "B"), result)
+        uniform = np.full_like(witness, 1.0 / witness.shape[1])
+        expected = [np.eye(live.size)]
+        for table in (witness, uniform):
+            joint_u = rho[:, None] * table[live]
+            lam = joint_u.sum(axis=0)
+            expected.append((joint_u[:, lam > 0.0] / lam[lam > 0.0]).T)
+        assert len(masters[0]) == len(ascent._simplex_grid(4))
+        np.testing.assert_allclose(masters[1], np.vstack(expected), rtol=0.0, atol=1e-15)
 
 
 BINARY_COMMANDS = [

@@ -46,3 +46,17 @@ def test_binning_rate_sweep(monkeypatch, tmp_path, capsys):
     assert [float(row["rate"]) for row in rows] == [0.5, 1.0]
     assert all(0.0 <= float(row["p_e_hat"]) <= 1.0 for row in rows)
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("binning_rate_sweep.py", ("--trials", "0"), "trials must be >= 1"),
+    ("binning_rate_sweep.py", ("--pe", "2"), "p_e"),
+    ("erasure_region_sweep.py", ("--pe", "2", "--steps", "2"), "p_e"),
+    ("erasure_region_sweep.py", ("--starts", "0", "--steps", "2"), "starts must be >= 1"),
+], ids=["binning trials 0", "binning pe 2", "erasure pe 2", "erasure starts 0"])
+def test_out_of_range_flag_is_a_usage_error(monkeypatch, tmp_path, capsys, name, argv, message):
+    out = tmp_path / "out.csv"
+    run_script(monkeypatch, name, *argv, "-o", str(out), code=2)
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()

@@ -26,8 +26,9 @@ basic solution has at most (rows with mass) columns in its support, so it
 fits in |U| outputs. The witness of a solution is W[r, u] = lam_u q_u(r) /
 rho_r.
 
-``maximize_channel`` searches only where it must. It finds the rows with
-mass and their shares once, and one stage scores the channel that
+``maximize_channel`` searches only where it must. The objective finds the
+rows with mass, their shares and its projection scaled by them once
+(``live``, ``rho``, ``scaled``), and one stage scores the channel that
 ``_search_free_witness`` finds without a search, the caller's candidates
 and the uniform channel. With at most two rows with mass c is a function of
 a one-dimensional posterior, and ``two_row_envelope`` finds its envelope
@@ -76,7 +77,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .envelope import chord_gap, upper_envelope
-from .lp import phase2_simplex
+from .lp import OPTIMALITY_TOL, phase2_simplex
 from .probability import Alphabet, Channel, VarSpec
 
 # A row's signed columns balance when |proj @ sign| is below this times its mass.
@@ -85,12 +86,10 @@ _BALANCE_TOL = 1e-12
 # The grid LP covers three or four rows with mass. Its grid holds the points
 # of their posterior simplex with coordinates in multiples of 1 / 16 (969
 # points for four rows); an even count keeps the midpoints, where the
-# erasure family's optimal supports sit. Phase 2 stops once no reduced cost
-# is below minus _LP_TOL, and weights up to it, the rounding residue of a
-# degenerate basis, are dropped from the support.
+# erasure family's optimal supports sit. Weights up to lp.OPTIMALITY_TOL,
+# the rounding residue of a degenerate basis, are dropped from a support.
 _GRID_LP_ROWS = range(3, 5)
 _GRID_LP_RESOLUTION = 16
-_LP_TOL = 1e-13
 
 # A channel within this of the analytic upper bound ends the search.
 CERTIFY_TOL = 1e-12
@@ -134,7 +133,9 @@ class EntropyObjective:
     """-sum_k sign_k sum_u m_ku log2 m_ku over the marginals m = P^T W.
 
     ``proj`` is P (rows x K), ``sign`` holds +1 or -1 per column. Arrays of
-    marginals have shape (..., K, |U|); tables W have shape (tables, rows, |U|).
+    marginals have shape (..., K, |U|); tables W have shape (tables, rows, |U|),
+    |U| = rows + 1 in a search. ``live``, ``rho`` and ``scaled`` are computed
+    once, on first use, and shared: callers must not write to them.
     """
 
     proj: np.ndarray
@@ -174,6 +175,31 @@ class EntropyObjective:
     @property
     def n_rows(self) -> int:
         return self.proj.shape[0]
+
+    @functools.cached_property
+    def live(self) -> np.ndarray:
+        """The rows with mass.
+
+        Raises ValueError unless each one's signed columns balance: only then
+        is the maximum over channels an LP over posteriors.
+        """
+        live = np.flatnonzero(self.proj.any(axis=1))
+        mass = self.proj[live].sum(axis=1)
+        if np.any(np.abs(self.proj[live] @ self.sign) > _BALANCE_TOL * mass):
+            raise ValueError(
+                "the channel search needs an objective whose rows' signed columns balance")
+        return live
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        """Each live row's share of the mass."""
+        mass = self.proj[self.live].sum(axis=1)
+        return mass / mass.sum()
+
+    @functools.cached_property
+    def scaled(self) -> np.ndarray:
+        """P over the live rows divided by their shares: a posterior q has marginals q @ scaled."""
+        return self.proj[self.live] / self.rho[:, None]
 
     def _signed_plogp(self, m: np.ndarray) -> np.ndarray:
         """sum_k sign_k m_ku log2 m_ku for each output column u."""
@@ -241,27 +267,11 @@ class OptResult:
         return self.rounds == 0
 
 
-def _balanced_rows(objective: EntropyObjective) -> tuple[np.ndarray, np.ndarray]:
-    """The rows with mass and their shares of it.
+def two_row_envelope(objective: EntropyObjective) -> tuple[np.ndarray, int, float] | None:
+    """The exact maximizer of a balanced objective with mass on at most two rows.
 
-    Raises ValueError unless each row's signed columns balance: only then is
-    the maximum an LP over posteriors.
-    """
-    proj = objective.proj
-    live = np.flatnonzero(proj.any(axis=1))
-    mass = proj[live].sum(axis=1)
-    if np.any(np.abs(proj[live] @ objective.sign) > _BALANCE_TOL * mass):
-        raise ValueError("the channel search needs an objective whose rows' signed columns balance")
-    return live, mass / mass.sum()
-
-
-def two_row_envelope(
-    objective: EntropyObjective, live: np.ndarray, rho: np.ndarray, n_symbols: int
-) -> tuple[np.ndarray, int, float] | None:
-    """The exact maximizer of a balanced objective with mass on the rows ``live`` only, at most two.
-
-    ``rho`` holds their shares of the mass, rho_r for row r (``_balanced_rows``).
-    Returns None where one share is below rounding. Write lam_u = sum_r
+    Those are the objective's ``live`` rows, with shares ``rho``. Returns
+    None where one share is below rounding. Write lam_u = sum_r
     rho_r W[r, u] and q_u = rho_0 W[0, u] / lam_u over the two rows 0 and 1
     with mass. Every marginal column is then lam_u * mu(q_u), mu(q) = q P[0] / rho_0 +
     (1 - q) P[1] / rho_1, and because the signed columns of each row cancel
@@ -285,13 +295,14 @@ def two_row_envelope(
     same value, so the witness is the uniform channel and its value, one
     point scored, is the bound. Rows without mass are uniform.
     """
-    proj, sign = objective.proj, objective.sign
+    sign, rho = objective.sign, objective.rho
+    n_symbols = objective.n_rows + 1
     witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
-    if live.size < 2:
+    if objective.live.size < 2:
         return witness, 1, float(objective(witness[None])[0])
     if not 0.0 < rho[0] < 1.0:
         return None  # one row's share of the mass is below rounding
-    a, b = proj[live] / rho[:, None]
+    a, b = objective.scaled
     # Terms that can rise above a chord: -mu_k log2 mu_k with sign +1 over
     # the columns both rows carry, then the net -q log2 q of the columns
     # row 0 carries alone and the net -(1-q) log2 (1-q) of row 1's.
@@ -314,8 +325,7 @@ def two_row_envelope(
     if q is not None:
         # u0 takes the support richer in row 0, so supports {0, 1} give
         # the copy of the conditioning symbol itself.
-        witness = _witness(objective.n_rows, n_symbols, live,
-                           np.stack([q, 1.0 - q], axis=1)[::-1], lam[::-1])
+        witness = _witness(objective, np.stack([q, 1.0 - q], axis=1)[::-1], lam[::-1])
     return witness, points, 0.0 + top  # no -0.0 bound
 
 
@@ -335,38 +345,33 @@ def _simplex_grid(k: int) -> np.ndarray:
     return grid
 
 
-def _posterior_values(objective: EntropyObjective, scaled: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The value c(q) of each posterior q, a row of ``q``, whose marginals are q @ ``scaled``."""
-    return objective.value((q @ scaled)[:, :, None])
+def _posterior_values(objective: EntropyObjective, q: np.ndarray) -> np.ndarray:
+    """The value c(q) of each posterior q of the live rows, a row of ``q``."""
+    return objective.value((q @ objective.scaled)[:, :, None])
 
 
-def _witness(n_rows: int, n_symbols: int, live: np.ndarray, columns: np.ndarray,
-             lam: np.ndarray) -> np.ndarray:
+def _witness(objective: EntropyObjective, columns: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """The channel W[r, u] = lam_u q_u(r) / rho_r of the support of ``lam``, in column order.
 
     The rows are normalized by their sums, which are rho up to rounding. A
     row with a share below rounding can lose its whole support when weights
-    up to _LP_TOL are dropped; it is made uniform, as are the rows without
-    mass.
+    up to ``OPTIMALITY_TOL`` are dropped; it is made uniform, as are the
+    rows without mass.
     """
-    support = np.flatnonzero(lam > _LP_TOL)
-    table = np.zeros((live.size, n_symbols))
+    n_symbols = objective.n_rows + 1
+    support = np.flatnonzero(lam > OPTIMALITY_TOL)
+    table = np.zeros((objective.live.size, n_symbols))
     table[:, : support.size] = columns[support].T * lam[support]
     table[~table.any(axis=1)] = 1.0
-    witness = np.full((n_rows, n_symbols), 1.0 / n_symbols)
-    witness[live] = table / table.sum(axis=1, keepdims=True)
+    witness = np.full((objective.n_rows, n_symbols), 1.0 / n_symbols)
+    witness[objective.live] = table / table.sum(axis=1, keepdims=True)
     return witness
 
 
-def u_cardinality(cond_vars: Sequence[VarSpec]) -> int:
-    """|U| = (product of the conditioning alphabet sizes) + 1."""
-    return math.prod(alph.size for _, alph in cond_vars) + 1
-
-
 def u_channel(cond_vars: tuple[VarSpec, ...], rows: np.ndarray) -> Channel:
-    """Channel onto U = {u0, ..., u|U|-1} from ``rows`` (a row per cell), zero-padded."""
-    n_symbols = u_cardinality(cond_vars)
+    """Channel onto U = {u0, ..., u_n} from ``rows``, a row for each of n cells, zero-padded."""
     shape = tuple(alph.size for _, alph in cond_vars)
+    n_symbols = math.prod(shape) + 1
     table = np.reshape(rows, shape + (-1,))
     table = np.pad(table, [(0, 0)] * len(shape) + [(0, n_symbols - table.shape[-1])])
     u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
@@ -378,20 +383,20 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
+def _price(objective: EntropyObjective, y: np.ndarray,
            logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exponentiated-gradient ascent of the reduced cost c(q) - y.q from q = softmax(logits).
 
-    ``scaled`` is P over the live rows divided by their shares. Each start
-    takes _PRICING_STEPS steps of its own size; returns the end logits and
-    their reduced costs.
+    A posterior q of the live rows has marginals q @ ``objective.scaled``.
+    Each start takes _PRICING_STEPS steps of its own size; returns the end
+    logits and their reduced costs.
     """
     def reduced_cost(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q = _softmax(logits)
-        m = q @ scaled
+        m = q @ objective.scaled
         log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
         cost = -((m * log_m) @ objective.sign) - q @ y
-        return cost, -(log_m * objective.sign) @ scaled.T - y
+        return cost, -(log_m * objective.sign) @ objective.scaled.T - y
 
     cost, grad = reduced_cost(logits)
     step = np.ones(len(logits))
@@ -406,24 +411,22 @@ def _price(objective: EntropyObjective, scaled: np.ndarray, y: np.ndarray,
     return logits, cost
 
 
-def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.ndarray,
-                       n_symbols: int, cfg: OptimizerConfig, tables: np.ndarray,
-                       ) -> tuple[np.ndarray, int, bool, int]:
+def _column_generation(
+    objective: EntropyObjective, cfg: OptimizerConfig, tables: np.ndarray
+) -> tuple[np.ndarray, int, bool, int]:
     """The witness of column generation, its rounds, whether they hit the cap, the points scored.
 
-    A posterior q of the rows ``live`` has marginals q @ scaled, where
-    ``scaled`` is P over those rows divided by their shares ``rho``. The
-    first columns are the vertices, the master's starting basis, then the
-    posteriors of ``tables`` (tables x rows x |U|), the channels scored so
-    far; the uniform channel is one of them, and its posteriors are rho.
+    Columns are posteriors of the live rows: first the vertices, the
+    master's starting basis, then those of ``tables`` (tables x rows x |U|),
+    the channels scored so far; the uniform channel's posteriors are rho.
     """
+    live, rho = objective.live, objective.rho
     k = live.size
-    scaled = objective.proj[live] / rho[:, None]
     joint = rho[:, None] * tables[:, live, :]
     lam = joint.sum(axis=1)
     posteriors = np.moveaxis(joint, 1, 2)[lam > 0.0] / lam[lam > 0.0][:, None]
     columns = np.vstack([np.eye(k), posteriors])
-    values = _posterior_values(objective, scaled, columns)
+    values = _posterior_values(objective, columns)
     evaluations = len(columns)
     rng = np.random.default_rng(cfg.seed)
     logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
@@ -433,54 +436,49 @@ def _column_generation(objective: EntropyObjective, live: np.ndarray, rho: np.nd
     target = rho * (1.0 + _PERTURB * rng.random(k))
     hit_max_rounds = False
     for rounds in range(1, MAX_ROUNDS + 1):
-        lam, y = phase2_simplex(columns.T, target, values, _LP_TOL)
-        kept = lam > _LP_TOL
+        lam, y = phase2_simplex(columns.T, target, values)
+        kept = lam > OPTIMALITY_TOL
         kept[:k] = True
         starts = np.log(columns[kept] * (1.0 - _PULL) + _PULL * rho)
-        logits, cost = _price(objective, scaled, y, np.vstack([starts, logits]))
+        logits, cost = _price(objective, y, np.vstack([starts, logits]))
         evaluations += (_PRICING_STEPS + 1) * len(cost)
         positive = cost > PRICE_TOL
         if not positive.any():
             break
         new = _softmax(logits[positive])
         columns = np.vstack([columns, new])
-        values = np.concatenate([values, _posterior_values(objective, scaled, new)])
+        values = np.concatenate([values, _posterior_values(objective, new)])
         evaluations += len(new)
         logits = logits[:0]  # later rounds start from the vertices and the support only
     else:
-        lam, _ = phase2_simplex(columns.T, target, values, _LP_TOL)
+        lam, _ = phase2_simplex(columns.T, target, values)
         hit_max_rounds = True
     # The weights on the support, solved again for rho itself.
-    support = np.flatnonzero(lam > _LP_TOL)
+    support = np.flatnonzero(lam > OPTIMALITY_TOL)
     lam = np.zeros(len(columns))
     lam[support] = np.maximum(np.linalg.lstsq(columns[support].T, rho, rcond=None)[0], 0.0)
-    witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
-    return witness, rounds, hit_max_rounds, evaluations
+    return _witness(objective, columns, lam), rounds, hit_max_rounds, evaluations
 
 
-def _search_free_witness(
-    objective: EntropyObjective, live: np.ndarray, rho: np.ndarray, n_symbols: int
-) -> tuple[np.ndarray | None, int, float | None]:
+def _search_free_witness(objective: EntropyObjective,
+                         ) -> tuple[np.ndarray | None, int, float | None]:
     """The channel found without a search, the points scored and its certified bound.
 
-    ``live`` and ``rho`` are the rows with mass and their shares
-    (``_balanced_rows``). With at most two rows the witness is
-    ``two_row_envelope``'s and its bound certifies it. With three or four
-    it is the witness of the master LP over the grid at rho, a lower bound
-    on the maximum, exact where optimal supports lie on the grid; it has no
-    bound. Elsewhere, and where the envelope returns None, there is no
-    witness.
+    With at most two rows with mass the witness is ``two_row_envelope``'s
+    and its bound certifies it. With three or four it is the witness of the
+    master LP over the grid at rho, a lower bound on the maximum, exact
+    where optimal supports lie on the grid; it has no bound. Elsewhere, and
+    where the envelope returns None, there is no witness.
     """
-    if live.size <= 2:
-        envelope = two_row_envelope(objective, live, rho, n_symbols)
+    k = objective.live.size
+    if k <= 2:
+        envelope = two_row_envelope(objective)
         if envelope is not None:
             return envelope
-    elif live.size in _GRID_LP_ROWS:
-        columns = _simplex_grid(live.size)
-        values = _posterior_values(objective, objective.proj[live] / rho[:, None], columns)
-        lam, _ = phase2_simplex(columns.T, rho, values, _LP_TOL)
-        witness = _witness(objective.n_rows, n_symbols, live, columns, lam)
-        return witness, len(columns), None
+    elif k in _GRID_LP_ROWS:
+        columns = _simplex_grid(k)
+        lam, _ = phase2_simplex(columns.T, objective.rho, _posterior_values(objective, columns))
+        return _witness(objective, columns, lam), len(columns), None
     return None, 0, None
 
 
@@ -504,9 +502,8 @@ def maximize_channel(
     ``best_u`` is the best table as a ``u_channel``, the first table with
     the highest value winning ties.
     """
-    n_symbols = u_cardinality(cond_vars)
-    live, rho = _balanced_rows(objective)
-    witness, points, upper = _search_free_witness(objective, live, rho, n_symbols)
+    n_symbols = objective.n_rows + 1
+    witness, points, upper = _search_free_witness(objective)
     lifted = (u_channel(cond_vars, channel.lift(cond_vars).rows) for channel in candidates)
     tables = ([] if witness is None else [witness]) + [
         channel.rows.reshape(-1, n_symbols) for channel in lifted
@@ -518,8 +515,7 @@ def maximize_channel(
     if upper is None:
         upper = bound()
         if values.max() < upper - CERTIFY_TOL:
-            table, rounds, hit_max_rounds, priced = _column_generation(
-                objective, live, rho, n_symbols, cfg, stacked)
+            table, rounds, hit_max_rounds, priced = _column_generation(objective, cfg, stacked)
             stacked = np.concatenate([stacked, table[None]])
             values = np.concatenate([values, objective(table[None])])
             evaluations += priced + 1

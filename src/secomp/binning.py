@@ -233,7 +233,8 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
         raise ValueError(f"rate must lie in [0, log2 {alphabet_size}], got {rate}")
     if n < 1:
         raise ValueError("blocklength must be positive")
-    n_seq = alphabet_size**n
+    # 2^bit_length > limit: the capped exponent rejects the same n, with no huge power.
+    n_seq = alphabet_size ** min(n, _MAX_SEQUENCES.bit_length())
     if n_seq > _MAX_SEQUENCES:
         raise ValueError(
             f"{alphabet_size}^{n} sequences exceed the enumeration limit {_MAX_SEQUENCES}"

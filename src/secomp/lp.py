@@ -2,8 +2,8 @@
 
 ``phase1_simplex`` finds a point of {x >= 0 : A x = b} or certifies that
 there is none (the degradation check). ``phase2_simplex`` maximizes c @ x
-over such a set from its first columns, the unit vectors, and returns the
-duals too (the master LP of ``ascent``: the grid envelope and column generation).
+over such a set to ``OPTIMALITY_TOL`` from its first columns, the unit
+vectors, and returns the duals too (the master LP of ``ascent``).
 Phase 1 is phase 2 on the system with one artificial column per row, cost
 -1 on the artificials and 0 elsewhere, from the artificials as the basis.
 Both build the same canonical tableau, whose last row holds the reduced
@@ -31,6 +31,8 @@ _REDUCED_COST_TOL = 1e-11
 _PIVOT_TOL = 1e-11
 _RATIO_TIE = 1e-12
 _COST_TIE = 1e-12
+# Phase 2 stops once no reduced cost is below minus OPTIMALITY_TOL.
+OPTIMALITY_TOL = 1e-13
 _MAX_PIVOTS = 50_000
 # Pivots between rebuilds. The tests and the benchmark take at most 180
 # pivots a solve, and searched solves on seeded Dirichlet joints up to
@@ -161,21 +163,21 @@ def phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
 
 
 def phase2_simplex(
-    a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray, tol: float
+    a_eq: np.ndarray, b_eq: np.ndarray, c: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """x >= 0 maximizing c @ x subject to a_eq @ x = b_eq from its first columns, and the duals.
 
     With m rows, column i of ``a_eq`` must be the i-th unit vector for i < m
     and b_eq >= 0, so the tableau starts in canonical form with x[:m] = b_eq.
-    The result is within ``tol`` times sum(x) of the optimum; the set must
-    be bounded. The duals are read off the final tableau: column j's
-    reduced cost is y @ a_j - c_j, and a_i is the i-th unit vector for
-    i < m, so y_i is the final reduced cost there plus c_i. In exact
-    arithmetic y = c_B B^-1 for the final basis B, so y @ a_eq >= c - tol
-    and y @ b_eq = c @ x. In rounding y carries the drift of the rank-1
-    updates, and both can fail by far more than ``tol``: on one
+    The result is within ``OPTIMALITY_TOL`` times sum(x) of the optimum;
+    the set must be bounded. The duals are read off the final tableau:
+    column j's reduced cost is y @ a_j - c_j, and a_i is the i-th unit
+    vector for i < m, so y_i is the final reduced cost there plus c_i. In
+    exact arithmetic y = c_B B^-1 for the final basis B, so y @ a_eq >= c -
+    OPTIMALITY_TOL and y @ b_eq = c @ x. In rounding y carries the drift of
+    the rank-1 updates, and both can fail by far more than that: on one
     column-generation master of a 2x3x3 joint, max(c - y @ a_eq) was 2.8e-8
     and |y @ b_eq - c @ x| was 5.1e-10.
     """
-    x, reduced = _optimize(a_eq, b_eq, c, np.arange(b_eq.size), tol, steepest=True)
+    x, reduced = _optimize(a_eq, b_eq, c, np.arange(b_eq.size), OPTIMALITY_TOL, steepest=True)
     return np.maximum(x, 0.0), reduced[: b_eq.size] + c[: b_eq.size]

@@ -4,7 +4,6 @@ from collections import defaultdict
 import numpy as np
 
 from secomp import ascent
-from secomp.ascent import u_cardinality
 from secomp.probability import Alphabet, Channel, JointPMF
 
 
@@ -20,9 +19,7 @@ def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
 
 def grid_witness(joint, objective, cond, result):
     """The grid witness of the first stage; ``result`` must have scored it first."""
-    n_symbols = u_cardinality(tuple((v, joint.alphabet(v)) for v in cond))
-    live, rho = ascent._balanced_rows(objective)
-    witness, _, bound = ascent._search_free_witness(objective, live, rho, n_symbols)
+    witness, _, bound = ascent._search_free_witness(objective)
     assert bound is None and witness is not None
     assert objective(witness[None])[0] == result.objective_trace[0]
     return witness

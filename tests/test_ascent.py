@@ -97,8 +97,7 @@ class TestIncrementalMoves:
         rng = np.random.default_rng(127)
         joint = dirichlet_joint(rng, (2, 3, 3))
         objective = secrecy_entropy_objective(joint, "B", ("A", "E"))
-        live, rho = ascent._balanced_rows(objective)
-        scaled = objective.proj[live] / rho[:, None]
+        live, rho, scaled = objective.live, objective.rho, objective.scaled
         w = rng.dirichlet(np.ones(4), size=(3, objective.n_rows))
         for r in range(objective.n_rows):
             for u in range(4):

@@ -247,6 +247,17 @@ class TestBinningCode:
         with pytest.raises(ValueError):
             make_binning_code(n=21, rate=0.5, alphabet_size=2, seed=0)
 
+    def test_huge_blocklength_is_rejected_at_once(self):
+        # The limit is exact at the boundary, and n is bounded before
+        # |A|^n is formed: 3^(10^9) alone would take hours.
+        for alphabet_size, largest in ((2, 20), (3, 12)):
+            code = make_binning_code(n=largest, rate=0.5, alphabet_size=alphabet_size, seed=0)
+            assert code.bin_of.size == alphabet_size**largest
+            with pytest.raises(ValueError, match="enumeration limit"):
+                make_binning_code(n=largest + 1, rate=0.5, alphabet_size=alphabet_size, seed=0)
+        with pytest.raises(ValueError, match=r"3\^1000000000 sequences exceed"):
+            make_binning_code(n=10**9, rate=0.5, alphabet_size=3, seed=0)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0, 3.0])
     def test_rejects_a_rate_outside_zero_to_log_alphabet(self, rate):
         # Unchecked, NaN and inf crashed in the bin count, -5 gave one bin

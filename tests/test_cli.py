@@ -478,6 +478,17 @@ class TestExitCodes:
             main(["order", "-i", str(path), "--check", "sideways"])
         assert exc.value.code == 1
 
+    def test_huge_blocklength_is_exit_one(self, capsys, tmp_path):
+        # |A| = 3: the blocklength is rejected before 3^(10^9) is formed.
+        path = tmp_path / "ternary.json"
+        joint = dirichlet_joint(np.random.default_rng(3), (3, 2, 2))
+        path.write_text(json.dumps(distribution_to_dict(joint)))
+        code, out, err = run_cli(capsys, "simulate", "binning", "-i", str(path),
+                                 "--n", "1000000000", "--rate", "0.5", "--trials", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "enumeration limit" in err and "Traceback" not in err
+
     def test_missing_file_is_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "measures", "-i", "/nonexistent/d.json")
         assert code == 1

@@ -465,7 +465,7 @@ class TestEnvelopeWitness:
     def test_two_row_bound_is_the_solve_bound(self, which):
         joint = JOINTS[0] if which == "two-rows" else self._one_live_row()
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        witness, points, bound = two_row_envelope(objective, *ascent._balanced_rows(objective), 3)
+        witness, points, bound = two_row_envelope(objective)
         # The envelope's own bound is used; the caller's is never computed.
         result = maximize_channel(
             objective, (("A", joint.alphabet("A")),), CFG, _never_called
@@ -484,9 +484,9 @@ class TestEnvelopeWitness:
         mass[1] *= 1e-18 / mass[1].sum()
         joint = JointPMF(joint.variables, mass / mass.sum())
         objective = secrecy_entropy_objective(joint, "B", ("A",))
-        live, rho = ascent._balanced_rows(objective)
+        live, rho = objective.live, objective.rho
         assert live.size == 2 and rho[0] == 1.0
-        assert two_row_envelope(objective, live, rho, 3) is None
+        assert two_row_envelope(objective) is None
         result = maximize_equivocation(joint, SwitchConfig(), CFG)
         assert (result.delta_star, result.upper_bound, result.certified) == (0.0, 0.0, True)
         assert len(result.objective_trace) == result.evaluations == 1
@@ -536,9 +536,9 @@ class TestEvaluationCount:
             scored[0] += m.size // (m.shape[-1] * m.shape[-2])
             return value(self, m)
 
-        def counted_price(objective, scaled, y, logits):
+        def counted_price(objective, y, logits):
             scored[0] += (ascent._PRICING_STEPS + 1) * len(logits)
-            return price(objective, scaled, y, logits)
+            return price(objective, y, logits)
 
         monkeypatch.setattr(EntropyObjective, "value", counted_value)
         monkeypatch.setattr(ascent, "_price", counted_price)
@@ -582,16 +582,16 @@ class TestEvaluationCount:
         masters = []
         solve = ascent.phase2_simplex
 
-        def spied(a_eq, b_eq, c, tol):
+        def spied(a_eq, b_eq, c):
             masters.append(a_eq.T.copy())
-            return solve(a_eq, b_eq, c, tol)
+            return solve(a_eq, b_eq, c)
 
         monkeypatch.setattr(ascent, "phase2_simplex", spied)
         joint = make_erasure_joint(ErasureParams(0.7, 0.5))
         result = maximize_equivocation(joint, SwitchConfig(s_b=True), OptimizerConfig(starts=8))
         assert result.rounds >= 1
         objective = secrecy_entropy_objective(joint, "B", ("A", "B"))
-        live, rho = ascent._balanced_rows(objective)
+        live, rho = objective.live, objective.rho
         witness = grid_witness(joint, objective, ("A", "B"), result)
         uniform = np.full_like(witness, 1.0 / witness.shape[1])
         expected = [np.eye(live.size)]

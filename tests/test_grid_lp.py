@@ -6,7 +6,7 @@ a channel whose value is that optimum. The grid and the LP here are built
 independently of ``secomp.ascent``: the grid from ``itertools``, the LP
 values by scoring each grid point as a one-column table, which needs only
 ``EntropyObjective.value``; only the rows with mass and their shares come
-from ``ascent._balanced_rows``. The witness under test is the one
+from ``EntropyObjective.live`` and ``rho``. The witness under test is the one
 ``ascent._search_free_witness`` returns, and must score bit for bit the
 first value the solve reports.
 """
@@ -59,7 +59,7 @@ class TestPhase2AgainstLinprog:
         points = np.vstack([np.eye(k), rng.dirichlet(np.ones(k), size=40)])
         values = rng.normal(size=len(points))
         rho = rng.dirichlet(np.ones(k))
-        lam, y = phase2_simplex(points.T, rho, values, 1e-13)
+        lam, y = phase2_simplex(points.T, rho, values)
         assert (lam >= 0.0).all()
         np.testing.assert_allclose(points.T @ lam, rho, atol=1e-12)
         assert values @ lam == pytest.approx(linprog_max(points, values, rho), abs=1e-9)
@@ -74,7 +74,7 @@ class TestPhase2AgainstLinprog:
         points = np.vstack([np.eye(4), points[points.max(axis=1) < 1.0]])
         values = np.where(points[:, 3] == 0.0, 1.0, 0.0)
         rho = np.array([0.3, 0.3, 0.4, 0.0])
-        lam, y = phase2_simplex(points.T, rho, values, 1e-13)
+        lam, y = phase2_simplex(points.T, rho, values)
         assert values @ lam == pytest.approx(1.0, abs=1e-12)
         assert (y @ points.T >= values - 1e-12).all()
 
@@ -98,7 +98,7 @@ class TestGridWitness:
     def test_witness_reaches_the_grid_lp_optimum(self, case):
         _, joint, x, y, cond = case
         objective = secrecy_entropy_objective(joint, x, cond, y)
-        live, rho = ascent._balanced_rows(objective)
+        live, rho = objective.live, objective.rho
         assert live.size in (3, 4)
         result = grid_stage(joint, objective, cond)
         witness = grid_witness(joint, objective, cond, result)

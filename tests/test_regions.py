@@ -12,9 +12,11 @@ from secomp.probability import (
     JointPMF,
     build_joint,
     entropy_of,
+    marginalize,
     mutual_information_of,
     rename_variable,
 )
+from secomp.orderings import search_less_noisy_violation
 from secomp.regions import (
     OptimizerConfig,
     SwitchConfig,
@@ -445,3 +447,49 @@ class TestCodedBound:
             result = coded_inner_bound_sample(joint, v, FAST)
             assert result.r_a >= 0.0 and result.r_c >= 0.0 and result.delta >= 0.0
             assert result.delta == result.opt.delta_star
+
+
+class TestDataProcessing:
+    """Passing E through a channel never helps Eve: an oracle with no closed form.
+
+    E' is drawn from E alone, so (U, A) - E - E' for every channel that does
+    not see E, and I(A;E'|U) <= I(A;E|U) and I(U;E') <= I(U;E). So the
+    ``none`` value and every coded corner cannot fall, the violation
+    I(U;E) - I(U;B) of B less noisy than E cannot rise, and that of E less
+    noisy than B, I(U;B) - I(U;E), cannot fall. On a binary source each of
+    these is an exact envelope solve. ``se`` and ``both`` are left out: their
+    channels see E, and degrading E can lower them. With A and E independent
+    fair bits and B = A xor E, I(A;B|E) = 1, but through a constant E' it is
+    I(A;B) = 0.
+    """
+
+    @staticmethod
+    def violation(joint, direction):
+        stronger, weaker = ("B", "E") if direction == "b_less_noisy_than_e" else ("E", "B")
+        verdict = search_less_noisy_violation(joint, FAST, direction)
+        return verdict.opt.delta_star - (
+            entropy_of(joint, "A", weaker) - entropy_of(joint, "A", stronger)
+        )
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_degrading_eve_never_helps_her(self, seed):
+        rng = np.random.default_rng((2032, seed))
+        joint = dirichlet_joint(rng, (2, 2 + seed % 3, 2 + seed // 3 % 3))
+        e_prime = random_channel(rng, joint, ("E",), "F", 2 + seed % 4)
+        degraded = rename_variable(
+            marginalize(build_joint(joint, e_prime), ("A", "B", "F")), "F", "E"
+        )
+        assert maximize_equivocation(degraded, NONE, FAST).delta_star >= (
+            maximize_equivocation(joint, NONE, FAST).delta_star - 1e-9
+        )
+        ace, ace_degraded = (rename_variable(j, "B", "C") for j in (joint, degraded))
+        v = random_channel(rng, ace, ("C",), "V", ace.alphabet("C").size + 1)
+        assert coded_inner_bound_sample(ace_degraded, v, FAST).delta >= (
+            coded_inner_bound_sample(ace, v, FAST).delta - 1e-9
+        )
+        assert self.violation(degraded, "b_less_noisy_than_e") <= (
+            self.violation(joint, "b_less_noisy_than_e") + 1e-9
+        )
+        assert self.violation(degraded, "e_less_noisy_than_b") >= (
+            self.violation(joint, "e_less_noisy_than_b") - 1e-9
+        )

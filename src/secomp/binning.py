@@ -172,10 +172,11 @@ def exact_posterior_entropy(weights) -> float:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    if (w < 0.0).any():
-        raise ValueError("weights must be nonnegative")
-    if w.sum() <= 0.0:
-        raise ValueError("all weights are zero")
+    # Written so that NaN fails both checks and inf fails the second.
+    if not (w >= 0.0).all():
+        raise ValueError("negative or NaN weight")
+    if not 0.0 < w.sum() < math.inf:
+        raise ValueError("weights must have a finite positive sum")
     return float(_entropy_rows(w[None])[0])
 
 
@@ -234,11 +235,17 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
     if n < 1:
         raise ValueError("blocklength must be positive")
     # 2^bit_length > limit: the capped exponent rejects the same n, with no huge power.
-    n_seq = alphabet_size ** min(n, _MAX_SEQUENCES.bit_length())
+    max_n = _MAX_SEQUENCES.bit_length()
+    n_seq = alphabet_size ** min(n, max_n)
     if n_seq > _MAX_SEQUENCES:
         raise ValueError(
             f"{alphabet_size}^{n} sequences exceed the enumeration limit {_MAX_SEQUENCES}"
         )
+    if n >= max_n:
+        # Only a one-symbol source gets here: it has one sequence at every n,
+        # but a trial's work grows with n, so it is held to the binary limit.
+        raise ValueError(f"blocklength {n} exceeds {max_n - 1}, the enumeration limit of a "
+                         "binary source")
     bits = max(math.ceil(n * rate - 1e-9), 0)
     n_bins = 2**bits
     if n_bins >= n_seq:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_joint
 from secomp.binning import (
+    BinningCode,
     SimReport,
     _BATCH_ELEMENTS,
     _TIE_REL_TOL,
@@ -176,6 +177,10 @@ class TestPosteriorEntropy:
             exact_posterior_entropy([0.0, 0.0])
         with pytest.raises(ValueError):
             exact_posterior_entropy([1.0, -0.5])
+        # NaN and inf weights must not read as a point mass.
+        for weights in ([math.nan], [1.0, math.nan], [math.inf], [1.0, math.inf]):
+            with pytest.raises(ValueError):
+                exact_posterior_entropy(weights)
 
     @settings(max_examples=80)
     @given(
@@ -249,14 +254,34 @@ class TestBinningCode:
 
     def test_huge_blocklength_is_rejected_at_once(self):
         # The limit is exact at the boundary, and n is bounded before
-        # |A|^n is formed: 3^(10^9) alone would take hours.
-        for alphabet_size, largest in ((2, 20), (3, 12)):
-            code = make_binning_code(n=largest, rate=0.5, alphabet_size=alphabet_size, seed=0)
+        # |A|^n is formed: 3^(10^9) alone would take hours. One symbol has
+        # one sequence at every n and is held to the binary blocklength.
+        for alphabet_size, largest, rate in ((1, 20, 0.0), (2, 20, 0.5), (3, 12, 0.5)):
+            code = make_binning_code(n=largest, rate=rate, alphabet_size=alphabet_size, seed=0)
             assert code.bin_of.size == alphabet_size**largest
             with pytest.raises(ValueError, match="enumeration limit"):
-                make_binning_code(n=largest + 1, rate=0.5, alphabet_size=alphabet_size, seed=0)
+                make_binning_code(n=largest + 1, rate=rate, alphabet_size=alphabet_size, seed=0)
+        with pytest.raises(ValueError, match="blocklength 1000000000 exceeds 20"):
+            make_binning_code(n=10**9, rate=0.0, alphabet_size=1, seed=0)
         with pytest.raises(ValueError, match=r"3\^1000000000 sequences exceed"):
             make_binning_code(n=10**9, rate=0.5, alphabet_size=3, seed=0)
+
+    def test_rejects_a_malformed_table(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            BinningCode(n=2, rate=0.5, n_bins=2, bin_of=np.zeros((2, 2)), seed=0)
+        with pytest.raises(ValueError, match="bin index out of range"):
+            BinningCode(n=2, rate=0.5, n_bins=2, bin_of=np.array([0, 1, 2, 1]), seed=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("p_e_hat", 1.5, "p_e_hat"),
+        ("equiv_hat", -0.1, "equiv_hat"),
+        ("ties", -1, "counts of trials"),
+        ("wrong_decodes", 11, "counts of trials"),
+    ])
+    def test_report_rejects_impossible_fields(self, field, value, message):
+        fields = dict(trials=10, p_e_hat=0.2, equiv_hat=0.5, equiv_stderr=0.1, seed=0)
+        with pytest.raises(ValueError, match=message):
+            SimReport(**{**fields, field: value})
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0, 3.0])
     def test_rejects_a_rate_outside_zero_to_log_alphabet(self, rate):

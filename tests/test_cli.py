@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import dirichlet_joint
-from secomp import cli
+from secomp import cli, orderings
 from secomp.binning import run_erasure_encoder_scheme, run_sw_binning
 from secomp.cli import distribution_to_dict, load_distribution, main
 from secomp.erasure import ErasureParams, make_erasure_joint
@@ -223,7 +223,27 @@ class TestDiagnostics:
                                  "--switches", "sb", "--starts", "2")
         assert out["certified"] is False
         assert out["rounds"] >= 1 and out["hit_max_rounds"] is False
-        assert out["delta_star"] < out["upper_bound"] == 0.5
+        assert 0.440645449 <= out["delta_star"] < out["upper_bound"] == 0.5
+        code, both, _ = run_cli(capsys, "region", "uncoded", "-i", str(path),
+                                "--switches", "both", "--starts", "2")
+        assert code == 0
+        assert json.loads(both)["delta_star"] >= out["delta_star"]
+
+    # sb on the 2x3x3 joint has six cells with mass, so column generation
+    # starts from the vertices with no grid stage; none on the 3x3x3 joint
+    # has three, so the grid stage runs first.
+    @pytest.mark.parametrize("seed,sizes,switches,floor", [
+        ((2008, 1), (2, 3, 3), "sb", 0.8807), (7, (3, 3, 3), "none", -np.inf),
+    ], ids=["sb-2x3x3", "none-3x3x3"])
+    def test_search_on_dirichlet_joints(self, capsys, tmp_path, seed, sizes, switches, floor):
+        path = tmp_path / "dirichlet.json"
+        joint = dirichlet_joint(np.random.default_rng(seed), sizes)
+        path.write_text(json.dumps(distribution_to_dict(joint)))
+        out = self.run_both_ways(capsys, "region", "uncoded", "-i", str(path),
+                                 "--switches", switches, "--starts", "2")
+        assert out["certified"] is False
+        assert out["rounds"] >= 1 and out["hit_max_rounds"] is False
+        assert floor <= out["delta_star"] <= out["upper_bound"]
 
     def test_less_noisy_check(self, capsys, tmp_path):
         path = write_preset(capsys, tmp_path, 0.3, 0.1)
@@ -451,6 +471,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("invariant breach:") and "Traceback" not in err
 
+    def test_failed_composition_recheck_is_exit_two(self, capsys, tmp_path, monkeypatch):
+        # A feasible point whose rows, uniform q(e|b), do not compose to p(e|a).
+        monkeypatch.setattr(orderings, "phase1_simplex",
+                            lambda a_eq, b_eq: np.ones(a_eq.shape[1]))
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        code, out, err = run_cli(capsys, "order", "-i", str(path), "--check", "degraded-eb")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invariant breach:") and "composition recheck" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("error,code", [(ArithmeticError, 2), (MemoryError, 1)],
                              ids=["invariant breach", "out of memory"])
     def test_failed_coded_corner_leaves_stdout_empty(self, capsys, tmp_path, monkeypatch,
@@ -480,14 +511,18 @@ class TestExitCodes:
 
     def test_huge_blocklength_is_exit_one(self, capsys, tmp_path):
         # |A| = 3: the blocklength is rejected before 3^(10^9) is formed.
-        path = tmp_path / "ternary.json"
-        joint = dirichlet_joint(np.random.default_rng(3), (3, 2, 2))
-        path.write_text(json.dumps(distribution_to_dict(joint)))
-        code, out, err = run_cli(capsys, "simulate", "binning", "-i", str(path),
-                                 "--n", "1000000000", "--rate", "0.5", "--trials", "2")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and "enumeration limit" in err and "Traceback" not in err
+        # |A| = 1 has one sequence at every n and is held to n <= 20, as
+        # |A| = 2 is.
+        for n_a, n, rate, message in ((3, "1000000000", "0.5", "enumeration limit"),
+                                      (1, "21", "0", "blocklength 21 exceeds 20")):
+            path = tmp_path / f"source{n_a}.json"
+            joint = dirichlet_joint(np.random.default_rng(3), (n_a, 2, 2))
+            path.write_text(json.dumps(distribution_to_dict(joint)))
+            code, out, err = run_cli(capsys, "simulate", "binning", "-i", str(path),
+                                     "--n", n, "--rate", rate, "--trials", "2")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error:") and message in err and "Traceback" not in err
 
     def test_missing_file_is_exit_one(self, capsys):
         code, _, _ = run_cli(capsys, "measures", "-i", "/nonexistent/d.json")

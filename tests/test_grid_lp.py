@@ -9,6 +9,11 @@ values by scoring each grid point as a one-column table, which needs only
 from ``EntropyObjective.live`` and ``rho``. The witness under test is the one
 ``ascent._search_free_witness`` returns, and must score bit for bit the
 first value the solve reports.
+
+scipy is a test-only dependency, so ``linprog_max`` imports it through
+``pytest.importorskip``: without scipy the tests that compare with linprog
+skip, and the other nine (degenerate ties, grid sizes, the balance check and
+the tiny row shares) still run.
 """
 
 import itertools
@@ -16,7 +21,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from secomp import ascent
 from secomp.ascent import EntropyObjective, OptimizerConfig, maximize_channel
@@ -38,6 +42,7 @@ def simplex_grid(k):
 
 def linprog_max(points, values, rho):
     """max values @ lam subject to points.T @ lam = rho, lam >= 0."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     res = linprog(-values, A_eq=points.T, b_eq=rho, bounds=(0, None), method="highs")
     assert res.status == 0
     return -res.fun

@@ -61,6 +61,13 @@ class TestJointPMF:
         with pytest.raises(DistributionError):
             JointPMF((("X", Alphabet("X", ("0", "1"))),), np.array([1.0, 0.0, 0.0]))
 
+    def test_rejects_no_or_repeated_variables(self):
+        alph = Alphabet("X", ("0", "1"))
+        with pytest.raises(DistributionError, match="at least one variable"):
+            JointPMF((), np.array(1.0))
+        with pytest.raises(DistributionError, match="duplicate variable names"):
+            JointPMF((("X", alph), ("X", alph)), np.full((2, 2), 0.25))
+
 
 class TestEntropy:
     def test_uniform_binary_is_one_bit(self):
@@ -88,6 +95,10 @@ class TestEntropy:
     def test_rejects_unknown_variable(self):
         with pytest.raises(DistributionError):
             entropy_of(bernoulli_half(), "Z")
+
+    def test_rejects_empty_target(self):
+        with pytest.raises(DistributionError, match="target variable set is empty"):
+            entropy_of(bernoulli_half(), ())
 
 
 class TestMutualInformation:
@@ -279,6 +290,13 @@ class TestChannelHelpers:
         alph = Alphabet("X", ("0", "1"))
         with pytest.raises(DistributionError):
             Channel((("X", alph),), ("Y", Alphabet("Y", ("a", "b"))), [[bad, 0.5], [0.5, 0.5]])
+
+    def test_rejects_repeated_names_and_wrong_shape(self):
+        alph = Alphabet("X", ("0", "1"))
+        with pytest.raises(DistributionError, match="duplicate variable names"):
+            Channel((("X", alph),), ("X", alph), np.eye(2))
+        with pytest.raises(DistributionError, match="does not match"):
+            Channel((("X", alph),), ("Y", Alphabet("Y", ("a", "b", "c"))), np.eye(2))
 
     def test_lift_keeps_conditional_law(self):
         joint = make_erasure_joint(ErasureParams(0.25, 0.5))

@@ -15,37 +15,43 @@ Blocklengths stay desk-scale because Bob's decoding and Eve's posterior
 enumerate every member of the announced bin; that is the point, since exact
 posteriors make the equivocation estimate unbiased with a reportable standard
 error. A binning run holds O(|A|^n) integers of index (the bin table, one
-member ordering and the bin offsets) plus the index rows of the bins it is
-scoring, never a table of every sequence's symbols. In the gap scheme Eve's
+member ordering and the bin offsets; at full rate the table is its own
+member ordering) plus the index rows of the bins it is scoring, never a
+table of every sequence's symbols. In the gap scheme Eve's
 posterior is uniform over 2^k blocks, k the number of positions she misses
 that the transmission does not fill, so it is counted exactly rather than
 enumerated.
 
 Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
-would draw, and the bin table comes from ``default_rng((seed, 0))``; reports
-are reproducible bit for bit and the per-trial records are aggregated in
-trial order. Building one Generator per trial costs more than a short
-trial's arithmetic, so no Generator is built for a trial: the block's
-doubles come from its PCG64 states by uint64 array arithmetic.
-``_trial_states`` runs SeedSequence's entropy mixing and its
-``generate_state(4, uint64)`` on uint32 arrays over the trial indices, then
-PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves,
-which ``_add128`` and ``_mul128`` add and multiply mod 2^128. PCG64 takes
-one LCG step, state * mult + inc mod 2^128, before each 64-bit output, so
-after j steps the state is the affine map state * mult^j + inc * (1 + mult
-+ ... + mult^(j-1)). ``_trial_uniforms`` composes that map as Python ints
-for each column j = skip + k + 1 it draws and applies it to every trial's
-halves at once. PCG64's XSL-RR output (the halves xored, rotated right by
-the state's top 6 bits) and ``Generator.random``'s double, the output's top
-53 bits times 2^-53, then finish each draw. Every step is exact integer
-arithmetic, so the doubles are the very numbers numpy's ``next64`` and
-``random`` compute from the same states. A binning trial skips nothing and
-draws its n joint cells with numpy's own ``Generator.choice`` algorithm (n
-uniforms searched in the normalized cumulative sum of the cell masses),
-with the sum built once per run, so the cells drawn are the ones
-``choice(size, n, p=flat)`` returns. A gap trial's stream opens with its
-source bits, ``integers(0, 2, n)``: n 32-bit halves of ceil(n/2) outputs,
-which no equivocation reads, so the gap scheme skips them.
+would draw, and the bin table is what ``default_rng((seed, 0))`` would
+draw; reports are reproducible bit for bit and the per-trial records are
+aggregated in trial order. No Generator is built, so a simulation never
+imports ``numpy.random``: building one Generator per trial costs more than a
+short trial's arithmetic, and importing ``numpy.random`` costs a fresh
+process about 10 ms and 6 MB. Every stream's numbers come from its PCG64
+states by uint64 array arithmetic instead. ``_seed_sequence_states`` runs SeedSequence's entropy
+mixing and its ``generate_state(4, uint64)`` on uint32 arrays over many
+streams at once, then ``_pcg64_states`` runs PCG64's seeding step on 128-bit
+numbers held as (high, low) uint64 halves, which ``_add128`` and ``_mul128``
+add and multiply mod 2^128. PCG64 takes one LCG step, state * mult + inc mod
+2^128, before each 64-bit output, so after j steps the state is the affine
+map state * mult^j + inc * (1 + mult + ... + mult^(j-1)).
+``_trial_uniforms`` composes that map as Python ints for each column j =
+skip + k + 1 it draws and applies it to every trial's halves at once;
+``_random_bins`` steps the table's one stream by maps of doubling length.
+PCG64's XSL-RR output (the halves xored, rotated right by the state's top 6
+bits, ``_xsl_rr``) then gives each 64-bit output. A trial's double is the
+output's top 53 bits times 2^-53, as ``Generator.random`` takes it, and a
+table entry is the top bits of one 32-bit half, as ``Generator.integers``
+takes it for a power-of-two bin count. Every step is exact integer
+arithmetic, so the numbers are the very ones numpy computes from the same
+states. A binning trial skips nothing and draws its n joint cells with
+numpy's own ``Generator.choice`` algorithm (n uniforms searched in the
+normalized cumulative sum of the cell masses), with the sum built once per
+run, so the cells drawn are the ones ``choice(size, n, p=flat)`` returns. A
+gap trial's stream opens with its source bits, ``integers(0, 2, n)``: n
+32-bit halves of ceil(n/2) outputs, which no equivocation reads, so the gap
+scheme skips them.
 
 Batches. Within a block the cells, sequence indices and bins of every trial
 are computed together. The trials are sorted by the size of their bin, then
@@ -61,14 +67,15 @@ consecutive chunks of one bin reuse it. MAP decoding, ties and Eve's
 posterior entropies are then taken row by row. Each entropy sums a row's own
 terms only, grouped by length, so every record equals the one-trial
 computation bit for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps
-the numbers a block draws and the likelihoods, head tables and bin index
-rows a chunk holds; a trial whose bin alone exceeds it is a chunk of its
-own.
+the numbers a block of trials draws, the 64-bit outputs the bin table's
+stream steps at once, and the likelihoods, head tables and bin index rows a
+chunk holds; a trial whose bin alone exceeds it is a chunk of its own.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -90,14 +97,15 @@ _MAX_GAP_SCHEME_N = 12
 _TIE_REL_TOL = 1e-12
 
 # Entries one batch may hold: a block of trials draws at most this many
-# numbers, and a chunk of trials holds at most this many member
-# likelihoods, head-table entries and bin index entries.
+# numbers, the bin table's stream steps at most this many outputs at once,
+# and a chunk of trials holds at most this many member likelihoods,
+# head-table entries and bin index entries.
 _BATCH_ELEMENTS = 2**14
 
 # numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
 # entropy into the pool, INIT_B and MULT_B draw the state from it) and
-# PCG64's 128-bit LCG multiplier: what _trial_states needs to rebuild the
-# state default_rng((seed, 1, t)) starts in.
+# PCG64's 128-bit LCG multiplier: what _pcg64_states needs to rebuild the
+# state default_rng((seed, 0)) or default_rng((seed, 1, t)) starts in.
 _HASH_A = (0x43B0D7E5, 0x931E8875)
 _HASH_B = (0x8B51F9DD, 0x58F38DED)
 _MIX_MULT_L = 0xCA01F9DD
@@ -107,7 +115,6 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
-_PCG64_MULT_HALVES = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
 # Shift counts and masks of the uint64 limb arithmetic, typed so that no
 # operand is a Python int: numpy 1.24's value-based casting would turn some
 # mixes of Python ints and uint64 into float64.
@@ -119,7 +126,9 @@ _U64_MASK32 = np.uint64(_MASK32)
 class BinningCode:
     """Seeded random assignment of source sequences to bins.
 
-    The table is materialized explicitly for exact reproducibility. When the
+    The table is materialized explicitly for exact reproducibility: below
+    full rate, ``bin_of`` is ``default_rng((seed, 0)).integers(0, n_bins,
+    |A|^n)``, drawn without a Generator (see the module docstring). When the
     bin count reaches the sequence count the assignment is the identity, so
     full-rate codes reveal the sequence and give zero equivocation exactly.
     """
@@ -172,11 +181,16 @@ def exact_posterior_entropy(weights) -> float:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if w.size == 0:
         raise ValueError("empty weight vector")
-    # Written so that NaN fails both checks and inf fails the second.
-    if not (w >= 0.0).all():
-        raise ValueError("negative or NaN weight")
-    if not 0.0 < w.sum() < math.inf:
-        raise ValueError("weights must have a finite positive sum")
+    # Written so that NaN fails the check.
+    if not ((w >= 0.0) & (w < math.inf)).all():
+        raise ValueError("negative, NaN or infinite weight")
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total == math.inf:
+        # Finite weights whose sum overflows; the entropy does not change with scale.
+        w = w / w.max()
+    elif not total > 0.0:
+        raise ValueError("weights must have a positive sum")
     return float(_entropy_rows(w[None])[0])
 
 
@@ -251,8 +265,7 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
     if n_bins >= n_seq:
         table = np.arange(n_seq, dtype=np.int64)
     else:
-        rng = np.random.default_rng((seed, 0))
-        table = rng.integers(0, n_bins, size=n_seq, dtype=np.int64)
+        table = _random_bins(seed, bits, n_seq)
     return BinningCode(n=n, rate=rate, n_bins=n_bins, bin_of=table, seed=seed)
 
 
@@ -299,19 +312,35 @@ def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
 
 
-def _seed_sequence_states(seed: int, t: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence((seed, 1, t)).generate_state(4, uint64)``: four uint64 arrays over t.
+def _halves(value: int) -> tuple[np.uint64, np.uint64]:
+    """(high, low) uint64 halves of a 128-bit Python int."""
+    return np.uint64(value >> 64), np.uint64(value & _MASK64)
 
-    SeedSequence splits each entropy integer into little-endian 32-bit
-    words, so trial t's entropy is the words of seed, then 1, then t. The
-    hash constants never depend on the data, which lets every trial's pool
-    be mixed in one pass of uint32 array arithmetic.
+
+def _affine(states: tuple, mult: int, add: int) -> tuple[np.ndarray, np.ndarray]:
+    """(states * mult + add) mod 2^128 on (high, low) uint64 halves."""
+    return _add128(_mul128(states, _halves(mult)), _halves(add))
+
+
+def _seed_sequence_states(seed: int, words: list[np.ndarray]) -> list[np.ndarray]:
+    """``SeedSequence((seed, *words)).generate_state(4, uint64)``: four uint64 arrays.
+
+    words are the entropy words that follow the seed's, uint32 arrays of one
+    shape, and entry i of each result belongs to the stream made of entry i
+    of every word: the bin table's stream (seed, 0) is one entry of [0], and
+    trial t's stream (seed, 1, t) is entry t of [1, t]. SeedSequence splits
+    each entropy integer into little-endian 32-bit words. The hash constants
+    never depend on the data, which lets every stream's pool be mixed in one
+    pass of uint32 array arithmetic.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full_like(t, word) for word in seed_words + [1]] + [t]
+    entropy = [np.full_like(words[0], word) for word in seed_words] + words
     mixing = _hash_constants(*_HASH_A)
     pool = [
-        _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(t), mixing)
+        _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(words[0]), mixing)
         for i in range(_POOL_SIZE)
     ]
     for src in range(_POOL_SIZE):
@@ -323,8 +352,22 @@ def _seed_sequence_states(seed: int, t: np.ndarray) -> list[np.ndarray]:
             pool[dst] = _mix(pool[dst], _hashmix(word, mixing))
     # Eight 32-bit words drawn from the pool, paired little-endian.
     drawing = _hash_constants(*_HASH_B)
-    words = (_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8))
-    return [low | next(words) << _U32 for low in words]
+    drawn = (_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8))
+    return [low | next(drawn) << _U32 for low in drawn]
+
+
+def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
+    """PCG64 ``((state_hi, state_lo), (inc_hi, inc_lo))`` of ``default_rng((seed, *words))``.
+
+    Each half is a uint64 array over the entries of words, as in
+    ``_seed_sequence_states``.
+    """
+    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(seed, words)
+    # PCG64's srandom from initstate = (s_hi, s_lo) and initseq = (q_hi, q_lo):
+    # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
+    inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
+    state = _add128(_mul128(_add128((s_hi, s_lo), inc), _halves(_PCG64_MULT)), inc)
+    return state, inc
 
 
 def _trial_states(seed: int, trials: range) -> tuple[tuple, tuple]:
@@ -335,12 +378,53 @@ def _trial_states(seed: int, trials: range) -> tuple[tuple, tuple]:
     if trials.stop > 1 << 32:
         raise ValueError("trial indices must fit in one 32-bit word")
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(seed, t)
-    # PCG64's srandom from initstate = (s_hi, s_lo) and initseq = (q_hi, q_lo):
-    # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
-    inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
-    state = _add128(_mul128(_add128((s_hi, s_lo), inc), _PCG64_MULT_HALVES), inc)
-    return state, inc
+    return _pcg64_states(seed, [np.ones_like(t), t])
+
+
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's XSL-RR outputs of states (high, low).
+
+    The halves xored, rotated right by the state's top 6 bits.
+    """
+    value = high ^ low
+    rotation = high >> _U58
+    return value >> rotation | value << (-rotation & _U63)
+
+
+def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
+    """``default_rng((seed, 0)).integers(0, 2**bits, size, dtype=np.int64)``, 0 <= bits <= 32.
+
+    ``integers`` draws a range of at most 2^32 values by Lemire's method from
+    the stream's 32-bit words, and PCG64 splits each 64-bit output into two
+    such words, low half first. A power-of-two range never rejects a word,
+    so draw i is the top ``bits`` bits of word i. The stream's states are
+    stepped a block of at most _BATCH_ELEMENTS outputs at a time. The first
+    block is built by doubling: (m, c), the affine map state * m + c of L
+    LCG steps, takes the states after steps 1..L to those after L+1..2L,
+    and composing it with itself gives the map of 2L steps. The map of a
+    whole block then takes each block to the next.
+    """
+    state, (inc_hi, inc_lo) = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
+    inc = int(inc_hi[0]) << 64 | int(inc_lo[0])
+    outputs = -(-size // 2)
+    block = min(_BATCH_ELEMENTS, 1 << (outputs - 1).bit_length())
+    # PCG64 steps its LCG, state -> state * mult + inc, before each output.
+    mult, add = _PCG64_MULT, inc
+    states = _affine(state, mult, add)
+    while len(states[0]) < block:
+        states = tuple(map(np.concatenate, zip(states, _affine(states, mult, add))))
+        mult, add = mult * mult & _MASK128, add * mult + add & _MASK128
+    # Column 0 holds the low words' draws and column 1 the high words'. No
+    # shift reaches 64 bits, which C leaves undefined.
+    bins = np.empty((outputs, 2), dtype=np.int64)
+    shift = np.uint64(32 - bits)
+    for start in range(0, outputs, block):
+        if start:
+            states = _affine(states, mult, add)
+        out = _xsl_rr(*states)[: outputs - start]
+        bins[start : start + block, 0] = (out & _U64_MASK32) >> shift
+        bins[start : start + block, 1] = out >> _U32 >> shift
+    return bins.reshape(-1)[:size]
 
 
 def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.ndarray:
@@ -366,12 +450,8 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
         _mul128((state_hi[:, None], state_lo[:, None]), (mult_hi, mult_lo)),
         _mul128((inc_hi[:, None], inc_lo[:, None]), (add_hi, add_lo)),
     )
-    # XSL-RR: the two halves xored, rotated right by the state's top 6 bits.
-    value = high ^ low
-    rotation = high >> _U58
-    out = value >> rotation | value << (-rotation & _U63)
     # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
-    return (out >> _U11).astype(np.float64) * 2.0**-53
+    return (_xsl_rr(high, low) >> _U11).astype(np.float64) * 2.0**-53
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:
@@ -388,7 +468,8 @@ class _SwContext(NamedTuple):
     cell_shape: tuple[int, int, int]
     radix: np.ndarray
     # Bin j holds members_order[bin_offsets[j] : bin_offsets[j + 1]], in
-    # ascending sequence index because the argsort is stable.
+    # ascending sequence index: the argsort is stable, and at full rate the
+    # order is the identity table.
     members_order: np.ndarray
     bin_offsets: np.ndarray
     # cell_factors[w, c, a] is P(a | b) for w = 0 and P(a | e) for w = 1 at
@@ -438,12 +519,23 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
         p_a_given_b = np.where(p_ab.sum(axis=0) > 0.0, p_ab / p_ab.sum(axis=0), 1.0 / n_a)
         p_a_given_e = np.where(p_ae.sum(axis=0) > 0.0, p_ae / p_ae.sum(axis=0), 1.0 / n_a)
     _, b_of_cell, e_of_cell = np.unravel_index(np.arange(mass.size), mass.shape)
-    offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
-    np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
+    n_seq = code.bin_of.size
+    if code.n_bins >= n_seq:
+        # The identity table is its own member order: bin j < |A|^n holds j
+        # alone, and any bins past the sequences are empty.
+        members_order = code.bin_of
+        offsets = np.arange(code.n_bins + 1, dtype=np.int64)
+        offsets[n_seq:] = n_seq
+    else:
+        offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
+        np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
+        # A stable sort has one answer; numpy radix-sorts 8- and 16-bit keys.
+        members_order = np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
+                                   kind="stable")
     cdf = mass.reshape(-1).cumsum()
     cdf /= cdf[-1]
     head_digits = n
-    while head_digits > 1 and n_a**head_digits * code.n_bins > n_a**n:
+    while head_digits > 1 and n_a**head_digits * code.n_bins > n_seq:
         head_digits -= 1
     return _SwContext(
         n=n,
@@ -451,9 +543,7 @@ def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwConte
         cdf=cdf,
         cell_shape=(n_a, n_b, n_e),
         radix=(n_a ** np.arange(n - 1, -1, -1)).astype(np.int64),
-        # A stable sort has one answer; numpy radix-sorts 8- and 16-bit keys.
-        members_order=np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
-                                 kind="stable"),
+        members_order=members_order,
         bin_offsets=offsets,
         cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell])),
         head_digits=head_digits,

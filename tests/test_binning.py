@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -17,6 +22,7 @@ from secomp.binning import (
     _bin_rows,
     _gap_trials,
     _mul128,
+    _random_bins,
     _score_chunk,
     _segment_sums,
     _sw_context,
@@ -182,6 +188,14 @@ class TestPosteriorEntropy:
             with pytest.raises(ValueError):
                 exact_posterior_entropy(weights)
 
+    def test_overflowing_sum_is_rescaled(self):
+        # The weights are finite and only their sum overflows, with no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_posterior_entropy([1e308] * 2) == 1.0
+            assert exact_posterior_entropy([1e308] * 4) == 2.0
+            assert exact_posterior_entropy([1e308, 0.0, 1e308]) == 1.0
+
     @settings(max_examples=80)
     @given(
         # zeros are legal entries, but nonzero weights stay far from the
@@ -282,6 +296,43 @@ class TestBinningCode:
         fields = dict(trials=10, p_e_hat=0.2, equiv_hat=0.5, equiv_stderr=0.1, seed=0)
         with pytest.raises(ValueError, match=message):
             SimReport(**{**fields, field: value})
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            make_binning_code(n=4, rate=0.5, alphabet_size=2, seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**70 + 1])
+    def test_table_is_default_rng_integers(self, seed):
+        # A block steps _BATCH_ELEMENTS 64-bit outputs, two draws each: sizes
+        # below, at and past one block, odd sizes, and 3^12.
+        block = 2 * _BATCH_ELEMENTS
+        for bits in range(20):
+            for size in (1, 6, 7, block - 1, block, block + 1, 2 * block + 3, 3**12):
+                rng = np.random.default_rng((seed, 0))
+                np.testing.assert_array_equal(
+                    _random_bins(seed, bits, size),
+                    rng.integers(0, 2**bits, size, dtype=np.int64),
+                    err_msg=f"bits {bits}, size {size}",
+                )
+        code = make_binning_code(n=12, rate=0.9, alphabet_size=3, seed=seed)
+        np.testing.assert_array_equal(
+            code.bin_of,
+            np.random.default_rng((seed, 0)).integers(0, code.n_bins, 3**12, dtype=np.int64),
+        )
+
+    @pytest.mark.parametrize("bits", [1, 8, 19, 31])
+    def test_integers_are_top_bits_of_32_bit_words(self, bits):
+        # What _random_bins rests on: with a power-of-two range, integers
+        # rejects no draw and reads the 32-bit words of the 64-bit outputs,
+        # low half first. The halves are cut with shifts, so the reference
+        # does not depend on byte order.
+        size = 1001
+        raw = np.random.default_rng((5, 0)).bit_generator.random_raw(-(-size // 2))
+        words = np.stack((raw & np.uint64(2**32 - 1), raw >> np.uint64(32)), axis=1)
+        np.testing.assert_array_equal(
+            np.random.default_rng((5, 0)).integers(0, 2**bits, size, dtype=np.int64),
+            (words.reshape(-1)[:size] >> np.uint64(32 - bits)).astype(np.int64),
+        )
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -5.0, 3.0])
     def test_rejects_a_rate_outside_zero_to_log_alphabet(self, rate):
@@ -583,6 +634,43 @@ class TestSwBinning:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * 8 * 2**18
+
+    def test_full_rate_context_holds_only_the_table_and_offsets(self):
+        # At full rate the identity table is also the member order and the
+        # offsets are a clipped arange, so no count, sum or sort over the
+        # 2^18 sequences is held or made.
+        joint = make_erasure_joint(ErasureParams(0.1, 0.3))
+        _sw_context(joint, 4, 1.0, 0)
+        tracemalloc.start()
+        try:
+            ctx = _sw_context(joint, 18, 1.0, 0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.members_order is ctx.code.bin_of
+        table_and_offsets = ctx.code.bin_of.nbytes + ctx.bin_offsets.nbytes
+        assert held <= peak <= table_and_offsets + 64 * 1024
+
+    def test_simulators_leave_numpy_random_unimported(self):
+        # The bin table and the trial streams are drawn with no Generator.
+        script = (
+            "import sys, numpy\n"
+            "with_numpy = 'numpy.random' in sys.modules\n"
+            "import secomp\n"
+            "from secomp.binning import run_erasure_encoder_scheme, run_sw_binning\n"
+            "from secomp.erasure import ErasureParams, make_erasure_joint\n"
+            "run_sw_binning(make_erasure_joint(ErasureParams(0.1, 0.3)), 10, 0.5, 20, 3)\n"
+            "run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), 8, 20, 3)\n"
+            "print(with_numpy, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, check=True)
+        with_numpy, after_runs = proc.stdout.split()
+        if with_numpy == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert after_runs == "False"
 
     def test_single_bin_n16_memory_is_set_by_the_batch_budget(self):
         # Rate 0 puts all 2^16 sequences in one bin. Scoring the 100 trials

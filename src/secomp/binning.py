@@ -28,30 +28,26 @@ draw; reports are reproducible bit for bit and the per-trial records are
 aggregated in trial order. No Generator is built, so a simulation never
 imports ``numpy.random``: building one Generator per trial costs more than a
 short trial's arithmetic, and importing ``numpy.random`` costs a fresh
-process about 10 ms and 6 MB. Every stream's numbers come from its PCG64
-states by uint64 array arithmetic instead. ``_seed_sequence_states`` runs SeedSequence's entropy
-mixing and its ``generate_state(4, uint64)`` on uint32 arrays over many
-streams at once, then ``_pcg64_states`` runs PCG64's seeding step on 128-bit
-numbers held as (high, low) uint64 halves, which ``_add128`` and ``_mul128``
-add and multiply mod 2^128. PCG64 takes one LCG step, state * mult + inc mod
-2^128, before each 64-bit output, so after j steps the state is the affine
-map state * mult^j + inc * (1 + mult + ... + mult^(j-1)).
-``_trial_uniforms`` composes that map as Python ints for each column j =
-skip + k + 1 it draws and applies it to every trial's halves at once;
-``_random_bins`` steps the table's one stream by maps of doubling length.
-PCG64's XSL-RR output (the halves xored, rotated right by the state's top 6
-bits, ``_xsl_rr``) then gives each 64-bit output. A trial's double is the
-output's top 53 bits times 2^-53, as ``Generator.random`` takes it, and a
-table entry is the top bits of one 32-bit half, as ``Generator.integers``
-takes it for a power-of-two bin count. Every step is exact integer
-arithmetic, so the numbers are the very ones numpy computes from the same
-states. A binning trial skips nothing and draws its n joint cells with
-numpy's own ``Generator.choice`` algorithm (n uniforms searched in the
-normalized cumulative sum of the cell masses), with the sum built once per
-run, so the cells drawn are the ones ``choice(size, n, p=flat)`` returns. A
-gap trial's stream opens with its source bits, ``integers(0, 2, n)``: n
-32-bit halves of ceil(n/2) outputs, which no equivocation reads, so the gap
-scheme skips them.
+process about 10 ms and 6 MB. Every number comes from uint64 array
+arithmetic over many streams at once instead: ``_pcg64_states`` runs
+SeedSequence's entropy mixing and ``generate_state(4, uint64)``, then
+PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves
+(``_add128`` and ``_mul128`` add and multiply them mod 2^128), and one
+engine, ``_pcg64_blocks``, steps the LCG, state * mult + inc, once before
+each 64-bit output. ``_lcg_jump`` gives the map of j steps by binary
+powering (F. Brown, "Random Number Generation with Arbitrary Strides",
+1994); it skips leading outputs, doubles a block of states and moves one
+block to the next. The engine yields PCG64's XSL-RR outputs a block at a
+time, and its callers only read them: a trial's double is an output's top
+53 bits times 2^-53, as ``Generator.random`` takes it, and a table entry
+the top bits of one 32-bit half, as ``Generator.integers`` takes it for a
+power-of-two bin count. All of it is exact integer arithmetic, so the
+numbers are the very ones numpy computes.
+A binning trial draws its n joint cells with numpy's own
+``Generator.choice`` algorithm (n uniforms searched in the normalized
+cumulative sum of the cell masses), with the sum built once per run, so the
+cells drawn are the ones ``choice(size, n, p=flat)`` returns. A gap trial
+skips the ceil(n/2) outputs of its source bits, which no equivocation reads.
 
 Batches. Within a block the cells, sequence indices and bins of every trial
 are computed together. The trials are sorted by the size of their bin, then
@@ -67,13 +63,15 @@ consecutive chunks of one bin reuse it. MAP decoding, ties and Eve's
 posterior entropies are then taken row by row. Each entropy sums a row's own
 terms only, grouped by length, so every record equals the one-trial
 computation bit for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps
-the numbers a block of trials draws, the 64-bit outputs the bin table's
-stream steps at once, and the likelihoods, head tables and bin index rows a
+the numbers a block of trials draws, the 64-bit outputs a block of the
+stream engine holds, and the likelihoods, head tables and bin index rows a
 chunk holds; a trial whose bin alone exceeds it is a chunk of its own.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -97,8 +95,8 @@ _MAX_GAP_SCHEME_N = 12
 _TIE_REL_TOL = 1e-12
 
 # Entries one batch may hold: a block of trials draws at most this many
-# numbers, the bin table's stream steps at most this many outputs at once,
-# and a chunk of trials holds at most this many member likelihoods,
+# numbers, a block of _pcg64_blocks holds at most this many outputs, and a
+# chunk of trials holds at most this many member likelihoods,
 # head-table entries and bin index entries.
 _BATCH_ELEMENTS = 2**14
 
@@ -241,9 +239,11 @@ def _entropy_rows(w: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarra
 def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> BinningCode:
     """Assign every length-n sequence a bin; 2^ceil(n*rate) bins.
 
-    Raises ValueError for a rate outside [0, log2 alphabet_size], a
-    blocklength below 1 or past the enumeration limit.
+    Raises ValueError for a negative seed, a rate outside [0, log2
+    alphabet_size], a blocklength below 1 or past the enumeration limit, and
+    TypeError for a seed that is not an integer.
     """
+    seed = _checked_seed(seed)
     if not 0.0 <= rate <= math.log2(alphabet_size) + 1e-12:
         raise ValueError(f"rate must lie in [0, log2 {alphabet_size}], got {rate}")
     if n < 1:
@@ -269,17 +269,16 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
     return BinningCode(n=n, rate=rate, n_bins=n_bins, bin_of=table, seed=seed)
 
 
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[np.uint32, np.uint32]]:
+def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
     """SeedSequence's running hash constant: (value before, value after) each update."""
-    const = init
-    while True:
-        updated = const * mult & _MASK32
-        yield np.uint32(const), np.uint32(updated)
-        const = updated
+    updates = itertools.accumulate(itertools.repeat(mult), lambda const, m: const * m & _MASK32,
+                                   initial=init)
+    return itertools.pairwise(updates)
 
 
-def _hashmix(value: np.ndarray, constants: Iterator) -> np.ndarray:
-    before, after = next(constants)
+def _hashmix(value: np.ndarray, constants: Iterator, rows: int) -> np.ndarray:
+    """SeedSequence's hashmix of value's rows, row i with the i-th of the next rows constants."""
+    before, after = np.array(list(itertools.islice(constants, rows)), dtype=np.uint32).T[..., None]
     value = (value ^ before) * after
     return value ^ value >> np.uint32(16)
 
@@ -317,68 +316,47 @@ def _halves(value: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(value >> 64), np.uint64(value & _MASK64)
 
 
-def _affine(states: tuple, mult: int, add: int) -> tuple[np.ndarray, np.ndarray]:
-    """(states * mult + add) mod 2^128 on (high, low) uint64 halves."""
-    return _add128(_mul128(states, _halves(mult)), _halves(add))
-
-
-def _seed_sequence_states(seed: int, words: list[np.ndarray]) -> list[np.ndarray]:
-    """``SeedSequence((seed, *words)).generate_state(4, uint64)``: four uint64 arrays.
-
-    words are the entropy words that follow the seed's, uint32 arrays of one
-    shape, and entry i of each result belongs to the stream made of entry i
-    of every word: the bin table's stream (seed, 0) is one entry of [0], and
-    trial t's stream (seed, 1, t) is entry t of [1, t]. SeedSequence splits
-    each entropy integer into little-endian 32-bit words. The hash constants
-    never depend on the data, which lets every stream's pool be mixed in one
-    pass of uint32 array arithmetic.
-    """
+def _checked_seed(seed: int) -> int:
+    """seed as a Python int: TypeError unless it is an integer, ValueError if negative."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full_like(words[0], word) for word in seed_words] + words
-    mixing = _hash_constants(*_HASH_A)
-    pool = [
-        _hashmix(entropy[i] if i < len(entropy) else np.zeros_like(words[0]), mixing)
-        for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixing))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, mixing))
-    # Eight 32-bit words drawn from the pool, paired little-endian.
-    drawing = _hash_constants(*_HASH_B)
-    drawn = (_hashmix(pool[i % _POOL_SIZE], drawing).astype(np.uint64) for i in range(8))
-    return [low | next(drawn) << _U32 for low in drawn]
+    return seed
 
 
 def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
     """PCG64 ``((state_hi, state_lo), (inc_hi, inc_lo))`` of ``default_rng((seed, *words))``.
 
-    Each half is a uint64 array over the entries of words, as in
-    ``_seed_sequence_states``.
+    seed is a nonnegative int and words are the entropy words that follow
+    it, uint32 arrays of shape (streams,); entry i of each half, a uint64
+    array, belongs to the stream of entry i of every word: the bin table's
+    stream (seed, 0) is one entry of [0], and trial t's stream (seed, 1, t)
+    is entry t of [1, t]. SeedSequence splits each entropy integer into
+    little-endian 32-bit words. Its hash constants never depend on the data,
+    so every stream's pool, a word a row, is mixed in one pass of uint32
+    array arithmetic.
     """
-    s_hi, s_lo, q_hi, q_lo = _seed_sequence_states(seed, words)
+    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full_like(words[0], word) for word in seed_words] + words
+    entropy = np.stack(entropy + [np.zeros_like(words[0])] * (_POOL_SIZE - len(entropy)))
+    mixing = _hash_constants(*_HASH_A)
+    pool = _hashmix(entropy[:_POOL_SIZE], mixing, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [i for i in range(_POOL_SIZE) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixing, len(dst)))
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, mixing, _POOL_SIZE))
+    # generate_state(4, uint64): eight 32-bit words drawn from the pool words in
+    # turn, paired little-endian.
+    drawing = _hash_constants(*_HASH_B)
+    drawn = np.concatenate([_hashmix(pool, drawing, _POOL_SIZE) for _ in range(2)])
+    s_hi, s_lo, q_hi, q_lo = drawn[0::2].astype(np.uint64) | drawn[1::2].astype(np.uint64) << _U32
+    del entropy, pool, drawn  # before the 128-bit temporaries below
     # PCG64's srandom from initstate = (s_hi, s_lo) and initseq = (q_hi, q_lo):
     # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
     inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
     state = _add128(_mul128(_add128((s_hi, s_lo), inc), _halves(_PCG64_MULT)), inc)
     return state, inc
-
-
-def _trial_states(seed: int, trials: range) -> tuple[tuple, tuple]:
-    """PCG64 ``((state_hi, state_lo), (inc_hi, inc_lo))`` of ``default_rng((seed, 1, t))``.
-
-    Each half is a uint64 array with one entry per t in trials, in order.
-    """
-    if trials.stop > 1 << 32:
-        raise ValueError("trial indices must fit in one 32-bit word")
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    return _pcg64_states(seed, [np.ones_like(t), t])
 
 
 def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -391,39 +369,72 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return value >> rotation | value << (-rotation & _U63)
 
 
+@functools.cache
+def _lcg_jump(steps: int) -> tuple[int, int]:
+    """(mult^steps, 1 + mult + ... + mult^(steps - 1)) mod 2^128, by binary powering.
+
+    That many LCG steps take a state to state * mult^steps + inc * (the sum).
+    """
+    mult, add, power, power_add = 1, 0, _PCG64_MULT, 1
+    while steps:
+        if steps & 1:
+            mult, add = mult * power & _MASK128, add * power + power_add & _MASK128
+        power, power_add = power * power & _MASK128, power_add * (power + 1) & _MASK128
+        steps >>= 1
+    return mult, add
+
+
+def _pcg64_blocks(
+    seed: int, words: list[np.ndarray], skip: int, count: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """XSL-RR outputs skip + 1 ... skip + count of every stream ``default_rng((seed, *words))``.
+
+    Yields (column, outputs): entry (i, k) of the uint64 array outputs is
+    output skip + column + k + 1 of stream i, and a block holds at most
+    _BATCH_ELEMENTS entries, or one column. With s_j a stream's state after
+    j steps, s_j = s_0 + (s_1 - s_0) * (1 + mult + ... + mult^(j-1)) by
+    ``_lcg_jump``, so D_k = s_(j+k) - s_j is mult^j times its value at j = 0.
+    A block is its start state plus D_1..D_width, doubled as D_(L+k) = D_L +
+    mult^L D_k; the next starts at its last state with every D times mult^width.
+    """
+    state, inc = _pcg64_states(seed, words)
+    width = min(count, max(1, _BATCH_ELEMENTS // len(inc[0])))
+    # Row k - 1 holds every stream's D_k.
+    diffs = tuple(half[None] for half in _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc))
+    if skip:
+        mult, add = _lcg_jump(skip)
+        state = _add128(state, _mul128(diffs, _halves(add)))
+        diffs = _mul128(diffs, _halves(mult))
+    while (done := len(diffs[0])) < width:
+        more = _mul128(tuple(half[: width - done] for half in diffs), _halves(_lcg_jump(done)[0]))
+        more = _add128(more, tuple(half[-1] for half in diffs))
+        diffs = tuple(map(np.concatenate, zip(diffs, more)))
+    for column in range(0, count, width):
+        if column:
+            state = _add128(state, tuple(half[-1] for half in diffs))
+            diffs = _mul128(diffs, _halves(_lcg_jump(width)[0]))
+        yield column, _xsl_rr(*_add128(state, tuple(half[: count - column] for half in diffs))).T
+
+
 def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
     """``default_rng((seed, 0)).integers(0, 2**bits, size, dtype=np.int64)``, 0 <= bits <= 32.
 
     ``integers`` draws a range of at most 2^32 values by Lemire's method from
     the stream's 32-bit words, and PCG64 splits each 64-bit output into two
     such words, low half first. A power-of-two range never rejects a word,
-    so draw i is the top ``bits`` bits of word i. The stream's states are
-    stepped a block of at most _BATCH_ELEMENTS outputs at a time. The first
-    block is built by doubling: (m, c), the affine map state * m + c of L
-    LCG steps, takes the states after steps 1..L to those after L+1..2L,
-    and composing it with itself gives the map of 2L steps. The map of a
-    whole block then takes each block to the next.
+    so draw i is the top ``bits`` bits of word i, and a range of one value
+    is all zeros whatever the stream.
     """
-    state, (inc_hi, inc_lo) = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
-    inc = int(inc_hi[0]) << 64 | int(inc_lo[0])
-    outputs = -(-size // 2)
-    block = min(_BATCH_ELEMENTS, 1 << (outputs - 1).bit_length())
-    # PCG64 steps its LCG, state -> state * mult + inc, before each output.
-    mult, add = _PCG64_MULT, inc
-    states = _affine(state, mult, add)
-    while len(states[0]) < block:
-        states = tuple(map(np.concatenate, zip(states, _affine(states, mult, add))))
-        mult, add = mult * mult & _MASK128, add * mult + add & _MASK128
+    if not bits:
+        return np.zeros(size, dtype=np.int64)
     # Column 0 holds the low words' draws and column 1 the high words'. No
     # shift reaches 64 bits, which C leaves undefined.
-    bins = np.empty((outputs, 2), dtype=np.int64)
+    bins = np.empty((-(-size // 2), 2), dtype=np.int64)
     shift = np.uint64(32 - bits)
-    for start in range(0, outputs, block):
-        if start:
-            states = _affine(states, mult, add)
-        out = _xsl_rr(*states)[: outputs - start]
-        bins[start : start + block, 0] = (out & _U64_MASK32) >> shift
-        bins[start : start + block, 1] = out >> _U32 >> shift
+    for column, (outputs,) in _pcg64_blocks(seed, [np.zeros(1, dtype=np.uint32)], 0, len(bins)):
+        rows = bins[column : column + len(outputs)]
+        rows[:, 0] = (outputs & _U64_MASK32) >> shift
+        rows[:, 1] = outputs >> _U32 >> shift
     return bins.reshape(-1)[:size]
 
 
@@ -433,25 +444,14 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     Row i holds what ``default_rng((seed, 1, t)).random(count)`` returns for
     the i-th t once that stream has given its first ``skip`` outputs.
     """
-    # PCG64 steps its LCG, state -> state * mult + inc, before each output,
-    # so column k reads the state after j = skip + k + 1 steps:
-    # state * mult^j + inc * (1 + mult + ... + mult^(j-1)).
-    mult, add = 1, 0
-    maps = np.empty((4, count), dtype=np.uint64)
-    for step in range(skip + count):
-        mult, add = mult * _PCG64_MULT & _MASK128, add * _PCG64_MULT + 1 & _MASK128
-        if step >= skip:
-            maps[:, step - skip] = np.array(
-                [mult >> 64, mult & _MASK64, add >> 64, add & _MASK64], dtype=np.uint64
-            )
-    mult_hi, mult_lo, add_hi, add_lo = maps
-    (state_hi, state_lo), (inc_hi, inc_lo) = _trial_states(seed, trials)
-    high, low = _add128(
-        _mul128((state_hi[:, None], state_lo[:, None]), (mult_hi, mult_lo)),
-        _mul128((inc_hi[:, None], inc_lo[:, None]), (add_hi, add_lo)),
-    )
-    # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
-    return (_xsl_rr(high, low) >> _U11).astype(np.float64) * 2.0**-53
+    if trials.stop > 1 << 32:
+        raise ValueError("trial indices must fit in one 32-bit word")
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    uniforms = np.empty((len(t), count))
+    for column, outputs in _pcg64_blocks(seed, [np.ones_like(t), t], skip, count):
+        # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
+        uniforms[:, column : column + outputs.shape[1]] = (outputs >> _U11) * 2.0**-53
+    return uniforms
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:
@@ -711,15 +711,14 @@ def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
     )
 
 
-def _check_run(trials: int, seed: int) -> None:
+def _check_run(trials: int, seed: int) -> int:
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # Trial t's stream is default_rng((seed, 1, t)) with t one 32-bit word;
     # checked before the per-trial records are allocated.
     if trials > 1 << 32:
         raise ValueError("trials must be <= 2**32")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    return _checked_seed(seed)
 
 
 def _summarize(equivs: np.ndarray, seed: int, errors: np.ndarray, ties: np.ndarray) -> SimReport:
@@ -750,7 +749,7 @@ def run_sw_binning(
     the enumeration limit, fewer than one or more than 2^32 trials, or a
     negative seed.
     """
-    _check_run(trials, seed)
+    seed = _check_run(trials, seed)
     ctx = _sw_context(joint_abe, n, rate, seed)
     errors = np.empty(trials, dtype=bool)
     ties = np.empty(trials, dtype=bool)
@@ -795,7 +794,7 @@ def run_erasure_encoder_scheme(
     """
     if not 1 <= n <= _MAX_GAP_SCHEME_N:
         raise ValueError(f"blocklength must lie in [1, {_MAX_GAP_SCHEME_N}], got {n}")
-    _check_run(trials, seed)
+    seed = _check_run(trials, seed)
     equivs = np.empty(trials)
     for block in _trial_blocks(trials, 2 * n):
         equivs[block.start : block.stop] = _gap_trials(params, n, seed, block)

@@ -9,10 +9,13 @@ Phase 1 is phase 2 on the system with one artificial column per row, cost
 Both build the same canonical tableau, whose last row holds the reduced
 costs of a minimization and, in its last entry, minus the objective, and
 run the same pivot loop, which cannot cycle in exact arithmetic: Bland's
-rule for phase 1, steepest pivoting for phase 2. The systems here have a
-few dozen rows at most, so no factorization tricks are needed; in
-rounding, though, the loop can stall on a strongly degenerate LP, so
-column generation perturbs its master's right-hand side (see ``ascent``).
+rule for phase 1, steepest pivoting for phase 2. The tableau is dense and
+every pivot updates all of it, with no factorization: that is cheap for
+the ordering checks and small masters, but a master of ``both`` on a
+4x4x4 joint has 64 rows and grows to thousands of columns, where the
+pivots take most of the solve. In rounding the loop can also stall on a
+strongly degenerate LP, so column generation perturbs its master's
+right-hand side (see ``ascent``).
 The rank-1 updates also drift where a row's share is tiny, so a run of
 ``_SEGMENT`` pivots that ends without an optimum starts the next run from
 the tableau rebuilt from its basis, by Bland's rule once runs repeat.

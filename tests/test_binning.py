@@ -22,12 +22,13 @@ from secomp.binning import (
     _bin_rows,
     _gap_trials,
     _mul128,
+    _pcg64_blocks,
+    _pcg64_states,
     _random_bins,
     _score_chunk,
     _segment_sums,
     _sw_context,
     _sw_trials,
-    _trial_states,
     _trial_uniforms,
     exact_posterior_entropy,
     make_binning_code,
@@ -298,8 +299,24 @@ class TestBinningCode:
             SimReport(**{**fields, field: value})
 
     def test_negative_seed_is_rejected(self):
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
-            make_binning_code(n=4, rate=0.5, alphabet_size=2, seed=-1)
+        # Rates 0 and 1 draw no table, and still check the seed.
+        for rate in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match="seed must be nonnegative"):
+                make_binning_code(n=4, rate=rate, alphabet_size=2, seed=-1)
+            with pytest.raises(TypeError):
+                make_binning_code(n=4, rate=rate, alphabet_size=2, seed=1.5)
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_rate_zero_table_steps_no_stream(self, monkeypatch, seed):
+        # integers(0, 1, size) returns zeros without reading its stream.
+        def no_stream(*args):
+            raise AssertionError("a one-bin table stepped a PCG64 stream")
+
+        monkeypatch.setattr("secomp.binning._pcg64_blocks", no_stream)
+        code = make_binning_code(n=10, rate=0.0, alphabet_size=2, seed=seed)
+        np.testing.assert_array_equal(
+            code.bin_of, np.random.default_rng((seed, 0)).integers(0, 1, 2**10, dtype=np.int64)
+        )
 
     @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**70 + 1])
     def test_table_is_default_rng_integers(self, seed):
@@ -353,7 +370,8 @@ def _split(value):
 
 
 def _derived_states(seed, trials):
-    state, inc = _trial_states(seed, trials)
+    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    state, inc = _pcg64_states(seed, [np.ones_like(t), t])
     return list(zip(_joined(state), _joined(inc)))
 
 
@@ -379,7 +397,7 @@ class TestTrialStreams:
         last = 2**32 - 1
         assert _derived_states(7, range(last, last + 1)) == [_default_rng_state(7, last)]
         with pytest.raises(ValueError):
-            _trial_states(7, range(last, last + 2))
+            _trial_uniforms(7, range(last, last + 2), 1)
 
     @settings(max_examples=300, deadline=None)
     @given(a=_U128, b=_U128)
@@ -423,6 +441,21 @@ class TestTrialStreams:
         finally:
             tracemalloc.stop()
         assert peak <= 20 * 8 * _BATCH_ELEMENTS
+
+    @pytest.mark.parametrize("seed", [0, 2**70 + 1])
+    def test_blocks_cover_many_streams_past_a_skip(self, seed):
+        # Five streams step _BATCH_ELEMENTS // 5 outputs a block, so 7,000
+        # outputs take three blocks, the last one short; the last stream
+        # is trial 2^32 - 1.
+        t = np.array([0, 1, 2, 1000, 2**32 - 1], dtype=np.uint32)
+        skip, count, width = 5, 7000, _BATCH_ELEMENTS // 5
+        blocks = list(_pcg64_blocks(seed, [np.ones_like(t), t], skip, count))
+        assert [column for column, _ in blocks] == [0, width, 2 * width] and count > 2 * width
+        assert all(outputs.size <= _BATCH_ELEMENTS for _, outputs in blocks)
+        got = np.concatenate([outputs for _, outputs in blocks], axis=1)
+        expected = [np.random.default_rng((seed, 1, int(i))).bit_generator.random_raw(skip + count)
+                    for i in t]
+        np.testing.assert_array_equal(got, np.array(expected)[:, skip:])
 
     @pytest.mark.parametrize("seed", [2**32, 2**70 + 1])
     def test_uniforms_are_default_rng_draws(self, seed):

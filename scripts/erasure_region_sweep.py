@@ -4,7 +4,9 @@
 For a fixed eavesdropper erasure rate, walks Bob's erasure rate over a grid
 and records, per point: the closed-form equivocation with and without encoder
 side information, the optimizer's value for both switch settings, and its
-``starts_agreeing`` diagnostic. Writes a CSV for plotting.
+``starts_agreeing`` diagnostic, the number of scored channels within
+``ascent.TOL`` of the best (columns ``agree_none`` and ``agree_sb``). Writes
+a CSV for plotting.
 
 ``closed_form_sb`` is ``erasure_delta`` with S_B closed: p_e, exact, for
 p_b <= 1/2 (where the optimizer certifies the same value without a search)

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -122,6 +123,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # TypeError for a non-integer; numpy integers are kept as Python ints.
+        object.__setattr__(self, "starts", operator.index(self.starts))
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if self.starts < 1:
             raise ValueError("starts must be >= 1")
         if self.seed < 0:

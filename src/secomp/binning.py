@@ -32,17 +32,16 @@ process about 10 ms and 6 MB. Every number comes from uint64 array
 arithmetic over many streams at once instead: ``_pcg64_states`` runs
 SeedSequence's entropy mixing and ``generate_state(4, uint64)``, then
 PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves
-(``_add128`` and ``_mul128`` add and multiply them mod 2^128), and one
-engine, ``_pcg64_blocks``, steps the LCG, state * mult + inc, once before
-each 64-bit output. ``_lcg_jump`` gives the map of j steps by binary
-powering (F. Brown, "Random Number Generation with Arbitrary Strides",
-1994); it skips leading outputs, doubles a block of states and moves one
-block to the next. The engine yields PCG64's XSL-RR outputs a block at a
-time, and its callers only read them: a trial's double is an output's top
-53 bits times 2^-53, as ``Generator.random`` takes it, and a table entry
-the top bits of one 32-bit half, as ``Generator.integers`` takes it for a
-power-of-two bin count. All of it is exact integer arithmetic, so the
-numbers are the very ones numpy computes.
+(``_add128`` and ``_mul128`` add and multiply them mod 2^128). PCG64 steps
+its LCG, state * mult + inc, before each 64-bit output, so j steps take a
+state s_0 to s_0 + (s_1 - s_0) * C_j, C_j = 1 + mult + ... + mult^(j-1)
+(F. Brown, "Random Number Generation with Arbitrary Strides", 1994), and
+``_pcg64_outputs`` reads any run of outputs off one cached table of the
+C_j, ``_lcg_sums``. Its callers only read the XSL-RR outputs: a trial's
+double is an output's top 53 bits times 2^-53, as ``Generator.random``
+takes it, and a table entry the top bits of one 32-bit half, as
+``Generator.integers`` takes it for a power-of-two bin count. All of it is
+exact integer arithmetic, so the numbers are the very ones numpy computes.
 A binning trial draws its n joint cells with numpy's own
 ``Generator.choice`` algorithm (n uniforms searched in the normalized
 cumulative sum of the cell masses), with the sum built once per run, so the
@@ -63,9 +62,10 @@ consecutive chunks of one bin reuse it. MAP decoding, ties and Eve's
 posterior entropies are then taken row by row. Each entropy sums a row's own
 terms only, grouped by length, so every record equals the one-trial
 computation bit for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps
-the numbers a block of trials draws, the 64-bit outputs a block of the
-stream engine holds, and the likelihoods, head tables and bin index rows a
-chunk holds; a trial whose bin alone exceeds it is a chunk of its own.
+the numbers a block of trials draws, the LCG sums table and the 64-bit
+outputs a block of the bin table holds, and the likelihoods, head tables
+and bin index rows a chunk holds; a trial whose bin alone exceeds it is a
+chunk of its own.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ _MAX_GAP_SCHEME_N = 12
 _TIE_REL_TOL = 1e-12
 
 # Entries one batch may hold: a block of trials draws at most this many
-# numbers, a block of _pcg64_blocks holds at most this many outputs, and a
-# chunk of trials holds at most this many member likelihoods,
-# head-table entries and bin index entries.
+# numbers, the cached table of LCG sums and a block of bin-table outputs
+# hold at most this many, and a chunk of trials holds at most this many
+# member likelihoods, head-table entries and bin index entries.
 _BATCH_ELEMENTS = 2**14
 
 # numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
@@ -112,7 +112,6 @@ _POOL_SIZE = 4
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 # Shift counts and masks of the uint64 limb arithmetic, typed so that no
 # operand is a Python int: numpy 1.24's value-based casting would turn some
 # mixes of Python ints and uint64 into float64.
@@ -369,51 +368,40 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return value >> rotation | value << (-rotation & _U63)
 
 
+def _lcg_power(sums: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """mult^j = 1 + (mult - 1) * C_j mod 2^128 of the sums C_j."""
+    return _add128(_mul128(sums, _halves(_PCG64_MULT - 1)), _halves(1))
+
+
 @functools.cache
-def _lcg_jump(steps: int) -> tuple[int, int]:
-    """(mult^steps, 1 + mult + ... + mult^(steps - 1)) mod 2^128, by binary powering.
+def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (high, low) uint64 arrays of C_1 ... C_count, C_j = 1 + mult + ... + mult^(j - 1).
 
-    That many LCG steps take a state to state * mult^steps + inc * (the sum).
+    Doubled as C_(L+k) = C_L + mult^L * C_k; shared, so count is at most _BATCH_ELEMENTS.
     """
-    mult, add, power, power_add = 1, 0, _PCG64_MULT, 1
-    while steps:
-        if steps & 1:
-            mult, add = mult * power & _MASK128, add * power + power_add & _MASK128
-        power, power_add = power * power & _MASK128, power_add * (power + 1) & _MASK128
-        steps >>= 1
-    return mult, add
+    if count > _BATCH_ELEMENTS:
+        raise ValueError(f"the LCG sums table holds at most {_BATCH_ELEMENTS} entries")
+    sums = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
+    while (done := len(sums[0])) < count:
+        last = tuple(half[-1:] for half in sums)
+        head = tuple(half[: count - done] for half in sums)
+        more = _add128(last, _mul128(_lcg_power(last), head))
+        sums = tuple(map(np.concatenate, zip(sums, more)))
+    for half in sums:
+        half.flags.writeable = False
+    return sums
 
 
-def _pcg64_blocks(
-    seed: int, words: list[np.ndarray], skip: int, count: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """XSL-RR outputs skip + 1 ... skip + count of every stream ``default_rng((seed, *words))``.
+def _pcg64_outputs(state: tuple, step: tuple, first: int, count: int) -> np.ndarray:
+    """XSL-RR outputs first + 1 ... first + count of streams at states s_0 with steps s_1 - s_0.
 
-    Yields (column, outputs): entry (i, k) of the uint64 array outputs is
-    output skip + column + k + 1 of stream i, and a block holds at most
-    _BATCH_ELEMENTS entries, or one column. With s_j a stream's state after
-    j steps, s_j = s_0 + (s_1 - s_0) * (1 + mult + ... + mult^(j-1)) by
-    ``_lcg_jump``, so D_k = s_(j+k) - s_j is mult^j times its value at j = 0.
-    A block is its start state plus D_1..D_width, doubled as D_(L+k) = D_L +
-    mult^L D_k; the next starts at its last state with every D times mult^width.
+    Entry (i, k) is the output of stream i's state s_0 + (s_1 - s_0) * C_(first + k + 1); the
+    sums come from the power-of-two table that holds them, so callers ask for few sizes.
     """
-    state, inc = _pcg64_states(seed, words)
-    width = min(count, max(1, _BATCH_ELEMENTS // len(inc[0])))
-    # Row k - 1 holds every stream's D_k.
-    diffs = tuple(half[None] for half in _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc))
-    if skip:
-        mult, add = _lcg_jump(skip)
-        state = _add128(state, _mul128(diffs, _halves(add)))
-        diffs = _mul128(diffs, _halves(mult))
-    while (done := len(diffs[0])) < width:
-        more = _mul128(tuple(half[: width - done] for half in diffs), _halves(_lcg_jump(done)[0]))
-        more = _add128(more, tuple(half[-1] for half in diffs))
-        diffs = tuple(map(np.concatenate, zip(diffs, more)))
-    for column in range(0, count, width):
-        if column:
-            state = _add128(state, tuple(half[-1] for half in diffs))
-            diffs = _mul128(diffs, _halves(_lcg_jump(width)[0]))
-        yield column, _xsl_rr(*_add128(state, tuple(half[: count - column] for half in diffs))).T
+    table = _lcg_sums(1 << (first + count - 1).bit_length())
+    sums = tuple(half[first : first + count] for half in table)
+    state, step = (tuple(half[:, None] for half in pair) for pair in (state, step))
+    return _xsl_rr(*_add128(state, _mul128(step, sums)))
 
 
 def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
@@ -427,11 +415,19 @@ def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
     """
     if not bits:
         return np.zeros(size, dtype=np.int64)
+    state, inc = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
+    step = _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
     # Column 0 holds the low words' draws and column 1 the high words'. No
     # shift reaches 64 bits, which C leaves undefined.
     bins = np.empty((-(-size // 2), 2), dtype=np.int64)
+    width = min(len(bins), _BATCH_ELEMENTS)
     shift = np.uint64(32 - bits)
-    for column, (outputs,) in _pcg64_blocks(seed, [np.zeros(1, dtype=np.uint32)], 0, len(bins)):
+    for column in range(0, len(bins), width):
+        if column:
+            # The next block starts width steps on, where the step is mult^width times as long.
+            jump = tuple(half[width - 1 :] for half in _lcg_sums(width))
+            state, step = _add128(state, _mul128(step, jump)), _mul128(step, _lcg_power(jump))
+        (outputs,) = _pcg64_outputs(state, step, 0, min(width, len(bins) - column))
         rows = bins[column : column + len(outputs)]
         rows[:, 0] = (outputs & _U64_MASK32) >> shift
         rows[:, 1] = outputs >> _U32 >> shift
@@ -442,16 +438,16 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     """One row of ``count`` uniforms per trial t in trials, after ``skip`` 64-bit outputs.
 
     Row i holds what ``default_rng((seed, 1, t)).random(count)`` returns for
-    the i-th t once that stream has given its first ``skip`` outputs.
+    the i-th t once that stream has given its first ``skip`` outputs; skip +
+    count is at most _BATCH_ELEMENTS.
     """
     if trials.stop > 1 << 32:
         raise ValueError("trial indices must fit in one 32-bit word")
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    uniforms = np.empty((len(t), count))
-    for column, outputs in _pcg64_blocks(seed, [np.ones_like(t), t], skip, count):
-        # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
-        uniforms[:, column : column + outputs.shape[1]] = (outputs >> _U11) * 2.0**-53
-    return uniforms
+    state, inc = _pcg64_states(seed, [np.ones_like(t), t])
+    step = _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
+    # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
+    return (_pcg64_outputs(state, step, skip, count) >> _U11) * 2.0**-53
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:

@@ -43,12 +43,11 @@ _MAX_PIVOTS = 50_000
 _SEGMENT = 2_000
 
 
-def _pivot_to_optimum(
-    tableau: np.ndarray, basis: np.ndarray, n_cols: int, tol: float, steepest: bool
-) -> bool:
-    """Pivot until no column below ``n_cols`` has a reduced cost below -tol, at most _SEGMENT times.
+def _pivot_to_optimum(tableau: np.ndarray, basis: np.ndarray, tol: float, steepest: bool) -> bool:
+    """Pivot until no column left of the right-hand side has a reduced cost below -tol.
 
-    ``basis[i]`` is the column basic in row i; both arrays change in place.
+    ``basis[i]`` is the column basic in row i; both arrays change in place,
+    over at most _SEGMENT pivots.
     The entering column is the lowest-index one with a negative reduced cost
     (Bland's rule). With ``steepest`` it is the most negative one instead
     (the lowest-index one among near ties), except right after a pivot that
@@ -62,7 +61,7 @@ def _pivot_to_optimum(
     m = tableau.shape[0] - 1
     stalled = False
     for _ in range(_SEGMENT):
-        reduced = tableau[m, :n_cols]
+        reduced = tableau[m, :-1]
         negative = np.flatnonzero(reduced < -tol)
         if negative.size == 0:
             return True
@@ -137,7 +136,7 @@ def _optimize(
         key = frozenset(basis.tolist())
         steepest &= key not in started
         started.add(key)
-        if _pivot_to_optimum(tableau, basis, n, tol, steepest):
+        if _pivot_to_optimum(tableau, basis, tol, steepest):
             break
     else:
         raise ArithmeticError("simplex failed to terminate")

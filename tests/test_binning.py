@@ -17,12 +17,15 @@ from secomp.binning import (
     BinningCode,
     SimReport,
     _BATCH_ELEMENTS,
+    _PCG64_MULT,
     _TIE_REL_TOL,
     _add128,
     _bin_rows,
     _gap_trials,
+    _lcg_power,
+    _lcg_sums,
     _mul128,
-    _pcg64_blocks,
+    _pcg64_outputs,
     _pcg64_states,
     _random_bins,
     _score_chunk,
@@ -312,7 +315,8 @@ class TestBinningCode:
         def no_stream(*args):
             raise AssertionError("a one-bin table stepped a PCG64 stream")
 
-        monkeypatch.setattr("secomp.binning._pcg64_blocks", no_stream)
+        monkeypatch.setattr("secomp.binning._pcg64_states", no_stream)
+        monkeypatch.setattr("secomp.binning._pcg64_outputs", no_stream)
         code = make_binning_code(n=10, rate=0.0, alphabet_size=2, seed=seed)
         np.testing.assert_array_equal(
             code.bin_of, np.random.default_rng((seed, 0)).integers(0, 1, 2**10, dtype=np.int64)
@@ -442,17 +446,38 @@ class TestTrialStreams:
             tracemalloc.stop()
         assert peak <= 20 * 8 * _BATCH_ELEMENTS
 
+    def test_lcg_sums_are_python_int_sums(self):
+        # C_j = 1 + mult + ... + mult^(j - 1) mod 2^128, and mult^j = 1 + (mult - 1) C_j.
+        expected, power = [], 1
+        for _ in range(_BATCH_ELEMENTS):
+            expected.append(((expected[-1] if expected else 0) + power) % 2**128)
+            power = power * _PCG64_MULT % 2**128
+        for j in (1, 2, 3, 1000, _BATCH_ELEMENTS):
+            table = _lcg_sums(j)
+            assert _joined(table) == expected[:j]
+            last = tuple(half[-1:] for half in table)
+            assert _joined(_lcg_power(last)) == [pow(_PCG64_MULT, j, 2**128)]
+            for half in table:
+                with pytest.raises(ValueError, match="read-only"):
+                    half[0] = 0
+        with pytest.raises(ValueError, match="at most"):
+            _lcg_sums(_BATCH_ELEMENTS + 1)
+
     @pytest.mark.parametrize("seed", [0, 2**70 + 1])
     def test_blocks_cover_many_streams_past_a_skip(self, seed):
-        # Five streams step _BATCH_ELEMENTS // 5 outputs a block, so 7,000
-        # outputs take three blocks, the last one short; the last stream
+        # Five streams read _BATCH_ELEMENTS // 5 outputs a range, so 7,000
+        # outputs take three ranges, the last one short; the last stream
         # is trial 2^32 - 1.
         t = np.array([0, 1, 2, 1000, 2**32 - 1], dtype=np.uint32)
         skip, count, width = 5, 7000, _BATCH_ELEMENTS // 5
-        blocks = list(_pcg64_blocks(seed, [np.ones_like(t), t], skip, count))
-        assert [column for column, _ in blocks] == [0, width, 2 * width] and count > 2 * width
-        assert all(outputs.size <= _BATCH_ELEMENTS for _, outputs in blocks)
-        got = np.concatenate([outputs for _, outputs in blocks], axis=1)
+        state, inc = _pcg64_states(seed, [np.ones_like(t), t])
+        step = _add128(_mul128(state, _split(_PCG64_MULT - 1)), inc)
+        columns = range(0, count, width)
+        blocks = [_pcg64_outputs(state, step, skip + column, min(width, count - column))
+                  for column in columns]
+        assert list(columns) == [0, width, 2 * width] and count > 2 * width
+        assert all(outputs.size <= _BATCH_ELEMENTS for outputs in blocks)
+        got = np.concatenate(blocks, axis=1)
         expected = [np.random.default_rng((seed, 1, int(i))).bit_generator.random_raw(skip + count)
                     for i in t]
         np.testing.assert_array_equal(got, np.array(expected)[:, skip:])

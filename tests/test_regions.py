@@ -61,6 +61,15 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(seed=-1)
 
+    def test_rejects_non_integer_starts_and_seed(self):
+        # Unchecked, either one failed a searched solve deep in column generation.
+        with pytest.raises(TypeError):
+            OptimizerConfig(starts=2.5)
+        with pytest.raises(TypeError):
+            OptimizerConfig(seed=1.5)
+        cfg = OptimizerConfig(starts=np.int64(3), seed=np.int64(3))
+        assert (cfg.starts, cfg.seed) == (3, 3) and cfg == OptimizerConfig(starts=3, seed=3)
+
 
 class TestSecrecyObjective:
     def test_constant_channel_gives_baseline(self):

@@ -14,9 +14,9 @@ Two schemes are simulated with exact per-realization posteriors:
 Blocklengths stay desk-scale because Bob's decoding and Eve's posterior
 enumerate every member of the announced bin; that is the point, since exact
 posteriors make the equivocation estimate unbiased with a reportable standard
-error. A binning run holds O(|A|^n) integers of index (the bin table, one
-member ordering and the bin offsets; at full rate the table is its own
-member ordering) plus the index rows of the bins it is scoring, never a
+error. A full-rate binning run is answered from its code. Below full rate a
+run holds O(|A|^n) integers of index (the bin table, its stable sort by bin
+and the bin offsets) plus the index rows of the bins it is scoring, never a
 table of every sequence's symbols. In the gap scheme Eve's
 posterior is uniform over 2^k blocks, k the number of positions she misses
 that the transmission does not fill, so it is counted exactly rather than
@@ -240,9 +240,10 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
 
     Raises ValueError for a negative seed, a rate outside [0, log2
     alphabet_size], a blocklength below 1 or past the enumeration limit, and
-    TypeError for a seed that is not an integer.
+    TypeError for a seed or blocklength that is not an integer.
     """
     seed = _checked_seed(seed)
+    n = operator.index(n)
     if not 0.0 <= rate <= math.log2(alphabet_size) + 1e-12:
         raise ValueError(f"rate must lie in [0, log2 {alphabet_size}], got {rate}")
     if n < 1:
@@ -464,8 +465,7 @@ class _SwContext(NamedTuple):
     cell_shape: tuple[int, int, int]
     radix: np.ndarray
     # Bin j holds members_order[bin_offsets[j] : bin_offsets[j + 1]], in
-    # ascending sequence index: the argsort is stable, and at full rate the
-    # order is the identity table.
+    # ascending sequence index: the argsort is stable.
     members_order: np.ndarray
     bin_offsets: np.ndarray
     # cell_factors[w, c, a] is P(a | b) for w = 0 and P(a | e) for w = 1 at
@@ -504,30 +504,21 @@ def _reversed_digits(n_digits: int, alphabet_size: int) -> np.ndarray:
     return reversed_s
 
 
-def _sw_context(joint_abe: JointPMF, n: int, rate: float, seed: int) -> _SwContext:
-    require_variables(joint_abe, ("A", "B", "E"))
+def _sw_context(joint_abe: JointPMF, code: BinningCode) -> _SwContext:
     mass = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", "B", "E")), (0, 1, 2))
     n_a, n_b, n_e = mass.shape
-    code = make_binning_code(n, rate, n_a, seed)
+    n, n_seq = code.n, code.bin_of.size
     p_ab = mass.sum(axis=2)
     p_ae = mass.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         p_a_given_b = np.where(p_ab.sum(axis=0) > 0.0, p_ab / p_ab.sum(axis=0), 1.0 / n_a)
         p_a_given_e = np.where(p_ae.sum(axis=0) > 0.0, p_ae / p_ae.sum(axis=0), 1.0 / n_a)
     _, b_of_cell, e_of_cell = np.unravel_index(np.arange(mass.size), mass.shape)
-    n_seq = code.bin_of.size
-    if code.n_bins >= n_seq:
-        # The identity table is its own member order: bin j < |A|^n holds j
-        # alone, and any bins past the sequences are empty.
-        members_order = code.bin_of
-        offsets = np.arange(code.n_bins + 1, dtype=np.int64)
-        offsets[n_seq:] = n_seq
-    else:
-        offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
-        np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
-        # A stable sort has one answer; numpy radix-sorts 8- and 16-bit keys.
-        members_order = np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
-                                   kind="stable")
+    offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
+    # A stable sort has one answer; numpy radix-sorts 8- and 16-bit keys.
+    members_order = np.argsort(code.bin_of.astype(np.min_scalar_type(code.n_bins - 1)),
+                               kind="stable")
     cdf = mass.reshape(-1).cumsum()
     cdf /= cdf[-1]
     head_digits = n
@@ -707,14 +698,15 @@ def _sw_trials(ctx: _SwContext, trials: range) -> _SwTrials:
     )
 
 
-def _check_run(trials: int, seed: int) -> int:
+def _check_run(trials: int, seed: int) -> tuple[int, int]:
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     # Trial t's stream is default_rng((seed, 1, t)) with t one 32-bit word;
     # checked before the per-trial records are allocated.
     if trials > 1 << 32:
         raise ValueError("trials must be <= 2**32")
-    return _checked_seed(seed)
+    return trials, _checked_seed(seed)
 
 
 def _summarize(equivs: np.ndarray, seed: int, errors: np.ndarray, ties: np.ndarray) -> SimReport:
@@ -740,13 +732,18 @@ def run_sw_binning(
     Per trial: draw an i.i.d. block from the joint, announce the bin of the
     source block, decode at Bob by exact maximum posterior within the bin
     (any tie counts as an error), and score the eavesdropper's equivocation
-    as the entropy of her exact posterior over the bin, per symbol.
-    Raises ValueError for a rate outside [0, log2 |A|], a blocklength past
-    the enumeration limit, fewer than one or more than 2^32 trials, or a
-    negative seed.
+    as the entropy of her exact posterior over the bin, per symbol. At full
+    rate a bin holds at most one sequence, so the run is answered from its
+    code. Raises ValueError for a rate outside [0, log2 |A|], a blocklength
+    past the enumeration limit, fewer than one or more than 2^32 trials, or
+    a negative seed, and TypeError for a non-integer n, trials or seed.
     """
-    seed = _check_run(trials, seed)
-    ctx = _sw_context(joint_abe, n, rate, seed)
+    trials, seed = _check_run(trials, seed)
+    require_variables(joint_abe, ("A", "B", "E"))
+    code = make_binning_code(n, rate, joint_abe.alphabet("A").size, seed)
+    if code.n_bins >= code.bin_of.size:
+        return SimReport(trials, 0.0, 0.0, 0.0, seed)
+    ctx = _sw_context(joint_abe, code)
     errors = np.empty(trials, dtype=bool)
     ties = np.empty(trials, dtype=bool)
     equivs = np.empty(trials)
@@ -788,9 +785,10 @@ def run_erasure_encoder_scheme(
     ``integers(0, 2, n)``; her equivocation counts positions only, so the
     block is skipped, never drawn.
     """
+    n = operator.index(n)
     if not 1 <= n <= _MAX_GAP_SCHEME_N:
         raise ValueError(f"blocklength must lie in [1, {_MAX_GAP_SCHEME_N}], got {n}")
-    seed = _check_run(trials, seed)
+    trials, seed = _check_run(trials, seed)
     equivs = np.empty(trials)
     for block in _trial_blocks(trials, 2 * n):
         equivs[block.start : block.stop] = _gap_trials(params, n, seed, block)

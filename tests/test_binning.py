@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_joint
+from secomp import binning
 from secomp.binning import (
     BinningCode,
     SimReport,
@@ -39,7 +40,7 @@ from secomp.binning import (
     run_sw_binning,
 )
 from secomp.erasure import ErasureParams, make_erasure_joint
-from secomp.probability import entropy_of
+from secomp.probability import Alphabet, JointPMF, entropy_of
 
 
 # Reference binning simulator: every sequence's symbols come from one full
@@ -134,6 +135,11 @@ def _reference_run(joint, n, rate, trials, seed):
         ties=int(ties.sum()),
         wrong_decodes=int(errors.sum() - ties.sum()),
     )
+
+
+def _context(joint, n, rate, seed):
+    """_sw_context of the code make_binning_code builds for these arguments, at any rate."""
+    return _sw_context(joint, make_binning_code(n, rate, joint.alphabet("A").size, seed))
 
 
 def _records(batch):
@@ -528,7 +534,7 @@ class TestSwBinning:
 
     def test_trial_records_satisfy_structural_invariants(self):
         joint = make_erasure_joint(ErasureParams(0.5, 0.8))
-        ctx = _sw_context(joint, n=12, rate=0.6, seed=21)
+        ctx = _context(joint, n=12, rate=0.6, seed=21)
         ref = _reference_context(joint, n=12, rate=0.6, seed=21)
         n_erased_cap = 0
         for record in _records(_sw_trials(ctx, range(80))):
@@ -560,7 +566,7 @@ class TestSwBinning:
         digits = np.array([np.unravel_index(i, (n_a,) * n) for i in range(n_seq)])
         cases = set()
         for rate in (0.0, 0.5, math.log2(n_a)):
-            ctx = _sw_context(joint, n=n, rate=rate, seed=n)
+            ctx = _context(joint, n=n, rate=rate, seed=n)
             code = ctx.code
             k = ctx.head_digits
             cases.add(code.n_bins >= n_seq)
@@ -596,7 +602,7 @@ class TestSwBinning:
         # drawn by one trial each, in no particular order.
         joint = dirichlet_joint(np.random.default_rng((41, n)), sizes)
         seed = 5
-        ctx = _sw_context(joint, n, rate, seed)
+        ctx = _context(joint, n, rate, seed)
         ref = _reference_context(joint, n, rate, seed)
         records = _sw_trials(ctx, range(1000))
         sizes_of = np.diff(ctx.bin_offsets)[records.bin_index]
@@ -638,7 +644,7 @@ class TestSwBinning:
             assert run_sw_binning(joint, n, rate, 40, seed) == _reference_run(
                 joint, n, rate, 40, seed
             )
-            ctx = _sw_context(joint, n, rate, seed)
+            ctx = _context(joint, n, rate, seed)
             ref = _reference_context(joint, n, rate, seed)
             for t, record in enumerate(_records(_sw_trials(ctx, range(40)))):
                 got = (record.error, record.tie, record.equiv, record.seq_index,
@@ -659,7 +665,7 @@ class TestSwBinning:
         # The erasure joint has cells without mass, which a searchsorted on
         # a flat run of the cumulative sum must skip exactly as choice does.
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
-        ctx = _sw_context(joint, n, 0.5, 0)
+        ctx = _context(joint, n, 0.5, 0)
         flat = _reference_context(joint, n, 0.5, 0).flat
         assert (flat == 0.0).any()
         for s in range(200):
@@ -693,21 +699,56 @@ class TestSwBinning:
             tracemalloc.stop()
         assert peak <= 5 * 8 * 2**18
 
-    def test_full_rate_context_holds_only_the_table_and_offsets(self):
-        # At full rate the identity table is also the member order and the
-        # offsets are a clipped arange, so no count, sum or sort over the
-        # 2^18 sequences is held or made.
+    def test_full_rate_run_holds_only_the_table(self):
+        # A full-rate run is answered from its code, so beyond the identity
+        # table no count, sum or sort over the 2^18 sequences is held or made.
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
-        _sw_context(joint, 4, 1.0, 0)
+        run_sw_binning(joint, 4, 1.0, 5, 0)
         tracemalloc.start()
         try:
-            ctx = _sw_context(joint, 18, 1.0, 0)
-            held, peak = tracemalloc.get_traced_memory()
+            report = run_sw_binning(joint, 18, 1.0, 5, 0)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ctx.members_order is ctx.code.bin_of
-        table_and_offsets = ctx.code.bin_of.nbytes + ctx.bin_offsets.nbytes
-        assert held <= peak <= table_and_offsets + 64 * 1024
+        assert report == SimReport(5, 0.0, 0.0, 0.0, 0)
+        assert peak <= 8 * 2**18 + 64 * 1024
+
+    @pytest.mark.parametrize("sizes,n,rate", [
+        ((2, 3, 3), 10, 1.0), ((3, 2, 4), 5, math.log2(3)), ((1, 2, 2), 7, 0.0),
+    ], ids=["binary", "ternary-past-full", "one-symbol"])
+    def test_full_rate_run_is_answered_from_its_code(self, monkeypatch, sizes, n, rate):
+        # 2^ceil(n rate) bins hold the |A|^n sequences at most one a bin, so
+        # Bob decodes exactly, Eve's posterior is a point mass and no trial
+        # is drawn or scored.
+        joint = dirichlet_joint(np.random.default_rng((51, n)), sizes)
+        code = make_binning_code(n, rate, sizes[0], 4)
+        assert code.n_bins >= sizes[0] ** n
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a full-rate run draws or scores a trial")
+
+        monkeypatch.setattr(binning, "_sw_context", unreachable)
+        monkeypatch.setattr(binning, "_trial_uniforms", unreachable)
+        report = run_sw_binning(joint, n, rate, np.int64(30), 4)
+        assert report == SimReport(30, 0.0, 0.0, 0.0, 4)
+        assert type(report.trials) is int
+        assert report.ties == report.wrong_decodes == 0
+
+    def test_zero_posterior_at_the_truth_is_an_error(self):
+        # p(a = 1) = 1e-30, so the all-ones block's likelihood, 1e-330 at
+        # Bob and at Eve, underflows to 0 in a bin that holds other members.
+        alphabets = [Alphabet(name, symbols) for name, symbols in
+                     (("A", ("0", "1")), ("B", ("0",)), ("E", ("0",)))]
+        joint = JointPMF(tuple((a.name, a) for a in alphabets),
+                         np.array([1.0 - 1e-30, 1e-30]).reshape(2, 1, 1))
+        n = 11
+        ctx = _context(joint, n, 0.5, 0)
+        seq_index = np.array([2**n - 1])
+        bin_rows = _bin_rows(ctx, ctx.code.bin_of[seq_index])
+        assert bin_rows.sizes[0] > 1
+        cells = np.ones((1, n), dtype=np.int64)
+        with pytest.raises(ArithmeticError, match="zero posterior at Bob"):
+            _score_chunk(ctx, bin_rows, np.zeros(1, dtype=np.int64), cells, seq_index)
 
     def test_simulators_leave_numpy_random_unimported(self):
         # The bin table and the trial streams are drawn with no Generator.
@@ -760,6 +801,33 @@ class TestSwBinning:
             run_sw_binning(joint, n=10, rate=math.nan, trials=10, seed=0)
         with pytest.raises(ValueError):
             run_sw_binning(joint, n=10, rate=1.0, trials=10, seed=-1)
+
+    def test_rejects_non_integer_blocklength_and_trials(self):
+        # At rate 1 a float n used to pass into a full-rate code, and below it
+        # failed deep inside the bin table's draw.
+        joint = make_erasure_joint(ErasureParams(0.5, 0.8))
+        for n in (4.5, 4.0):
+            for rate in (0.0, 0.5, 1.0):
+                with pytest.raises(TypeError):
+                    make_binning_code(n, rate, 2, 0)
+                with pytest.raises(TypeError):
+                    run_sw_binning(joint, n, rate, 10, 0)
+        for rate in (0.5, 1.0):
+            with pytest.raises(TypeError):
+                run_sw_binning(joint, 4, rate, 2.5, 0)
+        with pytest.raises(TypeError):
+            run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), 4.5, 10, 0)
+        with pytest.raises(TypeError):
+            run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), 4, 2.5, 0)
+        assert make_binning_code(np.int64(4), 0.5, 2, 0).n == 4
+        for rate in (0.5, 1.0):
+            report = run_sw_binning(joint, np.int64(4), rate, np.int64(10), 0)
+            assert report == run_sw_binning(joint, 4, rate, 10, 0)
+            assert type(report.trials) is int
+        report = run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), np.int64(4),
+                                            np.int64(10), 0)
+        assert report == run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), 4, 10, 0)
+        assert type(report.trials) is int
 
 
 class TestGapScheme:

@@ -304,6 +304,28 @@ class TestSimulate:
                               env={**os.environ, "PYTHONPATH": path}, check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
 
+    def test_full_rate_binning_of_2_to_32_trials_prints_at_once(self, capsys, tmp_path):
+        # A full-rate run is answered from its code. Drawing the trials
+        # instead would allocate tens of GiB of per-trial records, so the
+        # command runs in a child capped at 4 GiB of address space, with one
+        # BLAS thread so that numpy's own reservations stay well under it.
+        path = write_preset(capsys, tmp_path, 0.1, 0.3)
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))\n"
+                  "from secomp.cli import main\n"
+                  "sys.exit(main(sys.argv[1:]))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["simulate", "binning", "-i", str(path), "--n", "8", "--rate", "1.0",
+                "--trials", str(2**32)]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              text=True, env=env, timeout=60, check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {
+            "trials": 2**32, "p_e_hat": 0.0, "equiv_hat": 0.0, "equiv_stderr": 0.0, "seed": 0,
+        }
+
     def test_diagnostics_append_ties_and_wrong_decodes(self, capsys, tmp_path):
         # A Dirichlet joint decodes wrongly as well as on ties.
         joint = dirichlet_joint(np.random.default_rng(9), (2, 3, 3))
@@ -434,7 +456,7 @@ class TestExitCodes:
             distribution_to_dict(joint)
 
     @pytest.mark.parametrize("command,flags,run", [
-        ("simulate binning", ("--n", "3", "--rate", "1", "--trials", str(2**32)),
+        ("simulate binning", ("--n", "3", "--rate", "0.5", "--trials", str(2**32)),
          "run_sw_binning"),
         ("simulate erasure-scheme", ("--pb", "0.25", "--pe", "0.5", "--n", "3",
                                      "--trials", str(2**32)), "run_erasure_encoder_scheme"),

@@ -376,8 +376,9 @@ def u_channel(cond_vars: tuple[VarSpec, ...], rows: np.ndarray) -> Channel:
     """Channel onto U = {u0, ..., u_n} from ``rows``, a row for each of n cells, zero-padded."""
     shape = tuple(alph.size for _, alph in cond_vars)
     n_symbols = math.prod(shape) + 1
-    table = np.reshape(rows, shape + (-1,))
-    table = np.pad(table, [(0, 0)] * len(shape) + [(0, n_symbols - table.shape[-1])])
+    rows = np.reshape(rows, shape + (-1,))
+    table = np.zeros(shape + (n_symbols,))
+    table[..., :rows.shape[-1]] = rows
     u_alphabet = Alphabet("U", tuple(f"u{i}" for i in range(n_symbols)))
     return Channel(cond_vars, ("U", u_alphabet), table)
 

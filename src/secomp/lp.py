@@ -9,15 +9,15 @@ Phase 1 is phase 2 on the system with one artificial column per row, cost
 Both build the same canonical tableau, whose last row holds the reduced
 costs of a minimization and, in its last entry, minus the objective, and
 run the same pivot loop, which cannot cycle in exact arithmetic: Bland's
-rule for phase 1, steepest pivoting for phase 2. The tableau is dense and
-every pivot updates all of it, with no factorization: that is cheap for
-the ordering checks and small masters, but a master of ``both`` on a
-4x4x4 joint has 64 rows and grows to thousands of columns, where the
-pivots take most of the solve. In rounding the loop can also stall on a
-strongly degenerate LP, so column generation perturbs its master's
-right-hand side (see ``ascent``).
-The rank-1 updates also drift where a row's share is tiny, so a run of
-``_SEGMENT`` pivots that ends without an optimum starts the next run from
+rule for phase 1, steepest pivoting for phase 2. The tableau is dense, with
+no factorization; each pivot subtracts its rank-1 update from all of it in
+place, through one buffer per run. On the degradation check's tableaus, at
+most 17 x 33, a pivot is numpy call overhead, about 12 us on a 2-vCPU VM,
+but a ``both`` master on a 4x4x4 joint grows to 64 rows and thousands of
+columns, where the pivots take most of the solve. In rounding the loop can
+also stall on a strongly degenerate LP, so column generation perturbs its
+master's right-hand side. The rank-1 updates also drift where a row's share
+is tiny, so a run of ``_SEGMENT`` pivots without an optimum restarts from
 the tableau rebuilt from its basis, by Bland's rule once runs repeat.
 """
 
@@ -37,9 +37,9 @@ _COST_TIE = 1e-12
 # Phase 2 stops once no reduced cost is below minus OPTIMALITY_TOL.
 OPTIMALITY_TOL = 1e-13
 _MAX_PIVOTS = 50_000
-# Pivots between rebuilds. The tests and the benchmark take at most 180
-# pivots a solve, and searched solves on seeded Dirichlet joints up to
-# 6x3x2 at most 564, so those solves never rebuild.
+# Pivots between rebuilds. A solve takes at most 29 in the benchmark, 624 in
+# the tests (three of whose tiny-share masters drift past a run and rebuild)
+# and 567 at starts=16 on seeded Dirichlet joints up to 6x3x2.
 _SEGMENT = 2_000
 
 
@@ -58,33 +58,33 @@ def _pivot_to_optimum(tableau: np.ndarray, basis: np.ndarray, tol: float, steepe
     optimum; it stops early where the entering column has no positive entry
     (the minimization looks unbounded) or the least ratio is not finite.
     """
-    m = tableau.shape[0] - 1
+    reduced, rhs = tableau[-1, :-1], tableau[:-1, -1]
+    update = np.empty_like(tableau)
     stalled = False
     for _ in range(_SEGMENT):
-        reduced = tableau[m, :-1]
-        negative = np.flatnonzero(reduced < -tol)
-        if negative.size == 0:
+        negative = reduced < -tol
+        entering = negative.argmax()
+        if not negative[entering]:
             return True
         if steepest and not stalled:
             # The first of the columns within _COST_TIE of the most negative,
             # so that rounding noise does not pick among equal costs.
-            costs = reduced[negative]
-            entering = negative[np.argmax(costs <= costs.min() + _COST_TIE)]
-        else:
-            entering = negative[0]
-        column = tableau[:m, entering]
-        candidates = np.flatnonzero(column > _PIVOT_TOL)
-        if candidates.size == 0:
+            negative &= reduced <= reduced[negative].min() + _COST_TIE
+            entering = negative.argmax()
+        column = tableau[:, entering]
+        candidates = (column[:-1] > _PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
             return False
-        ratios = tableau[candidates, -1] / column[candidates]
+        ratios = rhs[candidates] / column[candidates]
         best = ratios.min()
         if not np.isfinite(best):
             return False
         ties = candidates[ratios <= best + _RATIO_TIE]
-        leaving = ties[np.argmin(basis[ties])]
+        leaving = ties[basis[ties].argmin()] if ties.size > 1 else ties[0]
         stalled = best <= _RATIO_TIE
-        pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau -= np.outer(tableau[:, entering], pivot_row)
+        pivot_row = tableau[leaving] / column[leaving]
+        np.multiply(column[:, None], pivot_row, out=update)
+        tableau -= update
         tableau[leaving] = pivot_row
         basis[leaving] = entering
     return False

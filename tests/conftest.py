@@ -4,7 +4,7 @@ from collections import defaultdict
 import numpy as np
 
 from secomp import ascent
-from secomp.probability import Alphabet, Channel, JointPMF
+from secomp.probability import Alphabet, Channel, JointPMF, build_joint
 
 
 def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
@@ -15,6 +15,25 @@ def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
         for name, size in zip(names, sizes)
     )
     return JointPMF(variables, mass)
+
+
+def markov_chain_joint(rng, n_a=2, n_b=3, n_e=3):
+    """Random joint where the weaker observation factors through the stronger."""
+    p_a = rng.dirichlet(np.ones(n_a))
+    alph_a = Alphabet("A", tuple(f"a{i}" for i in range(n_a)))
+    base = JointPMF((("A", alph_a),), p_a)
+    to_b = Channel(
+        (("A", alph_a),),
+        ("B", Alphabet("B", tuple(f"b{i}" for i in range(n_b)))),
+        rng.dirichlet(np.ones(n_b), size=n_a),
+    )
+    with_b = build_joint(base, to_b)
+    to_e = Channel(
+        (("B", with_b.alphabet("B")),),
+        ("E", Alphabet("E", tuple(f"e{i}" for i in range(n_e)))),
+        rng.dirichlet(np.ones(n_e), size=n_b),
+    )
+    return build_joint(with_b, to_e)
 
 
 def grid_witness(joint, objective, cond, result):

@@ -310,26 +310,30 @@ def two_row_envelope(objective: EntropyObjective) -> tuple[np.ndarray, int, floa
     # Terms that can rise above a chord: -mu_k log2 mu_k with sign +1 over
     # the columns both rows carry, then the net -q log2 q of the columns
     # row 0 carries alone and the net -(1-q) log2 (1-q) of row 1's.
-    both = (a > 0.0) & (b > 0.0)
-    weight = np.concatenate([sign[both], [sign[b == 0.0] @ a[b == 0.0],
-                                          sign[a == 0.0] @ b[a == 0.0]]])
+    alone_0, alone_1 = b == 0.0, a == 0.0
+    both = ~(alone_0 | alone_1)
+    weight = np.concatenate([sign[both], [sign[alone_0] @ a[alone_0], sign[alone_1] @ b[alone_1]]])
     concave = weight > 0.0
     ends_a = np.concatenate([a[both], [1.0, 0.0]])[concave, None]
     ends_b = np.concatenate([b[both], [0.0, 1.0]])[concave, None]
     weight = weight[concave]
 
+    a_col, b_col = a[:, None], b[:, None]
+
     def phi(q: np.ndarray) -> np.ndarray:
-        return objective.column_values(a[:, None] * q + b[:, None] * (1.0 - q))
+        return objective.column_values(a_col * q + b_col * (1.0 - q))
 
     def cell_gaps(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        m_lo, m_hi = ends_a * lo + ends_b * (1.0 - lo), ends_a * hi + ends_b * (1.0 - hi)
+        ends = np.concatenate((lo, hi))
+        m = ends_a * ends + ends_b * (1.0 - ends)
+        m_lo, m_hi = m[:, : lo.size], m[:, lo.size:]
         return weight @ chord_gap(np.minimum(m_lo, m_hi), np.maximum(m_lo, m_hi))
 
     q, lam, top, points = upper_envelope(phi, cell_gaps, float(rho[0]))
     if q is not None:
         # u0 takes the support richer in row 0, so supports {0, 1} give
         # the copy of the conditioning symbol itself.
-        witness = _witness(objective, np.stack([q, 1.0 - q], axis=1)[::-1], lam[::-1])
+        witness = _witness(objective, np.array([q, 1.0 - q]).T[::-1], lam[::-1])
     return witness, points, 0.0 + top  # no -0.0 bound
 
 

@@ -13,6 +13,7 @@ suggests.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -31,22 +32,69 @@ _POLISH_ROUNDS = 4
 _BRIDGE_STEPS = 64
 # Two support points that beat phi at rho0 by at most this are rounding noise.
 _TIE_TOL = 1e-13
-# Each np.unique here asks for first indices: without them numpy 2.4 takes a
-# hash-table path that imports numpy.ma, about 1 MB of a CLI run's peak RSS.
 
 
-def _neg_xlogx(x: np.ndarray) -> np.ndarray:
-    return -x * np.log2(x, out=np.zeros(x.shape), where=x > 0.0)
+# The tables below are built on first use and keyed on the constants above,
+# so that a caller or test that changes a constant gets tables of its size.
+# Repeated points are dropped by sorting and masking equal neighbours, in
+# fewer calls than np.unique; nothing here imports numpy.ma, which np.unique
+# without return_index does on numpy 2.4 (about 1 MB of a CLI run's RSS).
+
+
+@functools.cache
+def _counts(n: int) -> np.ndarray:
+    """0.0, 1.0, ..., n - 1.0, shared read-only: the multipliers of ``_linspace``."""
+    counts = np.arange(n, dtype=float)
+    counts.flags.writeable = False
+    return counts
+
+
+@functools.cache
+def _unit_grid(cells: int) -> np.ndarray:
+    """np.linspace(0.0, 1.0, cells + 1), shared read-only."""
+    grid = _linspace(0.0, 1.0, cells + 1)
+    grid.flags.writeable = False
+    return grid
+
+
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
+    """np.linspace(lo, hi, n) for n >= 2, with numpy's arithmetic and without its wrapper."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        y = _counts(n) / (n - 1) * delta  # numpy's path for a step that underflows
+    else:
+        y = _counts(n) * step
+    y += lo
+    y[-1] = hi
+    return y
+
+
+def _distinct(q: np.ndarray) -> np.ndarray:
+    """Which points of the sorted ``q`` differ from their predecessor."""
+    first = np.empty(q.shape, dtype=bool)
+    first[0] = True
+    np.not_equal(q[1:], q[:-1], out=first[1:])
+    return first
+
+
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(x, out=np.zeros(x.shape), where=x > 0.0)
 
 
 def chord_gap(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Max over [lo, hi] of -x log2 x minus its chord, elementwise (lo <= hi)."""
+    """Max over [lo, hi] of -x log2 x minus its chord, elementwise (lo <= hi).
+
+    Written with x log2 x, whose differences are those of -x log2 x
+    swapped, bit for bit; both ends are scored in one call.
+    """
+    ends = _xlogx(np.concatenate((lo, hi)))
+    p_lo, p_hi = ends[: len(lo)], ends[len(lo):]
     width = hi - lo
-    f_lo = _neg_xlogx(lo)
-    slope = np.divide(_neg_xlogx(hi) - f_lo, width, out=np.zeros(width.shape), where=width > 0.0)
-    # -x log2 x has slope s at x = 2^-s / e.
-    x = np.clip(np.exp2(-slope) / math.e, lo, hi)
-    return np.maximum(_neg_xlogx(x) - f_lo - slope * (x - lo), 0.0)
+    slope = np.divide(p_lo - p_hi, width, out=np.zeros(width.shape), where=width > 0.0)
+    # -x log2 x has slope s at x = 2^-s / e, clipped to the cell.
+    x = np.minimum(np.maximum(np.exp2(-slope) / math.e, lo), hi)
+    return np.maximum(p_lo - _xlogx(x) - slope * (x - lo), 0.0)
 
 
 def _bridge(q: np.ndarray, f: np.ndarray, c: int) -> tuple[int, int]:
@@ -57,10 +105,14 @@ def _bridge(q: np.ndarray, f: np.ndarray, c: int) -> tuple[int, int]:
     the two never lowers the chord at q[c], and where neither moves, every
     point lies on or below the chord's line, which is then the hull's.
     """
-    i = c
+    q_left, f_left, q_right, f_right = q[: c + 1], f[: c + 1], q[c + 1:], f[c + 1:]
+    i, j = c, -1
     for _ in range(_BRIDGE_STEPS):
-        j = c + 1 + int(np.argmax((f[c + 1:] - f[i]) / (q[c + 1:] - q[i])))
-        i_next = int(np.argmin((f[j] - f[: c + 1]) / (q[j] - q[: c + 1])))
+        j_next = c + 1 + int(((f_right - f[i]) / (q_right - q[i])).argmax())
+        if j_next == j:
+            break  # the step to the left from the same j finds i again
+        j = j_next
+        i_next = int(((f[j] - f_left) / (q[j] - q_left)).argmin())
         if i_next == i:
             break
         i = i_next
@@ -80,15 +132,16 @@ def _polish(
     h = 1.0 / _GRID
     points = 0
     for _ in range(_POLISH_ROUNDS):
-        window = np.concatenate([
-            np.linspace(max(qa - h, 0.0), min(qa + h, rho0), _POLISH_POINTS),
-            np.linspace(max(qb - h, rho0), min(qb + h, 1.0), _POLISH_POINTS),
-            [qa, rho0, qb],
-        ])
-        window = np.unique(window, return_index=True)[0]
+        window = np.concatenate((
+            _linspace(max(qa - h, 0.0), min(qa + h, rho0), _POLISH_POINTS),
+            _linspace(max(qb - h, rho0), min(qb + h, 1.0), _POLISH_POINTS),
+            (qa, rho0, qb),
+        ))
+        window.sort()
+        window = window[_distinct(window)]
         f = phi(window)
         points += window.size
-        i, j = _bridge(window, f, int(np.searchsorted(window, rho0)))
+        i, j = _bridge(window, f, int(window.searchsorted(rho0)))
         qa, qb = window[i], window[j]
         h *= 2.0 / (_POLISH_POINTS - 1)
     return np.array([qa, qb]), f[[i, j]], points
@@ -113,53 +166,64 @@ def upper_envelope(
     concave stretch, the support is rho0 alone and None is returned for it,
     so the witness does not follow the noise.
     """
-    q = np.unique(np.append(np.linspace(0.0, 1.0, _GRID + 1), rho0), return_index=True)[0]
+    grid = _unit_grid(_GRID)
+    c = int(grid.searchsorted(rho0))
+    q = grid if grid[c] == rho0 else np.concatenate((grid[:c], (rho0,), grid[c:]))
     f = phi(q)
     points = q.size
+    split_edges = _unit_grid(_SPLIT)
     for _ in range(_ROUNDS):
-        i, j = _bridge(q, f, int(np.searchsorted(q, rho0)))
+        i, j = _bridge(q, f, c)
         support, f_support, polished = _polish(phi, rho0, q[i], q[j])
         points += polished
         (qa, qb), (fa, fb) = support, f_support
         slope = (fb - fa) / (qb - qa)
         q, f = _merge([q, support], [f, f_support])
         r = f - (fa + slope * (q - qa))
-        # Cells as (lo, hi, residual at lo, residual at hi), in no order.
-        lo, hi, r_lo, r_hi = q[:-1], q[1:], r[:-1], r[1:]
         eps = 0.0
         scored_q, scored_f, r_max = [q], [f], r.max()
+        edges, r_edges = q, r
         while True:
-            bound = np.maximum(r_lo, r_hi) + cell_gaps(lo, hi)
-            split = (bound > _EPS) & (np.maximum(r_lo, r_hi) <= _EPS / 2.0)
-            split &= hi - lo > 4.0 * np.spacing(hi)
-            if points + np.count_nonzero(split) * (_SPLIT - 1) > _MAX_POINTS:
-                split[:] = False
-            eps = max(eps, float(bound[~split].max(initial=0.0)))
-            if not split.any():
+            # The cells between neighbours along the last axis of the edges,
+            # as rows (lo, hi, residual at lo, residual at hi), in no order.
+            cells = np.concatenate((edges[..., :-1], edges[..., 1:],
+                                    r_edges[..., :-1], r_edges[..., 1:])).reshape(4, -1)
+            lo, hi, r_lo, r_hi = cells
+            r_cell, width = np.maximum(r_lo, r_hi), hi - lo
+            bound = r_cell + cell_gaps(lo, hi)
+            split = (bound > _EPS) & (r_cell <= _EPS / 2.0) & (width > 4.0 * np.spacing(hi))
+            n_split = np.count_nonzero(split)
+            if not n_split or points + n_split * (_SPLIT - 1) > _MAX_POINTS:
+                eps = max(eps, float(bound.max(initial=0.0)))
                 break
-            edges = lo[split, None] + (hi - lo)[split, None] * np.linspace(0.0, 1.0, _SPLIT + 1)
-            edges[:, -1] = hi[split]
-            inner = edges[:, 1:-1]
-            f_inner = phi(inner.ravel()).reshape(inner.shape)
-            r_inner = f_inner - (fa + slope * (inner - qa))
-            points += inner.size
-            scored_q.append(inner.ravel())
-            scored_f.append(f_inner.ravel())
+            eps = max(eps, float(bound.max(initial=0.0, where=~split)))
+            lo, hi, r_lo, r_hi = cells[:, split]
+            edges = lo[:, None] + (hi - lo)[:, None] * split_edges
+            edges[:, -1] = hi
+            q_inner = edges[:, 1:-1].ravel()
+            f_inner = phi(q_inner)
+            r_inner = f_inner - (fa + slope * (q_inner - qa))
+            points += q_inner.size
+            scored_q.append(q_inner)
+            scored_f.append(f_inner)
             r_max = max(r_max, r_inner.max())
-            r_edges = np.hstack([r_lo[split, None], r_inner, r_hi[split, None]])
-            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
-            r_lo, r_hi = r_edges[:, :-1].ravel(), r_edges[:, 1:].ravel()
+            r_edges = np.concatenate(
+                (r_lo[:, None], r_inner.reshape(n_split, -1), r_hi[:, None]), axis=1)
         if r_max <= _EPS / 2.0:
             break
         q, f = _merge(scored_q, scored_f)
+        c = int(q.searchsorted(rho0))
     top = fa + slope * (rho0 - qa)
     lam_b = (rho0 - qa) / (qb - qa)
-    if top - f[np.searchsorted(q, rho0)] <= _TIE_TOL:
+    if top - f[q.searchsorted(rho0)] <= _TIE_TOL:
         support = None
     return support, np.array([1.0 - lam_b, lam_b]), top + eps, points
 
 
 def _merge(qs: list[np.ndarray], fs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Points and values of several scorings, sorted by point; a repeat keeps its first value."""
-    q, first = np.unique(np.concatenate(qs), return_index=True)
-    return q, np.concatenate(fs)[first]
+    q = np.concatenate(qs)
+    order = q.argsort(kind="stable")
+    q = q[order]
+    first = _distinct(q)
+    return q[first], np.concatenate(fs)[order[first]]

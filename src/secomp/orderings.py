@@ -82,6 +82,21 @@ def _conditionals_given_a(joint: JointPMF, var: str) -> tuple[np.ndarray, np.nda
     return pa[keep], arr[keep] / pa[keep, None]
 
 
+def _degradation_system(p_strong: np.ndarray, p_weak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_eq, b_eq) of the degradation LP for p(strong | a) over the supported s, and p(weak | a).
+
+    Variables q[s, w], flattened s-major: one row per (a, w) for the
+    composition sum_s p(s | a) q[s, w] = p(w | a), then one per s for the
+    row sums. Every entry is a p(s | a) or 1.0, placed into zeros.
+    """
+    (n_a, n_sup), n_w = p_strong.shape, p_weak.shape[1]
+    a_eq = np.zeros((n_a * n_w + n_sup, n_sup * n_w))
+    w, s = np.arange(n_w), np.arange(n_sup)
+    a_eq[: n_a * n_w].reshape(n_a, n_w, n_sup, n_w)[:, w, :, w] = p_strong
+    a_eq[n_a * n_w:].reshape(n_sup, n_sup, n_w)[s, s] = 1.0
+    return a_eq, np.concatenate([p_weak.ravel(), np.ones(n_sup)])
+
+
 def is_physically_degraded(
     joint_abe: JointPMF, direction: str = "e_degraded_wrt_b"
 ) -> bool:
@@ -122,20 +137,12 @@ def check_stochastic_degradation(
     support = np.flatnonzero(strong_marginal > 0.0)
     physically = is_physically_degraded(joint_abe, direction)
 
-    # Variables q[s, w] for supported s, flattened s-major: one row per (a, w)
-    # for the composition, then one per supported s for the row sums.
-    n_sup = support.size
-    a_eq = np.vstack([
-        np.kron(p_strong[:, support], np.eye(n_w)),
-        np.kron(np.eye(n_sup), np.ones(n_w)),
-    ])
-    b_eq = np.concatenate([p_weak.ravel(), np.ones(n_sup)])
-    solution = phase1_simplex(a_eq, b_eq)
+    solution = phase1_simplex(*_degradation_system(p_strong[:, support], p_weak))
     if solution is None:
         return OrderingVerdict(kind="not_degraded", physically_degraded=physically)
 
     rows = np.full((n_s, n_w), 1.0 / n_w)
-    rows[support] = solution.reshape(n_sup, n_w)
+    rows[support] = solution.reshape(support.size, n_w)
     rows /= rows.sum(axis=1, keepdims=True)
     residual = np.abs(p_strong @ rows - p_weak).max()
     if residual > COMPOSITION_TOL:

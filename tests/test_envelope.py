@@ -7,6 +7,8 @@ p(e|a), takes the grid's hull at p_A by minimizing max_q f(q) - s (q - p_A)
 over the slope s, and bounds the grid error by the chord gaps of the
 concave entropy term. The oracle uses no secomp envelope code; the tests
 only coarsen ``secomp.envelope``'s grid to check the bound on a poor witness.
+``TestMatchesReference`` holds the envelope's points and bits to a copy of
+its loops as they were written with np.linspace, np.unique and np.clip.
 """
 
 import json
@@ -45,7 +47,7 @@ from secomp.regions import (
     secrecy_objective,
 )
 
-from conftest import dirichlet_joint, grid_witness, random_channel
+from conftest import dirichlet_joint, grid_witness, markov_chain_joint, random_channel
 
 CFG = OptimizerConfig(starts=4, seed=0)
 GRID = np.linspace(0.0, 1.0, 8193)
@@ -325,6 +327,281 @@ class TestMaskedArraysUnloaded:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               env={**os.environ, "PYTHONPATH": path}, check=False)
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# The envelope as it was before its loops were rewritten for fewer numpy
+# calls: ``upper_envelope``, ``_polish``, ``_bridge``, ``_merge`` and
+# ``chord_gap`` verbatim but for their names and docstrings, and the ``phi`` and
+# ``cell_gaps`` that ``two_row_envelope`` built for them. The rewrite must
+# score the same points in the same order with the same arithmetic, so on
+# every input both return the same support, weights, bound and points count,
+# bit for bit. The copy reads its constants from this module's globals,
+# which ``_use_envelope_constants`` sets to secomp.envelope's, coarsened or not.
+
+_ENVELOPE_CONSTANTS = ("_GRID", "_EPS", "_MAX_POINTS", "_ROUNDS", "_SPLIT", "_POLISH_POINTS",
+                       "_POLISH_ROUNDS", "_BRIDGE_STEPS", "_TIE_TOL")
+
+
+def _use_envelope_constants():
+    globals().update({name: getattr(envelope, name) for name in _ENVELOPE_CONSTANTS})
+
+
+def reference_neg_xlogx(x: np.ndarray) -> np.ndarray:
+    return -x * np.log2(x, out=np.zeros(x.shape), where=x > 0.0)
+
+
+def reference_chord_gap(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Max over [lo, hi] of -x log2 x minus its chord, elementwise (lo <= hi)."""
+    width = hi - lo
+    f_lo = reference_neg_xlogx(lo)
+    slope = np.divide(reference_neg_xlogx(hi) - f_lo, width, out=np.zeros(width.shape),
+                      where=width > 0.0)
+    # -x log2 x has slope s at x = 2^-s / e.
+    x = np.clip(np.exp2(-slope) / math.e, lo, hi)
+    return np.maximum(reference_neg_xlogx(x) - f_lo - slope * (x - lo), 0.0)
+
+
+def reference_bridge(q: np.ndarray, f: np.ndarray, c: int) -> tuple[int, int]:
+    i = c
+    for _ in range(_BRIDGE_STEPS):
+        j = c + 1 + int(np.argmax((f[c + 1:] - f[i]) / (q[c + 1:] - q[i])))
+        i_next = int(np.argmin((f[j] - f[: c + 1]) / (q[j] - q[: c + 1])))
+        if i_next == i:
+            break
+        i = i_next
+    return i, j
+
+
+def reference_polish(phi, rho0: float, qa: float, qb: float) -> tuple[np.ndarray, np.ndarray, int]:
+    h = 1.0 / _GRID
+    points = 0
+    for _ in range(_POLISH_ROUNDS):
+        window = np.concatenate([
+            np.linspace(max(qa - h, 0.0), min(qa + h, rho0), _POLISH_POINTS),
+            np.linspace(max(qb - h, rho0), min(qb + h, 1.0), _POLISH_POINTS),
+            [qa, rho0, qb],
+        ])
+        window = np.unique(window, return_index=True)[0]
+        f = phi(window)
+        points += window.size
+        i, j = reference_bridge(window, f, int(np.searchsorted(window, rho0)))
+        qa, qb = window[i], window[j]
+        h *= 2.0 / (_POLISH_POINTS - 1)
+    return np.array([qa, qb]), f[[i, j]], points
+
+
+def reference_upper_envelope(phi, cell_gaps, rho0: float):
+    q = np.unique(np.append(np.linspace(0.0, 1.0, _GRID + 1), rho0), return_index=True)[0]
+    f = phi(q)
+    points = q.size
+    for _ in range(_ROUNDS):
+        i, j = reference_bridge(q, f, int(np.searchsorted(q, rho0)))
+        support, f_support, polished = reference_polish(phi, rho0, q[i], q[j])
+        points += polished
+        (qa, qb), (fa, fb) = support, f_support
+        slope = (fb - fa) / (qb - qa)
+        q, f = reference_merge([q, support], [f, f_support])
+        r = f - (fa + slope * (q - qa))
+        # Cells as (lo, hi, residual at lo, residual at hi), in no order.
+        lo, hi, r_lo, r_hi = q[:-1], q[1:], r[:-1], r[1:]
+        eps = 0.0
+        scored_q, scored_f, r_max = [q], [f], r.max()
+        while True:
+            bound = np.maximum(r_lo, r_hi) + cell_gaps(lo, hi)
+            split = (bound > _EPS) & (np.maximum(r_lo, r_hi) <= _EPS / 2.0)
+            split &= hi - lo > 4.0 * np.spacing(hi)
+            if points + np.count_nonzero(split) * (_SPLIT - 1) > _MAX_POINTS:
+                split[:] = False
+            eps = max(eps, float(bound[~split].max(initial=0.0)))
+            if not split.any():
+                break
+            edges = lo[split, None] + (hi - lo)[split, None] * np.linspace(0.0, 1.0, _SPLIT + 1)
+            edges[:, -1] = hi[split]
+            inner = edges[:, 1:-1]
+            f_inner = phi(inner.ravel()).reshape(inner.shape)
+            r_inner = f_inner - (fa + slope * (inner - qa))
+            points += inner.size
+            scored_q.append(inner.ravel())
+            scored_f.append(f_inner.ravel())
+            r_max = max(r_max, r_inner.max())
+            r_edges = np.hstack([r_lo[split, None], r_inner, r_hi[split, None]])
+            lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+            r_lo, r_hi = r_edges[:, :-1].ravel(), r_edges[:, 1:].ravel()
+        if r_max <= _EPS / 2.0:
+            break
+        q, f = reference_merge(scored_q, scored_f)
+    top = fa + slope * (rho0 - qa)
+    lam_b = (rho0 - qa) / (qb - qa)
+    if top - f[np.searchsorted(q, rho0)] <= _TIE_TOL:
+        support = None
+    return support, np.array([1.0 - lam_b, lam_b]), top + eps, points
+
+
+def reference_merge(qs, fs):
+    q, first = np.unique(np.concatenate(qs), return_index=True)
+    return q, np.concatenate(fs)[first]
+
+
+def reference_closures(objective):
+    """(phi, cell_gaps, rho0) as ``two_row_envelope`` built them for the reference copy."""
+    sign, rho = objective.sign, objective.rho
+    a, b = objective.scaled
+    both = (a > 0.0) & (b > 0.0)
+    weight = np.concatenate([sign[both], [sign[b == 0.0] @ a[b == 0.0],
+                                          sign[a == 0.0] @ b[a == 0.0]]])
+    concave = weight > 0.0
+    ends_a = np.concatenate([a[both], [1.0, 0.0]])[concave, None]
+    ends_b = np.concatenate([b[both], [0.0, 1.0]])[concave, None]
+    weight = weight[concave]
+
+    def phi(q):
+        return objective.column_values(a[:, None] * q + b[:, None] * (1.0 - q))
+
+    def cell_gaps(lo, hi):
+        m_lo, m_hi = ends_a * lo + ends_b * (1.0 - lo), ends_a * hi + ends_b * (1.0 - hi)
+        return weight @ reference_chord_gap(np.minimum(m_lo, m_hi), np.maximum(m_lo, m_hi))
+
+    return phi, cell_gaps, float(rho[0])
+
+
+def assert_same_envelope(actual, expected):
+    """(support, weights, bound, points) bit for bit; a support of None on both sides."""
+    (support, lam, bound, points), (ref_support, ref_lam, ref_bound, ref_points) = actual, expected
+    assert (support is None) == (ref_support is None)
+    if support is not None:
+        assert support.tobytes() == ref_support.tobytes()
+    assert lam.tobytes() == ref_lam.tobytes()
+    assert np.float64(bound).tobytes() == np.float64(ref_bound).tobytes()
+    assert points == ref_points
+
+
+def assert_envelope_matches_reference(phi, cell_gaps, rho0, ref_phi=None, ref_cell_gaps=None):
+    _use_envelope_constants()
+    expected = reference_upper_envelope(ref_phi or phi, ref_cell_gaps or cell_gaps, rho0)
+    assert_same_envelope(envelope.upper_envelope(phi, cell_gaps, rho0), expected)
+    return expected
+
+
+def assert_solve_matches_reference(objective, monkeypatch):
+    """The envelope, its closures and ``two_row_envelope``'s result against the reference."""
+    handed = []
+
+    def recorded(*args):
+        handed.append(args)
+        return envelope.upper_envelope(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ascent, "upper_envelope", recorded)
+        witness, points, bound = two_row_envelope(objective)
+    ((phi, cell_gaps, rho0),) = handed
+    ref_phi, ref_cell_gaps, ref_rho0 = reference_closures(objective)
+    assert rho0 == ref_rho0
+    support, lam, top, ref_points = assert_envelope_matches_reference(
+        phi, cell_gaps, rho0, ref_phi, ref_cell_gaps)
+    assert points == ref_points
+    assert np.float64(bound).tobytes() == np.float64(0.0 + top).tobytes()
+    if support is None:
+        expected = np.full_like(witness, 1.0 / witness.shape[1])
+    else:
+        columns = np.stack([support, 1.0 - support], axis=1)[::-1]
+        expected = ascent._witness(objective, columns, lam[::-1])
+    assert witness.tobytes() == expected.tobytes()
+    # The closures on their own, over random cells with some of zero width.
+    rng = np.random.default_rng(len(objective.sign))
+    ends = np.sort(rng.random((2, 200)), axis=0)
+    ends[:, :3] = [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
+    assert cell_gaps(*ends).tobytes() == ref_cell_gaps(*ends).tobytes()
+    assert phi(ends[0]).tobytes() == ref_phi(ends[0]).tobytes()
+
+
+def _binary_objectives(joint):
+    """The objectives of an (A, B, E) joint's two-row solves.
+
+    I(A;B|U) - I(A;E|U) is the S_B-open secrecy objective and the violation
+    of B less noisy than E; I(A;E|U) - I(A;B|U) is that of E less noisy than B.
+    """
+    return [secrecy_entropy_objective(joint, x, ("A",), y) for x, y in (("B", "E"), ("E", "B"))]
+
+
+@pytest.fixture(params=["default", "coarse"])
+def constants(request, monkeypatch):
+    if request.param == "coarse":
+        _coarsen(monkeypatch)
+    return request.param
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (2, 3, 3), (2, 4, 3), (2, 3, 5)],
+                             ids=lambda sizes: "x".join(map(str, sizes)))
+    @pytest.mark.parametrize("chain", [False, True], ids=["dirichlet", "chain"])
+    def test_secrecy_and_less_noisy_solves(self, constants, sizes, chain, monkeypatch):
+        for seed in range(3):
+            rng = np.random.default_rng((31, seed))
+            joint = markov_chain_joint(rng, *sizes) if chain else dirichlet_joint(rng, sizes)
+            for objective in _binary_objectives(joint):
+                assert_solve_matches_reference(objective, monkeypatch)
+
+    def test_joints_with_massless_cells(self, constants, monkeypatch):
+        for joint in JOINTS[3::4]:
+            for objective in _binary_objectives(joint):
+                assert_solve_matches_reference(objective, monkeypatch)
+
+    @pytest.mark.parametrize("sizes", [(2, 3, 3), (2, 4, 2)], ids=["2x3x3", "2x4x2"])
+    def test_coded_corners(self, constants, sizes, monkeypatch):
+        for seed in range(3):
+            rng = np.random.default_rng((32, seed))
+            joint = dirichlet_joint(rng, sizes, names=("A", "C", "E"))
+            for n_symbols in (2, 3):
+                joint_v = build_joint(joint, random_channel(rng, joint, ("C",), "V", n_symbols))
+                objective = secrecy_entropy_objective(joint_v, "V", ("A",))
+                assert_solve_matches_reference(objective, monkeypatch)
+
+    def test_erasure_grid(self, constants, monkeypatch):
+        for p_b in np.linspace(0.0, 1.0, 13):
+            for p_e in np.linspace(0.0, 1.0, 7):
+                joint = make_erasure_joint(ErasureParams(float(p_b), float(p_e)))
+                for objective in _binary_objectives(joint):
+                    assert_solve_matches_reference(objective, monkeypatch)
+
+    @pytest.mark.parametrize("rounds", [1, 4])
+    def test_narrow_bump(self, constants, rounds, monkeypatch):
+        monkeypatch.setattr(envelope, "_ROUNDS", rounds)
+        bump = TestNarrowBump()
+        for rho0 in (0.5, 0.3, 0.6037, 0.9):
+            assert_envelope_matches_reference(bump.phi, bump.cell_gaps, rho0)
+
+    def test_a_repeat_keeps_its_first_scoring(self, constants, monkeypatch):
+        # A point scored twice can come back with other last bits (a matrix
+        # product rounds by its position in the batch), so a merge must
+        # keep the first value. This phi shifts each batch by its size.
+        bump = TestNarrowBump()
+
+        def phi(q):
+            return bump.phi(q) + 1e-15 * q.size
+
+        for rho0 in (0.5, 0.3):
+            assert_envelope_matches_reference(phi, bump.cell_gaps, rho0)
+
+    def test_steps_are_linspace(self):
+        # About one pair in seventy ends its steps off hi by rounding, as the
+        # fifth does, so the last point must be set to hi.
+        rng = np.random.default_rng(33)
+        ends = np.sort(rng.random((2000, 2)) ** rng.choice([1.0, 4.0], (2000, 1)), axis=1)
+        ends[:5] = [[0.0, 1.0], [0.25, 0.25], [0.0, 5e-324], [0.5, 0.5 + 2e-16],
+                    [0.18083840174300164, 0.812038908820217]]
+        for lo, hi in ends:
+            for n in (2, 9, 129):
+                expected = np.linspace(lo, hi, n)
+                assert envelope._linspace(lo, hi, n).tobytes() == expected.tobytes()
+        for cells in (8, 128):
+            assert envelope._unit_grid(cells).tobytes() == np.linspace(0.0, 1.0, cells + 1).tobytes()
+
+    def test_chord_gap(self):
+        rng = np.random.default_rng(34)
+        ends = np.sort(rng.random((2, 6, 50)) ** 4, axis=0)
+        ends[:, 0, :3] = [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]]
+        ends[0, 1] = 0.0
+        assert envelope.chord_gap(*ends).tobytes() == reference_chord_gap(*ends).tobytes()
 
 
 class TestClosedForms:

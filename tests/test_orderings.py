@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from secomp.erasure import ErasureParams, make_erasure_joint
-from secomp import ascent
+from secomp import ascent, orderings
 from secomp.lp import phase1_simplex
 from secomp.orderings import (
     WITNESS_TOL,
@@ -189,6 +189,23 @@ class TestDegradation:
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
         with pytest.raises(ValueError):
             check_stochastic_degradation(joint, "b_degraded_wrt_a")
+
+    def test_system_is_the_kron_build(self):
+        # The system is placed into zeros; the two Kronecker products it
+        # replaces multiply each entry by an exact 0.0 or 1.0, so the two
+        # builds agree bit for bit, zero conditionals included.
+        rng = np.random.default_rng(10)
+        for _ in range(200):
+            n_a, n_sup, n_w = rng.integers(1, 6, 3)
+            p_strong = rng.dirichlet(np.ones(n_sup), size=n_a)
+            p_strong[rng.random(p_strong.shape) < 0.2] = 0.0
+            p_weak = rng.dirichlet(np.ones(n_w), size=n_a)
+            a_eq, b_eq = orderings._degradation_system(p_strong, p_weak)
+            expected = np.vstack([np.kron(p_strong, np.eye(n_w)),
+                                  np.kron(np.eye(n_sup), np.ones(n_w))])
+            assert a_eq.shape == expected.shape
+            assert a_eq.tobytes() == expected.tobytes()
+            assert b_eq.tobytes() == np.concatenate([p_weak.ravel(), np.ones(n_sup)]).tobytes()
 
 
 class TestLessNoisy:

@@ -10,6 +10,9 @@ invariant breach (for example a PMF that does not normalize, or a simplex
 that rounding stops from reaching an optimum). All numeric output is
 printed with 12 significant digits and all randomness flows from explicit
 --seed flags, so repeated runs with identical arguments are byte-identical.
+The JSON is byte for byte what ``json.dump(indent=2)`` writes for the
+output with every float rounded to 12 digits; it is built whole and written
+at once, so a value that cannot be encoded prints nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -53,34 +58,67 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
+def _json_text(obj, memo: dict, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` of ``obj`` with every float rounded to 12 digits.
 
-
-def _jsonable(obj):
+    ``indent`` is the newline and indent that close ``obj``; ``memo`` maps
+    (float, sign) to its text, the sign because -0.0 == 0.0 prints apart.
+    Keys must be strings. A value json cannot encode, or a key that is not
+    a string, raises TypeError.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        key = (obj, math.copysign(1.0, obj))
+        text = memo.get(key)
+        if text is None:
+            value = float(f"{obj:.12g}")
+            if value != value:
+                text = "NaN"
+            elif math.isinf(value):
+                text = "Infinity" if value > 0 else "-Infinity"
+            else:
+                text = float.__repr__(value)
+            memo[key] = text
+        return text
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(v, memo, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, memo, inner)
+                 for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit_json(obj, stream) -> None:
-    json.dump(_jsonable(obj), stream, indent=2)
-    stream.write("\n")
+    """Write ``obj`` as indented JSON in one write; nothing is written if it cannot be encoded."""
+    stream.write(_json_text(obj, {}) + "\n")
 
 
 def channel_to_dict(channel: Channel) -> dict:
-    rows = []
     shape = tuple(a.size for _, a in channel.from_vars)
-    for idx in np.ndindex(*shape):
-        given = {
-            name: alph.symbols[i]
-            for (name, alph), i in zip(channel.from_vars, idx)
+    pmfs = channel.rows.reshape(-1, channel.to_var[1].size).tolist()
+    rows = [
+        {
+            "given": {name: alph.symbols[i] for (name, alph), i in zip(channel.from_vars, idx)},
+            "pmf": pmf,
         }
-        rows.append({"given": given, "pmf": list(channel.rows[idx])})
+        for idx, pmf in zip(np.ndindex(*shape), pmfs)
+    ]
     return {
         "conditioning": list(channel.from_names),
         "output": channel.to_var[0],
@@ -160,8 +198,7 @@ def distribution_to_dict(joint: JointPMF) -> dict:
     if "p" in joint.var_names:
         raise ValueError("no variable may be named 'p': it is the key of a pmf record's mass")
     records = []
-    for idx in np.ndindex(*joint.mass.shape):
-        p = float(joint.mass[idx])
+    for idx, p in zip(np.ndindex(*joint.mass.shape), joint.mass.ravel().tolist()):
         if p == 0.0:
             continue
         rec = {

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import dirichlet_joint
 from secomp import cli, orderings
@@ -628,3 +631,76 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and "required" in err
+
+
+# The JSON path cli used before its one-pass writer, kept as the reference.
+def _round12(value: float) -> float:
+    return float(f"{value:.12g}")
+
+
+def _jsonable(obj):
+    if isinstance(obj, float):
+        return _round12(obj)
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def emitted(obj) -> str:
+    buf = io.StringIO()
+    cli._emit_json(obj, buf)
+    return buf.getvalue()
+
+
+# Quotes, backslashes, control characters, non-ASCII and a lone surrogate,
+# each of which json escapes its own way.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\ud800\xe9\U0001f600'),
+                          st.characters()), max_size=6)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                    _FLOATS.map(np.float64), _TEXT)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    """``_emit_json`` against ``json.dumps(indent=2)`` of the rounded tree, its former path."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_TREES)
+    @example(obj={"flags": [True, False, None, 1, 0], "empty": [{}, [], ()], "nested": [[[]]]})
+    @example(obj={"": {"\u00e9\"\\\x01": [0.1 + 0.2, 1e-320, 1e22, -1.5e-7, np.float64(2 / 3)]}})
+    def test_matches_json_dumps_of_rounded_tree(self, obj):
+        assert emitted(obj) == json.dumps(_jsonable(obj), indent=2) + "\n"
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0, 0.0]])
+    def test_signed_zeros_keep_their_signs(self, values):
+        text = emitted(values)
+        assert text == json.dumps(_jsonable(values), indent=2) + "\n"
+        assert [math.copysign(1.0, v) for v in json.loads(text)] == [
+            math.copysign(1.0, v) for v in values]
+
+    def test_non_finite_values(self):
+        values = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)]
+        assert emitted(values) == json.dumps(_jsonable(values), indent=2) + "\n"
+        assert emitted(values) == (
+            "[\n  NaN,\n  Infinity,\n  -Infinity,\n  NaN,\n  -Infinity\n]\n")
+
+    def test_value_on_a_twelve_digit_rounding_boundary(self):
+        # The golden less-noisy gap whose 13th digit sits by a rounding boundary.
+        obj = {"gap": 0.08268432147945001}
+        assert emitted(obj) == json.dumps(_jsonable(obj), indent=2) + "\n"
+        assert emitted(obj) == '{\n  "gap": 0.0826843214795\n}\n'
+
+    @pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), object(), {1: 2.0}])
+    def test_unencodable_value_writes_nothing(self, bad):
+        buf = io.StringIO()
+        with pytest.raises(TypeError):
+            cli._emit_json({"a": 1.0, "b": bad}, buf)
+        assert buf.getvalue() == ""

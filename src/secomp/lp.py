@@ -150,17 +150,16 @@ def phase1_simplex(a_eq: np.ndarray, b_eq: np.ndarray) -> np.ndarray | None:
 
     Maximizes minus the sum of one artificial variable per row, starting
     from the artificials as the basis, by Bland's rule; the system is
-    feasible when that sum ends at most ``_FEASIBILITY_TOL``.
+    feasible when that sum ends at most ``_FEASIBILITY_TOL``. Rows with b < 0
+    enter the tableau times -1.0, exactly, and the caller's arrays are not changed.
     """
-    a_eq = np.asarray(a_eq, dtype=float).copy()
-    b_eq = np.asarray(b_eq, dtype=float).copy()
+    a_eq = np.asarray(a_eq, dtype=float)
+    b_eq = np.asarray(b_eq, dtype=float)
     m, n = a_eq.shape
-    flip = b_eq < 0.0
-    a_eq[flip] *= -1.0
-    b_eq[flip] *= -1.0
+    sign = np.where(b_eq < 0.0, -1.0, 1.0)
     cost = np.concatenate([np.zeros(n), np.full(m, -1.0)])
-    x, reduced = _optimize(np.hstack([a_eq, np.eye(m)]), b_eq, cost, np.arange(n, n + m),
-                           _REDUCED_COST_TOL, steepest=False)
+    x, reduced = _optimize(np.hstack([sign[:, None] * a_eq, np.eye(m)]), sign * b_eq, cost,
+                           np.arange(n, n + m), _REDUCED_COST_TOL, steepest=False)
     return None if -reduced[-1] > _FEASIBILITY_TOL else np.maximum(x[:n], 0.0)
 
 

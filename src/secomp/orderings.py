@@ -25,11 +25,13 @@ import numpy as np
 
 from .ascent import OptimizerConfig
 from .lp import phase1_simplex
-from .probability import Channel, JointPMF, entropy_of, marginalize, require_variables
+from .probability import Channel, JointPMF, entropy_of, require_variables
 from .regions import OptResult, maximize_secrecy
 
 # A degradation certificate must reproduce the weaker conditional this well.
 COMPOSITION_TOL = 1e-8
+# The joint is physically degraded when its Markov identity holds this well.
+MARKOV_TOL = 1e-10
 # Witness objective values above this count as a falsification.
 WITNESS_TOL = 1e-6
 
@@ -55,10 +57,11 @@ class OrderingVerdict:
     verdicts carry the degrading channel as ``certificate`` and a
     ``physically_degraded`` flag for whether the given joint itself forms the
     Markov chain (degradation as checked here only constrains the pairwise
-    marginals). Falsifications carry the ``witness`` channel and its ``gap``;
-    non-falsifications record the ``budget_used`` in channels scored (the
-    envelope's or grid witness, the copy of A, the uniform channel, and
-    column generation's witness where it ran). Less-noisy
+    marginals): every |p(a,m,l) p(m) - p(a,m) p(m,l)| is at most the
+    absolute tolerance ``MARKOV_TOL``. Falsifications carry the ``witness``
+    channel and its ``gap``; non-falsifications record the ``budget_used``
+    in channels scored (the envelope's or grid witness, the copy of A, the
+    uniform channel, and column generation's witness where it ran). Less-noisy
     verdicts carry a certified ``upper_bound`` on the violation, at least
     ``gap``; ``opt`` is the secrecy solve behind them, for its diagnostics.
     """
@@ -71,15 +74,6 @@ class OrderingVerdict:
     physically_degraded: bool | None = None
     upper_bound: float | None = None
     opt: OptResult | None = None
-
-
-def _conditionals_given_a(joint: JointPMF, var: str) -> tuple[np.ndarray, np.ndarray]:
-    """(p(a), p(var | a)) with zero-mass source symbols dropped."""
-    pax = marginalize(joint, ("A", var))
-    arr = pax.mass if pax.var_names == ("A", var) else pax.mass.T
-    pa = arr.sum(axis=1)
-    keep = pa > 0.0
-    return pa[keep], arr[keep] / pa[keep, None]
 
 
 def _degradation_system(p_strong: np.ndarray, p_weak: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +105,7 @@ def is_physically_degraded(
     # A - mid - last holds iff p(a,m,l) p(m) == p(a,m) p(m,l) cell by cell.
     lhs = arr * p_mid[None, :, None]
     rhs = p_a_mid[:, :, None] * p_mid_last[None, :, :]
-    return bool(np.abs(lhs - rhs).max() <= 1e-10)
+    return bool(np.abs(lhs - rhs).max() <= MARKOV_TOL)
 
 
 def check_stochastic_degradation(
@@ -126,15 +120,18 @@ def check_stochastic_degradation(
     certificate is one vertex of a feasible set that is often degenerate,
     so it moves with the last bits of the conditionals: computing them with
     other rounding can return another vertex that passes the same recheck.
+    So they come from the joint's mass with axes moved to (A, strong, weak),
+    each pairwise marginal divided by its sum as ``JointPMF`` renormalizes
+    a ``marginalize`` result, which keeps the bits that route gave.
     """
     require_variables(joint_abe, ("A", "B", "E"))
     strong, weak = _roles(_DEGRADATION_ROLES, direction)
-    _, p_strong = _conditionals_given_a(joint_abe, strong)
-    _, p_weak = _conditionals_given_a(joint_abe, weak)
-    n_s = p_strong.shape[1]
-    n_w = p_weak.shape[1]
-    strong_marginal = marginalize(joint_abe, strong).mass
-    support = np.flatnonzero(strong_marginal > 0.0)
+    arr = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", strong, weak)), (0, 1, 2))
+    p_as, p_aw = (m / float(m.sum()) for m in (arr.sum(axis=2), arr.sum(axis=1)))
+    keep = p_as.sum(axis=1) > 0.0
+    p_strong, p_weak = (p[keep] / p[keep].sum(axis=1, keepdims=True) for p in (p_as, p_aw))
+    _, n_s, n_w = arr.shape
+    support = np.flatnonzero(p_as.sum(axis=0) > 0.0)
     physically = is_physically_degraded(joint_abe, direction)
 
     solution = phase1_simplex(*_degradation_system(p_strong[:, support], p_weak))

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,6 +69,26 @@ class TestPhase1Simplex:
         assert x is not None
         np.testing.assert_allclose(a_eq @ x, b_eq, atol=1e-10)
 
+    @pytest.mark.parametrize("form", ["list", "int", "float"])
+    def test_leaves_its_inputs_alone(self, form):
+        # Rows 0 and 2 have b < 0; the solve negates them as it stacks the
+        # tableau, which must match solving the negated system bit for bit.
+        a_rows = [[-1, -1, 0, 0], [0, 1, 1, 0], [0, 0, -1, -1]]
+        b_rows = [-2, 3, -4]
+        a_eq, b_eq = {
+            "list": (a_rows, b_rows),
+            "int": (np.array(a_rows), np.array(b_rows)),
+            "float": (np.array(a_rows, dtype=float), np.array(b_rows, dtype=float)),
+        }[form]
+        before = [np.array(v).tobytes() for v in (a_eq, b_eq)]
+        x = phase1_simplex(a_eq, b_eq)
+        assert [np.array(v).tobytes() for v in (a_eq, b_eq)] == before
+        negated = phase1_simplex(np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+                                           [0.0, 0.0, 1.0, 1.0]]), np.array([2.0, 3.0, 4.0]))
+        assert x is not None
+        assert x.tobytes() == negated.tobytes()
+        np.testing.assert_allclose(np.array(a_rows) @ x, b_rows, atol=1e-10)
+
 
 def degradation_lp(joint, strong, weak):
     """The degradation LP built entry by entry, variables q[s, w] s-major.
@@ -129,7 +151,74 @@ class TestPhase1AgainstLinprog:
                     assert np.abs(a_eq @ x - b_eq).max() <= 1e-10
 
 
+def marginalized_conditionals(joint, var):
+    """(p(a), p(var | a)) through ``marginalize``: how the check built them before."""
+    pax = marginalize(joint, ("A", var))
+    arr = pax.mass if pax.var_names == ("A", var) else pax.mass.T
+    pa = arr.sum(axis=1)
+    keep = pa > 0.0
+    return pa[keep], arr[keep] / pa[keep, None]
+
+
+def degradation_joints(rng, sizes, count):
+    """(variables, mass) of Dirichlet joints and Markov chains, some with a
+    zero-mass source symbol, zero-mass B and E symbols, or a 1e-13 share."""
+    for k in range(count):
+        joint = markov_chain_joint(rng, *sizes) if k % 2 else dirichlet_joint(rng, sizes)
+        mass = joint.mass.copy()
+        if k % 4 == 1:
+            mass[rng.integers(sizes[0])] = 0.0
+        elif k % 4 == 2:
+            mass[:, rng.integers(sizes[1])] = 0.0
+            mass[:, :, rng.integers(sizes[2])] = 0.0
+        elif k % 4 == 3:
+            mass[tuple(rng.integers(n) for n in sizes)] = 1e-13 * mass.sum()
+        yield joint.variables, mass / mass.sum()
+
+
+def in_order(variables, mass, order):
+    """The joint over (A, B, E) ``variables`` with its axes in ``order``.
+
+    Every order renormalizes the same cells summed in the same memory
+    order, so all of them hold the same bits.
+    """
+    axes = tuple("ABE".index(name) for name in order)
+    return JointPMF(tuple(variables[i] for i in axes), np.transpose(mass, axes))
+
+
 class TestDegradation:
+    @pytest.mark.parametrize("sizes", [(2, 3, 3), (3, 4, 4), (3, 3, 2), (2, 2, 3), (4, 3, 5)])
+    def test_variable_order_and_reference_bits(self, sizes, monkeypatch):
+        # The conditionals come from the joint's mass with its axes moved to
+        # (A, strong, weak). Each pairwise marginal is renormalized as a
+        # ``JointPMF`` renormalizes a ``marginalize`` result, so the system
+        # phase 1 sees is the one built through ``marginalize``, bit for bit,
+        # and every verdict is the one at (A, B, E) order.
+        systems = []
+        solve = orderings.phase1_simplex
+        monkeypatch.setattr(orderings, "phase1_simplex",
+                            lambda a_eq, b_eq: systems.append((a_eq, b_eq)) or solve(a_eq, b_eq))
+        rng = np.random.default_rng((2008, 33, *sizes))
+        for variables, mass in degradation_joints(rng, sizes, 40):
+            for direction, (strong, weak) in orderings._DEGRADATION_ROLES.items():
+                at_abe = check_stochastic_degradation(in_order(variables, mass, "ABE"), direction)
+                for order in permutations("ABE"):
+                    moved = in_order(variables, mass, order)
+                    systems.clear()
+                    verdict = check_stochastic_degradation(moved, direction)
+                    _, p_strong = marginalized_conditionals(moved, strong)
+                    _, p_weak = marginalized_conditionals(moved, weak)
+                    support = np.flatnonzero(marginalize(moved, strong).mass > 0.0)
+                    expected = orderings._degradation_system(p_strong[:, support], p_weak)
+                    assert [v.tobytes() for v in systems[0]] == [v.tobytes() for v in expected]
+                    assert verdict.kind == at_abe.kind
+                    assert verdict.physically_degraded == at_abe.physically_degraded
+                    if verdict.certificate is None:
+                        assert at_abe.certificate is None
+                    else:
+                        rows = verdict.certificate.rows
+                        assert rows.tobytes() == at_abe.certificate.rows.tobytes()
+
     def test_erasure_pair_is_degraded_with_known_certificate(self):
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
         verdict = check_stochastic_degradation(joint, "e_degraded_wrt_b")

@@ -15,12 +15,12 @@ Blocklengths stay desk-scale because Bob's decoding and Eve's posterior
 enumerate every member of the announced bin; that is the point, since exact
 posteriors make the equivocation estimate unbiased with a reportable standard
 error. A full-rate binning run is answered from its code. Below full rate a
-run holds O(|A|^n) integers of index (the bin table, its stable sort by bin
-and the bin offsets) plus the index rows of the bins it is scoring, never a
-table of every sequence's symbols. In the gap scheme Eve's
-posterior is uniform over 2^k blocks, k the number of positions she misses
-that the transmission does not fill, so it is counted exactly rather than
-enumerated.
+run holds O(|A|^n) integers of index (the bin table, its stable sort by bin,
+the bin offsets and the head map, whose |A|^k entries are at most the mean
+bin size; see Batches) plus the index rows of the bins it is scoring, never a
+table of every sequence's symbols. In the gap scheme Eve's posterior is
+uniform over 2^k blocks, k the number of positions she misses that the
+transmission does not fill, so it is counted exactly rather than enumerated.
 
 Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
 would draw, and the bin table is what ``default_rng((seed, 0))`` would
@@ -56,16 +56,16 @@ members) array, zero past each trial's bin. A member's likelihood is the
 product of its n factors taken left to right, as a single trial takes them:
 its first k digits are read off a per-trial table of prefix products, with
 |A|^k no larger than the mean bin size, and each later position's factor is
-multiplied in. The index work, each member's head number and later digits,
-is done once per bin of the chunk and shared by the trials that drew it;
-consecutive chunks of one bin reuse it. MAP decoding, ties and Eve's
-posterior entropies are then taken row by row. Each entropy sums a row's own
-terms only, grouped by length, so every record equals the one-trial
-computation bit for bit. ``_BATCH_ELEMENTS`` bounds the working set: it caps
-the numbers a block of trials draws, the LCG sums table and the 64-bit
-outputs a block of the bin table holds, and the likelihoods, head tables
-and bin index rows a chunk holds; a trial whose bin alone exceeds it is a
-chunk of its own.
+multiplied in. The index work, each member's head number (one gather in the
+run's head map, which reverses k digits) and later digits, is done once per
+bin of the chunk and shared by the trials that drew it; consecutive chunks of
+one bin reuse it. MAP decoding, ties and Eve's posterior entropies are then
+taken row by row. Each entropy sums a row's own terms only, grouped by
+length, so every record equals the one-trial computation bit for bit.
+``_BATCH_ELEMENTS`` bounds the working set: it caps the numbers a block of
+trials draws, the LCG sums table and the 64-bit outputs a block of the bin
+table holds, and the likelihoods, head tables and bin index rows a chunk
+holds; a trial whose bin alone exceeds it is a chunk of its own.
 """
 
 from __future__ import annotations
@@ -475,10 +475,10 @@ class _SwContext(NamedTuple):
     # A member's likelihood is read off a table over its first head_digits
     # digits, k >= 1 with |A|^k no larger than the mean bin size, then
     # multiplied by each later digit's factor. The table puts position p at
-    # place |A|^p, so a member's head number has its k digits reversed;
-    # reversed_halves reverse the low k // 2 and the high k - k // 2.
+    # place |A|^p, so a member's head number has its k digits reversed:
+    # head_map[s] is s with its k digits reversed, |A|^k entries.
     head_digits: int
-    reversed_halves: tuple[np.ndarray, np.ndarray]
+    head_map: np.ndarray
 
 
 class _SwTrials(NamedTuple):
@@ -508,11 +508,9 @@ def _sw_context(joint_abe: JointPMF, code: BinningCode) -> _SwContext:
     mass = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", "B", "E")), (0, 1, 2))
     n_a, n_b, n_e = mass.shape
     n, n_seq = code.n, code.bin_of.size
-    p_ab = mass.sum(axis=2)
-    p_ae = mass.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        p_a_given_b = np.where(p_ab.sum(axis=0) > 0.0, p_ab / p_ab.sum(axis=0), 1.0 / n_a)
-        p_a_given_e = np.where(p_ae.sum(axis=0) > 0.0, p_ae / p_ae.sum(axis=0), 1.0 / n_a)
+        p_a_given_b, p_a_given_e = (np.where(p.sum(axis=0) > 0.0, p / p.sum(axis=0), 1.0 / n_a)
+                                    for p in (mass.sum(axis=2), mass.sum(axis=1)))
     _, b_of_cell, e_of_cell = np.unravel_index(np.arange(mass.size), mass.shape)
     offsets = np.zeros(code.n_bins + 1, dtype=np.int64)
     np.cumsum(np.bincount(code.bin_of, minlength=code.n_bins), out=offsets[1:])
@@ -524,6 +522,8 @@ def _sw_context(joint_abe: JointPMF, code: BinningCode) -> _SwContext:
     head_digits = n
     while head_digits > 1 and n_a**head_digits * code.n_bins > n_seq:
         head_digits -= 1
+    # s = high |A|^(k // 2) + low reverses to reversed(low) |A|^((k + 1) // 2) + reversed(high).
+    low, high = (_reversed_digits(k, n_a) for k in (head_digits // 2, (head_digits + 1) // 2))
     return _SwContext(
         n=n,
         code=code,
@@ -534,8 +534,7 @@ def _sw_context(joint_abe: JointPMF, code: BinningCode) -> _SwContext:
         bin_offsets=offsets,
         cell_factors=np.stack((p_a_given_b.T[b_of_cell], p_a_given_e.T[e_of_cell])),
         head_digits=head_digits,
-        reversed_halves=(_reversed_digits(head_digits // 2, n_a),
-                         _reversed_digits(head_digits - head_digits // 2, n_a)),
+        head_map=(low * high.size + high[:, None]).reshape(-1),
     )
 
 
@@ -566,12 +565,7 @@ def _bin_rows(ctx: _SwContext, bins: np.ndarray) -> _BinRows:
         rest = head // n_a
         digits[position] = head - n_a * rest
         head = rest
-    low_size = n_a ** (ctx.head_digits // 2)
-    high = head // low_size
-    reversed_low, reversed_high = ctx.reversed_halves
-    head = reversed_low[head - low_size * high] * (n_a**ctx.head_digits // low_size)
-    head += reversed_high[high]
-    return _BinRows(sizes=sizes, members=members, head=head, digits=digits)
+    return _BinRows(sizes=sizes, members=members, head=ctx.head_map[head], digits=digits)
 
 
 def _score_chunk(

@@ -91,21 +91,27 @@ def _degradation_system(p_strong: np.ndarray, p_weak: np.ndarray) -> tuple[np.nd
     return a_eq, np.concatenate([p_weak.ravel(), np.ones(n_sup)])
 
 
-def is_physically_degraded(
-    joint_abe: JointPMF, direction: str = "e_degraded_wrt_b"
-) -> bool:
-    """Whether the joint itself forms the Markov chain A - stronger - weaker."""
-    require_variables(joint_abe, ("A", "B", "E"))
-    mid, last = _roles(_DEGRADATION_ROLES, direction)
-    order = ("A", mid, last)
-    arr = np.moveaxis(joint_abe.mass, joint_abe.axes(order), (0, 1, 2))
+def _is_markov(arr: np.ndarray, p_a_mid: np.ndarray) -> bool:
+    """Whether (A, mid, last) mass ``arr``, p(a, mid) = ``p_a_mid``, forms A - mid - last."""
     p_mid = arr.sum(axis=(0, 2))
-    p_a_mid = arr.sum(axis=2)
     p_mid_last = arr.sum(axis=0)
     # A - mid - last holds iff p(a,m,l) p(m) == p(a,m) p(m,l) cell by cell.
     lhs = arr * p_mid[None, :, None]
     rhs = p_a_mid[:, :, None] * p_mid_last[None, :, :]
     return bool(np.abs(lhs - rhs).max() <= MARKOV_TOL)
+
+
+def _moved(joint_abe: JointPMF, direction: str) -> tuple[str, str, np.ndarray]:
+    """(strong, weak, the joint's mass with its axes moved to (A, strong, weak))."""
+    require_variables(joint_abe, ("A", "B", "E"))
+    strong, weak = _roles(_DEGRADATION_ROLES, direction)
+    return strong, weak, np.moveaxis(joint_abe.mass, joint_abe.axes(("A", strong, weak)), (0, 1, 2))
+
+
+def is_physically_degraded(joint_abe: JointPMF, direction: str = "e_degraded_wrt_b") -> bool:
+    """Whether the joint itself forms the Markov chain A - stronger - weaker."""
+    arr = _moved(joint_abe, direction)[2]
+    return _is_markov(arr, arr.sum(axis=2))
 
 
 def check_stochastic_degradation(
@@ -124,15 +130,14 @@ def check_stochastic_degradation(
     each pairwise marginal divided by its sum as ``JointPMF`` renormalizes
     a ``marginalize`` result, which keeps the bits that route gave.
     """
-    require_variables(joint_abe, ("A", "B", "E"))
-    strong, weak = _roles(_DEGRADATION_ROLES, direction)
-    arr = np.moveaxis(joint_abe.mass, joint_abe.axes(("A", strong, weak)), (0, 1, 2))
-    p_as, p_aw = (m / float(m.sum()) for m in (arr.sum(axis=2), arr.sum(axis=1)))
+    strong, weak, arr = _moved(joint_abe, direction)
+    m_as = arr.sum(axis=2)
+    p_as, p_aw = (m / float(m.sum()) for m in (m_as, arr.sum(axis=1)))
     keep = p_as.sum(axis=1) > 0.0
     p_strong, p_weak = (p[keep] / p[keep].sum(axis=1, keepdims=True) for p in (p_as, p_aw))
     _, n_s, n_w = arr.shape
     support = np.flatnonzero(p_as.sum(axis=0) > 0.0)
-    physically = is_physically_degraded(joint_abe, direction)
+    physically = _is_markov(arr, m_as)
 
     solution = phase1_simplex(*_degradation_system(p_strong[:, support], p_weak))
     if solution is None:
@@ -141,16 +146,16 @@ def check_stochastic_degradation(
     rows = np.full((n_s, n_w), 1.0 / n_w)
     rows[support] = solution.reshape(support.size, n_w)
     rows /= rows.sum(axis=1, keepdims=True)
-    residual = np.abs(p_strong @ rows - p_weak).max()
-    if residual > COMPOSITION_TOL:
-        raise ArithmeticError(
-            f"feasible LP certificate fails composition recheck ({residual:.3e})"
-        )
     certificate = Channel(
         ((strong, joint_abe.alphabet(strong)),),
         (weak, joint_abe.alphabet(weak)),
         rows,
     )
+    residual = np.abs(p_strong @ certificate.rows - p_weak).max()
+    if residual > COMPOSITION_TOL:
+        raise ArithmeticError(
+            f"feasible LP certificate fails composition recheck ({residual:.3e})"
+        )
     return OrderingVerdict(
         kind="degraded", certificate=certificate, physically_degraded=physically
     )

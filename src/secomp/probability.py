@@ -284,7 +284,7 @@ def mutual_information_of(
     x = _as_names(x_vars)
     y = _as_names(y_vars)
     g = _as_names(given_vars)
-    _check_disjoint(joint, x, y, g)
+    # The second entropy checks every name and that x, y and g share none.
     value = entropy_of(joint, x, g) - entropy_of(joint, x, tuple(y) + tuple(g))
     if -_CLAMP_TOL < value < 0.0:
         return 0.0

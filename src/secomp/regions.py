@@ -188,7 +188,7 @@ def maximize_equivocation(
                         objective_trace=(delta,), rounds=0, hit_max_rounds=False, evaluations=0,
                         upper_bound=delta)
     else:
-        sb = maximize_equivocation(joint_abe, SwitchConfig(s_b=True), cfg)
+        sb = maximize_secrecy(joint_abe, "B", cond_vars[:2], cfg)
         opt = maximize_secrecy(joint_abe, "B", cond_vars, cfg, candidates=[copy_e, sb.best_u])
         opt = replace(opt, evaluations=opt.evaluations + sb.evaluations)
     return _as_equivocation(opt)

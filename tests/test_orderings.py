@@ -274,6 +274,41 @@ class TestDegradation:
         chain = markov_chain_joint(rng)
         assert is_physically_degraded(chain, "e_degraded_wrt_b") is True
 
+    def test_physical_flag_is_is_physically_degraded(self):
+        # The check reads the flag off the array it builds the system from;
+        # it must agree with the public function on both sides of
+        # MARKOV_TOL. Chains A - B - E, and the same chains with B and E
+        # swapped, with one cell's mass moved by 0.1x the tolerance stay
+        # chains in their direction, and by 10x they do not always.
+        rng = np.random.default_rng((2008, 34))
+        cases = [(joint.variables, joint.mass, None, None) for joint in
+                 [dirichlet_joint(rng, (2, 3, 3)) for _ in range(4)]
+                 + [markov_chain_joint(rng) for _ in range(4)]]
+        for scale in (0.1, 10.0):
+            for _ in range(6):
+                chain = markov_chain_joint(rng, 2, 3, 3)
+                mass = chain.mass.copy()
+                source, sink = rng.choice(mass.size, 2, replace=False)
+                mass.flat[source] -= scale * orderings.MARKOV_TOL
+                mass.flat[sink] += scale * orderings.MARKOV_TOL
+                a, (_, alph_b), (_, alph_e) = chain.variables
+                cases += [(chain.variables, mass, scale, "e_degraded_wrt_b"),
+                          ((a, ("B", alph_e), ("E", alph_b)), mass.transpose(0, 2, 1), scale,
+                           "b_degraded_wrt_e")]
+        flags = {}
+        for variables, mass, scale, chain_direction in cases:
+            for direction in orderings._DEGRADATION_ROLES:
+                for order in permutations("ABE"):
+                    joint = in_order(variables, mass, order)
+                    flag = is_physically_degraded(joint, direction)
+                    verdict = check_stochastic_degradation(joint, direction)
+                    assert verdict.physically_degraded is flag
+                    if direction == chain_direction:
+                        flags.setdefault((scale, direction), set()).add(flag)
+        for direction in orderings._DEGRADATION_ROLES:
+            assert flags[0.1, direction] == {True}
+            assert flags[10.0, direction] == {False, True}
+
     def test_rejects_unknown_direction(self):
         joint = make_erasure_joint(ErasureParams(0.1, 0.3))
         with pytest.raises(ValueError):

@@ -128,6 +128,20 @@ class TestMutualInformation:
                 mi_brute(cells, (0,), (1,), (2,)), abs=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "x, y, given",
+        [("A", "A", ()), ("A", ("B", "E"), "E"), ("A", "B", "A"), ("A", ("B", "B"), ()),
+         ("Z", "B", ()), ("A", "Z", ()), ("A", "B", "Z")],
+        ids=["x-with-y", "y-with-given", "x-with-given", "repeat-in-y",
+             "unknown-x", "unknown-y", "unknown-given"],
+    )
+    def test_rejects_overlapping_repeated_and_unknown_names(self, x, y, given):
+        # The two entropies' checks cover every case: H(X|Z) checks x and z,
+        # and H(X|Y,Z) checks every name once more, y against z included.
+        joint = make_erasure_joint(ErasureParams(0.25, 0.5))
+        with pytest.raises(DistributionError):
+            mutual_information_of(joint, x, y, given)
+
 
 class TestMarginalize:
     def test_keep_all_is_identity(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from secomp import ascent
+from secomp import ascent, regions
 from secomp.erasure import ErasureParams, gap_filler_u, make_erasure_joint
 from secomp.probability import (
     Alphabet,
@@ -295,6 +295,35 @@ class TestSbClosedCertificate:
         both = maximize_equivocation(joint, BOTH, cfg)
         assert not sb.certified
         assert both.delta_star >= sb.delta_star - 1e-12
+
+    @pytest.mark.parametrize(
+        "joint, cfg",
+        [(make_erasure_joint(ErasureParams(0.1, 0.3)), OptimizerConfig()),
+         (make_erasure_joint(ErasureParams(0.7, 0.5)), OptimizerConfig(starts=2)),
+         (dirichlet_joint(np.random.default_rng((2008, 34)), (2, 3, 3)),
+          OptimizerConfig(starts=2))],
+        ids=["erasure-0.1-0.3", "erasure-0.7-0.5", "dirichlet"],
+    )
+    def test_both_is_one_secrecy_solve_after_sb(self, joint, cfg, monkeypatch):
+        # both enters maximize_equivocation once: its sb stage is sb's
+        # secrecy solve, and both is the solve over (A, B, E) that scores the
+        # copy of E and sb's channel first, with sb's evaluations added.
+        entries = []
+        solve = regions.maximize_equivocation
+        monkeypatch.setattr(regions, "maximize_equivocation",
+                            lambda *args: entries.append(args) or solve(*args))
+        both = regions.maximize_equivocation(joint, BOTH, cfg)
+        assert len(entries) == 1
+        sb = maximize_equivocation(joint, SB, cfg)
+        specs = tuple((v, joint.alphabet(v)) for v in "ABE")
+        alone = regions.maximize_secrecy(
+            joint, "B", specs, cfg,
+            candidates=[Channel.copy_of(specs[2], "U"), sb.best_u])
+        assert both.delta_star > 0.0
+        assert both.delta_star == alone.delta_star
+        assert both.best_u.rows.tobytes() == alone.best_u.rows.tobytes()
+        assert both.objective_trace == alone.objective_trace
+        assert both.evaluations == alone.evaluations + sb.evaluations
 
     @pytest.mark.parametrize("switches", [SB, BOTH], ids=lambda s: s.name)
     def test_search_runs_as_it_would_alone(self, switches):

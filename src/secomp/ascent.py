@@ -205,19 +205,14 @@ class EntropyObjective:
         """P over the live rows divided by their shares: a posterior q has marginals q @ scaled."""
         return self.proj[self.live] / self.rho[:, None]
 
-    def _signed_plogp(self, m: np.ndarray) -> np.ndarray:
-        """sum_k sign_k m_ku log2 m_ku for each output column u."""
-        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
-        return self.sign @ (m * log_m)
-
     def column_values(self, m: np.ndarray) -> np.ndarray:
         """-sum_k sign_k m_ku log2 m_ku for each output column u."""
-        return -self._signed_plogp(m)
+        log_m = np.log2(m, out=np.zeros(m.shape), where=m > 0.0)
+        return -(self.sign @ (m * log_m))
 
     def value(self, m: np.ndarray) -> np.ndarray:
-        # Negation is exact, so this equals column_values(m).sum(-1), except
-        # that a zero sum gives 0.0, never -0.0.
-        return 0.0 - np.add.reduce(self._signed_plogp(m), axis=-1)
+        # "+ 0.0" turns the -0.0 of a zero sum into 0.0 and changes no other value.
+        return self.column_values(m).sum(axis=-1) + 0.0
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
         return self.value(self.proj.T @ w)

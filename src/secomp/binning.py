@@ -35,13 +35,15 @@ PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves
 (``_add128`` and ``_mul128`` add and multiply them mod 2^128). PCG64 steps
 its LCG, state * mult + inc, before each 64-bit output, so j steps take a
 state s_0 to s_0 + (s_1 - s_0) * C_j, C_j = 1 + mult + ... + mult^(j-1)
-(F. Brown, "Random Number Generation with Arbitrary Strides", 1994), and
-``_pcg64_outputs`` reads any run of outputs off one cached table of the
-C_j, ``_lcg_sums``. Its callers only read the XSL-RR outputs: a trial's
-double is an output's top 53 bits times 2^-53, as ``Generator.random``
-takes it, and a table entry the top bits of one 32-bit half, as
-``Generator.integers`` takes it for a power-of-two bin count. All of it is
-exact integer arithmetic, so the numbers are the very ones numpy computes.
+(F. Brown, "Random Number Generation with Arbitrary Strides", 1994).
+``_pcg64_states`` returns s_0 and the step s_1 - s_0, ``_pcg64_outputs``
+reads any run of outputs off one cached table of the C_j, ``_lcg_sums``,
+and a jump of L steps multiplies the step by mult^L, one number from
+``pow``. The callers only read the XSL-RR outputs: a trial's double is an
+output's top 53 bits times 2^-53, as ``Generator.random`` takes it, and a
+table entry the top bits of one 32-bit half, as ``Generator.integers``
+takes it for a power-of-two bin count. All of it is exact integer
+arithmetic, so the numbers are the very ones numpy computes.
 A binning trial draws its n joint cells with numpy's own
 ``Generator.choice`` algorithm (n uniforms searched in the normalized
 cumulative sum of the cell masses), with the sum built once per run, so the
@@ -325,16 +327,17 @@ def _checked_seed(seed: int) -> int:
 
 
 def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
-    """PCG64 ``((state_hi, state_lo), (inc_hi, inc_lo))`` of ``default_rng((seed, *words))``.
+    """PCG64 ``((state_hi, state_lo), (step_hi, step_lo))`` of ``default_rng((seed, *words))``.
 
-    seed is a nonnegative int and words are the entropy words that follow
-    it, uint32 arrays of shape (streams,); entry i of each half, a uint64
-    array, belongs to the stream of entry i of every word: the bin table's
-    stream (seed, 0) is one entry of [0], and trial t's stream (seed, 1, t)
-    is entry t of [1, t]. SeedSequence splits each entropy integer into
-    little-endian 32-bit words. Its hash constants never depend on the data,
-    so every stream's pool, a word a row, is mixed in one pass of uint32
-    array arithmetic.
+    The state is s_0 and the step s_1 - s_0 = s_0 * (mult - 1) + inc mod
+    2^128, the only pair a draw reads. seed is a nonnegative int and words
+    are the entropy words that follow it, uint32 arrays of shape (streams,);
+    entry i of each half, a uint64 array, belongs to the stream of entry i
+    of every word: the bin table's stream (seed, 0) is one entry of [0], and
+    trial t's stream (seed, 1, t) is entry t of [1, t]. SeedSequence splits
+    each entropy integer into little-endian 32-bit words. Its hash constants
+    never depend on the data, so every stream's pool, a word a row, is mixed
+    in one pass of uint32 array arithmetic.
     """
     seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = [np.full_like(words[0], word) for word in seed_words] + words
@@ -356,7 +359,7 @@ def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
     # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
     inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
     state = _add128(_mul128(_add128((s_hi, s_lo), inc), _halves(_PCG64_MULT)), inc)
-    return state, inc
+    return state, _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
 
 
 def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -369,16 +372,12 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
     return value >> rotation | value << (-rotation & _U63)
 
 
-def _lcg_power(sums: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """mult^j = 1 + (mult - 1) * C_j mod 2^128 of the sums C_j."""
-    return _add128(_mul128(sums, _halves(_PCG64_MULT - 1)), _halves(1))
-
-
 @functools.cache
 def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (high, low) uint64 arrays of C_1 ... C_count, C_j = 1 + mult + ... + mult^(j - 1).
 
-    Doubled as C_(L+k) = C_L + mult^L * C_k; shared, so count is at most _BATCH_ELEMENTS.
+    Doubled as C_(L+k) = C_L + mult^L * C_k, mult^L from ``pow``; shared, so count is at
+    most _BATCH_ELEMENTS.
     """
     if count > _BATCH_ELEMENTS:
         raise ValueError(f"the LCG sums table holds at most {_BATCH_ELEMENTS} entries")
@@ -386,7 +385,7 @@ def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
     while (done := len(sums[0])) < count:
         last = tuple(half[-1:] for half in sums)
         head = tuple(half[: count - done] for half in sums)
-        more = _add128(last, _mul128(_lcg_power(last), head))
+        more = _add128(last, _mul128(_halves(pow(_PCG64_MULT, done, 1 << 128)), head))
         sums = tuple(map(np.concatenate, zip(sums, more)))
     for half in sums:
         half.flags.writeable = False
@@ -412,27 +411,26 @@ def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
     the stream's 32-bit words, and PCG64 splits each 64-bit output into two
     such words, low half first. A power-of-two range never rejects a word,
     so draw i is the top ``bits`` bits of word i, and a range of one value
-    is all zeros whatever the stream.
+    is all zeros whatever the stream. A block's outputs are read as
+    little-endian uint32 pairs, which puts each low word first.
     """
     if not bits:
         return np.zeros(size, dtype=np.int64)
-    state, inc = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
-    step = _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
-    # Column 0 holds the low words' draws and column 1 the high words'. No
-    # shift reaches 64 bits, which C leaves undefined.
-    bins = np.empty((-(-size // 2), 2), dtype=np.int64)
-    width = min(len(bins), _BATCH_ELEMENTS)
-    shift = np.uint64(32 - bits)
-    for column in range(0, len(bins), width):
-        if column:
+    state, step = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
+    outputs = -(-size // 2)
+    bins = np.empty(2 * outputs, dtype=np.int64)
+    width = min(outputs, _BATCH_ELEMENTS)
+    shift = np.uint32(32 - bits)
+    for first in range(0, outputs, width):
+        if first:
             # The next block starts width steps on, where the step is mult^width times as long.
             jump = tuple(half[width - 1 :] for half in _lcg_sums(width))
-            state, step = _add128(state, _mul128(step, jump)), _mul128(step, _lcg_power(jump))
-        (outputs,) = _pcg64_outputs(state, step, 0, min(width, len(bins) - column))
-        rows = bins[column : column + len(outputs)]
-        rows[:, 0] = (outputs & _U64_MASK32) >> shift
-        rows[:, 1] = outputs >> _U32 >> shift
-    return bins.reshape(-1)[:size]
+            state = _add128(state, _mul128(step, jump))
+            step = _mul128(step, _halves(pow(_PCG64_MULT, width, 1 << 128)))
+        (block,) = _pcg64_outputs(state, step, 0, min(width, outputs - first))
+        words = block.astype("<u8", copy=False).view("<u4")
+        bins[2 * first : 2 * first + words.size] = words >> shift
+    return bins[:size]
 
 
 def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.ndarray:
@@ -445,8 +443,7 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     if trials.stop > 1 << 32:
         raise ValueError("trial indices must fit in one 32-bit word")
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, inc = _pcg64_states(seed, [np.ones_like(t), t])
-    step = _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
+    state, step = _pcg64_states(seed, [np.ones_like(t), t])
     # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
     return (_pcg64_outputs(state, step, skip, count) >> _U11) * 2.0**-53
 

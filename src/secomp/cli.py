@@ -396,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--starts", type=int, default=OptimizerConfig().starts,
         help="random pricing starts of the column-generation search (default %(default)s); "
              "validated but unused where the value is exact: --switches se, a binary A with S_B "
-             "open (--switches none, region coded, less-noisy checks), and wherever a channel "
-             "scored before the search meets the upper bound (--switches sb and both on the "
-             "erasure preset with --pb <= 0.5)",
+             "open (--switches none, region coded, less-noisy checks), the degradation checks "
+             "(order --check degraded-*, which run no search), and wherever a channel scored "
+             "before the search meets the upper bound (--switches sb and both on the erasure "
+             "preset with --pb <= 0.5)",
     )
     optimizer_flags = [input_flag, starts_flag, seed_flag]
     diagnostics_flag = _flag(

@@ -17,6 +17,21 @@ def dirichlet_joint(rng, sizes, names=("A", "B", "E")):
     return JointPMF(variables, mass)
 
 
+def permute_symbols(joint, perms):
+    """The same distribution with each variable's symbols listed in another order.
+
+    perms maps a variable name to a permutation of its symbol indices: index
+    i of the result holds symbol perms[name][i] and its mass. Variables not
+    named keep their order.
+    """
+    mass, variables = joint.mass, []
+    for axis, (name, alphabet) in enumerate(joint.variables):
+        perm = list(perms.get(name, range(alphabet.size)))
+        mass = np.take(mass, perm, axis=axis)
+        variables.append((name, Alphabet(name, tuple(alphabet.symbols[i] for i in perm))))
+    return JointPMF(tuple(variables), mass)
+
+
 def markov_chain_joint(rng, n_a=2, n_b=3, n_e=3):
     """Random joint where the weaker observation factors through the stronger."""
     p_a = rng.dirichlet(np.ones(n_a))

@@ -23,7 +23,6 @@ from secomp.binning import (
     _add128,
     _bin_rows,
     _gap_trials,
-    _lcg_power,
     _lcg_sums,
     _mul128,
     _pcg64_outputs,
@@ -381,13 +380,14 @@ def _split(value):
 
 def _derived_states(seed, trials):
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, inc = _pcg64_states(seed, [np.ones_like(t), t])
-    return list(zip(_joined(state), _joined(inc)))
+    state, step = _pcg64_states(seed, [np.ones_like(t), t])
+    return list(zip(_joined(state), _joined(step)))
 
 
 def _default_rng_state(seed, t):
+    """State s_0 and step s_1 - s_0 = s_0 (mult - 1) + inc mod 2^128 of trial t's stream."""
     state = np.random.default_rng((seed, 1, t)).bit_generator.state["state"]
-    return state["state"], state["inc"]
+    return state["state"], (state["state"] * (_PCG64_MULT - 1) + state["inc"]) % 2**128
 
 
 _U128 = st.integers(0, 2**128 - 1)
@@ -399,8 +399,8 @@ class TestTrialStreams:
         # One to four 32-bit seed words: the trial index lands in the pool
         # or, past the pool's four words, in the extra-entropy rounds.
         derived = _derived_states(seed, range(3000))
-        for t, state_and_inc in enumerate(derived):
-            assert state_and_inc == _default_rng_state(seed, t)
+        for t, state_and_step in enumerate(derived):
+            assert state_and_step == _default_rng_state(seed, t)
         assert _derived_states(seed, range(1000, 1200)) == derived[1000:1200]
 
     def test_trial_index_must_fit_one_word(self):
@@ -453,7 +453,7 @@ class TestTrialStreams:
         assert peak <= 20 * 8 * _BATCH_ELEMENTS
 
     def test_lcg_sums_are_python_int_sums(self):
-        # C_j = 1 + mult + ... + mult^(j - 1) mod 2^128, and mult^j = 1 + (mult - 1) C_j.
+        # C_j = 1 + mult + ... + mult^(j - 1) mod 2^128.
         expected, power = [], 1
         for _ in range(_BATCH_ELEMENTS):
             expected.append(((expected[-1] if expected else 0) + power) % 2**128)
@@ -461,8 +461,6 @@ class TestTrialStreams:
         for j in (1, 2, 3, 1000, _BATCH_ELEMENTS):
             table = _lcg_sums(j)
             assert _joined(table) == expected[:j]
-            last = tuple(half[-1:] for half in table)
-            assert _joined(_lcg_power(last)) == [pow(_PCG64_MULT, j, 2**128)]
             for half in table:
                 with pytest.raises(ValueError, match="read-only"):
                     half[0] = 0
@@ -476,8 +474,7 @@ class TestTrialStreams:
         # is trial 2^32 - 1.
         t = np.array([0, 1, 2, 1000, 2**32 - 1], dtype=np.uint32)
         skip, count, width = 5, 7000, _BATCH_ELEMENTS // 5
-        state, inc = _pcg64_states(seed, [np.ones_like(t), t])
-        step = _add128(_mul128(state, _split(_PCG64_MULT - 1)), inc)
+        state, step = _pcg64_states(seed, [np.ones_like(t), t])
         columns = range(0, count, width)
         blocks = [_pcg64_outputs(state, step, skip + column, min(width, count - column))
                   for column in columns]

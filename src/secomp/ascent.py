@@ -50,16 +50,18 @@ a batched exponentiated-gradient ascent of the reduced cost; its gradient is
 -sum_k sign_k P[r, k] log2 mu_k / rho_r, the log2(e) parts cancelling by
 balance. It starts from the vertices and the master's support, pulled toward
 rho (a multiplicative step cannot move a zero coordinate), and in the first
-round also from ``starts`` Dirichlet(1) points drawn from default_rng(seed);
-the support holds the points of earlier rounds that the master uses. A round
-adds every end point that prices above ``PRICE_TOL``; the search stops after
-a round that adds none, or after ``MAX_ROUNDS`` rounds. The optimum usually
-has fewer support points than there are rows, which leaves the master at rho
-degenerate; it is solved at shares perturbed by a relative 1e-8, and the
-weights of its support are solved again for rho. The witness is scored after
-the first stage's channels, so the result is never below them. It is
-achievable, a lower bound on the maximum: pricing finds local maxima of the
-reduced cost only. Everything is deterministic for a fixed seed.
+round also from ``starts`` Dirichlet(1) points, the draws
+``default_rng(seed)`` makes (``secomp.streams`` draws them without importing
+``numpy.random``); the support holds the points of earlier rounds that the
+master uses. A round adds every end point that prices above ``PRICE_TOL``;
+the search stops after a round that adds none, or after ``MAX_ROUNDS``
+rounds. The optimum usually has fewer support points than there are rows,
+which leaves the master at rho degenerate; it is solved at shares perturbed
+by a relative 1e-8, and the weights of its support are solved again for rho.
+The witness is scored after the first stage's channels, so the result is
+never below them. It is achievable, a lower bound on the maximum: pricing
+finds local maxima of the reduced cost only. Everything is deterministic for
+a fixed seed.
 
 ``maximize_channel`` returns an ``OptResult``, the one result type of every
 auxiliary-channel solve, holding the objective's values as found: a
@@ -80,6 +82,7 @@ import numpy as np
 from .envelope import chord_gap, upper_envelope
 from .lp import OPTIMALITY_TOL, phase2_simplex
 from .probability import Alphabet, Channel, VarSpec
+from .streams import Streams
 
 # A row's signed columns balance when |proj @ sign| is below this times its mass.
 _BALANCE_TOL = 1e-12
@@ -415,6 +418,21 @@ def _price(objective: EntropyObjective, y: np.ndarray,
     return logits, cost
 
 
+def _random_starts(rho: np.ndarray, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Column generation's random pricing start logits and perturbed master target.
+
+    The draws ``default_rng(cfg.seed)`` makes: ``dirichlet(ones, cfg.starts)``
+    over the rows with mass, then ``random(rows)``.
+    """
+    k = rho.size
+    stream = Streams(cfg.seed, [])
+    logits = np.log(stream.dirichlet(k, cfg.starts)[0] * (1.0 - _PULL) + _PULL * rho)
+    # At rho itself the master is degenerate wherever the optimum has fewer
+    # support points than rows, and the simplex can stall among the bases
+    # of one vertex; each share is raised by a random fraction of _PERTURB.
+    return logits, rho * (1.0 + _PERTURB * stream.random(k)[0])
+
+
 def _column_generation(
     objective: EntropyObjective, cfg: OptimizerConfig, tables: np.ndarray
 ) -> tuple[np.ndarray, int, bool, int]:
@@ -432,12 +450,7 @@ def _column_generation(
     columns = np.vstack([np.eye(k), posteriors])
     values = _posterior_values(objective, columns)
     evaluations = len(columns)
-    rng = np.random.default_rng(cfg.seed)
-    logits = np.log(rng.dirichlet(np.ones(k), size=cfg.starts) * (1.0 - _PULL) + _PULL * rho)
-    # At rho itself the master is degenerate wherever the optimum has fewer
-    # support points than rows, and the simplex can stall among the bases
-    # of one vertex; each share is raised by a random fraction of _PERTURB.
-    target = rho * (1.0 + _PERTURB * rng.random(k))
+    logits, target = _random_starts(rho, cfg)
     hit_max_rounds = False
     for rounds in range(1, MAX_ROUNDS + 1):
         lam, y = phase2_simplex(columns.T, target, values)

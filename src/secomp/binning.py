@@ -25,25 +25,12 @@ transmission does not fill, so it is counted exactly rather than enumerated.
 Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
 would draw, and the bin table is what ``default_rng((seed, 0))`` would
 draw; reports are reproducible bit for bit and the per-trial records are
-aggregated in trial order. No Generator is built, so a simulation never
-imports ``numpy.random``: building one Generator per trial costs more than a
-short trial's arithmetic, and importing ``numpy.random`` costs a fresh
-process about 10 ms and 6 MB. Every number comes from uint64 array
-arithmetic over many streams at once instead: ``_pcg64_states`` runs
-SeedSequence's entropy mixing and ``generate_state(4, uint64)``, then
-PCG64's seeding step on 128-bit numbers held as (high, low) uint64 halves
-(``_add128`` and ``_mul128`` add and multiply them mod 2^128). PCG64 steps
-its LCG, state * mult + inc, before each 64-bit output, so j steps take a
-state s_0 to s_0 + (s_1 - s_0) * C_j, C_j = 1 + mult + ... + mult^(j-1)
-(F. Brown, "Random Number Generation with Arbitrary Strides", 1994).
-``_pcg64_states`` returns s_0 and the step s_1 - s_0, ``_pcg64_outputs``
-reads any run of outputs off one cached table of the C_j, ``_lcg_sums``,
-and a jump of L steps multiplies the step by mult^L, one number from
-``pow``. The callers only read the XSL-RR outputs: a trial's double is an
-output's top 53 bits times 2^-53, as ``Generator.random`` takes it, and a
-table entry the top bits of one 32-bit half, as ``Generator.integers``
-takes it for a power-of-two bin count. All of it is exact integer
-arithmetic, so the numbers are the very ones numpy computes.
+aggregated in trial order. The numbers come from ``secomp.streams``, which
+computes the outputs of many streams at once without a Generator, so a
+simulation never imports ``numpy.random``. A trial's double is an output's
+top 53 bits times 2^-53, as ``Generator.random`` takes it, and a table entry
+the top bits of one 32-bit half, as ``Generator.integers`` takes it for a
+power-of-two bin count.
 A binning trial draws its n joint cells with numpy's own
 ``Generator.choice`` algorithm (n uniforms searched in the normalized
 cumulative sum of the cell masses), with the sum built once per run, so the
@@ -72,8 +59,6 @@ holds; a trial whose bin alone exceeds it is a chunk of its own.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from collections.abc import Iterator
@@ -84,6 +69,7 @@ import numpy as np
 
 from .erasure import ErasureParams
 from .probability import JointPMF, require_variables
+from .streams import BLOCK, doubles, jump, pcg64_outputs, pcg64_states
 
 # Exhaustive posterior enumeration must fit: |A|^n sequences.
 _MAX_SEQUENCES = 2**20
@@ -97,28 +83,11 @@ _MAX_GAP_SCHEME_N = 12
 _TIE_REL_TOL = 1e-12
 
 # Entries one batch may hold: a block of trials draws at most this many
-# numbers, the cached table of LCG sums and a block of bin-table outputs
-# hold at most this many, and a chunk of trials holds at most this many
-# member likelihoods, head-table entries and bin index entries.
-_BATCH_ELEMENTS = 2**14
-
-# numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
-# entropy into the pool, INIT_B and MULT_B draw the state from it) and
-# PCG64's 128-bit LCG multiplier: what _pcg64_states needs to rebuild the
-# state default_rng((seed, 0)) or default_rng((seed, 1, t)) starts in.
-_HASH_A = (0x43B0D7E5, 0x931E8875)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)
-_MIX_MULT_L = 0xCA01F9DD
-_MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
-# Shift counts and masks of the uint64 limb arithmetic, typed so that no
-# operand is a Python int: numpy 1.24's value-based casting would turn some
-# mixes of Python ints and uint64 into float64.
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(k) for k in (1, 11, 32, 58, 63))
-_U64_MASK32 = np.uint64(_MASK32)
+# numbers and a block of bin-table outputs holds at most this many, the
+# most one call of pcg64_outputs reads a stream, and a chunk of trials
+# holds at most this many member likelihoods, head-table entries and bin
+# index entries.
+_BATCH_ELEMENTS = BLOCK
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,137 +240,12 @@ def make_binning_code(n: int, rate: float, alphabet_size: int, seed: int) -> Bin
     return BinningCode(n=n, rate=rate, n_bins=n_bins, bin_of=table, seed=seed)
 
 
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """SeedSequence's running hash constant: (value before, value after) each update."""
-    updates = itertools.accumulate(itertools.repeat(mult), lambda const, m: const * m & _MASK32,
-                                   initial=init)
-    return itertools.pairwise(updates)
-
-
-def _hashmix(value: np.ndarray, constants: Iterator, rows: int) -> np.ndarray:
-    """SeedSequence's hashmix of value's rows, row i with the i-th of the next rows constants."""
-    before, after = np.array(list(itertools.islice(constants, rows)), dtype=np.uint32).T[..., None]
-    value = (value ^ before) * after
-    return value ^ value >> np.uint32(16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return result ^ result >> np.uint32(16)
-
-
-def _add128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(a + b) mod 2^128 on (high, low) uint64 halves."""
-    low = a[1] + b[1]
-    # The low words wrapped exactly when their sum is below either of them.
-    return a[0] + b[0] + (low < b[1]).astype(np.uint64), low
-
-
-def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(a * b) mod 2^128 on (high, low) uint64 halves.
-
-    uint64 products wrap mod 2^64, so only the high word of low * low needs
-    the low words split into 32-bit parts; the cross terms enter the high
-    word mod 2^64 whole.
-    """
-    (a_hi, a_lo), (b_hi, b_lo) = a, b
-    a1, a0 = a_lo >> _U32, a_lo & _U64_MASK32
-    b1, b0 = b_lo >> _U32, b_lo & _U64_MASK32
-    cross = a1 * b0
-    middle = (a0 * b0 >> _U32) + (cross & _U64_MASK32) + a0 * b1
-    carry = (cross >> _U32) + (middle >> _U32) + a1 * b1
-    return carry + a_hi * b_lo + a_lo * b_hi, a_lo * b_lo
-
-
-def _halves(value: int) -> tuple[np.uint64, np.uint64]:
-    """(high, low) uint64 halves of a 128-bit Python int."""
-    return np.uint64(value >> 64), np.uint64(value & _MASK64)
-
-
 def _checked_seed(seed: int) -> int:
     """seed as a Python int: TypeError unless it is an integer, ValueError if negative."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     return seed
-
-
-def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
-    """PCG64 ``((state_hi, state_lo), (step_hi, step_lo))`` of ``default_rng((seed, *words))``.
-
-    The state is s_0 and the step s_1 - s_0 = s_0 * (mult - 1) + inc mod
-    2^128, the only pair a draw reads. seed is a nonnegative int and words
-    are the entropy words that follow it, uint32 arrays of shape (streams,);
-    entry i of each half, a uint64 array, belongs to the stream of entry i
-    of every word: the bin table's stream (seed, 0) is one entry of [0], and
-    trial t's stream (seed, 1, t) is entry t of [1, t]. SeedSequence splits
-    each entropy integer into little-endian 32-bit words. Its hash constants
-    never depend on the data, so every stream's pool, a word a row, is mixed
-    in one pass of uint32 array arithmetic.
-    """
-    seed_words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full_like(words[0], word) for word in seed_words] + words
-    entropy = np.stack(entropy + [np.zeros_like(words[0])] * (_POOL_SIZE - len(entropy)))
-    mixing = _hash_constants(*_HASH_A)
-    pool = _hashmix(entropy[:_POOL_SIZE], mixing, _POOL_SIZE)
-    for src in range(_POOL_SIZE):
-        dst = [i for i in range(_POOL_SIZE) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], mixing, len(dst)))
-    for word in entropy[_POOL_SIZE:]:
-        pool = _mix(pool, _hashmix(word, mixing, _POOL_SIZE))
-    # generate_state(4, uint64): eight 32-bit words drawn from the pool words in
-    # turn, paired little-endian.
-    drawing = _hash_constants(*_HASH_B)
-    drawn = np.concatenate([_hashmix(pool, drawing, _POOL_SIZE) for _ in range(2)])
-    s_hi, s_lo, q_hi, q_lo = drawn[0::2].astype(np.uint64) | drawn[1::2].astype(np.uint64) << _U32
-    del entropy, pool, drawn  # before the 128-bit temporaries below
-    # PCG64's srandom from initstate = (s_hi, s_lo) and initseq = (q_hi, q_lo):
-    # inc = 2 * initseq + 1, state = (initstate + inc) * mult + inc.
-    inc = (q_hi << _U1 | q_lo >> _U63, q_lo << _U1 | _U1)
-    state = _add128(_mul128(_add128((s_hi, s_lo), inc), _halves(_PCG64_MULT)), inc)
-    return state, _add128(_mul128(state, _halves(_PCG64_MULT - 1)), inc)
-
-
-def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """PCG64's XSL-RR outputs of states (high, low).
-
-    The halves xored, rotated right by the state's top 6 bits.
-    """
-    value = high ^ low
-    rotation = high >> _U58
-    return value >> rotation | value << (-rotation & _U63)
-
-
-@functools.cache
-def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (high, low) uint64 arrays of C_1 ... C_count, C_j = 1 + mult + ... + mult^(j - 1).
-
-    Doubled as C_(L+k) = C_L + mult^L * C_k, mult^L from ``pow``; shared, so count is at
-    most _BATCH_ELEMENTS.
-    """
-    if count > _BATCH_ELEMENTS:
-        raise ValueError(f"the LCG sums table holds at most {_BATCH_ELEMENTS} entries")
-    sums = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
-    while (done := len(sums[0])) < count:
-        last = tuple(half[-1:] for half in sums)
-        head = tuple(half[: count - done] for half in sums)
-        more = _add128(last, _mul128(_halves(pow(_PCG64_MULT, done, 1 << 128)), head))
-        sums = tuple(map(np.concatenate, zip(sums, more)))
-    for half in sums:
-        half.flags.writeable = False
-    return sums
-
-
-def _pcg64_outputs(state: tuple, step: tuple, first: int, count: int) -> np.ndarray:
-    """XSL-RR outputs first + 1 ... first + count of streams at states s_0 with steps s_1 - s_0.
-
-    Entry (i, k) is the output of stream i's state s_0 + (s_1 - s_0) * C_(first + k + 1); the
-    sums come from the power-of-two table that holds them, so callers ask for few sizes.
-    """
-    table = _lcg_sums(1 << (first + count - 1).bit_length())
-    sums = tuple(half[first : first + count] for half in table)
-    state, step = (tuple(half[:, None] for half in pair) for pair in (state, step))
-    return _xsl_rr(*_add128(state, _mul128(step, sums)))
 
 
 def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
@@ -416,18 +260,15 @@ def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
     """
     if not bits:
         return np.zeros(size, dtype=np.int64)
-    state, step = _pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
+    state, step = pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
     outputs = -(-size // 2)
     bins = np.empty(2 * outputs, dtype=np.int64)
     width = min(outputs, _BATCH_ELEMENTS)
     shift = np.uint32(32 - bits)
     for first in range(0, outputs, width):
         if first:
-            # The next block starts width steps on, where the step is mult^width times as long.
-            jump = tuple(half[width - 1 :] for half in _lcg_sums(width))
-            state = _add128(state, _mul128(step, jump))
-            step = _mul128(step, _halves(pow(_PCG64_MULT, width, 1 << 128)))
-        (block,) = _pcg64_outputs(state, step, 0, min(width, outputs - first))
+            state, step = jump(state, step, width)  # the next block starts width steps on
+        (block,) = pcg64_outputs(state, step, 0, min(width, outputs - first))
         words = block.astype("<u8", copy=False).view("<u4")
         bins[2 * first : 2 * first + words.size] = words >> shift
     return bins[:size]
@@ -443,9 +284,8 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     if trials.stop > 1 << 32:
         raise ValueError("trial indices must fit in one 32-bit word")
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, step = _pcg64_states(seed, [np.ones_like(t), t])
-    # Generator.random keeps an output's top 53 bits as a multiple of 2^-53.
-    return (_pcg64_outputs(state, step, skip, count) >> _U11) * 2.0**-53
+    state, step = pcg64_states(seed, [np.ones_like(t), t])
+    return doubles(pcg64_outputs(state, step, skip, count))
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:

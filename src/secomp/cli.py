@@ -46,6 +46,7 @@ from .regions import (
     coded_inner_bound_sample,
     maximize_equivocation,
 )
+from .streams import Streams
 
 
 class CliError(Exception):
@@ -279,16 +280,21 @@ def _cmd_region_uncoded(args) -> int:
 
 
 def _sample_v_channels(alph_c: Alphabet, count: int, seed: int) -> list[Channel]:
-    """Identity and constant corners, then seeded Dirichlet quantizers."""
+    """Identity and constant corners, then seeded Dirichlet quantizers.
+
+    Quantizer i's rows are ``default_rng((seed, 2, i)).dirichlet(ones, |C|)``
+    over |C| + 2 outputs, drawn by ``secomp.streams`` without importing
+    ``numpy.random``, so the sweep does not depend on the installed
+    ``numpy.random``'s algorithms.
+    """
     channels = [
         Channel.copy_of(("C", alph_c), "V"),
         Channel.uniform((("C", alph_c),), ("V", Alphabet("V", ("v0",)))),
     ]
     n_v = alph_c.size + 2
     v_alph = Alphabet("V", tuple(f"v{i}" for i in range(n_v)))
-    for i in range(count - 2):
-        rng = np.random.default_rng((seed, 2, i))
-        rows = rng.dirichlet(np.ones(n_v), size=alph_c.size)
+    index = np.arange(count - 2, dtype=np.uint32)
+    for rows in Streams(seed, [np.full_like(index, 2), index]).dirichlet(n_v, alph_c.size):
         channels.append(Channel((("C", alph_c),), ("V", v_alph), rows))
     return channels[:count]
 

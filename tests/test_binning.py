@@ -1,10 +1,6 @@
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -18,15 +14,9 @@ from secomp.binning import (
     BinningCode,
     SimReport,
     _BATCH_ELEMENTS,
-    _PCG64_MULT,
     _TIE_REL_TOL,
-    _add128,
     _bin_rows,
     _gap_trials,
-    _lcg_sums,
-    _mul128,
-    _pcg64_outputs,
-    _pcg64_states,
     _random_bins,
     _score_chunk,
     _segment_sums,
@@ -40,6 +30,7 @@ from secomp.binning import (
 )
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.probability import Alphabet, JointPMF, entropy_of
+from secomp.streams import _PCG64_MULT, _add128, _lcg_sums, _mul128, pcg64_outputs, pcg64_states
 
 
 # Reference binning simulator: every sequence's symbols come from one full
@@ -320,8 +311,8 @@ class TestBinningCode:
         def no_stream(*args):
             raise AssertionError("a one-bin table stepped a PCG64 stream")
 
-        monkeypatch.setattr("secomp.binning._pcg64_states", no_stream)
-        monkeypatch.setattr("secomp.binning._pcg64_outputs", no_stream)
+        monkeypatch.setattr("secomp.binning.pcg64_states", no_stream)
+        monkeypatch.setattr("secomp.binning.pcg64_outputs", no_stream)
         code = make_binning_code(n=10, rate=0.0, alphabet_size=2, seed=seed)
         np.testing.assert_array_equal(
             code.bin_of, np.random.default_rng((seed, 0)).integers(0, 1, 2**10, dtype=np.int64)
@@ -380,7 +371,7 @@ def _split(value):
 
 def _derived_states(seed, trials):
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, step = _pcg64_states(seed, [np.ones_like(t), t])
+    state, step = pcg64_states(seed, [np.ones_like(t), t])
     return list(zip(_joined(state), _joined(step)))
 
 
@@ -474,9 +465,9 @@ class TestTrialStreams:
         # is trial 2^32 - 1.
         t = np.array([0, 1, 2, 1000, 2**32 - 1], dtype=np.uint32)
         skip, count, width = 5, 7000, _BATCH_ELEMENTS // 5
-        state, step = _pcg64_states(seed, [np.ones_like(t), t])
+        state, step = pcg64_states(seed, [np.ones_like(t), t])
         columns = range(0, count, width)
-        blocks = [_pcg64_outputs(state, step, skip + column, min(width, count - column))
+        blocks = [pcg64_outputs(state, step, skip + column, min(width, count - column))
                   for column in columns]
         assert list(columns) == [0, width, 2 * width] and count > 2 * width
         assert all(outputs.size <= _BATCH_ELEMENTS for outputs in blocks)
@@ -746,27 +737,6 @@ class TestSwBinning:
         cells = np.ones((1, n), dtype=np.int64)
         with pytest.raises(ArithmeticError, match="zero posterior at Bob"):
             _score_chunk(ctx, bin_rows, np.zeros(1, dtype=np.int64), cells, seq_index)
-
-    def test_simulators_leave_numpy_random_unimported(self):
-        # The bin table and the trial streams are drawn with no Generator.
-        script = (
-            "import sys, numpy\n"
-            "with_numpy = 'numpy.random' in sys.modules\n"
-            "import secomp\n"
-            "from secomp.binning import run_erasure_encoder_scheme, run_sw_binning\n"
-            "from secomp.erasure import ErasureParams, make_erasure_joint\n"
-            "run_sw_binning(make_erasure_joint(ErasureParams(0.1, 0.3)), 10, 0.5, 20, 3)\n"
-            "run_erasure_encoder_scheme(ErasureParams(0.25, 0.5), 8, 20, 3)\n"
-            "print(with_numpy, 'numpy.random' in sys.modules)\n"
-        )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, check=True)
-        with_numpy, after_runs = proc.stdout.split()
-        if with_numpy == "True":
-            pytest.skip("this numpy imports numpy.random with numpy itself")
-        assert after_runs == "False"
 
     def test_single_bin_n16_memory_is_set_by_the_batch_budget(self):
         # Rate 0 puts all 2^16 sequences in one bin. Scoring the 100 trials

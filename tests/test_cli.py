@@ -704,3 +704,50 @@ class TestJsonWriter:
         with pytest.raises(TypeError):
             cli._emit_json({"a": 1.0, "b": bad}, buf)
         assert buf.getvalue() == ""
+
+
+def test_no_command_imports_numpy_random(capsys, tmp_path):
+    # Every seeded draw comes from secomp.streams, which builds no Generator:
+    # each subcommand runs in turn in one child, which reports after each
+    # whether numpy.random has been imported. The sb solve on the erasure
+    # joint (0.7, 0.5) runs column generation and the coded sweep draws its
+    # quantizers.
+    coded = write_coded_preset(capsys, tmp_path, 0.1, 0.3)
+    erasure = write_preset(capsys, tmp_path, 0.7, 0.5, name="erasure.json")
+    commands = [
+        ["preset", "erasure", "--pb", "0.7", "--pe", "0.5"],
+        ["measures", "-i", str(erasure)],
+        ["order", "-i", str(erasure), "--check", "degraded-eb"],
+        ["order", "-i", str(erasure), "--check", "less-noisy-be", "--starts", "2"],
+        ["region", "uncoded", "-i", str(erasure), "--switches", "none"],
+        ["region", "uncoded", "-i", str(erasure), "--switches", "se"],
+        ["region", "uncoded", "-i", str(erasure), "--switches", "sb", "--starts", "2",
+         "--diagnostics"],
+        ["region", "coded", "-i", str(coded), "--v-grid", "6"],
+        ["simulate", "binning", "-i", str(erasure), "--n", "8", "--rate", "0.5",
+         "--trials", "20"],
+        ["simulate", "erasure-scheme", "--pb", "0.25", "--pe", "0.5", "--n", "8",
+         "--trials", "20"],
+    ]
+    script = (
+        "import contextlib, io, json, sys, numpy\n"
+        "print(json.dumps('numpy.random' in sys.modules))\n"
+        "from secomp.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(json.dumps([code, 'numpy.random' in sys.modules, out.getvalue()]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          check=True)
+    with_numpy, *runs = map(json.loads, proc.stdout.splitlines())
+    if with_numpy:
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert [(argv, code, imported) for argv, (code, imported, _) in zip(commands, runs)] == [
+        (argv, 0, False) for argv in commands]
+    assert json.loads(runs[6][2])["rounds"] > 0
+    assert len(runs[7][2].splitlines()) == 7

@@ -22,7 +22,10 @@ each trial still built its own ``default_rng((seed, 1, t))``: ``binning`` at
 seed 2^32 (two 32-bit seed words) on the Dirichlet joint, ``binning`` at seed
 2^70 + 1 (three words, so the trial index enters after the pool is full) and
 rate 0 on the erasure joint (cells without mass, one bin holding every
-sequence), and ``erasure-scheme`` at seed 2^32 + 3.
+sequence), and ``erasure-scheme`` at seed 2^32 + 3. The coded sweep at
+``--v-grid 6`` and seed 2^32, whose quantizer streams (seed, 2, i) carry
+two seed words, was recorded while each quantizer still came from
+``default_rng((seed, 2, i)).dirichlet``.
 """
 
 import json

@@ -238,7 +238,7 @@ class OptResult:
     I(A;X|Y) for channels p(u|a) and H(A|Y) for channels that also see B;
     never below the best value. It is certified up to rounding only: where
     the maximum is exactly 0 (the copy of A on an erasure joint, say) the
-    envelope's value can come out up to ~1e-16 below it, and ROADMAP item 3
+    envelope's value can come out up to ~1e-16 below it, and ROADMAP item 16
     adds the margin. ``certified`` is true when no search
     ran (``rounds == 0``): the two-row envelope, a value known in closed
     form, or a channel scored first that reached the analytic bound to

@@ -25,12 +25,13 @@ transmission does not fill, so it is counted exactly rather than enumerated.
 Trial streams. Trial t draws exactly what ``default_rng((seed, 1, t))``
 would draw, and the bin table is what ``default_rng((seed, 0))`` would
 draw; reports are reproducible bit for bit and the per-trial records are
-aggregated in trial order. The numbers come from ``secomp.streams``, which
-computes the outputs of many streams at once without a Generator, so a
-simulation never imports ``numpy.random``. A trial's double is an output's
-top 53 bits times 2^-53, as ``Generator.random`` takes it, and a table entry
-the top bits of one 32-bit half, as ``Generator.integers`` takes it for a
-power-of-two bin count.
+aggregated in trial order. The numbers come from ``secomp.streams.Streams``,
+which reads many streams at once without a Generator, so a simulation never
+imports ``numpy.random``: a block of trials is one ``Streams`` of their
+(seed, 1, t) streams, and the bin table reads the one stream (seed, 0) a
+block of outputs at a time. A trial's doubles are ``Streams.random``'s, and
+a table entry is the top bits of one 32-bit half of an output, as
+``Generator.integers`` takes it for a power-of-two bin count.
 A binning trial draws its n joint cells with numpy's own
 ``Generator.choice`` algorithm (n uniforms searched in the normalized
 cumulative sum of the cell masses), with the sum built once per run, so the
@@ -52,9 +53,9 @@ one bin reuse it. MAP decoding, ties and Eve's posterior entropies are then
 taken row by row. Each entropy sums a row's own terms only, grouped by
 length, so every record equals the one-trial computation bit for bit.
 ``_BATCH_ELEMENTS`` bounds the working set: it caps the numbers a block of
-trials draws, the LCG sums table and the 64-bit outputs a block of the bin
-table holds, and the likelihoods, head tables and bin index rows a chunk
-holds; a trial whose bin alone exceeds it is a chunk of its own.
+trials draws, the 64-bit outputs a block of the bin table holds, and the
+likelihoods, head tables and bin index rows a chunk holds; a trial whose bin
+alone exceeds it is a chunk of its own.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 
 from .erasure import ErasureParams
 from .probability import JointPMF, require_variables
-from .streams import BLOCK, doubles, jump, pcg64_outputs, pcg64_states
+from .streams import Streams
 
 # Exhaustive posterior enumeration must fit: |A|^n sequences.
 _MAX_SEQUENCES = 2**20
@@ -83,11 +84,10 @@ _MAX_GAP_SCHEME_N = 12
 _TIE_REL_TOL = 1e-12
 
 # Entries one batch may hold: a block of trials draws at most this many
-# numbers and a block of bin-table outputs holds at most this many, the
-# most one call of pcg64_outputs reads a stream, and a chunk of trials
-# holds at most this many member likelihoods, head-table entries and bin
-# index entries.
-_BATCH_ELEMENTS = BLOCK
+# numbers, a block of bin-table outputs holds at most this many, and a chunk
+# of trials holds at most this many member likelihoods, head-table entries
+# and bin index entries.
+_BATCH_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,15 +260,12 @@ def _random_bins(seed: int, bits: int, size: int) -> np.ndarray:
     """
     if not bits:
         return np.zeros(size, dtype=np.int64)
-    state, step = pcg64_states(seed, [np.zeros(1, dtype=np.uint32)])
+    stream = Streams(seed, [np.zeros(1, dtype=np.uint32)])
     outputs = -(-size // 2)
     bins = np.empty(2 * outputs, dtype=np.int64)
-    width = min(outputs, _BATCH_ELEMENTS)
     shift = np.uint32(32 - bits)
-    for first in range(0, outputs, width):
-        if first:
-            state, step = jump(state, step, width)  # the next block starts width steps on
-        (block,) = pcg64_outputs(state, step, 0, min(width, outputs - first))
+    for first in range(0, outputs, _BATCH_ELEMENTS):
+        (block,) = stream.raw(min(_BATCH_ELEMENTS, outputs - first))
         words = block.astype("<u8", copy=False).view("<u4")
         bins[2 * first : 2 * first + words.size] = words >> shift
     return bins[:size]
@@ -278,14 +275,14 @@ def _trial_uniforms(seed: int, trials: range, count: int, skip: int = 0) -> np.n
     """One row of ``count`` uniforms per trial t in trials, after ``skip`` 64-bit outputs.
 
     Row i holds what ``default_rng((seed, 1, t)).random(count)`` returns for
-    the i-th t once that stream has given its first ``skip`` outputs; skip +
-    count is at most _BATCH_ELEMENTS.
+    the i-th t once that stream has given its first ``skip`` outputs.
     """
     if trials.stop > 1 << 32:
         raise ValueError("trial indices must fit in one 32-bit word")
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, step = pcg64_states(seed, [np.ones_like(t), t])
-    return doubles(pcg64_outputs(state, step, skip, count))
+    stream = Streams(seed, [np.ones_like(t), t])
+    stream.skip(skip)
+    return stream.random(count)
 
 
 def _trial_blocks(trials: int, draws_per_trial: int) -> Iterator[range]:

@@ -5,32 +5,35 @@ streams bit for bit, yet no Generator is built, so no command imports
 ``numpy.random``: importing it costs a fresh process about 10 ms and 6 MB,
 and building one Generator per binning trial costs more than a short
 trial's arithmetic. Every number comes from uint64 array arithmetic over
-many streams at once instead. ``pcg64_states`` runs SeedSequence's entropy
-mixing and ``generate_state(4, uint64)``, then PCG64's seeding step on
-128-bit numbers held as (high, low) uint64 halves (``_add128`` and
-``_mul128`` add and multiply them mod 2^128). PCG64 steps its LCG, state *
-mult + inc, before each 64-bit output, so j steps take a state s_0 to s_0 +
-(s_1 - s_0) * C_j, C_j = 1 + mult + ... + mult^(j-1) (F. Brown, "Random
-Number Generation with Arbitrary Strides", 1994). ``pcg64_states`` returns
-s_0 and the step s_1 - s_0, ``pcg64_outputs`` reads any run of outputs off
-one cached table of the C_j, ``_lcg_sums``, and ``jump`` moves a stream L
-steps on: the state gains the step times C_L and the step is multiplied by
-mult^L, both numbers from ``pow``. All of it is exact integer arithmetic, so
-the outputs are the very ones numpy computes.
+many streams at once instead, and ``Streams`` is the one reader of it.
 
-The draws read the XSL-RR outputs as numpy's Generator reads them.
-``doubles`` is ``Generator.random``: an output's top 53 bits times 2^-53.
-``Streams`` seeds many streams in one pass, computes their outputs together
-and reads each stream's outputs in order, so a draw whose count of outputs
-depends on their values consumes exactly the outputs numpy's does.
-``Streams.standard_exponential`` is numpy's exponential ziggurat over
-numpy's own tables: an output is accepted at once about 98 % of the time,
-and a stream that meets a rejection is drawn one output at a time. Each rare
-branch reads one more output (the tail past the base strip, and the wedge
-test, which rejects by drawing again), with ``math.log1p`` and ``math.exp``,
-the C library functions numpy calls. ``Streams.dirichlet`` with every
-concentration 1 normalizes k exponentials a row as ``Generator.dirichlet``
-does: summed left to right, times the reciprocal of the sum.
+``_pcg64_states`` runs SeedSequence's entropy mixing and
+``generate_state(4, uint64)``, then PCG64's seeding step on 128-bit numbers
+held as (high, low) uint64 halves (``_add128`` and ``_mul128`` add and
+multiply them mod 2^128). PCG64 steps its LCG, state * mult + inc, before
+each 64-bit output, so j steps take a state s_0 to s_0 + (s_1 - s_0) * C_j,
+C_j = 1 + mult + ... + mult^(j-1) (F. Brown, "Random Number Generation with
+Arbitrary Strides", 1994). A stream is kept as s_0 and the step s_1 - s_0,
+and ``_pcg64_outputs`` reads any run of its outputs: within the first
+``_BLOCK`` outputs off one cached table of the C_j, ``_lcg_sums``, and past
+it after ``_jump`` moves the stream on, its state gaining the step times C_L
+and its step multiplied by mult^L, both numbers from ``pow``. All of it is
+exact integer arithmetic, so the outputs are the very ones numpy computes.
+
+``Streams`` seeds many streams in one pass and reads each stream's outputs
+in order, as numpy's Generator reads them, so a draw whose count of outputs
+depends on their values consumes exactly the outputs numpy's does. A read
+computes the outputs it asks for and no more; ``skip`` passes over outputs
+without computing them. ``Streams.random`` is ``Generator.random``: an
+output's top 53 bits times 2^-53. ``Streams.standard_exponential`` is
+numpy's exponential ziggurat over numpy's own tables: an output is accepted
+at once about 98 % of the time, and a stream that meets a rejection is
+drawn one output at a time. Each rare branch reads one more output (the
+tail past the base strip, and the wedge test, which rejects by drawing
+again), with ``math.log1p`` and ``math.exp``, the C library functions numpy
+calls. ``Streams.dirichlet`` with every concentration 1 normalizes k
+exponentials a row as ``Generator.dirichlet`` does: summed left to right,
+times the reciprocal of the sum.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ import math
 
 import numpy as np
 
-# The most outputs per stream one call of pcg64_outputs reads: the cached
-# table of LCG sums holds at most this many entries.
-BLOCK = 2**14
+# The entries of the largest cached table of LCG sums: a read past this many
+# outputs of a stream jumps the stream on first.
+_BLOCK = 2**14
 
 # numpy.random.SeedSequence's hash constants (INIT_A and MULT_A mix the
 # entropy into the pool, INIT_B and MULT_B draw the state from it) and
-# PCG64's 128-bit LCG multiplier: what pcg64_states needs to rebuild the
+# PCG64's 128-bit LCG multiplier: what _pcg64_states needs to rebuild the
 # state default_rng((seed, *words)) starts in.
 _HASH_A = (0x43B0D7E5, 0x931E8875)
 _HASH_B = (0x8B51F9DD, 0x58F38DED)
@@ -67,9 +70,6 @@ _U64_MASK32 = np.uint64(_MASK32)
 
 # The start of the exponential ziggurat's tail, as numpy writes it.
 _ZIGGURAT_EXP_R = 7.69711747013104972
-# Outputs computed past those a read asks for, at the least, since a rejected
-# exponential reads a few more.
-_SPARE_OUTPUTS = 64
 
 
 @functools.cache
@@ -130,7 +130,7 @@ def _halves(value: int) -> tuple[np.uint64, np.uint64]:
     return np.uint64(value >> 64), np.uint64(value & _MASK64)
 
 
-def pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
+def _pcg64_states(seed: int, words: list[np.ndarray]) -> tuple[tuple, tuple]:
     """PCG64 ``((state_hi, state_lo), (step_hi, step_lo))`` of ``default_rng((seed, *words))``.
 
     The state is s_0 and the step s_1 - s_0 = s_0 * (mult - 1) + inc mod
@@ -188,10 +188,10 @@ def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (high, low) uint64 arrays of C_1 ... C_count, C_j = 1 + mult + ... + mult^(j - 1).
 
     Doubled as C_(L+k) = C_L + mult^L * C_k, mult^L from ``pow``; shared, so count is at
-    most BLOCK.
+    most _BLOCK.
     """
-    if count > BLOCK:
-        raise ValueError(f"the LCG sums table holds at most {BLOCK} entries")
+    if count > _BLOCK:
+        raise ValueError(f"the LCG sums table holds at most {_BLOCK} entries")
     sums = (np.zeros(1, dtype=np.uint64), np.ones(1, dtype=np.uint64))
     while (done := len(sums[0])) < count:
         last = tuple(half[-1:] for half in sums)
@@ -203,20 +203,7 @@ def _lcg_sums(count: int) -> tuple[np.ndarray, np.ndarray]:
     return sums
 
 
-def pcg64_outputs(state: tuple, step: tuple, first: int, count: int) -> np.ndarray:
-    """XSL-RR outputs first + 1 ... first + count of streams at states s_0 with steps s_1 - s_0.
-
-    Entry (i, k) is the output of stream i's state s_0 + (s_1 - s_0) * C_(first + k + 1); the
-    sums come from the power-of-two table that holds them, so callers ask for few sizes, and
-    first + count is at most BLOCK.
-    """
-    table = _lcg_sums(1 << (first + count - 1).bit_length())
-    sums = tuple(half[first : first + count] for half in table)
-    state, step = (tuple(half[:, None] for half in pair) for pair in (state, step))
-    return _xsl_rr(*_add128(state, _mul128(step, sums)))
-
-
-def jump(state: tuple, step: tuple, count: int) -> tuple[tuple, tuple]:
+def _jump(state: tuple, step: tuple, count: int) -> tuple[tuple, tuple]:
     """The (state, step) pairs of streams count outputs on.
 
     The state gains the step times C_count and the step is multiplied by
@@ -229,7 +216,27 @@ def jump(state: tuple, step: tuple, count: int) -> tuple[tuple, tuple]:
             _mul128(step, _halves(pow(_PCG64_MULT, count, 1 << 128))))
 
 
-def doubles(outputs: np.ndarray) -> np.ndarray:
+def _pcg64_outputs(state: tuple, step: tuple, first: int, count: int) -> np.ndarray:
+    """XSL-RR outputs first + 1 ... first + count of streams at states s_0 with steps s_1 - s_0.
+
+    Entry (i, k) is the output of stream i's state s_0 + (s_1 - s_0) * C_(first + k + 1). Within
+    the first _BLOCK outputs the sums come from the power-of-two table that holds them, so
+    reads ask for few sizes; a read past it jumps the streams to first and reads on at most
+    _BLOCK outputs a jump.
+    """
+    if first + count > _BLOCK:
+        state, step = _jump(state, step, first)
+        if count > _BLOCK:
+            return np.concatenate([_pcg64_outputs(state, step, start, min(_BLOCK, count - start))
+                                   for start in range(0, count, _BLOCK)], axis=1)
+        first = 0
+    table = _lcg_sums(1 << (first + count - 1).bit_length())
+    sums = tuple(half[first : first + count] for half in table)
+    state, step = (tuple(half[:, None] for half in pair) for pair in (state, step))
+    return _xsl_rr(*_add128(state, _mul128(step, sums)))
+
+
+def _doubles(outputs: np.ndarray) -> np.ndarray:
     """``Generator.random``'s doubles of 64-bit outputs: the top 53 bits times 2^-53."""
     return (outputs >> _U11) * 2.0**-53
 
@@ -269,48 +276,40 @@ class Streams:
 
     Row i of every draw belongs to the stream of entry i of the words, and
     each stream is read as its Generator reads it. All are seeded in one
-    pass (see ``pcg64_states``) and their outputs computed together; a row
-    reads past the others only when a draw reads its outputs one by one.
+    pass (see ``_pcg64_states``), and a read computes the outputs of every
+    row together at their common position; a row reads past the others only
+    when an exponential draw reads its outputs one by one.
     """
 
     def __init__(self, seed: int, words: list[np.ndarray]) -> None:
-        self._state, self._step = pcg64_states(seed, words)
-        # The outputs from stream position _first on, and each row's next
-        # position; the (state, step) pair stands at position _anchor.
+        self._state, self._step = _pcg64_states(seed, words)
+        # Each row's stream position: the outputs it has read or skipped.
         self._read = np.zeros(len(self._state[0]), dtype=np.intp)
-        self._outputs = np.empty((len(self._read), 0), dtype=np.uint64)
-        self._first = self._anchor = 0
 
-    def _compute(self, stop: int) -> None:
-        """Hold every stream's outputs up to position stop, dropping those all rows have read."""
-        end = self._first + self._outputs.shape[1]
-        if stop <= end:
-            return
-        stop = max(stop, end + _SPARE_OUTPUTS)
-        keep = int(self._read.min(initial=end))
-        blocks = [self._outputs[:, keep - self._first :]]
-        for start in range(end, stop, BLOCK):
-            width = min(BLOCK, stop - start)
-            if start - self._anchor + width > BLOCK:
-                self._state, self._step = jump(self._state, self._step, start - self._anchor)
-                self._anchor = start
-            blocks.append(pcg64_outputs(self._state, self._step, start - self._anchor, width))
-        self._outputs, self._first = np.concatenate(blocks, axis=1), keep
-
-    def _take(self, rows: np.ndarray, count: int) -> np.ndarray:
-        """The next count outputs of each stream in rows, an index array, a row each."""
-        read = self._read[rows]
-        self._compute(int(read.max(initial=self._first)) + count)
-        self._read[rows] = read + count
-        return self._outputs[rows[:, None], (read - self._first)[:, None] + np.arange(count)]
+    def skip(self, count: int) -> None:
+        """Pass over the next count outputs of every stream; none is computed."""
+        self._read += count
 
     def raw(self, count: int) -> np.ndarray:
         """The next count 64-bit outputs of every stream."""
-        return self._take(np.arange(len(self._read)), count)
+        first = int(self._read.max(initial=0))
+        if (self._read == first).all():
+            self._read += count
+            return _pcg64_outputs(self._state, self._step, first, count)
+        # Rows an exponential draw left at different positions, read one at a time.
+        return np.concatenate([self._row_raw(row, count) for row in range(len(self._read))])
+
+    def _row_raw(self, row: int, count: int) -> np.ndarray:
+        """The next count outputs of the stream in row, a (1, count) array."""
+        first = int(self._read[row])
+        self._read[row] += count
+        state, step = (tuple(half[row : row + 1] for half in pair)
+                       for pair in (self._state, self._step))
+        return _pcg64_outputs(state, step, first, count)
 
     def random(self, count: int) -> np.ndarray:
         """``Generator.random(count)`` of every stream."""
-        return doubles(self.raw(count))
+        return _doubles(self.raw(count))
 
     def standard_exponential(self, count: int) -> np.ndarray:
         """``Generator.standard_exponential(count)`` of every stream, by numpy's ziggurat.
@@ -342,9 +341,9 @@ class Streams:
                 values[done : done + rejection - start] = candidates[start:rejection]
                 done += rejection - start
                 after = (outputs[rejection + 1] if rejection + 1 < outputs.size
-                         else self._take(np.array([row]), 1)[0, 0])
+                         else self._row_raw(row, 1)[0, 0])
                 value = _unlikely(int(idx[rejection]), float(candidates[rejection]),
-                                  float(doubles(after)))
+                                  float(_doubles(after)))
                 if value is not None:
                     values[done] = value
                     done += 1
@@ -354,7 +353,7 @@ class Streams:
             done += tail.size
             if done == values.size:
                 return
-            outputs = self._take(np.array([row]), values.size - done)[0]
+            outputs = self._row_raw(row, values.size - done)[0]
             candidates, idx, rejected = _ziggurat_candidates(outputs)
 
     def dirichlet(self, k: int, size: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from secomp.binning import (
 )
 from secomp.erasure import ErasureParams, make_erasure_joint
 from secomp.probability import Alphabet, JointPMF, entropy_of
-from secomp.streams import _PCG64_MULT, _add128, _lcg_sums, _mul128, pcg64_outputs, pcg64_states
+from secomp.streams import _PCG64_MULT, Streams, _add128, _lcg_sums, _mul128, _pcg64_states
 
 
 # Reference binning simulator: every sequence's symbols come from one full
@@ -311,8 +311,7 @@ class TestBinningCode:
         def no_stream(*args):
             raise AssertionError("a one-bin table stepped a PCG64 stream")
 
-        monkeypatch.setattr("secomp.binning.pcg64_states", no_stream)
-        monkeypatch.setattr("secomp.binning.pcg64_outputs", no_stream)
+        monkeypatch.setattr("secomp.binning.Streams", no_stream)
         code = make_binning_code(n=10, rate=0.0, alphabet_size=2, seed=seed)
         np.testing.assert_array_equal(
             code.bin_of, np.random.default_rng((seed, 0)).integers(0, 1, 2**10, dtype=np.int64)
@@ -371,7 +370,7 @@ def _split(value):
 
 def _derived_states(seed, trials):
     t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    state, step = pcg64_states(seed, [np.ones_like(t), t])
+    state, step = _pcg64_states(seed, [np.ones_like(t), t])
     return list(zip(_joined(state), _joined(step)))
 
 
@@ -465,10 +464,10 @@ class TestTrialStreams:
         # is trial 2^32 - 1.
         t = np.array([0, 1, 2, 1000, 2**32 - 1], dtype=np.uint32)
         skip, count, width = 5, 7000, _BATCH_ELEMENTS // 5
-        state, step = pcg64_states(seed, [np.ones_like(t), t])
+        stream = Streams(seed, [np.ones_like(t), t])
+        stream.skip(skip)
         columns = range(0, count, width)
-        blocks = [pcg64_outputs(state, step, skip + column, min(width, count - column))
-                  for column in columns]
+        blocks = [stream.raw(min(width, count - column)) for column in columns]
         assert list(columns) == [0, width, 2 * width] and count > 2 * width
         assert all(outputs.size <= _BATCH_ELEMENTS for outputs in blocks)
         got = np.concatenate(blocks, axis=1)

@@ -706,12 +706,13 @@ class TestJsonWriter:
         assert buf.getvalue() == ""
 
 
-def test_no_command_imports_numpy_random(capsys, tmp_path):
-    # Every seeded draw comes from secomp.streams, which builds no Generator:
-    # each subcommand runs in turn in one child, which reports after each
-    # whether numpy.random has been imported. The sb solve on the erasure
-    # joint (0.7, 0.5) runs column generation and the coded sweep draws its
-    # quantizers.
+def test_no_command_imports_numpy_random_or_numpy_ma(capsys, tmp_path):
+    # Every seeded draw comes from secomp.streams, which builds no Generator,
+    # and no command groups values with np.unique, which imports numpy.ma:
+    # each import costs a fresh process resident memory. Each subcommand runs
+    # in turn in one child, which reports after each which of the two
+    # modules have been imported. The sb solve on the erasure joint (0.7,
+    # 0.5) runs column generation and the coded sweep draws its quantizers.
     coded = write_coded_preset(capsys, tmp_path, 0.1, 0.3)
     erasure = write_preset(capsys, tmp_path, 0.7, 0.5, name="erasure.json")
     commands = [
@@ -731,13 +732,15 @@ def test_no_command_imports_numpy_random(capsys, tmp_path):
     ]
     script = (
         "import contextlib, io, json, sys, numpy\n"
-        "print(json.dumps('numpy.random' in sys.modules))\n"
+        "modules = ('numpy.random', 'numpy.ma')\n"
+        "print(json.dumps([name in sys.modules for name in modules]))\n"
         "from secomp.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"
         "        code = main(argv)\n"
-        "    print(json.dumps([code, 'numpy.random' in sys.modules, out.getvalue()]))\n"
+        "    imported = [name in sys.modules for name in modules]\n"
+        "    print(json.dumps([code, imported, out.getvalue()]))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -745,9 +748,13 @@ def test_no_command_imports_numpy_random(capsys, tmp_path):
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
                           check=True)
     with_numpy, *runs = map(json.loads, proc.stdout.splitlines())
-    if with_numpy:
-        pytest.skip("this numpy imports numpy.random with numpy itself")
-    assert [(argv, code, imported) for argv, (code, imported, _) in zip(commands, runs)] == [
-        (argv, 0, False) for argv in commands]
+    assert [(argv, code) for argv, (code, _, _) in zip(commands, runs)] == [
+        (argv, 0) for argv in commands]
     assert json.loads(runs[6][2])["rounds"] > 0
     assert len(runs[7][2].splitlines()) == 7
+    # A module that this numpy imports with numpy itself is not checked.
+    unloaded = [i for i, loaded in enumerate(with_numpy) if not loaded]
+    if not unloaded:
+        pytest.skip("this numpy imports numpy.random and numpy.ma with numpy itself")
+    assert [(argv, [imported[i] for i in unloaded]) for argv, (_, imported, _) in
+            zip(commands, runs)] == [(argv, [False] * len(unloaded)) for argv in commands]

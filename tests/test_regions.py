@@ -532,6 +532,22 @@ class TestDataProcessing:
             self.violation(joint, "e_less_noisy_than_b") - 1e-9
         )
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_certified_none_value_never_falls(self, seed):
+        # On a binary source both none solves are certified envelope values,
+        # so they keep the inequality to rounding: 16 of these 40 joints have
+        # a positive value, and none falls.
+        rng = np.random.default_rng((77, seed))
+        joint = dirichlet_joint(rng, (2, 3, 3))
+        e_prime = random_channel(rng, joint, ("E",), "F", 2 + seed % 3)
+        degraded = rename_variable(
+            marginalize(build_joint(joint, e_prime), ("A", "B", "F")), "F", "E"
+        )
+        config = OptimizerConfig(starts=4, seed=0)
+        before, after = (maximize_equivocation(j, NONE, config) for j in (joint, degraded))
+        assert before.certified and after.certified
+        assert after.delta_star >= before.delta_star - 1e-12
+
 
 _RELABEL_JOINTS = [
     (f"2x3x3-(2035,{k})", dirichlet_joint(np.random.default_rng((2035, k)), (2, 3, 3)),

@@ -14,7 +14,7 @@ from secomp import streams
 from secomp.ascent import _PERTURB, _PULL, OptimizerConfig, _random_starts
 from secomp.cli import _sample_v_channels
 from secomp.probability import Alphabet, Channel
-from secomp.streams import BLOCK, Streams, jump, pcg64_states
+from secomp.streams import _BLOCK as BLOCK, Streams
 
 
 def _rejected(outputs):
@@ -68,8 +68,8 @@ class TestStandardExponential:
 class TestStreamReads:
     @pytest.mark.parametrize("first", [0, 5, BLOCK - 3, BLOCK, BLOCK + 9])
     def test_raw_reads_in_order_across_blocks(self, first):
-        # Outputs are computed a block of the LCG sums table at a time, the
-        # (state, step) pair jumping on between blocks.
+        # A read that ends past the LCG sums table jumps the streams to where
+        # it starts, and a read longer than the table jumps once a table.
         words = [np.array([2, 2], dtype=np.uint32), np.array([0, 7], dtype=np.uint32)]
         generators = [np.random.default_rng((2**32, 2, int(i))).bit_generator for i in words[1]]
         streams_2i = Streams(2**32, words)
@@ -94,9 +94,42 @@ class TestStreamReads:
                 streams_2i.random(7), [generator.random(7) for generator in generators]
             )
 
+    @pytest.mark.parametrize("skip", [0, 5, BLOCK - 3])
+    def test_skip_passes_over_outputs_unread(self, monkeypatch, skip):
+        # Skipping computes no output; past a skip of BLOCK - 3, a read of 10
+        # crosses the edge of the LCG sums table.
+        words = [np.array([2, 2], dtype=np.uint32), np.array([0, 7], dtype=np.uint32)]
+        generators = [np.random.default_rng((2**32, 2, int(i))).bit_generator for i in words[1]]
+        streams_2i = Streams(2**32, words)
+        with monkeypatch.context() as patched:
+            patched.setattr(streams, "_pcg64_outputs", None)
+            streams_2i.skip(skip)
+        for generator in generators:
+            generator.random_raw(skip)
+        np.testing.assert_array_equal(
+            streams_2i.raw(10), [generator.random_raw(10) for generator in generators]
+        )
+
+    def test_skip_after_an_exponential_draw(self):
+        # The draw leaves the rows at different positions; each skips from its
+        # own, and the read after the skip crosses the LCG sums table's edge.
+        index = np.arange(40, dtype=np.uint32)
+        streams_2i = Streams(5, [np.full_like(index, 2), index])
+        generators = [np.random.default_rng((5, 2, i)) for i in range(40)]
+        streams_2i.standard_exponential(50)
+        for generator in generators:
+            generator.standard_exponential(50)
+        assert np.unique(streams_2i._read).size > 1
+        streams_2i.skip(BLOCK - 55)
+        for generator in generators:
+            generator.bit_generator.random_raw(BLOCK - 55)
+        np.testing.assert_array_equal(
+            streams_2i.raw(10), [generator.bit_generator.random_raw(10) for generator in generators]
+        )
+
     @pytest.mark.parametrize("count", [0, 1, 5, BLOCK, 2**40 + 3])
     def test_jump_is_generator_advance(self, count):
-        state, step = jump(*pcg64_states(9, []), count)
+        state, step = streams._jump(*streams._pcg64_states(9, []), count)
         bit_generator = np.random.default_rng(9).bit_generator
         bit_generator.advance(count)
         expected = bit_generator.state["state"]
